@@ -16,13 +16,12 @@ from .network import (ForwardCache, NetworkParams, OptState, apply_lr_schedule, 
                       forward, init_params, load_checkpoint, save_checkpoint, sgd_step)
 from .neighbors import (EmbeddingBank, PseudoLabelState, aggregate_pseudo_labels,
                         cosine_sim, topk_neighbors)
-from .selection import (SelectionState, build_pairs_from_confident, nearest_rank_fractile,
-                        pairs_to_matrix, run_selection, select_confident_examples,
-                        select_confident_pairs, union_pairs)
+from .selection import (SelectionState, nearest_rank_fractile, run_selection,
+                        select_confident_examples, select_confident_pairs)
 from .training import (EpochRecord, PretrainResult, RunConfig, benchmark_config,
-                       dataset_from_config, finetune, pretrain, pretrain_epoch,
-                       test_accuracy, train_cross_entropy_baseline, warmup,
-                       write_metrics_csv)
+                       compute_selection, dataset_from_config, finetune, pretrain,
+                       pretrain_epoch, test_accuracy, train_cross_entropy_baseline,
+                       warmup, write_metrics_csv)
 from .cli import cli_run, emit_summary
 
 __version__ = "0.1.0"

@@ -16,10 +16,8 @@ import numpy as np
 from .data import NoiseSpec, dump_features_csv, inject_noise, load_features_csv, make_blobs
 from .evaluation import dump_projection_2d, weighted_knn_eval
 from .network import forward, load_checkpoint, save_checkpoint
-from .neighbors import EmbeddingBank, aggregate_pseudo_labels
-from .selection import run_selection
-from .training import (RunConfig, benchmark_config, dataset_from_config, finetune,
-                       pretrain, test_accuracy, write_metrics_csv)
+from .training import (RunConfig, benchmark_config, compute_selection, dataset_from_config,
+                       finetune, pretrain, test_accuracy, write_metrics_csv)
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -143,17 +141,6 @@ def _load_dataset(args, cfg: RunConfig):
     return dataset_from_config(cfg)
 
 
-def _train_selection_state(params, ds, cfg):
-    train_idx = ds.train_indices()
-    bank = EmbeddingBank(forward(params, ds.instances[train_idx]).z)
-    pseudo = aggregate_pseudo_labels(bank, ds.noisy_labels[train_idx],
-                                     k=min(cfg.k, len(train_idx) - 1),
-                                     n_classes=ds.n_classes,
-                                     count_labels=cfg.count_labels)
-    return bank, pseudo, run_selection(bank, ds.noisy_labels[train_idx], pseudo,
-                                       cfg.alpha, cfg.beta)
-
-
 def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
     out_dir = Path(args.out_dir) if args.out_dir else None
@@ -166,6 +153,12 @@ def _cmd_train(args) -> int:
     clock = (lambda: 0.0) if args.fixed_clock else time.perf_counter
     result = pretrain(ds, cfg, time_source=clock)
     final_params = result.params
+    do_finetune = args.finetune and cfg.t_finetune > 0
+    # The selection fine-tuning uses and the dumps describe: the last selective
+    # epoch's, or, when only warm-up ran, one made from the warmed-up model.
+    state = result.selection
+    if state is None and (do_finetune or args.dump_selection or args.dump_pseudo):
+        state = compute_selection(result.params, ds, cfg)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "config": cfg.as_dict(),
@@ -175,8 +168,8 @@ def _cmd_train(args) -> int:
         "pretrain_knn_accuracy": result.history[-1].knn_accuracy,
         "finetuned_test_accuracy": None,
     }
-    if args.finetune and cfg.t_finetune > 0:
-        final_params = finetune(result.params, ds, cfg, selection=result.selection)
+    if do_finetune:
+        final_params = finetune(result.params, ds, cfg, selection=state)
         report["finetuned_test_accuracy"] = test_accuracy(final_params, ds)
 
     if metrics_path:
@@ -196,7 +189,6 @@ def _cmd_train(args) -> int:
 
     if args.dump_selection or args.dump_pseudo:
         train_idx = ds.train_indices()
-        _, pseudo, state = _train_selection_state(result.params, ds, cfg)
         if args.dump_selection:
             payload = {
                 "epoch_tag": state.epoch_tag,
@@ -211,6 +203,7 @@ def _cmd_train(args) -> int:
                 json.dump(payload, fh)
                 fh.write("\n")
         if args.dump_pseudo:
+            pseudo = state.pseudo
             n_classes = pseudo.q_hat.shape[1]
             header = "index,y_hat," + ",".join(f"q_{c}" for c in range(n_classes))
             lines = [header]
@@ -301,7 +294,7 @@ def run_sweep(cfg: RunConfig, axis: str, values: list, seeds: list[int],
     for value in values:
         for seed in seeds:
             run_cfg = dataclasses.replace(cfg, seed=seed)
-            setattr(run_cfg, axis, int(value) if axis == "noise_seed" else value)
+            setattr(run_cfg, axis, value)
             row = {"value": value, "seed": seed, "error": None}
             try:
                 run_cfg.validate()
@@ -348,8 +341,7 @@ def _cmd_dump_proj(args) -> int:
     ds = _load_dataset(args, cfg)
     if args.split == "train":
         idx = ds.train_indices()
-        _, _, state = _train_selection_state(params, ds, cfg)
-        mask = state.confident_mask(len(idx))
+        mask = compute_selection(params, ds, cfg).confident_mask(len(idx))
     else:
         idx = ds.test_indices()
         mask = np.zeros(len(idx), dtype=bool)

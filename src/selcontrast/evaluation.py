@@ -69,6 +69,18 @@ def weighted_knn_eval(train_z: np.ndarray, train_labels: np.ndarray,
     return 100.0 * correct / len(test_labels)
 
 
+def pair_precision(pair_mask: np.ndarray, true_labels: np.ndarray) -> float:
+    """Percent of selected pairs whose endpoints share a true class (100 when
+    none is selected). pair_mask is symmetric with a False diagonal, so each
+    pair is counted twice on both sides of the ratio."""
+    true_labels = np.asarray(true_labels)
+    selected = int(np.count_nonzero(pair_mask))
+    if selected == 0:
+        return 100.0
+    good = int(np.count_nonzero(pair_mask & (true_labels[:, None] == true_labels[None, :])))
+    return 100.0 * (good // 2) / (selected // 2)
+
+
 def selection_precision(state: SelectionState, true_labels: np.ndarray,
                         noisy_labels: np.ndarray) -> tuple[float, float]:
     """Percent of confident examples whose noisy label is the true one, and
@@ -83,21 +95,7 @@ def selection_precision(state: SelectionState, true_labels: np.ndarray,
         prec_examples = 100.0 * hits / state.confident.size
     else:
         prec_examples = 100.0
-    if state.pairs:
-        good = sum(1 for i, j in state.pairs if true_labels[i] == true_labels[j])
-        prec_pairs = 100.0 * good / len(state.pairs)
-    else:
-        prec_pairs = 100.0
-    return float(prec_examples), float(prec_pairs)
-
-
-def pair_precision(pairs, true_labels: np.ndarray) -> float:
-    """Percent of pairs whose endpoints share a true class (100 when empty)."""
-    true_labels = np.asarray(true_labels)
-    if not pairs:
-        return 100.0
-    good = sum(1 for i, j in pairs if true_labels[i] == true_labels[j])
-    return 100.0 * good / len(pairs)
+    return float(prec_examples), pair_precision(state.pair_mask, true_labels)
 
 
 def project_2d(x: np.ndarray) -> np.ndarray:

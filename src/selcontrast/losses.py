@@ -56,24 +56,6 @@ class LossBundle:
     grad_p: np.ndarray
 
 
-def _membership(pairs, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Boolean matrix M[i, j] = pair {left[i], right[j]} is selected.
-
-    `pairs` is either a set of index tuples or a symmetric boolean matrix.
-    Index pairs with left[i] == right[j] are self-pairs and never selected.
-    """
-    if isinstance(pairs, np.ndarray):
-        return pairs[np.ix_(left, right)]
-    out = np.zeros((len(left), len(right)), dtype=bool)
-    for i, a in enumerate(left):
-        for j, b in enumerate(right):
-            if a == b:
-                continue
-            key = (int(a), int(b)) if a < b else (int(b), int(a))
-            out[i, j] = key in pairs
-    return out
-
-
 def _twin_mask(twin: np.ndarray) -> np.ndarray:
     m = len(twin)
     mask = np.zeros((m, m), dtype=bool)
@@ -128,27 +110,33 @@ def unsup_contrastive(batch: BatchView, tau: float) -> tuple[float, np.ndarray]:
     return masked_contrastive(batch.z, _twin_mask(batch.twin), tau)
 
 
-def _selected_positive_mask(batch: BatchView, pairs,
+def _selected_positive_mask(batch: BatchView, pair_mask: np.ndarray,
                             anchor_origins: np.ndarray) -> np.ndarray:
-    """Selected-pair positives per anchor, with the twin always included."""
-    mask = _membership(pairs, anchor_origins, batch.origins)
+    """Selected-pair positives per anchor, with the twin always included.
+
+    pair_mask is the selection's symmetric (n, n) boolean pair mask over the
+    dataset indices the origins refer to; its diagonal is False.
+    """
+    mask = pair_mask[np.ix_(anchor_origins, batch.origins)]
     mask |= _twin_mask(batch.twin)
     np.fill_diagonal(mask, False)
     return mask
 
 
-def sup_contrastive(batch: BatchView, pairs, tau: float) -> tuple[float, np.ndarray]:
+def sup_contrastive(batch: BatchView, pair_mask: np.ndarray,
+                    tau: float) -> tuple[float, np.ndarray]:
     """Pair-supervised contrastive loss.
 
     A view's positives are the views whose origin forms a selected pair with
     its own origin, plus its twin; a view with no selected partner therefore
     degrades to the instance-discrimination term.
     """
-    mask = _selected_positive_mask(batch, pairs, batch.origins)
+    mask = _selected_positive_mask(batch, pair_mask, batch.origins)
     return masked_contrastive(batch.z, mask, tau)
 
 
-def mixup_contrastive(batch: BatchView, pairs, tau: float) -> tuple[float, np.ndarray]:
+def mixup_contrastive(batch: BatchView, pair_mask: np.ndarray,
+                      tau: float) -> tuple[float, np.ndarray]:
     """Interpolation-weighted contrastive loss on mixed views.
 
     Each anchor contributes lam times the pair-supervised loss under its
@@ -160,8 +148,8 @@ def mixup_contrastive(batch: BatchView, pairs, tau: float) -> tuple[float, np.nd
     lam = np.asarray(batch.lam, dtype=np.float64)
     if np.any(lam < 0.0) or np.any(lam > 1.0):
         raise ValueError("lam must lie in [0, 1]")
-    mask_a = _selected_positive_mask(batch, pairs, batch.mix_a)
-    mask_b = _selected_positive_mask(batch, pairs, batch.mix_b)
+    mask_a = _selected_positive_mask(batch, pair_mask, batch.mix_a)
+    mask_b = _selected_positive_mask(batch, pair_mask, batch.mix_b)
     val_a, grad_a = masked_contrastive(batch.z, mask_a, tau, row_weights=lam)
     val_b, grad_b = masked_contrastive(batch.z, mask_b, tau, row_weights=1.0 - lam)
     return val_a + val_b, grad_a + grad_b
@@ -187,7 +175,7 @@ def classification_loss(p_hat: np.ndarray, labels: np.ndarray,
     return value, grad
 
 
-def similarity_loss(batch: BatchView, pairs) -> tuple[float, np.ndarray]:
+def similarity_loss(batch: BatchView, pair_mask: np.ndarray) -> tuple[float, np.ndarray]:
     """Binary cross-entropy between prediction agreement and pair membership.
 
     For every ordered view pair (i, j != i) the agreement p_hat_i . p_hat_j,
@@ -198,7 +186,7 @@ def similarity_loss(batch: BatchView, pairs) -> tuple[float, np.ndarray]:
     m = batch.n_views
     if m < 2:
         return 0.0, np.zeros_like(batch.p_hat)
-    targets = _membership(pairs, batch.origins, batch.origins).astype(np.float64)
+    targets = pair_mask[np.ix_(batch.origins, batch.origins)].astype(np.float64)
     np.fill_diagonal(targets, 0.0)
 
     raw = batch.p_hat @ batch.p_hat.T
@@ -221,14 +209,14 @@ def total_loss(l_mix: float, l_cls: float, l_sim: float,
     return l_mix + lambda_cls * l_cls + lambda_sim * l_sim
 
 
-def compute_loss_bundle(mixed: BatchView, plain: BatchView, pairs,
+def compute_loss_bundle(mixed: BatchView, plain: BatchView, pair_mask: np.ndarray,
                         scored: np.ndarray, tau: float,
                         lambda_cls: float, lambda_sim: float) -> LossBundle:
     """Full objective for one step: interpolation-weighted contrastive loss on
     the mixed views, classification and similarity losses on the plain views."""
-    l_mix, grad_z = mixup_contrastive(mixed, pairs, tau)
+    l_mix, grad_z = mixup_contrastive(mixed, pair_mask, tau)
     l_cls, grad_cls = classification_loss(plain.p_hat, plain.labels, scored)
-    l_sim, grad_sim = similarity_loss(plain, pairs)
+    l_sim, grad_sim = similarity_loss(plain, pair_mask)
     return LossBundle(
         l_mix=l_mix, l_cls=l_cls, l_sim=l_sim,
         l_all=total_loss(l_mix, l_cls, l_sim, lambda_cls, lambda_sim),

@@ -221,7 +221,10 @@ class OptState:
     buf <- momentum * buf + grad + weight_decay * param; param <- param - lr * buf.
 
     lr_scale holds optional per-tensor learning-rate multipliers (0 freezes a
-    tensor entirely, including its weight decay).
+    tensor entirely, including its weight decay). spare holds the arrays that
+    sgd_step writes the next momentum buffers into and scratch one array as
+    long as the largest tensor, so that a step allocates no tensor-sized
+    memory.
     """
 
     lr: float
@@ -230,6 +233,8 @@ class OptState:
     schedule: list[tuple[int, float]] = field(default_factory=list)
     buffers: dict[str, np.ndarray] = field(default_factory=dict)
     lr_scale: dict[str, float] = field(default_factory=dict)
+    spare: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    scratch: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
 
     @classmethod
     def for_params(cls, params: NetworkParams, lr: float, momentum: float = 0.9,
@@ -250,18 +255,37 @@ def apply_lr_schedule(opt: OptState, epoch: int) -> None:
             opt.lr *= mult
 
 
+def _scaled_buffer(opt: OptState, buf: np.ndarray, scale: float) -> np.ndarray:
+    """lr * scale * buf, written into the optimizer's scratch array."""
+    if opt.scratch.size < buf.size:
+        opt.scratch = np.empty(buf.size)
+    return np.multiply(opt.lr * scale, buf, out=opt.scratch[:buf.size].reshape(buf.shape))
+
+
 def sgd_step(params: NetworkParams, grads: dict[str, np.ndarray], opt: OptState) -> NetworkParams:
-    """One in-place momentum-SGD update; raises on non-finite results."""
+    """One in-place momentum-SGD update of every tensor, or of none.
+
+    All new momentum buffers are computed, and all new values checked, before
+    anything is stored; if a value is non-finite, FloatingPointError names its
+    tensor and the parameters and buffers are left as they were.
+    """
+    updates = []
     for name, arr in params.named_arrays():
         scale = opt.lr_scale.get(name, 1.0)
         if scale == 0.0:
             continue
-        buf = opt.buffers[name]
-        buf *= opt.momentum
+        buf = opt.spare.get(name)
+        if buf is None:
+            buf = opt.spare[name] = np.empty_like(arr)
+        np.multiply(opt.buffers[name], opt.momentum, out=buf)
         buf += grads[name] + opt.weight_decay * arr
-        arr -= opt.lr * scale * buf
-        if not np.all(np.isfinite(arr)):
+        step = _scaled_buffer(opt, buf, scale)
+        if not np.all(np.isfinite(np.subtract(arr, step, out=step))):
             raise FloatingPointError(f"non-finite values in tensor '{name}' after update")
+        updates.append((name, arr, buf, scale))
+    for name, arr, buf, scale in updates:
+        arr -= _scaled_buffer(opt, buf, scale)
+        opt.spare[name], opt.buffers[name] = opt.buffers[name], buf
     return params
 
 

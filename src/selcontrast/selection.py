@@ -3,12 +3,19 @@
 Examples whose observed label looks plausible under the neighbor posterior are
 kept class-balanced; pairs are formed among them and extended by high-similarity
 same-label pairs from the whole train set.
+
+A selection is stored as boolean (n, n) masks over the train set, each
+symmetric with a False diagonal: pair {i, j} is selected when
+same_label & (confident[i] & confident[j] | sims[i, j] > threshold). The tuple
+sets `pairs_confident`, `pairs_similar` and `pairs` are read-only views derived
+from those masks on first access; training reads only the masks.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,36 +44,51 @@ def nearest_rank_fractile(values, fractile: float) -> float:
     return ordered[min(rank, m) - 1]
 
 
+def _mask_pairs(mask: np.ndarray) -> frozenset[Pair]:
+    """The (i, j), i < j, pairs a symmetric boolean mask selects."""
+    rows, cols = np.nonzero(np.triu(mask, k=1))
+    return frozenset(zip(rows.tolist(), cols.tolist()))
+
+
 @dataclass
 class SelectionState:
     """One epoch's selection: class-balanced confident examples plus the pair
-    set used as contrastive supervision."""
+    masks used as contrastive supervision."""
 
     confident_by_class: list[np.ndarray]
-    confident: np.ndarray          # sorted union of confident_by_class
-    pairs_confident: set[Pair]     # same-label pairs inside the confident set
-    pairs_similar: set[Pair]       # same-label pairs above the similarity cut
-    pairs: set[Pair]               # union of the two
-    sim_threshold: float           # similarity cut (inf when no confident pairs)
+    confident: np.ndarray            # sorted union of confident_by_class
+    confident_pair_mask: np.ndarray  # (n, n) same-label pairs inside the confident set
+    similar_pair_mask: np.ndarray    # (n, n) same-label pairs above the similarity cut
+    pair_mask: np.ndarray            # (n, n) union of the two
+    sim_threshold: float             # similarity cut (inf when no confident pairs)
     per_class_quota: int
     epoch_tag: int = 0
+    pseudo: PseudoLabelState | None = None  # the pseudo-labels it was built from
 
     def confident_mask(self, n: int) -> np.ndarray:
         mask = np.zeros(n, dtype=bool)
         mask[self.confident] = True
         return mask
 
-    def pair_matrix(self, n: int) -> np.ndarray:
-        """Symmetric boolean membership matrix of `pairs` (False diagonal)."""
-        return pairs_to_matrix(self.pairs, n)
+    @property
+    def n_pairs_confident(self) -> int:
+        return int(np.count_nonzero(self.confident_pair_mask)) // 2
 
+    @property
+    def n_pairs_similar(self) -> int:
+        return int(np.count_nonzero(self.similar_pair_mask)) // 2
 
-def pairs_to_matrix(pairs: set[Pair], n: int) -> np.ndarray:
-    mat = np.zeros((n, n), dtype=bool)
-    for i, j in pairs:
-        mat[i, j] = True
-        mat[j, i] = True
-    return mat
+    @cached_property
+    def pairs_confident(self) -> frozenset[Pair]:
+        return _mask_pairs(self.confident_pair_mask)
+
+    @cached_property
+    def pairs_similar(self) -> frozenset[Pair]:
+        return _mask_pairs(self.similar_pair_mask)
+
+    @cached_property
+    def pairs(self) -> frozenset[Pair]:
+        return _mask_pairs(self.pair_mask)
 
 
 def select_confident_examples(pseudo: PseudoLabelState, noisy_labels: np.ndarray,
@@ -98,70 +120,48 @@ def select_confident_examples(pseudo: PseudoLabelState, noisy_labels: np.ndarray
     return per_class, budget
 
 
-def build_pairs_from_confident(confident: np.ndarray, noisy_labels: np.ndarray) -> set[Pair]:
-    """All unordered pairs of confident examples sharing a noisy label."""
-    noisy_labels = np.asarray(noisy_labels)
-    pairs: set[Pair] = set()
-    confident = np.asarray(confident)
-    for c in np.unique(noisy_labels[confident]) if confident.size else []:
-        members = confident[noisy_labels[confident] == c]
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                pairs.add((int(members[a]), int(members[b])))
-    return pairs
-
-
-def select_confident_pairs(bank: EmbeddingBank, noisy_labels: np.ndarray,
-                           pairs_confident: set[Pair],
-                           beta: float) -> tuple[set[Pair], float]:
+def select_confident_pairs(bank: EmbeddingBank, same_label: np.ndarray,
+                           confident_pair_mask: np.ndarray,
+                           beta: float) -> tuple[np.ndarray, float]:
     """Same-label pairs from the whole bank whose similarity strictly exceeds
     the beta-fractile of the confident pairs' similarities.
 
+    Both masks are (n, n), symmetric with a False diagonal. Pair (i, j), i < j,
+    is judged by sims[i, j] from the upper triangle and the result mirrored,
+    so a matrix product that is not bit-symmetric cannot split a pair.
     With no confident pairs the threshold is +inf and the result empty.
     """
-    noisy_labels = np.asarray(noisy_labels)
-    if not pairs_confident:
+    upper_confident = np.triu(confident_pair_mask, k=1)
+    if not upper_confident.any():
         logger.warning("no confident pairs; similarity threshold degenerates to +inf")
-        return set(), float("inf")
+        return np.zeros_like(same_label), float("inf")
     sims = bank.similarity_matrix()
-    base = [sims[i, j] for i, j in pairs_confident]
-    threshold = float(nearest_rank_fractile(base, beta))
-
-    similar: set[Pair] = set()
-    for c in np.unique(noisy_labels):
-        members = np.flatnonzero(noisy_labels == c)
-        block = sims[np.ix_(members, members)]
-        a_idx, b_idx = np.nonzero(np.triu(block > threshold, k=1))
-        for a, b in zip(a_idx, b_idx):
-            similar.add((int(members[a]), int(members[b])))
-    return similar, threshold
-
-
-def union_pairs(a: set[Pair], b: set[Pair]) -> set[Pair]:
-    """Deduplicated union with canonical (small, large) ordering."""
-    out: set[Pair] = set()
-    for i, j in list(a) + list(b):
-        if i == j:
-            raise ValueError(f"self-pair ({i}, {j}) is not a valid pair")
-        out.add((i, j) if i < j else (j, i))
-    return out
+    threshold = float(nearest_rank_fractile(sims[upper_confident], beta))
+    above = np.triu(sims > threshold, k=1)
+    above &= same_label
+    return above | above.T, threshold
 
 
 def run_selection(bank: EmbeddingBank, noisy_labels: np.ndarray, pseudo: PseudoLabelState,
                   alpha: float, beta: float, epoch_tag: int = 0) -> SelectionState:
     """Full per-epoch selection: confident examples, then both pair stages."""
+    noisy_labels = np.asarray(noisy_labels)
     per_class, budget = select_confident_examples(pseudo, noisy_labels, alpha)
     confident = np.sort(np.concatenate(per_class)) if per_class else np.empty(0, dtype=np.int64)
-    pairs_conf = build_pairs_from_confident(confident, noisy_labels)
-    pairs_sim, threshold = select_confident_pairs(bank, noisy_labels, pairs_conf, beta)
-    pairs = union_pairs(pairs_conf, pairs_sim)
+    same_label = noisy_labels[:, None] == noisy_labels[None, :]
+    np.fill_diagonal(same_label, False)
+    is_confident = np.zeros(len(noisy_labels), dtype=bool)
+    is_confident[confident] = True
+    confident_pairs = same_label & is_confident[:, None] & is_confident[None, :]
+    similar_pairs, threshold = select_confident_pairs(bank, same_label, confident_pairs, beta)
     return SelectionState(
         confident_by_class=per_class,
         confident=confident.astype(np.int64),
-        pairs_confident=pairs_conf,
-        pairs_similar=pairs_sim,
-        pairs=pairs,
+        confident_pair_mask=confident_pairs,
+        similar_pair_mask=similar_pairs,
+        pair_mask=confident_pairs | similar_pairs,
         sim_threshold=threshold,
         per_class_quota=budget,
         epoch_tag=epoch_tag,
+        pseudo=pseudo,
     )

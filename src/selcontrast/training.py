@@ -301,14 +301,30 @@ def _record(epoch, losses, selection, prec, metrics, seconds) -> EpochRecord:
         threshold = float("inf")
     else:
         n_conf = int(selection.confident.size)
-        n_gp = len(selection.pairs_confident)
-        n_gpp = len(selection.pairs_similar)
+        n_gp = selection.n_pairs_confident
+        n_gpp = selection.n_pairs_similar
         threshold = selection.sim_threshold
     return EpochRecord(epoch=epoch, l_mix=l_mix, l_cls=l_cls, l_sim=l_sim, l_all=l_all,
                        n_confident=n_conf, n_pairs_confident=n_gp, n_pairs_similar=n_gpp,
                        sim_threshold=threshold, precision_examples=prec[0],
                        precision_pairs=prec[1], knn_accuracy=metrics[0],
                        test_accuracy=metrics[1], seconds=seconds)
+
+
+def compute_selection(params: NetworkParams, ds: Dataset, cfg: RunConfig,
+                      epoch_tag: int = 0) -> SelectionState:
+    """Embed the train split with `params`, vote pseudo-labels among each
+    example's k nearest neighbors and select confident examples and pairs.
+
+    The one way a selection is made: each selective epoch, fine-tuning without
+    a given selection, and the command line when no selective epoch ran.
+    """
+    x_train, _, noisy_train = _train_arrays(ds)
+    bank = EmbeddingBank(forward(params, x_train).z, epoch_tag=epoch_tag)
+    pseudo = aggregate_pseudo_labels(bank, noisy_train, k=min(cfg.k, len(x_train) - 1),
+                                     n_classes=ds.n_classes, count_labels=cfg.count_labels)
+    return run_selection(bank, noisy_train, pseudo, cfg.alpha, cfg.beta,
+                         epoch_tag=epoch_tag)
 
 
 def warmup(params: NetworkParams, ds: Dataset, cfg: RunConfig, opt: OptState | None = None,
@@ -343,12 +359,7 @@ def pretrain_epoch(params: NetworkParams, ds: Dataset, cfg: RunConfig, epoch: in
     started = time_source()
     x_train, true_train, noisy_train = _train_arrays(ds)
     n_train = len(x_train)
-
-    bank = EmbeddingBank(forward(params, x_train).z, epoch_tag=epoch)
-    pseudo = aggregate_pseudo_labels(bank, noisy_train, k=min(cfg.k, n_train - 1),
-                                     n_classes=ds.n_classes, count_labels=cfg.count_labels)
-    selection = run_selection(bank, noisy_train, pseudo, cfg.alpha, cfg.beta,
-                              epoch_tag=epoch)
+    selection = compute_selection(params, ds, cfg, epoch_tag=epoch)
 
     if selection.confident.size == 0:
         logger.warning("epoch %d: empty confident set; training unsupervised", epoch)
@@ -357,7 +368,6 @@ def pretrain_epoch(params: NetworkParams, ds: Dataset, cfg: RunConfig, epoch: in
     else:
         rng = _epoch_rng(cfg.seed, _STREAM_TRAIN, epoch)
         aug = cfg.augmentation()
-        pair_mat = selection.pair_matrix(n_train)
         confident = selection.confident_mask(n_train)
         perm = rng.permutation(n_train)
         sums = np.zeros(4)
@@ -380,13 +390,14 @@ def pretrain_epoch(params: NetworkParams, ds: Dataset, cfg: RunConfig, epoch: in
                                     mix_a=origins, mix_b=origins[partner], lam=lam)
             plain_batch = BatchView(z=plain_cache.z, p_hat=plain_cache.p_hat,
                                     origins=origins, labels=labels, twin=twin)
-            bundle = compute_loss_bundle(mixed_batch, plain_batch, pair_mat,
+            bundle = compute_loss_bundle(mixed_batch, plain_batch, selection.pair_mask,
                                          scored=confident[origins], tau=cfg.tau,
                                          lambda_cls=cfg.lambda_c, lambda_sim=cfg.lambda_s)
             grads_mixed = backward(params, mixed_cache, grad_z=bundle.grad_z)
             grads_plain = backward(params, plain_cache, grad_p=bundle.grad_p)
-            grads = {name: grads_mixed[name] + grads_plain[name] for name in grads_mixed}
-            sgd_step(params, grads, opt)
+            for name, grad in grads_plain.items():
+                grads_mixed[name] += grad
+            sgd_step(params, grads_mixed, opt)
             sums += (bundle.l_mix, bundle.l_cls, bundle.l_sim, bundle.l_all)
             steps += 1
         losses = tuple(sums / steps)
@@ -423,14 +434,6 @@ def pretrain(ds: Dataset, cfg: RunConfig, time_source=time.perf_counter,
     return PretrainResult(params=params, history=history, selection=selection)
 
 
-def _final_selection(params: NetworkParams, ds: Dataset, cfg: RunConfig) -> SelectionState:
-    x_train, _, noisy_train = _train_arrays(ds)
-    bank = EmbeddingBank(forward(params, x_train).z)
-    pseudo = aggregate_pseudo_labels(bank, noisy_train, k=min(cfg.k, len(x_train) - 1),
-                                     n_classes=ds.n_classes, count_labels=cfg.count_labels)
-    return run_selection(bank, noisy_train, pseudo, cfg.alpha, cfg.beta)
-
-
 def finetune(params: NetworkParams, ds: Dataset, cfg: RunConfig,
              selection: SelectionState | None = None,
              time_source=time.perf_counter) -> NetworkParams:
@@ -445,7 +448,7 @@ def finetune(params: NetworkParams, ds: Dataset, cfg: RunConfig,
     """
     cfg.validate()
     if selection is None:
-        selection = _final_selection(params, ds, cfg)
+        selection = compute_selection(params, ds, cfg)
     if selection.confident.size == 0:
         raise ValueError("no confident examples selected; lower alpha and retry")
 

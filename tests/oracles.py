@@ -2,9 +2,13 @@
 
 Everything here deliberately avoids the package's own helpers: plain python
 loops, ``sorted()`` and ``math`` only, so the tests compare two genuinely
-separate derivations.
+separate derivations. The two adapters at the end translate between pair
+sets and the boolean pair masks the package stores, so that mask results can
+be compared with the oracle's sets.
 """
 import math
+
+import numpy as np
 
 
 def brute_force_selection(z, noisy, y_hat, q_hat, alpha, beta):
@@ -44,3 +48,30 @@ def brute_force_selection(z, noisy, y_hat, q_hat, alpha, beta):
     else:
         gamma, g_second = math.inf, set()
     return confident, g_prime, gamma, g_second, g_prime | g_second
+
+
+def pair_mask(pairs, n):
+    """Symmetric (n, n) boolean mask of a collection of index pairs, as the
+    package's pair-taking losses and precision expect it."""
+    mask = np.zeros((n, n), dtype=bool)
+    for i, j in pairs:
+        if i == j:
+            raise ValueError(f"self-pair ({i}, {j}) is not a valid pair")
+        mask[i, j] = mask[j, i] = True
+    return mask
+
+
+def mask_pairs(mask):
+    """Sorted list of the (i, j), i < j, pairs a boolean mask selects; fails
+    unless the mask is symmetric with a False diagonal."""
+    n = len(mask)
+    out = []
+    for i in range(n):
+        if mask[i][i]:
+            raise AssertionError(f"mask selects the self-pair ({i}, {i})")
+        for j in range(i + 1, n):
+            if bool(mask[i][j]) != bool(mask[j][i]):
+                raise AssertionError(f"mask is not symmetric at ({i}, {j})")
+            if mask[i][j]:
+                out.append((i, j))
+    return out

@@ -30,7 +30,7 @@ budgets are pinned here and must not be loosened to make a run green.
 import time
 
 import numpy as np
-from oracles import brute_force_selection
+from oracles import brute_force_selection, pair_mask
 
 from selcontrast.cli import cli_run, run_sweep
 from selcontrast.evaluation import pair_precision, weighted_knn_eval
@@ -241,14 +241,15 @@ def test_criterion_3_reduction_identities():
         plain = BatchView(z=z, p_hat=p_hat, origins=origins, labels=labels, twin=twin)
 
         # twin-only supervision collapses to instance discrimination (1e-12)
-        v_sup, g_sup = sup_contrastive(plain, set(), tau=0.2)
+        n_pool = int(origins.max()) + 1
+        v_sup, g_sup = sup_contrastive(plain, pair_mask(set(), n_pool), tau=0.2)
         v_uns, g_uns = unsup_contrastive(plain, tau=0.2)
         worst_twin = max(worst_twin, abs(v_sup - v_uns),
                          float(np.abs(g_sup - g_uns).max()))
 
         # interpolation endpoints reduce to the pure anchor loss, exactly
-        pairs = {(i, j) for i in range(origins.max() + 1)
-                 for j in range(i + 1, origins.max() + 1) if rng.random() < 0.5}
+        pairs = pair_mask({(i, j) for i in range(n_pool)
+                           for j in range(i + 1, n_pool) if rng.random() < 0.5}, n_pool)
         perm = rng.permutation(len(origins))
         m = len(origins)
         at_one = BatchView(z=z, p_hat=p_hat, origins=origins, labels=labels,
@@ -338,8 +339,8 @@ def test_criterion_6_pair_recovery_under_asymmetric_noise():
         ds = dataset_from_config(cfg)
         result = pretrain(ds, cfg)
         true_train = ds.true_labels[ds.train_indices()]
-        prec_same_label = pair_precision(result.selection.pairs_confident, true_train)
-        prec_union = pair_precision(result.selection.pairs, true_train)
+        prec_same_label = pair_precision(result.selection.confident_pair_mask, true_train)
+        prec_union = pair_precision(result.selection.pair_mask, true_train)
         wins += prec_union >= prec_same_label
         details.append(f"{prec_same_label:.1f}->{prec_union:.1f}")
     ok = wins >= 4

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import selcontrast.cli as cli
 from selcontrast.cli import cli_run
 from selcontrast.data import load_features_csv
 from selcontrast.network import load_checkpoint
@@ -128,6 +129,62 @@ def test_train_dumps_selection_and_pseudo_labels(tmp_path, trained):
     assert len(lines) == 1 + len(payload["train_row_indices"])
     first = lines[1].split(",")
     assert abs(float(first[2]) + float(first[3]) - 1.0) < 1e-6
+
+
+def _record_calls(monkeypatch, name):
+    """Record (keyword arguments, result) of each call to selcontrast.cli.<name>."""
+    calls = []
+    original = getattr(cli, name)
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((kwargs, result))
+        return result
+    monkeypatch.setattr(cli, name, recording)
+    return calls
+
+
+def _assert_dumps_describe(state, sel, pseudo):
+    payload = json.loads(sel.read_text())
+    assert payload["pairs_confident"] == [list(p) for p in sorted(state.pairs_confident)]
+    assert payload["pairs_similar"] == [list(p) for p in sorted(state.pairs_similar)]
+    assert payload["confident_by_class"] == [c.tolist() for c in state.confident_by_class]
+    assert payload["sim_threshold"] == state.sim_threshold
+    assert payload["epoch_tag"] == state.epoch_tag
+    rows = [line.split(",") for line in pseudo.read_text().strip().split("\n")[1:]]
+    assert [int(r[1]) for r in rows] == state.pseudo.y_hat.tolist()
+    np.testing.assert_allclose([[float(v) for v in r[2:]] for r in rows],
+                               state.pseudo.q_hat, atol=5e-7)
+
+
+def _train_with_dumps(tmp_path, trained, *extra):
+    sel, pseudo = tmp_path / "sel.json", tmp_path / "pseudo.csv"
+    assert cli_run(["train", *TINY, *extra, "--data", str(trained["data"]),
+                    "--dump-selection", str(sel), "--dump-pseudo", str(pseudo),
+                    "--fixed-clock"]) == 0
+    return sel, pseudo
+
+
+def test_dumped_selection_is_the_one_finetuning_used(tmp_path, trained, monkeypatch):
+    pretrained = _record_calls(monkeypatch, "pretrain")
+    finetuned = _record_calls(monkeypatch, "finetune")
+    sel, pseudo = _train_with_dumps(tmp_path, trained)
+    ((_, result),) = pretrained
+    assert finetuned[0][0]["selection"] is result.selection
+    assert result.selection.epoch_tag == TINY_EPOCHS
+    _assert_dumps_describe(result.selection, sel, pseudo)
+
+
+def test_dump_without_selective_epoch_selects_once_from_warmed_up_model(
+        tmp_path, trained, monkeypatch):
+    pretrained = _record_calls(monkeypatch, "pretrain")
+    finetuned = _record_calls(monkeypatch, "finetune")
+    made = _record_calls(monkeypatch, "compute_selection")
+    sel, pseudo = _train_with_dumps(tmp_path, trained, "--t-max", "1")
+    assert pretrained[0][1].selection is None
+    ((_, state),) = made
+    assert finetuned[0][0]["selection"] is state
+    _assert_dumps_describe(state, sel, pseudo)
 
 
 def test_config_file_with_flag_override(tmp_path, trained):

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import pair_mask
 
 from selcontrast.evaluation import (MetricsReport, dump_projection_2d,
                                     pair_precision, project_2d,
@@ -18,11 +19,12 @@ def unit_rows(m):
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
-def make_state(confident, pairs, n_classes=2):
+def make_state(confident, pairs, n):
     confident = np.asarray(confident, dtype=np.int64)
+    mask = pair_mask(pairs, n)
     return SelectionState(confident_by_class=[confident], confident=confident,
-                          pairs_confident=set(pairs), pairs_similar=set(),
-                          pairs=set(pairs), sim_threshold=0.0, per_class_quota=0)
+                          confident_pair_mask=mask, similar_pair_mask=np.zeros_like(mask),
+                          pair_mask=mask, sim_threshold=0.0, per_class_quota=0)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +132,7 @@ def test_knn_default_k_clips_to_train_size():
 def test_selection_precision_arithmetic():
     true = np.array([0, 0, 1, 1, 0])
     noisy = np.array([0, 0, 1, 0, 0])
-    state = make_state([0, 1, 3], [(0, 1), (0, 3), (1, 3)])
+    state = make_state([0, 1, 3], [(0, 1), (0, 3), (1, 3)], n=5)
     prec_t, prec_g = selection_precision(state, true, noisy)
     assert prec_t == pytest.approx(100 * 2 / 3)
     # true classes: 0-1 same, 0-3 differ, 1-3 differ
@@ -138,7 +140,7 @@ def test_selection_precision_arithmetic():
 
 
 def test_selection_precision_empty_sets_score_100():
-    state = make_state([], [])
+    state = make_state([], [], n=3)
     prec_t, prec_g = selection_precision(state, np.zeros(3, int), np.zeros(3, int))
     assert (prec_t, prec_g) == (100.0, 100.0)
 
@@ -146,14 +148,14 @@ def test_selection_precision_empty_sets_score_100():
 def test_pair_precision_counts_matching_wrong_labels_as_correct():
     # both endpoints mislabeled, but their TRUE classes agree -> correct pair
     true = np.array([1, 1])
-    pairs = {(0, 1)}
-    assert pair_precision(pairs, true) == 100.0
+    assert pair_precision(pair_mask({(0, 1)}, 2), true) == 100.0
 
 
 def test_pair_precision_arithmetic():
     true = np.array([0, 1, 0, 1])
-    pairs = {(0, 2), (1, 2), (1, 3)}
-    assert pair_precision(pairs, true) == pytest.approx(100 * 2 / 3)
+    mask = pair_mask({(0, 2), (1, 2), (1, 3)}, 4)
+    assert pair_precision(mask, true) == 100 * 2 / 3
+    assert pair_precision(np.zeros((4, 4), dtype=bool), true) == 100.0
 
 
 def test_metrics_report_fields():

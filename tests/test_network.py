@@ -247,6 +247,46 @@ def test_sgd_nan_gradient_raises_and_names_tensor():
         sgd_step(params, grads, opt)
 
 
+def test_sgd_non_finite_last_tensor_leaves_everything_unchanged():
+    params = small_params(seed=18)
+    rng = np.random.default_rng(9)
+    grads = {name: rng.normal(size=arr.shape) for name, arr in params.named_arrays()}
+    last = params.named_arrays()[-1][0]
+    grads[last][0] = np.inf
+    opt = OptState.for_params(params, lr=0.1, momentum=0.9, weight_decay=1e-2,
+                              schedule=[])
+    for name in opt.buffers:
+        opt.buffers[name] = rng.normal(size=opt.buffers[name].shape)
+    params_before = params.copy()
+    buffers_before = {n: b.copy() for n, b in opt.buffers.items()}
+    with pytest.raises(FloatingPointError, match=last):
+        sgd_step(params, grads, opt)
+    for (name, arr), (_, ref) in zip(params.named_arrays(), params_before.named_arrays()):
+        np.testing.assert_array_equal(arr, ref, err_msg=name)
+    for name, buf in opt.buffers.items():
+        np.testing.assert_array_equal(buf, buffers_before[name], err_msg=name)
+
+
+def test_sgd_step_matches_in_place_reference_bitwise():
+    params = small_params(seed=19)
+    reference = params.copy()
+    rng = np.random.default_rng(10)
+    grads = {name: rng.normal(size=arr.shape) for name, arr in params.named_arrays()}
+    opt = OptState.for_params(params, lr=0.05, momentum=0.9, weight_decay=1e-4,
+                              schedule=[], lr_scale={"enc_w1": 0.5})
+    ref_buffers = {n: b.copy() for n, b in opt.buffers.items()}
+    for _ in range(3):
+        sgd_step(params, grads, opt)
+        for name, arr in reference.named_arrays():
+            buf = ref_buffers[name]
+            buf *= 0.9
+            buf += grads[name] + 1e-4 * arr
+            arr -= 0.05 * opt.lr_scale.get(name, 1.0) * buf
+    for (name, arr), (_, ref) in zip(params.named_arrays(), reference.named_arrays()):
+        np.testing.assert_array_equal(arr, ref, err_msg=name)
+        np.testing.assert_array_equal(opt.buffers[name], ref_buffers[name], err_msg=name)
+
+
 # ---------------------------------------------------------------------------
 # initialization / checkpoints
 # ---------------------------------------------------------------------------

@@ -5,13 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from oracles import brute_force_selection
+from oracles import brute_force_selection, mask_pairs, pair_mask
 
 from selcontrast.neighbors import EmbeddingBank, PseudoLabelState
-from selcontrast.selection import (build_pairs_from_confident,
-                                   nearest_rank_fractile, pairs_to_matrix,
-                                   run_selection, select_confident_examples,
-                                   select_confident_pairs, union_pairs)
+from selcontrast.selection import (nearest_rank_fractile, run_selection,
+                                   select_confident_examples, select_confident_pairs)
 
 
 def unit_rows(m):
@@ -150,41 +148,90 @@ def test_confident_budget_monotone_in_alpha():
 # pairs
 # ---------------------------------------------------------------------------
 
+def select(noisy, y_hat, q_hat, alpha=1.0, beta=0.25, z=None):
+    noisy = np.asarray(noisy)
+    if z is None:
+        z = unit_rows(np.random.default_rng(5).normal(size=(len(noisy), 3)))
+    return run_selection(EmbeddingBank(z=z), noisy,
+                         pseudo_state(y_hat, q_hat), alpha=alpha, beta=beta)
+
+
 def test_pairs_from_confident_enumeration():
-    noisy = np.array([9, 0, 0, 9, 9, 1])
-    pairs = build_pairs_from_confident(np.array([1, 2, 5]), noisy)
-    assert pairs == {(1, 2)}
+    # agreement counts {2, 3, 1}; alpha=0.5 -> budget 2: class 0 keeps {1, 2},
+    # class 1 its two lowest-loss members {3, 4}, class 2 its only member 5
+    noisy = np.array([1, 0, 0, 1, 1, 2])
+    q = np.full((6, 3), 0.1)
+    q[np.arange(6), noisy] = [0.2, 0.8, 0.8, 0.8, 0.7, 0.8]
+    state = select(noisy, noisy, q, alpha=0.5)
+    np.testing.assert_array_equal(state.confident, [1, 2, 3, 4, 5])
+    assert mask_pairs(state.confident_pair_mask) == [(1, 2), (3, 4)]
+    assert state.pairs_confident == {(1, 2), (3, 4)}
+    assert state.n_pairs_confident == 2
 
 
 def test_pairs_from_confident_empty_and_combinatorics():
     noisy = np.array([0, 0, 0, 0])
-    assert build_pairs_from_confident(np.array([], dtype=int), noisy) == set()
-    pairs = build_pairs_from_confident(np.array([0, 1, 2, 3]), noisy)
-    assert len(pairs) == 6  # C(4, 2)
+    q = np.array([[0.9, 0.1]] * 4)
+    state = select(noisy, noisy, q, alpha=1.0)
+    assert len(mask_pairs(state.confident_pair_mask)) == 6  # C(4, 2)
+    assert state.n_pairs_confident == 6
+    # no agreement anywhere: budget 0, nothing confident, no pairs at all
+    state = select(noisy, 1 - noisy, q, alpha=1.0)
+    assert state.confident.size == 0
+    assert mask_pairs(state.pair_mask) == []
+    assert state.pairs == frozenset() and state.n_pairs_confident == 0
 
 
-def test_similar_pairs_strict_threshold_and_full_scan():
+def six_on_circle():
     # six points on the circle; similarities fully hand-controllable
     angles = np.array([0.0, 0.05, 0.10, 1.5, 1.55, 3.0])
     z = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    bank = EmbeddingBank(z=z)
     noisy = np.array([0, 0, 0, 1, 1, 0])
-    confident_pairs = {(0, 1), (3, 4)}
+    return z, noisy, same_label(noisy)
+
+
+def same_label(noisy):
+    mask = noisy[:, None] == noisy[None, :]
+    np.fill_diagonal(mask, False)
+    return mask
+
+
+def test_similar_pairs_strict_threshold_and_full_scan():
+    z, noisy, same = six_on_circle()
+    bank = EmbeddingBank(z=z)
+    confident_pairs = pair_mask({(0, 1), (3, 4)}, 6)
     sims = z @ z.T
     gamma_expected = sorted([sims[0, 1], sims[3, 4]])[0]  # beta=0 -> minimum
-    similar, gamma = select_confident_pairs(bank, noisy, confident_pairs, beta=0.0)
-    assert gamma == pytest.approx(gamma_expected)
-    expected = {(i, j) for i in range(6) for j in range(i + 1, 6)
-                if noisy[i] == noisy[j] and sims[i, j] > gamma}
-    assert similar == expected
-    for i, j in similar:
+    similar, gamma = select_confident_pairs(bank, same, confident_pairs, beta=0.0)
+    assert gamma == gamma_expected
+    expected = sorted((i, j) for i in range(6) for j in range(i + 1, 6)
+                      if noisy[i] == noisy[j] and sims[i, j] > gamma)
+    assert mask_pairs(similar) == expected
+    for i, j in mask_pairs(similar):
         assert sims[i, j] > gamma  # strictly
+
+
+def test_similar_pairs_read_upper_triangle_only():
+    # a similarity matrix that is not bit-symmetric: the pair (i, j), i < j,
+    # is judged by sims[i, j], and the mask stays symmetric
+    z, noisy, same = six_on_circle()
+    bank = EmbeddingBank(z=z)
+    sims = (z @ z.T).copy()
+    sims[1, 0] = sims[2, 0] = 2.0     # lower triangle must be ignored
+    bank._sims = sims
+    similar, gamma = select_confident_pairs(bank, same, pair_mask({(0, 1), (3, 4)}, 6),
+                                            beta=1.0)
+    assert gamma == max(sims[0, 1], sims[3, 4])
+    assert mask_pairs(similar) == sorted((i, j) for i in range(6) for j in range(i + 1, 6)
+                                         if noisy[i] == noisy[j] and sims[i, j] > gamma)
 
 
 def test_similar_pairs_empty_confident_degenerates():
     bank = EmbeddingBank(z=unit_rows(np.random.default_rng(7).normal(size=(4, 2))))
-    similar, gamma = select_confident_pairs(bank, np.zeros(4, dtype=int), set(), beta=0.5)
-    assert similar == set()
+    same = same_label(np.zeros(4, dtype=int))
+    similar, gamma = select_confident_pairs(bank, same, np.zeros((4, 4), dtype=bool),
+                                            beta=0.5)
+    assert mask_pairs(similar) == []
     assert math.isinf(gamma)
 
 
@@ -194,24 +241,43 @@ def test_similar_pairs_monotone_in_beta():
     bank = EmbeddingBank(z=z)
     noisy = rng.integers(0, 2, size=15)
     confident = np.flatnonzero(rng.random(15) < 0.6)
-    base_pairs = build_pairs_from_confident(confident, noisy)
-    sizes = [len(select_confident_pairs(bank, noisy, base_pairs, beta=b)[0])
+    base_pairs = pair_mask({(int(i), int(j)) for i in confident for j in confident
+                            if i < j and noisy[i] == noisy[j]}, 15)
+    sizes = [len(mask_pairs(select_confident_pairs(bank, same_label(noisy), base_pairs,
+                                                   beta=b)[0]))
              for b in (0.0, 0.25, 0.5, 0.75, 1.0)]
     assert sizes == sorted(sizes, reverse=True)  # lower beta keeps more pairs
 
 
 def test_union_pairs_dedup_and_canonical_form():
-    union = union_pairs({(1, 2), (3, 4)}, {(2, 1), (5, 6)})
-    assert union == {(1, 2), (3, 4), (5, 6)}
-    with pytest.raises(ValueError):
-        union_pairs({(2, 2)}, set())
+    rng = np.random.default_rng(9)
+    z = unit_rows(rng.normal(size=(12, 3)))
+    noisy = rng.integers(0, 2, size=12)
+    q = rng.dirichlet(np.ones(2), size=12)
+    state = select(noisy, noisy, q, alpha=0.5, beta=0.0, z=z)
+    np.testing.assert_array_equal(state.pair_mask,
+                                  state.confident_pair_mask | state.similar_pair_mask)
+    union = set(mask_pairs(state.confident_pair_mask)) | set(mask_pairs(state.similar_pair_mask))
+    assert mask_pairs(state.pair_mask) == sorted(union)
+    assert state.pairs == union
+    assert all(i < j for i, j in state.pairs)
 
 
-def test_pairs_to_matrix_symmetric():
-    mat = pairs_to_matrix({(0, 2)}, 3)
-    assert mat[0, 2] and mat[2, 0]
-    assert not mat.diagonal().any()
-    assert mat.sum() == 2
+def test_pair_views_mirror_masks():
+    rng = np.random.default_rng(10)
+    z = unit_rows(rng.normal(size=(10, 3)))
+    noisy = rng.integers(0, 3, size=10)
+    q = rng.dirichlet(np.ones(3), size=10)
+    state = select(noisy, noisy, q, alpha=1.0, beta=0.5, z=z)
+    for view, mask in ((state.pairs_confident, state.confident_pair_mask),
+                       (state.pairs_similar, state.similar_pair_mask),
+                       (state.pairs, state.pair_mask)):
+        assert isinstance(view, frozenset)
+        assert sorted(view) == mask_pairs(mask)  # symmetric, False diagonal
+        assert all(type(i) is int and type(j) is int for i, j in view)
+        np.testing.assert_array_equal(pair_mask(view, 10), mask)
+    assert state.pairs is state.pairs  # built once, then cached
+    assert state.n_pairs_similar == len(state.pairs_similar)
 
 
 # ---------------------------------------------------------------------------
@@ -270,3 +336,85 @@ def test_selection_state_invariants_on_random_instance():
     sims = z @ z.T
     for i, j in state.pairs_similar:
         assert noisy[i] == noisy[j] and sims[i, j] > state.sim_threshold
+
+
+# ---------------------------------------------------------------------------
+# degenerate selections vs brute force, compared through the mask adapter
+# ---------------------------------------------------------------------------
+
+def assert_matches_oracle(z, noisy, y_hat, q_hat, alpha, beta):
+    noisy, y_hat, q_hat = np.asarray(noisy), np.asarray(y_hat), np.asarray(q_hat, float)
+    state = run_selection(EmbeddingBank(z=z), noisy, pseudo_state(y_hat, q_hat),
+                          alpha=alpha, beta=beta)
+    exp_T, exp_gp, exp_gamma, exp_gpp, exp_g = brute_force_selection(
+        z, noisy, y_hat, q_hat, alpha, beta)
+    assert state.confident.tolist() == exp_T
+    assert mask_pairs(state.confident_pair_mask) == sorted(exp_gp)
+    if math.isinf(exp_gamma):
+        assert math.isinf(state.sim_threshold)
+    else:
+        assert state.sim_threshold == exp_gamma
+    assert mask_pairs(state.similar_pair_mask) == sorted(exp_gpp)
+    assert mask_pairs(state.pair_mask) == sorted(exp_g)
+    assert state.n_pairs_confident == len(exp_gp)
+    assert state.n_pairs_similar == len(exp_gpp)
+    return state
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.5, 0.25), (1.0, 1.0)])
+def test_degenerate_single_class(alpha, beta):
+    rng = np.random.default_rng(200)
+    z = unit_rows(rng.normal(size=(7, 3)))
+    noisy = np.zeros(7, dtype=int)
+    q = np.ones((7, 1))  # every loss ties at 0: ranking falls back to the index
+    state = assert_matches_oracle(z, noisy, noisy, q, alpha, beta)
+    assert state.confident.size == 7 and state.n_pairs_confident == 21
+
+
+def test_degenerate_class_of_one_example():
+    rng = np.random.default_rng(201)
+    z = unit_rows(rng.normal(size=(9, 3)))
+    noisy = np.array([0, 0, 0, 0, 1, 2, 2, 2, 2])
+    q = rng.dirichlet(np.ones(3), size=9)
+    for alpha in (0.0, 0.5, 1.0):
+        for beta in (0.0, 0.5):
+            state = assert_matches_oracle(z, noisy, noisy, q, alpha, beta)
+            assert 4 in state.confident  # the singleton class keeps its member ...
+            assert not state.pair_mask[4].any()  # ... which has no partner
+
+
+def test_degenerate_quota_one_has_no_pairs_and_infinite_threshold():
+    rng = np.random.default_rng(202)
+    z = unit_rows(rng.normal(size=(8, 3)))
+    noisy = np.array([0, 0, 0, 1, 1, 1, 2, 2])
+    y_hat = np.array([0, 1, 1, 1, 1, 1, 2, 2])  # agreement counts {1, 3, 2}
+    q = rng.dirichlet(np.ones(3), size=8)
+    state = assert_matches_oracle(z, noisy, y_hat, q, alpha=0.0, beta=0.5)
+    assert state.per_class_quota == 1
+    assert math.isinf(state.sim_threshold)
+    assert not state.pair_mask.any() and state.pairs == frozenset()
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("trial", range(4))
+def test_degenerate_beta_extremes(beta, trial):
+    rng = np.random.default_rng([203, trial])
+    n = int(rng.integers(8, 16))
+    z = unit_rows(rng.normal(size=(n, 3)))
+    noisy = rng.integers(0, 3, size=n)
+    y_hat = np.where(rng.random(n) < 0.7, noisy, rng.integers(0, 3, size=n))
+    q = rng.dirichlet(np.ones(3), size=n)
+    state = assert_matches_oracle(z, noisy, y_hat, q, alpha=1.0, beta=beta)
+    if beta == 1.0 and state.n_pairs_confident:
+        # the cut sits at the largest confident-pair similarity, so no
+        # confident pair is also a similar one
+        assert not (state.confident_pair_mask & state.similar_pair_mask).any()
+
+
+@pytest.mark.parametrize("noisy", [[0, 0], [0, 1], [1, 1]])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_degenerate_two_examples(noisy, beta):
+    z = unit_rows(np.array([[1.0, 0.0], [0.6, 0.8]]))
+    q = np.array([[0.7, 0.3], [0.4, 0.6]])
+    for y_hat in ([0, 0], [0, 1], [1, 1]):
+        assert_matches_oracle(z, noisy, y_hat, q, alpha=1.0, beta=beta)
