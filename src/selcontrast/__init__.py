@@ -15,7 +15,7 @@ from .losses import (BatchView, LossBundle, classification_loss, compute_loss_bu
 from .network import (ForwardCache, NetworkParams, OptState, apply_lr_schedule, backward,
                       forward, init_params, load_checkpoint, save_checkpoint, sgd_step)
 from .neighbors import (EmbeddingBank, PseudoLabelState, aggregate_pseudo_labels,
-                        cosine_sim, topk_neighbors)
+                        exact_topk)
 from .selection import (SelectionState, nearest_rank_fractile, run_selection,
                         select_confident_examples, select_confident_pairs)
 from .training import (EpochRecord, PretrainResult, RunConfig, benchmark_config,

@@ -266,7 +266,8 @@ def emit_summary(results: list[dict], path) -> None:
 
     Rows keep the order values first appeared in. Failed runs leave their
     cells empty; the std is over the successful replicates (0 for a single
-    one).
+    one). mean_prec_T skips runs whose last epoch selected no example, and is
+    empty when no run selected one.
     """
     order, grouped = [], {}
     for row in results:
@@ -280,8 +281,9 @@ def emit_summary(results: list[dict], path) -> None:
         good = [r for r in grouped[key] if r.get("error") is None]
         if good:
             accs = np.array([r["test_acc"] for r in good])
-            precs = np.array([r["prec_T"] for r in good])
-            lines.append(f"{key},{accs.mean():.4f},{accs.std():.4f},{precs.mean():.4f}")
+            precs = [r["prec_T"] for r in good if r["prec_T"] is not None]
+            mean_prec = f"{np.mean(precs):.4f}" if precs else ""
+            lines.append(f"{key},{accs.mean():.4f},{accs.std():.4f},{mean_prec}")
         else:
             lines.append(f"{key},,,")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .neighbors import exact_topk
 from .selection import SelectionState
 
 DEFAULT_EVAL_K = 200
@@ -58,44 +59,47 @@ def weighted_knn_eval(train_z: np.ndarray, train_labels: np.ndarray,
     sims = qz @ tz.T
     n_classes = int(train_labels.max()) + 1
 
-    correct = 0
-    train_order = np.arange(n_train)
-    for row, want in zip(sims, test_labels):
-        order = np.lexsort((train_order, -row))[:k]
-        scores = np.zeros(n_classes)
-        np.add.at(scores, train_labels[order], np.exp(row[order] / tau))
-        if int(np.argmax(scores)) == int(want):
-            correct += 1
+    order = exact_topk(sims, k)
+    weights = np.take_along_axis(sims, order, axis=1)
+    weights /= tau
+    np.exp(weights, out=weights)
+    # one add.at over offset class slots, row by row in rank order: every
+    # score is summed in the same order as a per-row vote would
+    slots = train_labels.astype(np.int64)[order]
+    slots += (np.arange(len(sims)) * n_classes)[:, None]
+    scores = np.zeros(len(sims) * n_classes)
+    np.add.at(scores, slots.ravel(), weights.ravel())
+    preds = np.argmax(scores.reshape(len(sims), n_classes), axis=1)
+    correct = int(np.count_nonzero(preds == test_labels))
     return 100.0 * correct / len(test_labels)
 
 
-def pair_precision(pair_mask: np.ndarray, true_labels: np.ndarray) -> float:
-    """Percent of selected pairs whose endpoints share a true class (100 when
-    none is selected). pair_mask is symmetric with a False diagonal, so each
-    pair is counted twice on both sides of the ratio."""
+def pair_precision(pair_mask: np.ndarray, true_labels: np.ndarray) -> float | None:
+    """Percent of selected pairs whose endpoints share a true class, or None
+    when no pair is selected. pair_mask is symmetric with a False diagonal, so
+    each pair is counted twice on both sides of the ratio."""
     true_labels = np.asarray(true_labels)
     selected = int(np.count_nonzero(pair_mask))
     if selected == 0:
-        return 100.0
+        return None
     good = int(np.count_nonzero(pair_mask & (true_labels[:, None] == true_labels[None, :])))
     return 100.0 * (good // 2) / (selected // 2)
 
 
 def selection_precision(state: SelectionState, true_labels: np.ndarray,
-                        noisy_labels: np.ndarray) -> tuple[float, float]:
+                        noisy_labels: np.ndarray) -> tuple[float | None, float | None]:
     """Percent of confident examples whose noisy label is the true one, and
     percent of selected pairs whose endpoints share a true class.
 
-    An empty set scores 100 (flagged by its zero count in the state).
+    An empty set has no precision: its entry is None.
     """
     true_labels = np.asarray(true_labels)
     noisy_labels = np.asarray(noisy_labels)
+    prec_examples = None
     if state.confident.size:
         hits = np.sum(true_labels[state.confident] == noisy_labels[state.confident])
-        prec_examples = 100.0 * hits / state.confident.size
-    else:
-        prec_examples = 100.0
-    return float(prec_examples), pair_precision(state.pair_mask, true_labels)
+        prec_examples = float(100.0 * hits / state.confident.size)
+    return prec_examples, pair_precision(state.pair_mask, true_labels)
 
 
 def project_2d(x: np.ndarray) -> np.ndarray:

@@ -36,32 +36,52 @@ class EmbeddingBank:
         return self._sims
 
 
-def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two vectors; zero vectors are an error."""
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity is undefined for the zero vector")
-    return float(np.dot(a, b) / (na * nb))
+# Row-block size of exact_topk, in matrix elements: 2**14 float64 values are
+# 128 KB, so the per-block temporaries stay far below the (n, n) matrix.
+_BLOCK_ELEMENTS = 1 << 14
 
 
-def _ranked_others(sims_row: np.ndarray, i: int) -> np.ndarray:
-    """All indices except i, sorted by descending similarity, ties by index."""
-    keys = sims_row.copy()
-    keys[i] = -np.inf  # the query is never its own neighbor
-    order = np.lexsort((np.arange(len(keys)), -keys))
-    return order[:-1] if len(keys) > 1 else order[:0]
+def exact_topk(sims: np.ndarray, k: int, exclude_self: bool = False) -> np.ndarray:
+    """(m, k) column indices of the k largest entries of each row of `sims`.
 
+    Each row is ordered by descending similarity; exact ties resolve to the
+    smaller column index. With exclude_self, `sims` is a square bank-against-
+    itself matrix and row i never selects column i.
 
-def topk_neighbors(bank: EmbeddingBank, i: int, k: int) -> np.ndarray:
-    """Indices of the k most cosine-similar bank rows to row i (exact scan).
-
-    Sorted by descending similarity; exact ties resolve to the smaller index.
+    Rows are processed in blocks: argpartition finds each row's k-th largest
+    value, the k candidates are sorted by index and then stable-sorted by
+    value. Only a row whose k-th value is tied with an entry outside the
+    candidates is ranked in full.
     """
-    if not 0 <= i < bank.n:
-        raise ValueError(f"query index {i} outside [0, {bank.n})")
-    if not 1 <= k <= bank.n - 1:
-        raise ValueError(f"k={k} outside [1, {bank.n - 1}]")
-    return _ranked_others(bank.similarity_matrix()[i], i)[:k]
+    sims = np.asarray(sims)
+    if sims.ndim != 2:
+        raise ValueError("similarities must be a 2-d matrix")
+    m, n = sims.shape
+    if exclude_self and m != n:
+        raise ValueError(f"exclude_self needs a square matrix, got {m}x{n}")
+    limit = n - 1 if exclude_self else n
+    if not 1 <= k <= limit:
+        raise ValueError(f"k={k} outside [1, {limit}]")
+
+    out = np.empty((m, k), dtype=np.int64)
+    step = max(1, _BLOCK_ELEMENTS // n)
+    for start in range(0, m, step):
+        block = sims[start:start + step]
+        if exclude_self:
+            block = block.copy()
+            rows = np.arange(len(block))
+            block[rows, start + rows] = -np.inf  # the query is never its own neighbor
+        part = np.argpartition(block, n - k, axis=1)[:, n - k:]
+        kth = np.take_along_axis(block, part[:, :1], axis=1)
+        candidates = np.sort(part, axis=1)
+        values = np.take_along_axis(block, candidates, axis=1)
+        if np.isnan(values).any():  # partition ranks NaN above every number
+            raise ValueError("similarities contain NaN")
+        order = np.argsort(-values, axis=1, kind="stable")
+        out[start:start + len(block)] = np.take_along_axis(candidates, order, axis=1)
+        for r in np.flatnonzero(np.count_nonzero(block >= kth, axis=1) > k):
+            out[start + r] = np.lexsort((np.arange(n), -block[r]))[:k]
+    return out
 
 
 @dataclass
@@ -99,22 +119,23 @@ def aggregate_pseudo_labels(bank: EmbeddingBank, noisy_labels: np.ndarray,
         raise ValueError(f"k={k} outside [1, {n - 1}]")
     if n_classes is None:
         n_classes = int(noisy_labels.max()) + 1
+    if noisy_labels.min() < 0 or noisy_labels.max() >= n_classes:
+        raise ValueError(f"labels must lie in [0, {n_classes})")
 
-    sims = bank.similarity_matrix()
-    hoods = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        hoods[i] = _ranked_others(sims[i], i)[:k]
+    hoods = exact_topk(bank.similarity_matrix(), k, exclude_self=True)
+    own = noisy_labels.astype(np.int64, copy=False)
+    offsets = (np.arange(n) * n_classes)[:, None]
+    # keys[i, j] = i * n_classes + (label of i's j-th neighbor), so a single
+    # bincount counts the votes of every row at once
+    keys = own[hoods]
+    keys += offsets
+    votes = np.bincount(keys.ravel(), minlength=n * n_classes).reshape(n, n_classes)
+    tied = votes == votes.max(axis=1, keepdims=True)
+    y_hat = np.where(tied[np.arange(n), own], own, np.argmax(tied, axis=1))
 
-    y_hat = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        votes = np.bincount(noisy_labels[hoods[i]], minlength=n_classes)
-        top = votes.max()
-        tied = np.flatnonzero(votes == top)
-        own = int(noisy_labels[i])
-        y_hat[i] = own if own in tied else int(tied[0])
-
-    counted = y_hat if count_labels == PSEUDO else noisy_labels
-    q_hat = np.empty((n, n_classes), dtype=np.float64)
-    for i in range(n):
-        q_hat[i] = np.bincount(counted[hoods[i]], minlength=n_classes) / k
+    if count_labels == PSEUDO:
+        np.take(y_hat, hoods, out=keys)
+        keys += offsets
+        votes = np.bincount(keys.ravel(), minlength=n * n_classes).reshape(n, n_classes)
+    q_hat = votes / k
     return PseudoLabelState(y_hat=y_hat, q_hat=q_hat, k=k)

@@ -185,8 +185,8 @@ class EpochRecord:
     n_pairs_confident: int
     n_pairs_similar: int
     sim_threshold: float
-    precision_examples: float
-    precision_pairs: float
+    precision_examples: float | None  # None when no example / pair was selected
+    precision_pairs: float | None
     knn_accuracy: float
     test_accuracy: float
     seconds: float
@@ -198,9 +198,14 @@ class EpochRecord:
                 str(self.n_confident), str(self.n_pairs_confident),
                 str(self.n_pairs_similar),
                 f"{self.sim_threshold:.6f}",
-                f"{self.precision_examples:.4f}", f"{self.precision_pairs:.4f}",
+                _cell(self.precision_examples), _cell(self.precision_pairs),
                 f"{self.knn_accuracy:.4f}", f"{self.test_accuracy:.4f}",
                 f"{self.seconds:.3f}"]
+
+
+def _cell(value: float | None) -> str:
+    """A precision cell: empty when there was nothing to measure."""
+    return "" if value is None else f"{value:.4f}"
 
 
 def write_metrics_csv(history: list[EpochRecord], path) -> None:
@@ -340,7 +345,7 @@ def warmup(params: NetworkParams, ds: Dataset, cfg: RunConfig, opt: OptState | N
         value = _contrastive_epoch(params, opt, ds, cfg, epoch, cfg.warmup_kind,
                                    on_step=on_step)
         if history is not None:
-            history.append(_record(epoch, (value, 0.0, 0.0, value), None, (100.0, 100.0),
+            history.append(_record(epoch, (value, 0.0, 0.0, value), None, (None, None),
                                    _model_metrics(params, ds, cfg),
                                    time_source() - started))
     return params

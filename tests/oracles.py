@@ -1,10 +1,13 @@
 """Independent reference implementations shared by the test modules.
 
 Everything here deliberately avoids the package's own helpers: plain python
-loops, ``sorted()`` and ``math`` only, so the tests compare two genuinely
-separate derivations. The two adapters at the end translate between pair
-sets and the boolean pair masks the package stores, so that mask results can
-be compared with the oracle's sets.
+loops, ``sorted()`` and ``math`` where possible, so the tests compare two
+genuinely separate derivations. The neighbor references rank one row at a
+time with a full ``np.lexsort``; the kNN probe reference keeps numpy's ``exp``
+and a per-row ``np.add.at``, so its class scores are summed in the same order
+as the package's and compare bit for bit. The two adapters at the end
+translate between pair sets and the boolean pair masks the package stores,
+so that mask results can be compared with the oracle's sets.
 """
 import math
 
@@ -48,6 +51,62 @@ def brute_force_selection(z, noisy, y_hat, q_hat, alpha, beta):
     else:
         gamma, g_second = math.inf, set()
     return confident, g_prime, gamma, g_second, g_prime | g_second
+
+
+def ranked_topk(sims, k, exclude_self=False):
+    """Reference top-k: each row ranked in full by descending similarity, ties
+    to the smaller column index; with exclude_self row i never picks column i."""
+    sims = np.asarray(sims, dtype=np.float64)
+    out = np.empty((len(sims), k), dtype=np.int64)
+    for i, row in enumerate(sims):
+        keys = row.copy()
+        if exclude_self:
+            keys[i] = -np.inf
+        out[i] = np.lexsort((np.arange(len(keys)), -keys))[:k]
+    return out
+
+
+def reference_pseudo_labels(sims, noisy, k, n_classes, count_noisy=False):
+    """Reference two-pass vote over ranked_topk neighborhoods: (y_hat, q_hat).
+
+    A tied majority keeps the example's own label when it is tied, otherwise
+    the smallest tied class; q_hat counts the neighbors' y_hat (or their noisy
+    labels with count_noisy) divided by k.
+    """
+    hoods = ranked_topk(sims, k, exclude_self=True)
+    n = len(noisy)
+    y_hat = []
+    for i in range(n):
+        votes = [0] * n_classes
+        for j in hoods[i]:
+            votes[int(noisy[j])] += 1
+        tied = [c for c in range(n_classes) if votes[c] == max(votes)]
+        own = int(noisy[i])
+        y_hat.append(own if own in tied else tied[0])
+    counted = [int(c) for c in noisy] if count_noisy else y_hat
+    q_hat = np.zeros((n, n_classes))
+    for i in range(n):
+        for c in range(n_classes):
+            q_hat[i, c] = sum(1 for j in hoods[i] if counted[j] == c) / k
+    return np.array(y_hat, dtype=np.int64), q_hat
+
+
+def reference_knn_predictions(train_z, train_labels, test_z, k, tau):
+    """Reference weighted-kNN class predictions, one test row at a time: the k
+    most cosine-similar train rows vote exp(similarity / tau) for their label,
+    and a tied score goes to the smaller class."""
+    train_z = np.asarray(train_z, dtype=np.float64)
+    test_z = np.asarray(test_z, dtype=np.float64)
+    tz = train_z / np.linalg.norm(train_z, axis=1)[:, None]
+    qz = test_z / np.linalg.norm(test_z, axis=1)[:, None]
+    sims = qz @ tz.T
+    n_classes = int(np.max(train_labels)) + 1
+    preds = []
+    for row, order in zip(sims, ranked_topk(sims, k)):
+        scores = np.zeros(n_classes)
+        np.add.at(scores, np.asarray(train_labels)[order], np.exp(row[order] / tau))
+        preds.append(int(np.argmax(scores)))
+    return np.array(preds, dtype=np.int64)
 
 
 def pair_mask(pairs, n):

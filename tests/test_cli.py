@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import selcontrast.cli as cli
-from selcontrast.cli import cli_run
+from selcontrast.cli import cli_run, emit_summary
 from selcontrast.data import load_features_csv
 from selcontrast.network import load_checkpoint
 from selcontrast.training import METRICS_COLUMNS
@@ -215,6 +215,16 @@ def test_sweep_summary_table(tmp_path):
         assert 0.0 <= float(cells[1]) <= 100.0
         assert float(cells[2]) == 0.0  # identical replicate seeds -> zero spread
         assert 0.0 <= float(cells[3]) <= 100.0
+
+
+def test_sweep_summary_skips_empty_precision(tmp_path):
+    out = tmp_path / "sweep.csv"
+    emit_summary([{"value": 1, "seed": 1, "error": None, "test_acc": 50.0, "prec_T": 80.0},
+                  {"value": 1, "seed": 2, "error": None, "test_acc": 70.0, "prec_T": None},
+                  {"value": 2, "seed": 1, "error": None, "test_acc": 40.0, "prec_T": None}],
+                 out)
+    assert out.read_text().split("\n")[1:3] == ["1,60.0000,10.0000,80.0000",
+                                                "2,40.0000,0.0000,"]
 
 
 def test_sweep_failed_runs_leave_empty_cells_and_exit_2(tmp_path, capsys):

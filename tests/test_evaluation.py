@@ -1,16 +1,20 @@
-"""Tests for evaluation metrics: weighted-KNN oracle cases, precision
-arithmetic, and the principal-component projection dump.
+"""Tests for evaluation metrics: weighted-KNN oracle cases and properties
+against the per-row reference, precision arithmetic, and the
+principal-component projection dump.
 """
 import csv
 import math
 
 import numpy as np
 import pytest
-from oracles import pair_mask
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import pair_mask, reference_knn_predictions
 
 from selcontrast.evaluation import (MetricsReport, dump_projection_2d,
                                     pair_precision, project_2d,
                                     selection_precision, weighted_knn_eval)
+from selcontrast.neighbors import _BLOCK_ELEMENTS
 from selcontrast.selection import SelectionState
 
 
@@ -117,6 +121,55 @@ def test_knn_validates_arguments():
         weighted_knn_eval(np.zeros((3, 2)), np.zeros(3, int), z, np.zeros(3, int))
 
 
+def assert_knn_matches_reference(train, train_labels, test, k, tau, rng):
+    preds = reference_knn_predictions(train, train_labels, test, k, tau)
+    # scoring the reference's own predictions must give exactly 100; random
+    # labels must give the same accuracy the reference gives
+    assert weighted_knn_eval(train, train_labels, test, preds, k=k, tau=tau) == 100.0
+    labels = rng.integers(0, int(train_labels.max()) + 1, size=len(test))
+    want = 100.0 * int(np.count_nonzero(preds == labels)) / len(labels)
+    assert weighted_knn_eval(train, train_labels, test, labels, k=k, tau=tau) == want
+
+
+@st.composite
+def knn_cases(draw):
+    """Train and test rows drawn from a few shared vectors, so test points
+    coincide with train points and the k-th similarity is often tied."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_train = draw(st.integers(1, 30))
+    n_distinct = draw(st.integers(1, n_train))
+    dim = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        pool = np.eye(dim)[rng.integers(0, dim, size=n_distinct)]
+    else:
+        pool = rng.normal(size=(n_distinct, dim))
+    train = pool[rng.integers(0, n_distinct, size=n_train)]
+    test = pool[rng.integers(0, n_distinct, size=draw(st.integers(1, 20)))]
+    n_classes = draw(st.integers(1, 4))
+    train_labels = rng.integers(0, n_classes, size=n_train)
+    k = draw(st.one_of(st.just(1), st.just(n_train), st.integers(1, n_train)))
+    tau = draw(st.sampled_from([0.05, 0.1, 1.0]))
+    return train, train_labels, test, k, tau, rng
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(knn_cases())
+def test_knn_property_matches_per_row_reference(case):
+    assert_knn_matches_reference(*case)
+
+
+@pytest.mark.parametrize("n_classes", [1, 3])
+def test_knn_spans_several_row_blocks(n_classes):
+    assert 200 > _BLOCK_ELEMENTS // 300  # the 200 test rows chain several blocks
+    rng = np.random.default_rng(n_classes)
+    pool = rng.normal(size=(40, 4))
+    train = pool[rng.integers(0, 40, size=300)]
+    test = pool[rng.integers(0, 40, size=200)]
+    train_labels = rng.integers(0, n_classes, size=300)
+    for k in (1, 37, 300):
+        assert_knn_matches_reference(train, train_labels, test, k, 0.1, rng)
+
+
 def test_knn_default_k_clips_to_train_size():
     rng = np.random.default_rng(3)
     train = unit_rows(rng.normal(size=(12, 3)))
@@ -139,10 +192,14 @@ def test_selection_precision_arithmetic():
     assert prec_g == pytest.approx(100 * 1 / 3)
 
 
-def test_selection_precision_empty_sets_score_100():
+def test_selection_precision_empty_sets_have_no_precision():
     state = make_state([], [], n=3)
     prec_t, prec_g = selection_precision(state, np.zeros(3, int), np.zeros(3, int))
-    assert (prec_t, prec_g) == (100.0, 100.0)
+    assert prec_t is None and prec_g is None
+    # a confident set without pairs still has an example precision
+    prec_t, prec_g = selection_precision(make_state([1], [], n=3), np.zeros(3, int),
+                                         np.zeros(3, int))
+    assert prec_t == 100.0 and prec_g is None
 
 
 def test_pair_precision_counts_matching_wrong_labels_as_correct():
@@ -155,7 +212,7 @@ def test_pair_precision_arithmetic():
     true = np.array([0, 1, 0, 1])
     mask = pair_mask({(0, 2), (1, 2), (1, 3)}, 4)
     assert pair_precision(mask, true) == 100 * 2 / 3
-    assert pair_precision(np.zeros((4, 4), dtype=bool), true) == 100.0
+    assert pair_precision(np.zeros((4, 4), dtype=bool), true) is None
 
 
 def test_metrics_report_fields():

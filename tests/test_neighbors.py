@@ -1,12 +1,19 @@
-"""Tests for cosine neighbors and pseudo-label aggregation: brute-force sort
-oracles, hand enumerations, tie-break contracts and equivariance properties.
+"""Tests for exact top-k neighbors and pseudo-label aggregation: brute-force
+sort oracles, hand enumerations, tie-break contracts, equivariance and
+hypothesis properties against the per-row references in oracles.py.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from oracles import ranked_topk, reference_pseudo_labels
 
-from selcontrast.neighbors import (EmbeddingBank, PseudoLabelState,
-                                   aggregate_pseudo_labels, cosine_sim,
-                                   topk_neighbors)
+from selcontrast.neighbors import (_BLOCK_ELEMENTS, EmbeddingBank, PseudoLabelState,
+                                   aggregate_pseudo_labels, exact_topk)
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+MULTI_BLOCK_N = 300
 
 
 def unit_rows(m):
@@ -19,63 +26,120 @@ def angles_to_bank(angles, epoch_tag=0):
     return EmbeddingBank(z=z, epoch_tag=epoch_tag)
 
 
-# ---------------------------------------------------------------------------
-# cosine_sim
-# ---------------------------------------------------------------------------
-
-def test_cosine_sim_hand_values():
-    assert cosine_sim(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(1.0)
-    assert cosine_sim(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
-    assert cosine_sim(np.array([3.0, 4.0]), np.array([4.0, 3.0])) == pytest.approx(0.96)
-
-
-def test_cosine_sim_rejects_zero_vector():
-    with pytest.raises(ValueError):
-        cosine_sim(np.zeros(2), np.array([1.0, 0.0]))
+def bank_sims(bank):
+    return bank.z @ bank.z.T
 
 
 # ---------------------------------------------------------------------------
-# topk_neighbors
+# exact_topk
 # ---------------------------------------------------------------------------
 
 def test_topk_matches_exhaustive_sort():
     rng = np.random.default_rng(0)
     bank = EmbeddingBank(z=unit_rows(rng.normal(size=(30, 5))))
     sims = bank.z @ bank.z.T
+    got = exact_topk(sims, 7, exclude_self=True)
     for i in range(30):
         expected = sorted((j for j in range(30) if j != i),
                           key=lambda j: (-sims[i, j], j))[:7]
-        np.testing.assert_array_equal(topk_neighbors(bank, i, 7), expected)
+        np.testing.assert_array_equal(got[i], expected)
 
 
 def test_topk_identical_embeddings_tie_break_by_index():
     bank = EmbeddingBank(z=unit_rows(np.ones((3, 2))))
-    np.testing.assert_array_equal(topk_neighbors(bank, 0, 2), [1, 2])
-    np.testing.assert_array_equal(topk_neighbors(bank, 1, 2), [0, 2])
-    np.testing.assert_array_equal(topk_neighbors(bank, 2, 2), [0, 1])
+    np.testing.assert_array_equal(exact_topk(bank_sims(bank), 2, exclude_self=True),
+                                  [[1, 2], [0, 2], [0, 1]])
 
 
 def test_topk_k_equals_n_minus_one_returns_all_others():
     rng = np.random.default_rng(1)
     bank = EmbeddingBank(z=unit_rows(rng.normal(size=(6, 3))))
-    assert sorted(topk_neighbors(bank, 2, 5).tolist()) == [0, 1, 3, 4, 5]
+    got = exact_topk(bank_sims(bank), 5, exclude_self=True)
+    for i in range(6):
+        assert sorted(got[i].tolist()) == [j for j in range(6) if j != i]
 
 
 def test_topk_excludes_query_and_orders_by_similarity():
     bank = angles_to_bank(np.array([0.0, 0.1, 0.5, 1.4, 3.0]))
-    got = topk_neighbors(bank, 0, 3)
-    np.testing.assert_array_equal(got, [1, 2, 3])
-    assert 0 not in got
+    got = exact_topk(bank_sims(bank), 3, exclude_self=True)
+    np.testing.assert_array_equal(got[0], [1, 2, 3])
+    for i in range(5):
+        assert i not in got[i]
+    # without exclusion every row finds itself first
+    np.testing.assert_array_equal(exact_topk(bank_sims(bank), 1)[:, 0], np.arange(5))
 
 
 def test_topk_bounds_checks():
-    bank = angles_to_bank(np.array([0.0, 0.3, 0.6]))
+    sims = bank_sims(angles_to_bank(np.array([0.0, 0.3, 0.6])))
     with pytest.raises(ValueError):
-        topk_neighbors(bank, 3, 1)
+        exact_topk(sims, 3, exclude_self=True)
     with pytest.raises(ValueError):
-        topk_neighbors(bank, 0, 3)
+        exact_topk(sims, 0, exclude_self=True)
     with pytest.raises(ValueError):
-        topk_neighbors(bank, 0, 0)
+        exact_topk(sims, 4)
+    with pytest.raises(ValueError):
+        exact_topk(sims, 0)
+    with pytest.raises(ValueError, match="square"):
+        exact_topk(sims[:2], 1, exclude_self=True)
+    with pytest.raises(ValueError, match="2-d"):
+        exact_topk(sims[0], 1)
+    assert exact_topk(sims, 3).shape == (3, 3)
+
+
+def test_topk_rejects_nan():
+    sims = np.array([[1.0, np.nan, 0.5], [0.2, 1.0, 0.3], [0.5, 0.3, 1.0]])
+    with pytest.raises(ValueError, match="NaN"):
+        exact_topk(sims, 2, exclude_self=True)
+
+
+@st.composite
+def similarity_matrices(draw, square):
+    """Small matrices whose entries come from a few levels (so the k-th value
+    is often tied across the candidate boundary), mixed with arbitrary floats
+    and signed zeros."""
+    m = draw(st.integers(2 if square else 1, 12))
+    n = m if square else draw(st.integers(1, 12))
+    levels = st.integers(-2, 2).map(float)
+    entries = st.one_of(levels, st.sampled_from([0.0, -0.0]),
+                        st.floats(-1.0, 1.0, allow_nan=False))
+    sims = draw(arrays(np.float64, (m, n), elements=entries))
+    limit = n - 1 if square else n
+    k = draw(st.one_of(st.just(1), st.just(limit), st.integers(1, limit)))
+    return sims, k
+
+
+@PROPERTY
+@given(similarity_matrices(square=True))
+def test_topk_property_bank_matches_per_row_reference(case):
+    sims, k = case
+    np.testing.assert_array_equal(exact_topk(sims, k, exclude_self=True),
+                                  ranked_topk(sims, k, exclude_self=True))
+
+
+@PROPERTY
+@given(similarity_matrices(square=False))
+def test_topk_property_queries_match_per_row_reference(case):
+    sims, k = case
+    np.testing.assert_array_equal(exact_topk(sims, k), ranked_topk(sims, k))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), levels=st.integers(1, 6),
+       k=st.sampled_from([1, 2, 50, 149, 298, 299]))
+def test_topk_property_spans_several_row_blocks(seed, levels, k):
+    assert MULTI_BLOCK_N > _BLOCK_ELEMENTS // (MULTI_BLOCK_N - 1)  # blocks chain
+    rng = np.random.default_rng(seed)
+    sims = rng.integers(0, levels, size=(MULTI_BLOCK_N, MULTI_BLOCK_N)).astype(np.float64)
+    np.testing.assert_array_equal(exact_topk(sims, k, exclude_self=True),
+                                  ranked_topk(sims, k, exclude_self=True))
+    np.testing.assert_array_equal(exact_topk(sims[:, :-1], k), ranked_topk(sims[:, :-1], k))
+
+
+def test_topk_rows_wider_than_a_block():
+    rng = np.random.default_rng(6)
+    sims = rng.integers(0, 3, size=(3, _BLOCK_ELEMENTS + 5)).astype(np.float64)
+    for k in (1, 7, _BLOCK_ELEMENTS + 5):
+        np.testing.assert_array_equal(exact_topk(sims, k), ranked_topk(sims, k))
 
 
 def test_bank_rejects_non_unit_rows():
@@ -194,3 +258,73 @@ def test_length_mismatch_rejected():
     bank = angles_to_bank(np.array([0.0, 0.5, 1.0]))
     with pytest.raises(ValueError):
         aggregate_pseudo_labels(bank, np.zeros(4, dtype=int), k=2)
+
+
+# ---------------------------------------------------------------------------
+# aggregate_pseudo_labels against the per-row reference
+# ---------------------------------------------------------------------------
+
+def tied_bank(rng, n, dim, n_distinct, one_hot):
+    """Bank whose rows repeat a few distinct unit vectors. One-hot rows give
+    similarities of exactly 0 and 1, so neighborhoods tie at the k-th rank."""
+    if one_hot:
+        pool = np.eye(dim)[rng.integers(0, dim, size=n_distinct)]
+    else:
+        pool = unit_rows(rng.normal(size=(n_distinct, dim)))
+    return EmbeddingBank(z=pool[rng.integers(0, n_distinct, size=n)])
+
+
+def assert_matches_reference(bank, noisy, k, n_classes, count_labels):
+    state = aggregate_pseudo_labels(bank, noisy, k=k, n_classes=n_classes,
+                                    count_labels=count_labels)
+    y_ref, q_ref = reference_pseudo_labels(bank.similarity_matrix(), noisy, k, n_classes,
+                                           count_noisy=count_labels == "noisy")
+    assert state.y_hat.dtype == np.int64
+    np.testing.assert_array_equal(state.y_hat, y_ref)
+    assert state.q_hat.tobytes() == q_ref.tobytes()
+
+
+@st.composite
+def vote_cases(draw, n_max=30):
+    n = draw(st.integers(2, n_max))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bank = tied_bank(rng, n, dim=draw(st.integers(1, 4)),
+                     n_distinct=draw(st.integers(1, n)), one_hot=draw(st.booleans()))
+    n_classes = draw(st.integers(1, 4))
+    noisy = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    k = draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n - 1)))
+    return bank, noisy, k, n_classes
+
+
+@PROPERTY
+@given(vote_cases(), st.sampled_from(["pseudo", "noisy"]))
+def test_vote_property_matches_per_row_reference(case, count_labels):
+    assert_matches_reference(*case, count_labels)
+
+
+@pytest.mark.parametrize("count_labels", ["pseudo", "noisy"])
+@pytest.mark.parametrize("n, k, n_classes", [(2, 1, 1), (2, 1, 2), (9, 8, 3), (9, 1, 1)])
+def test_vote_edge_sizes_match_per_row_reference(n, k, n_classes, count_labels):
+    rng = np.random.default_rng(n * 10 + k)
+    bank = tied_bank(rng, n, dim=2, n_distinct=2, one_hot=True)
+    noisy = rng.integers(0, n_classes, size=n)
+    assert_matches_reference(bank, noisy, k, n_classes, count_labels)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_distinct=st.sampled_from([3, 40, MULTI_BLOCK_N]),
+       k=st.sampled_from([1, 25, MULTI_BLOCK_N - 1]), count_labels=st.sampled_from(["pseudo", "noisy"]))
+def test_vote_property_spans_several_row_blocks(seed, n_distinct, k, count_labels):
+    assert MULTI_BLOCK_N > _BLOCK_ELEMENTS // MULTI_BLOCK_N  # blocks chain
+    rng = np.random.default_rng(seed)
+    bank = tied_bank(rng, MULTI_BLOCK_N, dim=4, n_distinct=n_distinct, one_hot=n_distinct == 3)
+    noisy = rng.integers(0, 4, size=MULTI_BLOCK_N)
+    assert_matches_reference(bank, noisy, k, 4, count_labels)
+
+
+def test_labels_outside_class_range_rejected():
+    bank = angles_to_bank(np.array([0.0, 0.5, 1.0]))
+    with pytest.raises(ValueError, match="labels"):
+        aggregate_pseudo_labels(bank, np.array([0, 1, 2]), k=2, n_classes=2)
+    with pytest.raises(ValueError, match="labels"):
+        aggregate_pseudo_labels(bank, np.array([0, -1, 1]), k=2, n_classes=2)

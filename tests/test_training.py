@@ -127,6 +127,8 @@ def test_pretrain_history_has_one_record_per_epoch():
     assert len(result.history) == 4
     assert [r.epoch for r in result.history] == [1, 2, 3, 4]
     assert result.history[0].n_confident == 0  # warm-up rows carry no selection
+    assert result.history[0].precision_examples is None
+    assert result.history[0].precision_pairs is None
     assert result.selection is not None
 
 
@@ -297,9 +299,10 @@ def test_metrics_csv_layout(tmp_path):
 def test_metrics_csv_infinite_threshold(tmp_path):
     record = EpochRecord(epoch=1, l_mix=0.0, l_cls=0.0, l_sim=0.0, l_all=0.0,
                          n_confident=0, n_pairs_confident=0, n_pairs_similar=0,
-                         sim_threshold=float("inf"), precision_examples=100.0,
-                         precision_pairs=100.0, knn_accuracy=0.0,
+                         sim_threshold=float("inf"), precision_examples=None,
+                         precision_pairs=None, knn_accuracy=0.0,
                          test_accuracy=0.0, seconds=0.0)
     path = tmp_path / "metrics.csv"
     write_metrics_csv([record], path)
-    assert ",inf," in path.read_text()
+    # nothing selected: infinite threshold and empty precision cells
+    assert ",0,0,0,inf,,,0.0000," in path.read_text()
