@@ -6,9 +6,9 @@ pair-similarity training, and classifier fine-tuning on the confident subset.
 """
 
 from .data import (AugmentationSpec, Dataset, NoiseSpec, augment, dump_features_csv,
-                   inject_noise, load_features_csv, make_blobs, mixup_combine)
-from .evaluation import (MetricsReport, dump_projection_2d, pair_precision, project_2d,
-                         selection_precision, weighted_knn_eval)
+                   inject_noise, load_features_csv, make_blobs, mixup)
+from .evaluation import (dump_projection_2d, pair_precision, project_2d, selection_precision,
+                         weighted_knn_eval)
 from .losses import (BatchView, LossBundle, classification_loss, compute_loss_bundle,
                      masked_contrastive, mixup_contrastive, similarity_loss,
                      sup_contrastive, total_loss, unsup_contrastive)
@@ -19,10 +19,9 @@ from .neighbors import (EmbeddingBank, PseudoLabelState, aggregate_pseudo_labels
 from .selection import (SelectionState, nearest_rank_fractile, run_selection,
                         select_confident_examples, select_confident_pairs)
 from .training import (EpochRecord, PretrainResult, RunConfig, benchmark_config,
-                       compute_selection, dataset_from_config, finetune, pretrain,
-                       pretrain_epoch, test_accuracy, train_cross_entropy_baseline,
+                       compute_selection, dataset_from_config, finetune, model_metrics,
+                       pretrain, pretrain_epoch, test_accuracy, train_cross_entropy_baseline,
                        warmup, write_metrics_csv)
-from .cli import cli_run, emit_summary
 
 __version__ = "0.1.0"
 

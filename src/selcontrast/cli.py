@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .data import NoiseSpec, dump_features_csv, inject_noise, load_features_csv, make_blobs
-from .evaluation import dump_projection_2d, weighted_knn_eval
+from .evaluation import dump_projection_2d
 from .network import forward, load_checkpoint, save_checkpoint
 from .training import (RunConfig, benchmark_config, compute_selection, dataset_from_config,
-                       finetune, pretrain, test_accuracy, write_metrics_csv)
+                       finetune, model_metrics, pretrain, test_accuracy, write_metrics_csv)
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -227,19 +227,13 @@ def _cmd_eval(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         raise CliError(f"bad checkpoint: {exc}") from exc
     ds = _load_dataset(args, cfg)
-    train_idx, test_idx = ds.train_indices(), ds.test_indices()
-    train_cache = forward(params, ds.instances[train_idx])
-    test_cache = forward(params, ds.instances[test_idx])
-    vote = ds.noisy_labels if cfg.knn_vote == "noisy" else ds.true_labels
+    knn_accuracy, accuracy = model_metrics(params, ds, cfg)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "n_train": int(len(train_idx)),
-        "n_test": int(len(test_idx)),
-        "knn_accuracy": weighted_knn_eval(train_cache.z, vote[train_idx], test_cache.z,
-                                          ds.true_labels[test_idx],
-                                          k=min(cfg.k_eval, len(train_idx)),
-                                          tau=cfg.tau_knn),
-        "test_accuracy": test_accuracy(params, ds),
+        "n_train": int(len(ds.train_indices())),
+        "n_test": int(len(ds.test_indices())),
+        "knn_accuracy": knn_accuracy,
+        "test_accuracy": accuracy,
     }
     text = json.dumps(report, indent=2) + "\n"
     if args.out:

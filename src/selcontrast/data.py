@@ -192,23 +192,24 @@ def augment(x: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator) -> 
     return out
 
 
-def mixup_combine(x_a: np.ndarray, x_b: np.ndarray, alpha: float,
-                  rng: np.random.Generator, lam: float | None = None):
-    """Convex combination lam * x_a + (1 - lam) * x_b with lam ~ Beta(alpha, alpha).
+def mixup(x: np.ndarray, alpha: float, rng: np.random.Generator):
+    """Mix every row of `x` with a partner row of the same batch.
 
-    Returns (mixed, lam, dominant) where dominant is "a" when lam >= 0.5
-    (ties go to the first argument). Pass `lam` to bypass the draw.
+    Draws the partner permutation, then one lam ~ Beta(alpha, alpha) per row,
+    and returns (mixed, partner, lam, dominant): mixed[i] = lam[i] * x[i] +
+    (1 - lam[i]) * x[partner[i]], and dominant[i] is the index of the larger
+    ingredient, i when lam[i] >= 0.5 (ties go to the row itself) and
+    partner[i] otherwise.
     """
     if alpha <= 0:
         raise ValueError("mixup alpha must be positive")
-    if x_a.shape != x_b.shape:
-        raise ValueError("mixup inputs must have equal shape")
-    if lam is None:
-        lam = float(rng.beta(alpha, alpha))
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
-    mixed = lam * x_a + (1.0 - lam) * x_b
-    return mixed, lam, ("a" if lam >= 0.5 else "b")
+    if x.ndim != 2:
+        raise ValueError("mixup expects a 2-d batch of rows")
+    partner = rng.permutation(len(x))
+    lam = rng.beta(alpha, alpha, size=len(x))
+    mixed = lam[:, None] * x + (1.0 - lam[:, None]) * x[partner]
+    dominant = np.where(lam >= 0.5, np.arange(len(x)), partner)
+    return mixed, partner, lam, dominant
 
 
 def _feature_header(dim: int) -> list[str]:

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,18 +10,6 @@ from .selection import SelectionState
 
 DEFAULT_EVAL_K = 200
 DEFAULT_EVAL_TAU = 0.1
-
-
-@dataclass
-class MetricsReport:
-    """Summary numbers for one trained model on one dataset."""
-
-    knn_accuracy: float
-    test_accuracy: float
-    precision_examples: float
-    precision_pairs: float
-    n_confident: int
-    n_pairs: int
 
 
 def _unit_rows(z: np.ndarray, what: str) -> np.ndarray:

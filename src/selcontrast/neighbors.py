@@ -21,7 +21,7 @@ class EmbeddingBank:
 
     def __post_init__(self):
         norms = np.linalg.norm(self.z, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
+        if not np.all(np.abs(norms - 1.0) <= 1e-6):  # NaN fails the comparison
             worst = int(np.argmax(np.abs(norms - 1.0)))
             raise ValueError(f"bank row {worst} has norm {norms[worst]:.8f}, expected 1")
 

@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import AugmentationSpec, Dataset, NoiseSpec, inject_noise, make_blobs, augment
+from .data import AugmentationSpec, Dataset, NoiseSpec, augment, inject_noise, make_blobs, mixup
 from .evaluation import selection_precision, weighted_knn_eval
-from .losses import (BatchView, compute_loss_bundle, masked_contrastive,
-                     classification_loss, total_loss, unsup_contrastive)
+from .losses import (BatchView, classification_loss, compute_loss_bundle, masked_contrastive,
+                     unsup_contrastive)
 from .network import (NetworkParams, OptState, apply_lr_schedule, backward, forward,
                       init_params, sgd_step)
 from .neighbors import EmbeddingBank, aggregate_pseudo_labels
@@ -236,15 +236,26 @@ def _augment_rows(rows: np.ndarray, spec: AugmentationSpec,
     return np.stack([augment(row, spec, rng) for row in rows])
 
 
-def _two_views(x_batch: np.ndarray, batch_idx: np.ndarray, labels: np.ndarray,
-               spec: AugmentationSpec, rng: np.random.Generator):
-    """Two stochastic views per example, stacked [first views; second views]."""
-    nb = len(x_batch)
-    views = np.concatenate([_augment_rows(x_batch, spec, rng),
-                            _augment_rows(x_batch, spec, rng)])
-    origins = np.concatenate([batch_idx, batch_idx])
-    twin = np.concatenate([np.arange(nb) + nb, np.arange(nb)])
-    return views, origins, np.concatenate([labels, labels]), twin
+def _view_batches(x_train: np.ndarray, labels: np.ndarray, cfg: RunConfig,
+                  rng: np.random.Generator):
+    """Shuffle the train rows and yield one minibatch at a time as
+    (views, origins, labels, twin): two augmented views per example, stacked
+    [first views; second views], with each view's train row, label and the
+    position of its twin view.
+
+    Every contrastive epoch draws its batches here; the consumer may draw
+    from `rng` between batches.
+    """
+    aug = cfg.augmentation()
+    perm = rng.permutation(len(x_train))
+    for start in range(0, len(perm), cfg.batch_size):
+        batch_idx = perm[start:start + cfg.batch_size]
+        nb = len(batch_idx)
+        views = np.concatenate([_augment_rows(x_train[batch_idx], aug, rng),
+                                _augment_rows(x_train[batch_idx], aug, rng)])
+        twin = np.concatenate([np.arange(nb) + nb, np.arange(nb)])
+        yield (views, np.concatenate([batch_idx, batch_idx]),
+               np.concatenate([labels[batch_idx], labels[batch_idx]]), twin)
 
 
 def _label_mask(labels: np.ndarray) -> np.ndarray:
@@ -253,40 +264,43 @@ def _label_mask(labels: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _contrastive_step(params, opt, views, origins, labels, twin, cfg, kind):
-    """One optimizer step on the contrastive-only objective; returns the value."""
-    cache = forward(params, views)
-    batch = BatchView(z=cache.z, p_hat=cache.p_hat, origins=origins,
-                      labels=labels, twin=twin)
-    if kind == SUPERVISED:
-        value, grad_z = masked_contrastive(cache.z, _label_mask(labels), cfg.tau)
-    else:
-        value, grad_z = unsup_contrastive(batch, cfg.tau)
-    grads = backward(params, cache, grad_z=grad_z)
-    sgd_step(params, grads, opt)
-    return value
-
-
 def _contrastive_epoch(params, opt, ds, cfg, epoch, kind, on_step=None) -> float:
     """Selection-free epoch (warm-up or empty-selection fallback)."""
     x_train, _, noisy = _train_arrays(ds)
     rng = _epoch_rng(cfg.seed, _STREAM_TRAIN, epoch)
-    aug = cfg.augmentation()
-    perm = rng.permutation(len(x_train))
     values = []
-    for start in range(0, len(perm), cfg.batch_size):
-        batch_idx = perm[start:start + cfg.batch_size]
-        views, origins, labels, twin = _two_views(
-            x_train[batch_idx], batch_idx, noisy[batch_idx], aug, rng)
-        value = _contrastive_step(params, opt, views, origins, labels, twin, cfg, kind)
+    for views, origins, labels, twin in _view_batches(x_train, noisy, cfg, rng):
+        cache = forward(params, views)
+        if kind == SUPERVISED:
+            value, grad_z = masked_contrastive(cache.z, _label_mask(labels), cfg.tau)
+        else:
+            value, grad_z = unsup_contrastive(
+                BatchView(z=cache.z, p_hat=cache.p_hat, origins=origins, labels=labels,
+                          twin=twin), cfg.tau)
+        sgd_step(params, backward(params, cache, grad_z=grad_z), opt)
         values.append(value)
         if on_step is not None:
             on_step(len(values) - 1, value)
     return float(np.mean(values))
 
 
-def _model_metrics(params, ds, cfg) -> tuple[float, float]:
-    """(weighted-KNN accuracy, classifier accuracy) on the test split."""
+def _cross_entropy_epoch(params, opt, x_train, labels, rows, cfg, rng,
+                         aug: AugmentationSpec | None = None) -> None:
+    """One epoch of classifier cross-entropy over the train `rows` in random
+    order, one weak view per row when `aug` is given, raw rows otherwise."""
+    perm = rows[rng.permutation(len(rows))]
+    for start in range(0, len(perm), cfg.batch_size):
+        batch_idx = perm[start:start + cfg.batch_size]
+        x = x_train[batch_idx] if aug is None else _augment_rows(x_train[batch_idx], aug, rng)
+        cache = forward(params, x)
+        _, grad_p = classification_loss(cache.p_hat, labels[batch_idx],
+                                        np.ones(len(batch_idx), dtype=bool))
+        sgd_step(params, backward(params, cache, grad_p=grad_p), opt)
+
+
+def model_metrics(params: NetworkParams, ds: Dataset, cfg: RunConfig) -> tuple[float, float]:
+    """(weighted-KNN accuracy, classifier accuracy) on the test split, in
+    percent; the probe votes with the train labels cfg.knn_vote names."""
     x_train, true_train, noisy_train = _train_arrays(ds)
     test_idx = ds.test_indices()
     train_cache = forward(params, x_train)
@@ -346,7 +360,7 @@ def warmup(params: NetworkParams, ds: Dataset, cfg: RunConfig, opt: OptState | N
                                    on_step=on_step)
         if history is not None:
             history.append(_record(epoch, (value, 0.0, 0.0, value), None, (None, None),
-                                   _model_metrics(params, ds, cfg),
+                                   model_metrics(params, ds, cfg),
                                    time_source() - started))
     return params
 
@@ -372,27 +386,16 @@ def pretrain_epoch(params: NetworkParams, ds: Dataset, cfg: RunConfig, epoch: in
         losses = (value, 0.0, 0.0, value)
     else:
         rng = _epoch_rng(cfg.seed, _STREAM_TRAIN, epoch)
-        aug = cfg.augmentation()
         confident = selection.confident_mask(n_train)
-        perm = rng.permutation(n_train)
         sums = np.zeros(4)
         steps = 0
-        for start in range(0, n_train, cfg.batch_size):
-            batch_idx = perm[start:start + cfg.batch_size]
-            views, origins, labels, twin = _two_views(
-                x_train[batch_idx], batch_idx, noisy_train[batch_idx], aug, rng)
-
-            partner = rng.permutation(len(views))
-            lam = rng.beta(cfg.alpha_m, cfg.alpha_m, size=len(views))
-            mixed_x = lam[:, None] * views + (1.0 - lam[:, None]) * views[partner]
-            dominant = np.where(lam >= 0.5, origins, origins[partner])
-            dom_labels = np.where(lam >= 0.5, labels, labels[partner])
-
+        for views, origins, labels, twin in _view_batches(x_train, noisy_train, cfg, rng):
+            mixed_x, partner, lam, dominant = mixup(views, cfg.alpha_m, rng)
             mixed_cache = forward(params, mixed_x)
             plain_cache = forward(params, views)
             mixed_batch = BatchView(z=mixed_cache.z, p_hat=mixed_cache.p_hat,
-                                    origins=dominant, labels=dom_labels, twin=twin,
-                                    mix_a=origins, mix_b=origins[partner], lam=lam)
+                                    origins=origins[dominant], labels=labels[dominant],
+                                    twin=twin, mix_a=origins, mix_b=origins[partner], lam=lam)
             plain_batch = BatchView(z=plain_cache.z, p_hat=plain_cache.p_hat,
                                     origins=origins, labels=labels, twin=twin)
             bundle = compute_loss_bundle(mixed_batch, plain_batch, selection.pair_mask,
@@ -409,7 +412,7 @@ def pretrain_epoch(params: NetworkParams, ds: Dataset, cfg: RunConfig, epoch: in
 
     record = _record(epoch, losses, selection,
                      selection_precision(selection, true_train, noisy_train),
-                     _model_metrics(params, ds, cfg), time_source() - started)
+                     model_metrics(params, ds, cfg), time_source() - started)
     return params, selection, record
 
 
@@ -471,18 +474,10 @@ def finetune(params: NetworkParams, ds: Dataset, cfg: RunConfig,
                               schedule=[], lr_scale=lr_scale)
 
     x_train, _, noisy_train = _train_arrays(ds)
-    keep = selection.confident
     aug = cfg.weak_augmentation()
     for epoch in range(1, cfg.t_finetune + 1):
-        rng = _epoch_rng(cfg.seed, _STREAM_FINETUNE, epoch)
-        perm = keep[rng.permutation(len(keep))]
-        for start in range(0, len(perm), cfg.batch_size):
-            batch_idx = perm[start:start + cfg.batch_size]
-            x = _augment_rows(x_train[batch_idx], aug, rng)
-            cache = forward(params, x)
-            _, grad_p = classification_loss(cache.p_hat, noisy_train[batch_idx],
-                                            np.ones(len(batch_idx), dtype=bool))
-            sgd_step(params, backward(params, cache, grad_p=grad_p), opt)
+        _cross_entropy_epoch(params, opt, x_train, noisy_train, selection.confident, cfg,
+                             _epoch_rng(cfg.seed, _STREAM_FINETUNE, epoch), aug)
     return params
 
 
@@ -504,16 +499,11 @@ def train_cross_entropy_baseline(ds: Dataset, cfg: RunConfig,
     opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay,
                               cfg.lr_schedule)
     x_train, _, noisy_train = _train_arrays(ds)
+    rows = np.arange(len(x_train))
     for epoch in range(1, epochs + 1):
         apply_lr_schedule(opt, epoch)
-        rng = _epoch_rng(cfg.seed, _STREAM_BASELINE, epoch)
-        perm = rng.permutation(len(x_train))
-        for start in range(0, len(perm), cfg.batch_size):
-            batch_idx = perm[start:start + cfg.batch_size]
-            cache = forward(params, x_train[batch_idx])
-            _, grad_p = classification_loss(cache.p_hat, noisy_train[batch_idx],
-                                            np.ones(len(batch_idx), dtype=bool))
-            sgd_step(params, backward(params, cache, grad_p=grad_p), opt)
+        _cross_entropy_epoch(params, opt, x_train, noisy_train, rows, cfg,
+                             _epoch_rng(cfg.seed, _STREAM_BASELINE, epoch))
     return params
 
 

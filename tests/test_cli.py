@@ -1,9 +1,14 @@
 """End-to-end checks of the command-line harness, driven in-process via cli_run."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import selcontrast
 import selcontrast.cli as cli
 from selcontrast.cli import cli_run, emit_summary
 from selcontrast.data import load_features_csv
@@ -55,6 +60,22 @@ def test_gen_corrupts_only_the_train_split(tmp_path):
     train, test = ds.train_indices(), ds.test_indices()
     assert np.any(ds.noisy_labels[train] != ds.true_labels[train])
     assert np.array_equal(ds.noisy_labels[test], ds.true_labels[test])
+
+
+def test_module_entry_point_runs_under_runtime_warnings_as_errors(tmp_path):
+    # `python -m selcontrast.cli` warns when importing the package already
+    # imported the cli module; with -W error that warning is a crash
+    src = str(Path(selcontrast.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "ds.csv"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "selcontrast.cli", "gen",
+         "--n", "20", "--classes", "2", "--dim", "3", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert load_features_csv(out).n == 20
 
 
 def test_train_metrics_has_one_row_per_epoch(trained):

@@ -4,7 +4,7 @@ import pytest
 
 from selcontrast.data import (AugmentationSpec, Dataset, NoiseSpec, augment,
                               dump_features_csv, inject_noise, load_features_csv,
-                              make_blobs, mixup_combine)
+                              make_blobs, mixup)
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +201,43 @@ def test_augmentation_spec_validation():
         AugmentationSpec(scale_range=(1.2, 0.8))
 
 
-def test_mixup_combine_is_convex_combination():
-    rng = np.random.default_rng(3)
-    a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    mixed, lam, dominant = mixup_combine(a, b, alpha=1.0, rng=rng)
-    assert 0.0 <= lam <= 1.0
-    np.testing.assert_allclose(mixed, lam * a + (1 - lam) * b, rtol=0, atol=0)
-    assert dominant == ("a" if lam >= 0.5 else "b")
+def test_mixup_is_exact_convex_combination_over_a_permutation():
+    x = np.random.default_rng(3).normal(size=(7, 3))
+    mixed, partner, lam, dominant = mixup(x, alpha=1.0, rng=np.random.default_rng(5))
+    ref = np.random.default_rng(5)  # the partner permutation is drawn before lam
+    np.testing.assert_array_equal(partner, ref.permutation(7))
+    np.testing.assert_array_equal(lam, ref.beta(1.0, 1.0, size=7))
+    assert sorted(partner.tolist()) == list(range(7))
+    assert np.all((0.0 <= lam) & (lam <= 1.0))
+    np.testing.assert_allclose(mixed, lam[:, None] * x + (1 - lam[:, None]) * x[partner],
+                               rtol=0, atol=0)
+    np.testing.assert_array_equal(dominant, np.where(lam >= 0.5, np.arange(7), partner))
 
 
-def test_mixup_combine_explicit_lambda_and_tie():
-    rng = np.random.default_rng(3)
-    a, b = np.array([2.0]), np.array([4.0])
-    mixed, lam, dominant = mixup_combine(a, b, alpha=1.0, rng=rng, lam=0.5)
-    assert lam == 0.5 and dominant == "a"
-    np.testing.assert_array_equal(mixed, np.array([3.0]))
-    _, _, dom_b = mixup_combine(a, b, alpha=1.0, rng=rng, lam=0.25)
-    assert dom_b == "b"
+class _FixedBeta:
+    """Generator stub: real permutations, every Beta draw equal to `lam`."""
+
+    def __init__(self, lam, seed=3):
+        self._lam = lam
+        self._rng = np.random.default_rng(seed)
+
+    def permutation(self, n):
+        return self._rng.permutation(n)
+
+    def beta(self, a, b, size=None):
+        return np.full(size, self._lam)
+
+
+def test_mixup_tie_goes_to_the_row_itself():
+    x = np.array([[2.0], [4.0], [8.0], [16.0]])
+    mixed, partner, lam, dominant = mixup(x, alpha=1.0, rng=_FixedBeta(0.5))
+    assert np.all(lam == 0.5)
+    np.testing.assert_array_equal(dominant, np.arange(4))
+    np.testing.assert_array_equal(mixed, (x + x[partner]) / 2)
+    _, partner, _, dominant = mixup(x, alpha=1.0, rng=_FixedBeta(0.25))
+    np.testing.assert_array_equal(dominant, partner)
+    with pytest.raises(ValueError):
+        mixup(x, alpha=0.0, rng=_FixedBeta(0.5))
 
 
 # ---------------------------------------------------------------------------

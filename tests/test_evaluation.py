@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import pair_mask, reference_knn_predictions
 
-from selcontrast.evaluation import (MetricsReport, dump_projection_2d,
-                                    pair_precision, project_2d,
+from selcontrast.evaluation import (dump_projection_2d, pair_precision, project_2d,
                                     selection_precision, weighted_knn_eval)
 from selcontrast.neighbors import _BLOCK_ELEMENTS
 from selcontrast.selection import SelectionState
@@ -213,13 +212,6 @@ def test_pair_precision_arithmetic():
     mask = pair_mask({(0, 2), (1, 2), (1, 3)}, 4)
     assert pair_precision(mask, true) == 100 * 2 / 3
     assert pair_precision(np.zeros((4, 4), dtype=bool), true) is None
-
-
-def test_metrics_report_fields():
-    report = MetricsReport(knn_accuracy=90.0, test_accuracy=85.0,
-                           precision_examples=99.0, precision_pairs=98.0,
-                           n_confident=10, n_pairs=45)
-    assert report.knn_accuracy == 90.0 and report.n_pairs == 45
 
 
 # ---------------------------------------------------------------------------

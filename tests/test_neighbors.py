@@ -147,6 +147,12 @@ def test_bank_rejects_non_unit_rows():
         EmbeddingBank(z=np.array([[1.0, 0.0], [2.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_bank_rejects_non_finite_rows(bad):
+    with pytest.raises(ValueError, match="row 0"):
+        EmbeddingBank(z=np.array([[bad, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+
+
 # ---------------------------------------------------------------------------
 # aggregate_pseudo_labels
 # ---------------------------------------------------------------------------

@@ -132,6 +132,33 @@ def test_pretrain_history_has_one_record_per_epoch():
     assert result.selection is not None
 
 
+@pytest.mark.parametrize("batch_size", [35, 64])
+def test_small_train_split_and_trailing_batch_of_one(batch_size):
+    # 45 points in 3 classes leave 36 train rows: batch_size 35 ends each
+    # epoch on a batch of a single example, 64 exceeds the whole split
+    cfg = tiny_config(n=45, classes=3, dim=5, t_max=3, t_finetune=2,
+                      batch_size=batch_size)
+    ds = dataset_from_config(cfg)
+    assert len(ds.train_indices()) == 36
+    initial = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
+                          proj_dim=cfg.proj_dim, seed=[cfg.seed, 0, 0])
+    steps = []
+    warmup(initial.copy(), ds, cfg, on_step=lambda i, v: steps.append(v))
+    assert len(steps) == -(-36 // batch_size) and np.all(np.isfinite(steps))
+
+    result = pretrain(ds, cfg)
+    assert [r.epoch for r in result.history] == [1, 2, 3]
+    for record in result.history:
+        assert np.all(np.isfinite([record.l_mix, record.l_cls, record.l_sim, record.l_all]))
+    assert all(r.n_confident > 0 for r in result.history[1:])  # selective, no fallback
+    tuned = finetune(result.params, ds, cfg, selection=result.selection)
+    control = train_cross_entropy_baseline(ds, cfg, epochs=2)
+    for trained, start in ((tuned, result.params), (control, initial)):
+        for name, arr in trained.named_arrays():
+            assert np.all(np.isfinite(arr)), name
+        assert not np.array_equal(trained.cls_w, start.cls_w)
+
+
 def test_pretrain_bitwise_deterministic():
     cfg = tiny_config()
     ds = dataset_from_config(cfg)
