@@ -6,7 +6,7 @@ import csv
 import numpy as np
 
 from .neighbors import exact_topk
-from .selection import SelectionState
+from .selection import SelectionState, row_blocks
 
 DEFAULT_EVAL_K = 200
 DEFAULT_EVAL_TAU = 0.1
@@ -64,12 +64,17 @@ def weighted_knn_eval(train_z: np.ndarray, train_labels: np.ndarray,
 def pair_precision(pair_mask: np.ndarray, true_labels: np.ndarray) -> float | None:
     """Percent of selected pairs whose endpoints share a true class, or None
     when no pair is selected. pair_mask is symmetric with a False diagonal, so
-    each pair is counted twice on both sides of the ratio."""
+    each pair is counted twice on both sides of the ratio. Counted one row
+    block at a time, with no (n, n) temporary."""
     true_labels = np.asarray(true_labels)
     selected = int(np.count_nonzero(pair_mask))
     if selected == 0:
         return None
-    good = int(np.count_nonzero(pair_mask & (true_labels[:, None] == true_labels[None, :])))
+    good = 0
+    for start, stop in row_blocks(len(true_labels)):
+        same = true_labels[start:stop, None] == true_labels[None, :]
+        same &= pair_mask[start:stop]
+        good += int(np.count_nonzero(same))
     return 100.0 * (good // 2) / (selected // 2)
 
 

@@ -434,6 +434,7 @@ def pretrain(ds: Dataset, cfg: RunConfig, time_source=time.perf_counter,
     selection = None
     for epoch in range(cfg.t_warm + 1, cfg.t_max + 1):
         apply_lr_schedule(opt, epoch)
+        selection = None  # free the last epoch's masks before the next are built
         params, selection, record = pretrain_epoch(params, ds, cfg, epoch, opt=opt,
                                                    time_source=time_source)
         history.append(record)

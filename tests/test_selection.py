@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from oracles import brute_force_selection, mask_pairs, pair_mask
 
+from selcontrast import selection
 from selcontrast.neighbors import EmbeddingBank, PseudoLabelState
-from selcontrast.selection import (nearest_rank_fractile, run_selection,
+from selcontrast.selection import (nearest_rank_fractile, row_blocks, run_selection,
                                    select_confident_examples, select_confident_pairs)
 
 
@@ -187,22 +188,22 @@ def six_on_circle():
     angles = np.array([0.0, 0.05, 0.10, 1.5, 1.55, 3.0])
     z = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     noisy = np.array([0, 0, 0, 1, 1, 0])
-    return z, noisy, same_label(noisy)
+    return z, noisy
 
 
-def same_label(noisy):
-    mask = noisy[:, None] == noisy[None, :]
-    np.fill_diagonal(mask, False)
-    return mask
+def blocks_of(indices, noisy, n_classes):
+    """The per-class confident blocks of a set of confident indices."""
+    indices = np.asarray(sorted(indices), dtype=np.int64)
+    return [indices[noisy[indices] == c] for c in range(n_classes)]
 
 
 def test_similar_pairs_strict_threshold_and_full_scan():
-    z, noisy, same = six_on_circle()
+    z, noisy = six_on_circle()
     bank = EmbeddingBank(z=z)
-    confident_pairs = pair_mask({(0, 1), (3, 4)}, 6)
     sims = z @ z.T
     gamma_expected = sorted([sims[0, 1], sims[3, 4]])[0]  # beta=0 -> minimum
-    similar, gamma = select_confident_pairs(bank, same, confident_pairs, beta=0.0)
+    similar, gamma = select_confident_pairs(bank, noisy, [np.array([0, 1]), np.array([3, 4])],
+                                            beta=0.0)
     assert gamma == gamma_expected
     expected = sorted((i, j) for i in range(6) for j in range(i + 1, 6)
                       if noisy[i] == noisy[j] and sims[i, j] > gamma)
@@ -214,12 +215,13 @@ def test_similar_pairs_strict_threshold_and_full_scan():
 def test_similar_pairs_read_upper_triangle_only():
     # a similarity matrix that is not bit-symmetric: the pair (i, j), i < j,
     # is judged by sims[i, j], and the mask stays symmetric
-    z, noisy, same = six_on_circle()
+    z, noisy = six_on_circle()
     bank = EmbeddingBank(z=z)
     sims = (z @ z.T).copy()
     sims[1, 0] = sims[2, 0] = 2.0     # lower triangle must be ignored
+    sims[4, 3] = 3.0                  # ... also when the threshold is read
     bank._sims = sims
-    similar, gamma = select_confident_pairs(bank, same, pair_mask({(0, 1), (3, 4)}, 6),
+    similar, gamma = select_confident_pairs(bank, noisy, [np.array([0, 1]), np.array([3, 4])],
                                             beta=1.0)
     assert gamma == max(sims[0, 1], sims[3, 4])
     assert mask_pairs(similar) == sorted((i, j) for i in range(6) for j in range(i + 1, 6)
@@ -228,11 +230,18 @@ def test_similar_pairs_read_upper_triangle_only():
 
 def test_similar_pairs_empty_confident_degenerates():
     bank = EmbeddingBank(z=unit_rows(np.random.default_rng(7).normal(size=(4, 2))))
-    same = same_label(np.zeros(4, dtype=int))
-    similar, gamma = select_confident_pairs(bank, same, np.zeros((4, 4), dtype=bool),
-                                            beta=0.5)
-    assert mask_pairs(similar) == []
-    assert math.isinf(gamma)
+    for blocks in ([np.empty(0, dtype=np.int64)], [np.array([2])], []):
+        similar, gamma = select_confident_pairs(bank, np.zeros(4, dtype=int), blocks, beta=0.5)
+        assert similar.shape == (4, 4) and similar.dtype == bool
+        assert mask_pairs(similar) == []
+        assert math.isinf(gamma)
+
+
+def test_similar_pairs_reject_a_block_of_another_label():
+    z, noisy = six_on_circle()
+    with pytest.raises(ValueError, match="confident block 1"):
+        select_confident_pairs(EmbeddingBank(z=z), noisy, [np.array([0, 1]), np.array([3, 5])],
+                               beta=0.5)
 
 
 def test_similar_pairs_monotone_in_beta():
@@ -240,13 +249,11 @@ def test_similar_pairs_monotone_in_beta():
     z = unit_rows(rng.normal(size=(15, 3)))
     bank = EmbeddingBank(z=z)
     noisy = rng.integers(0, 2, size=15)
-    confident = np.flatnonzero(rng.random(15) < 0.6)
-    base_pairs = pair_mask({(int(i), int(j)) for i in confident for j in confident
-                            if i < j and noisy[i] == noisy[j]}, 15)
-    sizes = [len(mask_pairs(select_confident_pairs(bank, same_label(noisy), base_pairs,
-                                                   beta=b)[0]))
+    blocks = blocks_of(np.flatnonzero(rng.random(15) < 0.6), noisy, 2)
+    sizes = [len(mask_pairs(select_confident_pairs(bank, noisy, blocks, beta=b)[0]))
              for b in (0.0, 0.25, 0.5, 0.75, 1.0)]
     assert sizes == sorted(sizes, reverse=True)  # lower beta keeps more pairs
+    assert sizes[0] > sizes[-1]
 
 
 def test_union_pairs_dedup_and_canonical_form():
@@ -336,6 +343,62 @@ def test_selection_state_invariants_on_random_instance():
     sims = z @ z.T
     for i, j in state.pairs_similar:
         assert noisy[i] == noisy[j] and sims[i, j] > state.sim_threshold
+
+
+# ---------------------------------------------------------------------------
+# banks that span several row blocks, the last one shorter
+# ---------------------------------------------------------------------------
+
+def random_instance(rng, n, classes):
+    z = unit_rows(rng.normal(size=(n, 3)))
+    noisy = rng.integers(0, classes, size=n)
+    y_hat = np.where(rng.random(n) < 0.7, noisy, rng.integers(0, classes, size=n))
+    return z, noisy, y_hat, rng.dirichlet(np.ones(classes), size=n)
+
+
+@pytest.mark.parametrize("n,rows,beta", [(23, 5, 0.25), (40, 7, 0.5), (41, 4, 0.0),
+                                         (29, 6, 0.75)])
+def test_selection_matches_brute_force_across_row_blocks(monkeypatch, n, rows, beta):
+    monkeypatch.setattr(selection, "_BLOCK_ELEMENTS", rows * n)
+    blocks = row_blocks(n)
+    assert len(blocks) > 2 and blocks[-1][1] - blocks[-1][0] < rows == blocks[0][1]
+    rng = np.random.default_rng([204, n])
+    z, noisy, y_hat, q = random_instance(rng, n, 3)
+    state = assert_matches_oracle(z, noisy, y_hat, q, alpha=1.0, beta=beta)
+    assert state.n_pairs_similar > 0
+
+
+def test_selection_matches_brute_force_with_the_default_blocks():
+    n = 600
+    blocks = row_blocks(n)
+    assert len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] < blocks[0][1]
+    z, noisy, y_hat, q = random_instance(np.random.default_rng(205), n, 4)
+    state = assert_matches_oracle(z, noisy, y_hat, q, alpha=0.5, beta=0.25)
+    assert state.n_pairs_similar > 0
+
+
+@pytest.mark.parametrize("rows", [1, 4, 9])
+def test_similar_pairs_read_upper_triangle_only_across_row_blocks(monkeypatch, rows):
+    n = 37
+    monkeypatch.setattr(selection, "_BLOCK_ELEMENTS", rows * n)
+    assert len(row_blocks(n)) > 2
+    rng = np.random.default_rng(206)
+    z = unit_rows(rng.normal(size=(n, 3)))
+    noisy = rng.integers(0, 2, size=n)
+    sims = z @ z.T
+    lower = np.tril_indices(n, k=-1)
+    sims[lower] = rng.uniform(-1.0, 1.0, size=len(lower[0]))  # junk below the diagonal
+    bank = EmbeddingBank(z=z)
+    bank._sims = sims
+    blocks = blocks_of(np.flatnonzero(rng.random(n) < 0.5), noisy, 2)
+    similar, gamma = select_confident_pairs(bank, noisy, blocks, beta=0.5)
+    upper = sorted(sims[i, j] for members in blocks
+                   for a, i in enumerate(members) for j in members[a + 1:])
+    assert gamma == upper[math.ceil(0.5 * len(upper) - 1e-9) - 1]
+    expected = [(i, j) for i in range(n) for j in range(i + 1, n)
+                if noisy[i] == noisy[j] and sims[i, j] > gamma]
+    assert mask_pairs(similar) == expected  # symmetric, False diagonal
+    assert len(expected) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Tests for the training loops: warm-up behavior, per-epoch selection,
 determinism, fallback paths, fine-tuning and the cross-entropy control.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from selcontrast.data import Dataset, NoiseSpec, inject_noise, make_blobs
 from selcontrast.network import forward, init_params
 from selcontrast.training import (METRICS_COLUMNS, EpochRecord, RunConfig,
-                                  benchmark_config, dataset_from_config,
+                                  benchmark_config, compute_selection, dataset_from_config,
                                   finetune, pretrain, pretrain_epoch,
                                   train_cross_entropy_baseline, warmup,
                                   write_metrics_csv)
@@ -211,6 +213,69 @@ def test_pretrain_epoch_emits_selection_counts():
     assert record.n_pairs_confident == len(selection.pairs_confident)
     assert record.n_pairs_similar == len(selection.pairs_similar)
     assert record.n_confident > 0
+
+
+@pytest.mark.parametrize("projection", ["linear", "mlp"])
+def test_zero_embedding_row_stops_the_selection(projection):
+    # a projection head of zeros maps every row to the zero vector, which the
+    # forward pass leaves at norm 0; the bank must refuse it by row
+    cfg = tiny_config(projection=projection)
+    ds = dataset_from_config(cfg)
+    params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
+                         proj_dim=cfg.proj_dim, projection=projection, seed=[cfg.seed, 0, 0])
+    for name, array in params.named_arrays():
+        if name.startswith("proj"):
+            array[...] = 0.0
+    with pytest.raises(ValueError, match=r"bank row 0 has norm 0\.0+, expected 1"):
+        compute_selection(params, ds, cfg)
+
+
+# ---------------------------------------------------------------------------
+# selection memory: one (n, n) float64 similarity matrix plus the three
+# (n, n) bool masks a SelectionState stores, and no other (n, n) array
+# ---------------------------------------------------------------------------
+
+def memory_config():
+    return benchmark_config(n=1500, t_max=3, t_finetune=0)  # 1200 train rows
+
+
+def selection_bound(n_train):
+    """Bytes of the similarity matrix and three masks, plus a slack of n^2
+    bytes for the embeddings, the pseudo-labels and the row-block temporaries."""
+    return 8 * n_train ** 2 + 3 * n_train ** 2 + n_train ** 2
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_compute_selection_peak_memory():
+    cfg = memory_config()
+    ds = dataset_from_config(cfg)
+    n_train = len(ds.train_indices())
+    params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
+                         proj_dim=cfg.proj_dim, seed=[cfg.seed, 0, 0])
+    peak = traced_peak(lambda: compute_selection(params, ds, cfg))
+    assert peak <= selection_bound(n_train), f"{peak / n_train ** 2:.2f} n^2 bytes"
+
+
+# Parameters and momentum buffers of the hidden-64 network, the minibatch
+# forward caches and the epoch records: well under 256 KiB.
+NETWORK_ALLOWANCE = 256 * 1024
+
+
+def test_pretrain_never_holds_two_selections():
+    cfg = memory_config()
+    ds = dataset_from_config(cfg)
+    n_train = len(ds.train_indices())
+    peak = traced_peak(lambda: pretrain(ds, cfg))
+    assert peak <= selection_bound(n_train) + NETWORK_ALLOWANCE, \
+        f"{peak / n_train ** 2:.2f} n^2 bytes"
 
 
 # ---------------------------------------------------------------------------
