@@ -335,14 +335,13 @@ def _cmd_dump_proj(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         raise CliError(f"bad checkpoint: {exc}") from exc
     ds = _load_dataset(args, cfg)
+    idx = ds.train_indices() if args.split == "train" else ds.test_indices()
+    z = forward(params, ds.instances[idx]).z
     if args.split == "train":
-        idx = ds.train_indices()
-        mask = compute_selection(params, ds, cfg).confident_mask(len(idx))
+        mask = compute_selection(params, ds, cfg, train_z=z).confident_mask(len(idx))
     else:
-        idx = ds.test_indices()
         mask = np.zeros(len(idx), dtype=bool)
-    cache = forward(params, ds.instances[idx])
-    dump_projection_2d(cache.z, ds.true_labels[idx], ds.noisy_labels[idx], mask, args.out)
+    dump_projection_2d(z, ds.true_labels[idx], ds.noisy_labels[idx], mask, args.out)
     print(f"wrote {args.out}: {len(idx)} points")
     return 0
 

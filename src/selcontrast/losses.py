@@ -25,7 +25,7 @@ class BatchView:
     mixing weight of ingredient a.
     """
 
-    z: np.ndarray            # (2N, proj_dim)
+    z: np.ndarray | None     # (2N, proj_dim); None when no loss reads it
     p_hat: np.ndarray        # (2N, n_classes)
     origins: np.ndarray      # (2N,)
     labels: np.ndarray       # (2N,) noisy labels matching origins
@@ -72,15 +72,14 @@ def masked_contrastive(z: np.ndarray, pos_mask: np.ndarray, tau: float,
     is the row_weights-weighted sum over anchors. Rows without positives
     contribute nothing. Returns (value, gradient with respect to z).
     """
+    return _masked_term(z, _anchor_softmax(z, tau), pos_mask, tau, row_weights)
+
+
+def _anchor_softmax(z: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log_prob, softmax) of each anchor's similarities z_i . z_a / tau over
+    the other anchors a != i; the diagonal of log_prob is 0."""
     if tau <= 0:
         raise ValueError("temperature must be positive")
-    m = len(z)
-    if pos_mask.shape != (m, m):
-        raise ValueError("positive mask shape mismatch")
-    if np.any(np.diagonal(pos_mask)):
-        raise ValueError("an anchor cannot be its own positive")
-    weights = np.ones(m) if row_weights is None else np.asarray(row_weights, dtype=np.float64)
-
     sims = (z @ z.T) / tau
     np.fill_diagonal(sims, -np.inf)  # anchors never score against themselves
     shift = sims.max(axis=1, keepdims=True)
@@ -88,7 +87,20 @@ def masked_contrastive(z: np.ndarray, pos_mask: np.ndarray, tau: float,
     denom = expd.sum(axis=1, keepdims=True)
     log_prob = (sims - shift) - np.log(denom)
     np.fill_diagonal(log_prob, 0.0)  # masked out; keeps 0 * -inf out of the sum
-    softmax = expd / denom
+    return log_prob, expd / denom
+
+
+def _masked_term(z: np.ndarray, anchor_softmax: tuple[np.ndarray, np.ndarray],
+                 pos_mask: np.ndarray, tau: float,
+                 row_weights: np.ndarray | None) -> tuple[float, np.ndarray]:
+    """masked_contrastive for one positive mask, given _anchor_softmax(z, tau)."""
+    log_prob, softmax = anchor_softmax
+    m = len(z)
+    if pos_mask.shape != (m, m):
+        raise ValueError("positive mask shape mismatch")
+    if np.any(np.diagonal(pos_mask)):
+        raise ValueError("an anchor cannot be its own positive")
+    weights = np.ones(m) if row_weights is None else np.asarray(row_weights, dtype=np.float64)
 
     counts = pos_mask.sum(axis=1)
     active = counts > 0
@@ -150,8 +162,9 @@ def mixup_contrastive(batch: BatchView, pair_mask: np.ndarray,
         raise ValueError("lam must lie in [0, 1]")
     mask_a = _selected_positive_mask(batch, pair_mask, batch.mix_a)
     mask_b = _selected_positive_mask(batch, pair_mask, batch.mix_b)
-    val_a, grad_a = masked_contrastive(batch.z, mask_a, tau, row_weights=lam)
-    val_b, grad_b = masked_contrastive(batch.z, mask_b, tau, row_weights=1.0 - lam)
+    shared = _anchor_softmax(batch.z, tau)  # the masks differ, the similarities do not
+    val_a, grad_a = _masked_term(batch.z, shared, mask_a, tau, lam)
+    val_b, grad_b = _masked_term(batch.z, shared, mask_b, tau, 1.0 - lam)
     return val_a + val_b, grad_a + grad_b
 
 

@@ -80,18 +80,21 @@ class NetworkParams:
 
 @dataclass
 class ForwardCache:
-    """Per-example intermediates kept for the backward pass."""
+    """Per-example intermediates kept for the backward pass.
+
+    The projection fields are None when forward ran with project=False.
+    """
 
     x: np.ndarray
     enc_pre1: np.ndarray
     enc_act1: np.ndarray
     enc_pre2: np.ndarray
     v: np.ndarray        # encoder output, (batch, hidden)
-    proj_pre1: np.ndarray
-    proj_act1: np.ndarray | None
-    z_raw: np.ndarray    # pre-normalization projection, (batch, proj_dim)
-    z_norm: np.ndarray   # (batch,) euclidean norms of z_raw
-    z: np.ndarray        # unit rows, (batch, proj_dim)
+    proj_pre1: np.ndarray | None
+    proj_act1: np.ndarray | None  # mlp only
+    z_raw: np.ndarray | None    # pre-normalization projection, (batch, proj_dim)
+    z_norm: np.ndarray | None   # (batch,) euclidean norms of z_raw
+    z: np.ndarray | None        # unit rows, (batch, proj_dim)
     logits: np.ndarray
     p_hat: np.ndarray    # softmax rows, (batch, n_classes)
 
@@ -120,11 +123,13 @@ def init_params(dim: int, n_classes: int, hidden: int = 64, proj_dim: int = 32,
     return params
 
 
-def forward(params: NetworkParams, x: np.ndarray) -> ForwardCache:
-    """Run the full network on a (batch, dim) matrix.
+def forward(params: NetworkParams, x: np.ndarray, project: bool = True) -> ForwardCache:
+    """Run the network on a (batch, dim) matrix.
 
     The projection output is L2-normalized per row; a zero pre-normalization
     row (degenerate parameters) maps to the zero vector rather than erroring.
+    With project=False the projection head is skipped and the cache's
+    projection fields are None; v, logits and p_hat are the same either way.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != params.dim:
@@ -135,18 +140,20 @@ def forward(params: NetworkParams, x: np.ndarray) -> ForwardCache:
     enc_pre2 = enc_act1 @ params.enc_w2.T + params.enc_b2
     v = np.maximum(enc_pre2, 0.0)
 
-    proj_pre1 = v @ params.proj_w1.T + params.proj_b1
-    if params.projection == MLP:
-        proj_act1 = np.maximum(proj_pre1, 0.0)
-        z_raw = proj_act1 @ params.proj_w2.T + params.proj_b2
-    else:
-        proj_act1 = None
-        z_raw = proj_pre1
-    # A zero projection output (possible only for degenerate parameters, e.g.
-    # all-zero weights) normalizes to the zero vector instead of erroring; the
-    # embedding bank still enforces unit norms before any selection runs.
-    z_norm = np.linalg.norm(z_raw, axis=1)
-    z = z_raw / np.maximum(z_norm, _NORM_FLOOR)[:, None]
+    proj_pre1 = proj_act1 = z_raw = z_norm = z = None
+    if project:
+        proj_pre1 = v @ params.proj_w1.T + params.proj_b1
+        if params.projection == MLP:
+            proj_act1 = np.maximum(proj_pre1, 0.0)
+            z_raw = proj_act1 @ params.proj_w2.T + params.proj_b2
+        else:
+            z_raw = proj_pre1
+        # A zero projection output (possible only for degenerate parameters,
+        # e.g. all-zero weights) normalizes to the zero vector instead of
+        # erroring; the embedding bank still enforces unit norms before any
+        # selection runs.
+        z_norm = np.linalg.norm(z_raw, axis=1)
+        z = z_raw / np.maximum(z_norm, _NORM_FLOOR)[:, None]
 
     logits = v @ params.cls_w.T + params.cls_b
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -161,16 +168,22 @@ def forward(params: NetworkParams, x: np.ndarray) -> ForwardCache:
 def backward(params: NetworkParams, cache: ForwardCache,
              grad_z: np.ndarray | None = None,
              grad_p: np.ndarray | None = None,
-             grad_v: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Backpropagate upstream gradients on z (normalized projection), p_hat
-    (softmax output) and v (encoder output) to all parameters.
+             into: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """Backpropagate upstream gradients on z (normalized projection) and
+    p_hat (softmax output) to all parameters.
 
-    Returns a dict keyed like named_arrays(). Gradients are summed over the
-    batch. Omitted upstream gradients are treated as zero.
+    Returns a dict keyed like named_arrays(), with gradients summed over the
+    batch; a head whose upstream gradient is omitted gets zero gradients.
+    With `into`, a dict an earlier backward returned, the gradients are added
+    into its arrays instead, a head without an upstream gradient adds
+    nothing, and `into` is returned. grad_z needs a cache built with the
+    projection head.
     """
-    gv = np.zeros_like(cache.v) if grad_v is None else np.asarray(grad_v, dtype=np.float64)
-
+    if grad_z is not None and cache.z is None:
+        raise ValueError("grad_z given, but the cache has no projection "
+                         "(forward ran with project=False)")
     grads: dict[str, np.ndarray] = {}
+    gv = None
     if grad_z is not None:
         gz = np.asarray(grad_z, dtype=np.float64)
         # d/du (u/|u|) applied to gz: remove the component along z, divide by |u|.
@@ -185,13 +198,7 @@ def backward(params: NetworkParams, cache: ForwardCache,
             g_pre = gu
         grads["proj_w1"] = g_pre.T @ cache.v
         grads["proj_b1"] = g_pre.sum(axis=0)
-        gv = gv + g_pre @ params.proj_w1
-    else:
-        grads["proj_w1"] = np.zeros_like(params.proj_w1)
-        grads["proj_b1"] = np.zeros_like(params.proj_b1)
-        if params.projection == MLP:
-            grads["proj_w2"] = np.zeros_like(params.proj_w2)
-            grads["proj_b2"] = np.zeros_like(params.proj_b2)
+        gv = g_pre @ params.proj_w1
 
     if grad_p is not None:
         gp = np.asarray(grad_p, dtype=np.float64)
@@ -199,30 +206,40 @@ def backward(params: NetworkParams, cache: ForwardCache,
         g_logits = cache.p_hat * (gp - (gp * cache.p_hat).sum(axis=1, keepdims=True))
         grads["cls_w"] = g_logits.T @ cache.v
         grads["cls_b"] = g_logits.sum(axis=0)
-        gv = gv + g_logits @ params.cls_w
-    else:
-        grads["cls_w"] = np.zeros_like(params.cls_w)
-        grads["cls_b"] = np.zeros_like(params.cls_b)
+        gv_cls = g_logits @ params.cls_w
+        gv = gv_cls if gv is None else gv + gv_cls
 
+    if gv is None:
+        gv = np.zeros_like(cache.v)
     g_pre2 = gv * (cache.enc_pre2 > 0.0)
     grads["enc_w2"] = g_pre2.T @ cache.enc_act1
     grads["enc_b2"] = g_pre2.sum(axis=0)
     g_pre1 = (g_pre2 @ params.enc_w2) * (cache.enc_pre1 > 0.0)
     grads["enc_w1"] = g_pre1.T @ cache.x
     grads["enc_b1"] = g_pre1.sum(axis=0)
+
+    if into is not None:
+        for name, grad in grads.items():
+            into[name] += grad
+        return into
+    for name, arr in params.named_arrays():
+        if name not in grads:
+            grads[name] = np.zeros_like(arr)
     return grads
 
 
 @dataclass
 class OptState:
-    """SGD with classical momentum and decoupled-from-nothing weight decay:
+    """SGD with classical momentum and L2 weight decay added to the gradient
+    (coupled, not decoupled):
     buf <- momentum * buf + grad + weight_decay * param; param <- param - lr * buf.
 
     lr_scale holds optional per-tensor learning-rate multipliers (0 freezes a
-    tensor entirely, including its weight decay). spare holds the arrays that
-    sgd_step writes the next momentum buffers into and scratch one array as
-    long as the largest tensor, so that a step allocates no tensor-sized
-    memory.
+    tensor entirely, including its weight decay). sgd_step computes each
+    trained tensor's next momentum buffer into spare[name] and its next value
+    into scratch[name], so a step allocates no tensor-sized memory; besides
+    the parameters it holds three tensor-sized arrays per trained tensor
+    (buffers, spare, scratch).
     """
 
     lr: float
@@ -232,7 +249,7 @@ class OptState:
     buffers: dict[str, np.ndarray] = field(default_factory=dict)
     lr_scale: dict[str, float] = field(default_factory=dict)
     spare: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-    scratch: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
+    scratch: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     @classmethod
     def for_params(cls, params: NetworkParams, lr: float, momentum: float = 0.9,
@@ -253,21 +270,15 @@ def apply_lr_schedule(opt: OptState, epoch: int) -> None:
             opt.lr *= mult
 
 
-def _scaled_buffer(opt: OptState, buf: np.ndarray, scale: float) -> np.ndarray:
-    """lr * scale * buf, written into the optimizer's scratch array."""
-    if opt.scratch.size < buf.size:
-        opt.scratch = np.empty(buf.size)
-    return np.multiply(opt.lr * scale, buf, out=opt.scratch[:buf.size].reshape(buf.shape))
-
-
 def sgd_step(params: NetworkParams, grads: dict[str, np.ndarray], opt: OptState) -> NetworkParams:
     """One in-place momentum-SGD update of every tensor, or of none.
 
-    All new momentum buffers are computed, and all new values checked, before
-    anything is stored; if a value is non-finite, FloatingPointError names its
-    tensor and the parameters and buffers are left as they were.
+    Each new momentum buffer and each new value is computed once and
+    checked; only when every new value is finite are they stored. Otherwise
+    FloatingPointError names the first non-finite tensor and the parameters
+    and buffers are left as they were.
     """
-    updates = []
+    staged = []
     for name, arr in params.named_arrays():
         scale = opt.lr_scale.get(name, 1.0)
         if scale == 0.0:
@@ -275,14 +286,20 @@ def sgd_step(params: NetworkParams, grads: dict[str, np.ndarray], opt: OptState)
         buf = opt.spare.get(name)
         if buf is None:
             buf = opt.spare[name] = np.empty_like(arr)
-        np.multiply(opt.buffers[name], opt.momentum, out=buf)
-        buf += grads[name] + opt.weight_decay * arr
-        step = _scaled_buffer(opt, buf, scale)
-        if not np.all(np.isfinite(np.subtract(arr, step, out=step))):
+        new = opt.scratch.get(name)
+        if new is None:
+            new = opt.scratch[name] = np.empty_like(arr)
+        # buf = momentum * buf + (grad + wd * param), new = param - (lr * scale) * buf,
+        # rounded step by step as that formula is (addition commutes), without temporaries
+        np.multiply(arr, opt.weight_decay, out=buf)
+        buf += grads[name]
+        buf += np.multiply(opt.buffers[name], opt.momentum, out=new)
+        np.subtract(arr, np.multiply(buf, opt.lr * scale, out=new), out=new)
+        if not np.all(np.isfinite(new)):
             raise FloatingPointError(f"non-finite values in tensor '{name}' after update")
-        updates.append((name, arr, buf, scale))
-    for name, arr, buf, scale in updates:
-        arr -= _scaled_buffer(opt, buf, scale)
+        staged.append((name, arr, buf, new))
+    for name, arr, buf, new in staged:
+        np.copyto(arr, new)
         opt.spare[name], opt.buffers[name] = opt.buffers[name], buf
     return params
 

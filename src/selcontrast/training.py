@@ -292,22 +292,33 @@ def _cross_entropy_epoch(params, opt, x_train, labels, rows, cfg, rng,
     for start in range(0, len(perm), cfg.batch_size):
         batch_idx = perm[start:start + cfg.batch_size]
         x = x_train[batch_idx] if aug is None else _augment_rows(x_train[batch_idx], aug, rng)
-        cache = forward(params, x)
+        cache = forward(params, x, project=False)
         _, grad_p = classification_loss(cache.p_hat, labels[batch_idx],
                                         np.ones(len(batch_idx), dtype=bool))
         sgd_step(params, backward(params, cache, grad_p=grad_p), opt)
 
 
-def model_metrics(params: NetworkParams, ds: Dataset, cfg: RunConfig) -> tuple[float, float]:
+def _train_embedding(params: NetworkParams, ds: Dataset) -> np.ndarray:
+    """The unit projections z of the train rows under `params`."""
+    return forward(params, ds.instances[ds.train_indices()]).z
+
+
+def model_metrics(params: NetworkParams, ds: Dataset, cfg: RunConfig,
+                  train_z: np.ndarray | None = None) -> tuple[float, float]:
     """(weighted-KNN accuracy, classifier accuracy) on the test split, in
-    percent; the probe votes with the train labels cfg.knn_vote names."""
-    x_train, true_train, noisy_train = _train_arrays(ds)
+    percent; the probe votes with the train labels cfg.knn_vote names.
+
+    train_z is the train rows' embedding z under `params`, when the caller
+    already has it.
+    """
+    _, true_train, noisy_train = _train_arrays(ds)
+    if train_z is None:
+        train_z = _train_embedding(params, ds)
     test_idx = ds.test_indices()
-    train_cache = forward(params, x_train)
     test_cache = forward(params, ds.instances[test_idx])
     vote = noisy_train if cfg.knn_vote == "noisy" else true_train
-    knn = weighted_knn_eval(train_cache.z, vote, test_cache.z, ds.true_labels[test_idx],
-                            k=min(cfg.k_eval, len(x_train)), tau=cfg.tau_knn)
+    knn = weighted_knn_eval(train_z, vote, test_cache.z, ds.true_labels[test_idx],
+                            k=min(cfg.k_eval, len(train_z)), tau=cfg.tau_knn)
     preds = np.argmax(test_cache.p_hat, axis=1)
     test_acc = 100.0 * float(np.mean(preds == ds.true_labels[test_idx]))
     return knn, test_acc
@@ -331,15 +342,19 @@ def _record(epoch, losses, selection, prec, metrics, seconds) -> EpochRecord:
 
 
 def compute_selection(params: NetworkParams, ds: Dataset, cfg: RunConfig,
-                      epoch_tag: int = 0) -> SelectionState:
+                      epoch_tag: int = 0, train_z: np.ndarray | None = None) -> SelectionState:
     """Embed the train split with `params`, vote pseudo-labels among each
     example's k nearest neighbors and select confident examples and pairs.
 
     The one way a selection is made: each selective epoch, fine-tuning without
     a given selection, and the command line when no selective epoch ran.
+    train_z is the train rows' embedding z under `params`, when the caller
+    already has it.
     """
     x_train, _, noisy_train = _train_arrays(ds)
-    bank = EmbeddingBank(forward(params, x_train).z, epoch_tag=epoch_tag)
+    if train_z is None:
+        train_z = _train_embedding(params, ds)
+    bank = EmbeddingBank(train_z, epoch_tag=epoch_tag)
     pseudo = aggregate_pseudo_labels(bank, noisy_train, k=min(cfg.k, len(x_train) - 1),
                                      n_classes=ds.n_classes, count_labels=cfg.count_labels)
     return run_selection(bank, noisy_train, pseudo, cfg.alpha, cfg.beta,
@@ -348,29 +363,42 @@ def compute_selection(params: NetworkParams, ds: Dataset, cfg: RunConfig,
 
 def warmup(params: NetworkParams, ds: Dataset, cfg: RunConfig, opt: OptState | None = None,
            history: list | None = None, on_step=None,
-           time_source=time.perf_counter) -> NetworkParams:
-    """Epochs 1..t_warm of selection-free contrastive training (in place)."""
+           time_source=time.perf_counter) -> tuple[NetworkParams, np.ndarray | None]:
+    """Epochs 1..t_warm of selection-free contrastive training (in place).
+
+    Returns (params, train_z): train_z is the train rows' embedding z under
+    the returned params, which the last epoch record was measured on, or
+    None when no record was made (no history, or t_warm == 0).
+    """
     if opt is None:
         opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay,
                                   cfg.lr_schedule)
+    train_z = None
     for epoch in range(1, cfg.t_warm + 1):
         apply_lr_schedule(opt, epoch)
         started = time_source()
         value = _contrastive_epoch(params, opt, ds, cfg, epoch, cfg.warmup_kind,
                                    on_step=on_step)
         if history is not None:
+            train_z = _train_embedding(params, ds)
             history.append(_record(epoch, (value, 0.0, 0.0, value), None, (None, None),
-                                   model_metrics(params, ds, cfg),
+                                   model_metrics(params, ds, cfg, train_z),
                                    time_source() - started))
-    return params
+    return params, train_z
 
 
 def pretrain_epoch(params: NetworkParams, ds: Dataset, cfg: RunConfig, epoch: int,
-                   opt: OptState | None = None, time_source=time.perf_counter):
-    """One selective epoch: re-embed, select, then composite-loss minibatches.
+                   opt: OptState | None = None, time_source=time.perf_counter,
+                   train_z: np.ndarray | None = None):
+    """One selective epoch: embed, select, then composite-loss minibatches.
 
-    Returns (params, SelectionState, EpochRecord). The caller owns learning-rate
-    scheduling; a fresh optimizer (with cold momentum) is built when none is given.
+    train_z is the train rows' embedding z under `params` when the caller
+    already has it, as the last epoch record measured it; the train rows are
+    embedded here otherwise.
+    Returns (params, SelectionState, EpochRecord, train_z), where train_z is
+    the embedding of the returned params that the record was measured on.
+    The caller owns learning-rate scheduling; a fresh optimizer (with cold
+    momentum) is built when none is given.
     """
     if opt is None:
         opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay,
@@ -378,7 +406,13 @@ def pretrain_epoch(params: NetworkParams, ds: Dataset, cfg: RunConfig, epoch: in
     started = time_source()
     x_train, true_train, noisy_train = _train_arrays(ds)
     n_train = len(x_train)
-    selection = compute_selection(params, ds, cfg, epoch_tag=epoch)
+    # The embedding returned for the next epoch outlives this epoch's (n, n)
+    # selection arrays. Allocated before them, it does not sit above them on
+    # the heap, so the allocator can return their pages once they are freed;
+    # allocated last, it kept them resident and raised the peak RSS of the
+    # `scale` benchmark workload by 13 MB under glibc.
+    next_z = np.empty((n_train, params.proj_dim))
+    selection = compute_selection(params, ds, cfg, epoch_tag=epoch, train_z=train_z)
 
     if selection.confident.size == 0:
         logger.warning("epoch %d: empty confident set; training unsupervised", epoch)
@@ -392,28 +426,28 @@ def pretrain_epoch(params: NetworkParams, ds: Dataset, cfg: RunConfig, epoch: in
         for views, origins, labels, twin in _view_batches(x_train, noisy_train, cfg, rng):
             mixed_x, partner, lam, dominant = mixup(views, cfg.alpha_m, rng)
             mixed_cache = forward(params, mixed_x)
-            plain_cache = forward(params, views)
+            plain_cache = forward(params, views, project=False)  # only p_hat is read
             mixed_batch = BatchView(z=mixed_cache.z, p_hat=mixed_cache.p_hat,
                                     origins=origins[dominant], labels=labels[dominant],
                                     twin=twin, mix_a=origins, mix_b=origins[partner], lam=lam)
-            plain_batch = BatchView(z=plain_cache.z, p_hat=plain_cache.p_hat,
+            plain_batch = BatchView(z=None, p_hat=plain_cache.p_hat,
                                     origins=origins, labels=labels, twin=twin)
             bundle = compute_loss_bundle(mixed_batch, plain_batch, selection.pair_mask,
                                          scored=confident[origins], tau=cfg.tau,
                                          lambda_cls=cfg.lambda_c, lambda_sim=cfg.lambda_s)
-            grads_mixed = backward(params, mixed_cache, grad_z=bundle.grad_z)
-            grads_plain = backward(params, plain_cache, grad_p=bundle.grad_p)
-            for name, grad in grads_plain.items():
-                grads_mixed[name] += grad
-            sgd_step(params, grads_mixed, opt)
+            grads = backward(params, mixed_cache, grad_z=bundle.grad_z)
+            backward(params, plain_cache, grad_p=bundle.grad_p, into=grads)
+            sgd_step(params, grads, opt)
             sums += (bundle.l_mix, bundle.l_cls, bundle.l_sim, bundle.l_all)
             steps += 1
         losses = tuple(sums / steps)
 
+    train_z = next_z
+    np.copyto(train_z, _train_embedding(params, ds))
     record = _record(epoch, losses, selection,
                      selection_precision(selection, true_train, noisy_train),
-                     model_metrics(params, ds, cfg), time_source() - started)
-    return params, selection, record
+                     model_metrics(params, ds, cfg, train_z), time_source() - started)
+    return params, selection, record, train_z
 
 
 def pretrain(ds: Dataset, cfg: RunConfig, time_source=time.perf_counter,
@@ -430,13 +464,16 @@ def pretrain(ds: Dataset, cfg: RunConfig, time_source=time.perf_counter,
     opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay,
                               cfg.lr_schedule)
     history: list[EpochRecord] = []
-    params = warmup(params, ds, cfg, opt=opt, history=history, time_source=time_source)
+    params, train_z = warmup(params, ds, cfg, opt=opt, history=history,
+                             time_source=time_source)
     selection = None
     for epoch in range(cfg.t_warm + 1, cfg.t_max + 1):
         apply_lr_schedule(opt, epoch)
         selection = None  # free the last epoch's masks before the next are built
-        params, selection, record = pretrain_epoch(params, ds, cfg, epoch, opt=opt,
-                                                   time_source=time_source)
+        # train_z embeds the parameters this epoch starts from: nothing trained
+        # since the last record measured it
+        params, selection, record, train_z = pretrain_epoch(
+            params, ds, cfg, epoch, opt=opt, time_source=time_source, train_z=train_z)
         history.append(record)
         if on_epoch is not None:
             on_epoch(record, selection)
@@ -511,6 +548,6 @@ def train_cross_entropy_baseline(ds: Dataset, cfg: RunConfig,
 def test_accuracy(params: NetworkParams, ds: Dataset) -> float:
     """Classifier accuracy (percent) on the test split."""
     test_idx = ds.test_indices()
-    cache = forward(params, ds.instances[test_idx])
+    cache = forward(params, ds.instances[test_idx], project=False)
     preds = np.argmax(cache.p_hat, axis=1)
     return 100.0 * float(np.mean(preds == ds.true_labels[test_idx]))

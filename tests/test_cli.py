@@ -266,7 +266,14 @@ def test_sweep_rejects_unknown_axis(tmp_path):
                     "--out", str(tmp_path / "s.csv")]) == 1
 
 
-def test_dump_proj_train_split(tmp_path, trained):
+def test_dump_proj_train_split(tmp_path, trained, monkeypatch):
+    from selcontrast import training
+    rows = []
+    for module in (cli, training):  # forward is looked up in both modules
+        def counting(params, x, project=True, real=module.forward):
+            rows.append(len(x))
+            return real(params, x, project=project)
+        monkeypatch.setattr(module, "forward", counting)
     out = tmp_path / "proj.csv"
     assert cli_run(["dump-proj", *TINY, "--checkpoint", str(trained["checkpoint"]),
                     "--data", str(trained["data"]), "--out", str(out)]) == 0
@@ -275,6 +282,7 @@ def test_dump_proj_train_split(tmp_path, trained):
     ds = load_features_csv(trained["data"])
     assert len(lines) == 1 + len(ds.train_indices())
     assert any(line.endswith(",1") for line in lines[1:])  # confident points marked
+    assert rows == [len(ds.train_indices())]  # one embedding serves the plot and the selection
 
 
 def test_dump_proj_test_split_marks_nothing_confident(tmp_path, trained):

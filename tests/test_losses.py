@@ -184,6 +184,26 @@ def test_mixup_at_lambda_zero_keeps_only_ingredient_b():
     np.testing.assert_array_equal(g_mix, g_sup)
 
 
+@pytest.mark.parametrize("seed", [6, 7, 8])
+def test_mixup_shared_softmax_equals_two_masked_calls_exactly(seed):
+    # one similarity/softmax for both masks must not change a single bit of
+    # what two independent masked_contrastive calls give
+    from selcontrast.losses import _selected_positive_mask, masked_contrastive
+    rng = np.random.default_rng(seed)
+    batch = random_batch(rng, n=5)
+    batch.mix_a = batch.origins.copy()
+    batch.mix_b = rng.permutation(batch.origins)
+    batch.lam = rng.random(batch.n_views)
+    pairs = pair_mask({(0, 1), (1, 3), (2, 4)}, 5)
+    value, grad = mixup_contrastive(batch, pairs, tau=0.1)
+    v_a, g_a = masked_contrastive(batch.z, _selected_positive_mask(batch, pairs, batch.mix_a),
+                                  0.1, row_weights=batch.lam)
+    v_b, g_b = masked_contrastive(batch.z, _selected_positive_mask(batch, pairs, batch.mix_b),
+                                  0.1, row_weights=1.0 - batch.lam)
+    assert value == v_a + v_b
+    np.testing.assert_array_equal(grad, g_a + g_b)
+
+
 def test_bundle_additivity_exact():
     rng = np.random.default_rng(4)
     batch = random_batch(rng, n=4)

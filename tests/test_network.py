@@ -84,6 +84,17 @@ def test_forward_softmax_stable_at_large_logits():
     np.testing.assert_allclose(cache.p_hat.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("projection", ["linear", "mlp"])
+def test_projection_free_forward_matches_full_forward(projection):
+    params = small_params(seed=3, projection=projection)
+    x = np.random.default_rng(11).normal(size=(6, 3))
+    full, lean = forward(params, x), forward(params, x, project=False)
+    for name in ("v", "logits", "p_hat"):
+        np.testing.assert_array_equal(getattr(lean, name), getattr(full, name), err_msg=name)
+    for name in ("proj_pre1", "proj_act1", "z_raw", "z_norm", "z"):
+        assert getattr(lean, name) is None, name
+
+
 # ---------------------------------------------------------------------------
 # backward vs central finite differences
 # ---------------------------------------------------------------------------
@@ -120,14 +131,12 @@ def test_backward_matches_finite_differences(projection):
     x = rng.normal(size=(8, 3))
     gz = rng.normal(size=(8, 2))
     gp = rng.normal(size=(8, 3))
-    gv = rng.normal(size=(8, 4))
 
     def scalar(cache):
-        return float(np.sum(cache.z * gz) + np.sum(cache.p_hat * gp)
-                     + np.sum(cache.v * gv))
+        return float(np.sum(cache.z * gz) + np.sum(cache.p_hat * gp))
 
     cache = forward(params, x)
-    analytic = backward(params, cache, grad_z=gz, grad_p=gp, grad_v=gv)
+    analytic = backward(params, cache, grad_z=gz, grad_p=gp)
     numeric = fd_param_gradients(params, x, scalar)
     for name in numeric:
         assert relative_error(analytic[name], numeric[name]) < 1e-4, name
@@ -140,6 +149,34 @@ def test_backward_zero_upstream_gives_zero_gradients():
     grads = backward(params, cache, grad_z=np.zeros((3, 2)))
     for name, g in grads.items():
         np.testing.assert_array_equal(g, np.zeros_like(g), err_msg=name)
+
+
+@pytest.mark.parametrize("projection", ["linear", "mlp"])
+def test_backward_grad_z_needs_the_projection(projection):
+    params = small_params(seed=8, projection=projection)
+    cache = forward(params, np.random.default_rng(12).normal(size=(4, 3)), project=False)
+    with pytest.raises(ValueError, match="projection"):
+        backward(params, cache, grad_z=np.ones((4, 2)))
+    grads = backward(params, cache, grad_p=np.ones((4, 3)))  # the classifier path works
+    assert set(grads) == {name for name, _ in params.named_arrays()}
+
+
+@pytest.mark.parametrize("projection", ["linear", "mlp"])
+def test_backward_into_equals_sum_of_two_full_backwards_bitwise(projection):
+    # the selective step: contrastive gradients on the mixed views, then the
+    # plain views' classifier gradients added in from a projection-free cache
+    rng = np.random.default_rng(13)
+    params = small_params(seed=14, projection=projection)
+    x_mixed, x_plain = rng.normal(size=(8, 3)), rng.normal(size=(8, 3))
+    gz, gp = rng.normal(size=(8, 2)), rng.normal(size=(8, 3))
+    mixed = backward(params, forward(params, x_mixed), grad_z=gz)
+    plain = backward(params, forward(params, x_plain), grad_p=gp)
+    into = backward(params, forward(params, x_mixed), grad_z=gz)
+    assert backward(params, forward(params, x_plain, project=False), grad_p=gp,
+                    into=into) is into
+    assert set(into) == set(mixed)
+    for name in mixed:
+        np.testing.assert_array_equal(into[name], mixed[name] + plain[name], err_msg=name)
 
 
 def test_normalization_jacobian_output_is_tangent():
@@ -285,6 +322,24 @@ def test_sgd_step_matches_in_place_reference_bitwise():
     for (name, arr), (_, ref) in zip(params.named_arrays(), reference.named_arrays()):
         np.testing.assert_array_equal(arr, ref, err_msg=name)
         np.testing.assert_array_equal(opt.buffers[name], ref_buffers[name], err_msg=name)
+
+
+def test_sgd_step_allocates_no_tensor_sized_memory():
+    import tracemalloc
+    params = small_params(seed=20, dim=8, hidden=64, proj_dim=16, projection="mlp")
+    rng = np.random.default_rng(11)
+    grads = {name: rng.normal(size=arr.shape) for name, arr in params.named_arrays()}
+    opt = OptState.for_params(params, lr=0.05, momentum=0.9, weight_decay=1e-4,
+                              schedule=[])
+    sgd_step(params, grads, opt)  # the first step allocates the optimizer's arrays
+    largest = max(arr.nbytes for _, arr in params.named_arrays())
+    tracemalloc.start()
+    try:
+        sgd_step(params, grads, opt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < largest // 2, (peak, largest)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from selcontrast.data import Dataset, NoiseSpec, inject_noise, make_blobs
-from selcontrast.network import forward, init_params
+from selcontrast.network import OptState, apply_lr_schedule, forward, init_params
 from selcontrast.training import (METRICS_COLUMNS, EpochRecord, RunConfig,
                                   benchmark_config, compute_selection, dataset_from_config,
                                   finetune, pretrain, pretrain_epoch,
@@ -195,7 +195,7 @@ def test_swamped_minority_triggers_unsupervised_fallback(caplog):
     params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
                          proj_dim=cfg.proj_dim, seed=[cfg.seed, 0, 0])
     with caplog.at_level("WARNING"):
-        params, selection, record = pretrain_epoch(params, ds, cfg, epoch=2)
+        params, selection, record, _ = pretrain_epoch(params, ds, cfg, epoch=2)
     assert selection.confident.size == 0
     assert record.n_confident == 0
     assert record.sim_threshold == float("inf")
@@ -208,7 +208,7 @@ def test_pretrain_epoch_emits_selection_counts():
     ds = dataset_from_config(cfg)
     params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
                          proj_dim=cfg.proj_dim, seed=[cfg.seed, 0, 0])
-    params, selection, record = pretrain_epoch(params, ds, cfg, epoch=2)
+    params, selection, record, _ = pretrain_epoch(params, ds, cfg, epoch=2)
     assert record.n_confident == selection.confident.size
     assert record.n_pairs_confident == len(selection.pairs_confident)
     assert record.n_pairs_similar == len(selection.pairs_similar)
@@ -333,7 +333,7 @@ def test_finetune_rejects_empty_selection():
     cfg = tiny_config(n=40, noise_rate=0.0)
     params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
                          proj_dim=cfg.proj_dim, seed=[cfg.seed, 0, 0])
-    params, selection, _ = pretrain_epoch(params, ds, cfg, epoch=2)
+    params, selection, _, _ = pretrain_epoch(params, ds, cfg, epoch=2)
     with pytest.raises(ValueError, match="lower alpha"):
         finetune(params, ds, cfg, selection=selection)
 
@@ -344,6 +344,109 @@ def test_finetune_without_selection_recomputes_it():
     result = pretrain(ds, cfg)
     tuned_explicit = finetune(result.params, ds, cfg, selection=None)
     assert model_test_accuracy(tuned_explicit, ds) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# forward accounting: each forward computes only what someone reads
+# ---------------------------------------------------------------------------
+
+class ForwardLog:
+    """Replaces training.forward with a wrapper that logs each call as
+    (whole, rows, project): whole is "train" or "test" when the input is
+    exactly that split, in dataset order, and None for a minibatch."""
+
+    def __init__(self, monkeypatch, ds):
+        import selcontrast.training as training
+        real = training.forward
+        splits = {"train": ds.instances[ds.train_indices()],
+                  "test": ds.instances[ds.test_indices()]}
+        self.calls = []
+
+        def logged(params, x, project=True):
+            whole = next((name for name, rows in splits.items()
+                          if np.shape(x) == rows.shape and np.array_equal(x, rows)), None)
+            self.calls.append((whole, len(x), project))
+            return real(params, x, project=project)
+        monkeypatch.setattr(training, "forward", logged)
+
+    def count(self, whole, project, since=0):
+        return sum(1 for w, _, p in self.calls[since:] if w == whole and p == project)
+
+
+def test_each_forward_computes_only_what_is_read(monkeypatch):
+    cfg = tiny_config(t_warm=1, t_max=4, t_finetune=2)
+    ds = dataset_from_config(cfg)
+    log = ForwardLog(monkeypatch, ds)
+    result = pretrain(ds, cfg)
+    assert all(r.n_confident > 0 for r in result.history[1:])  # no fallback epoch
+    n_batches = -(-len(ds.train_indices()) // cfg.batch_size)
+    selective = cfg.t_max - cfg.t_warm
+    # the train split is embedded once per epoch record, and each selective
+    # epoch selects from the embedding the previous record measured
+    assert log.count("train", True) == cfg.t_max
+    assert log.count("train", False) == 0
+    assert log.count("test", True) == cfg.t_max  # the kNN probe reads z
+    # warm-up and mixed views project; plain views only feed the classifier
+    assert log.count(None, True) == cfg.t_max * n_batches
+    assert log.count(None, False) == selective * n_batches
+
+    start = len(log.calls)
+    finetune(result.params, ds, cfg, selection=result.selection)
+    model_test_accuracy(result.params, ds)
+    n_ft_batches = -(-result.selection.confident.size // cfg.batch_size)
+    tail = log.calls[start:]
+    assert len(tail) == cfg.t_finetune * n_ft_batches + 1
+    assert all(whole is None and not project for whole, _, project in tail[:-1])
+    assert tail[-1] == ("test", len(ds.test_indices()), False)  # test_accuracy
+
+
+def test_bank_is_embedded_afresh_after_parameters_change(monkeypatch):
+    cfg = tiny_config(t_warm=1, t_max=2)
+    ds = dataset_from_config(cfg)
+    params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
+                         proj_dim=cfg.proj_dim, seed=[cfg.seed, 0, 0])
+    log = ForwardLog(monkeypatch, ds)
+    # warm-up without history measures nothing, so it hands over no embedding
+    params, train_z = warmup(params, ds, cfg)
+    assert train_z is None and log.count("train", True) == 0
+    start = len(log.calls)
+    params, selection, _, train_z = pretrain_epoch(params, ds, cfg, epoch=2)
+    assert log.count("train", True, since=start) == 2  # the bank, then the record
+    assert selection.confident.size > 0
+    np.testing.assert_array_equal(train_z, forward(params, ds.instances[ds.train_indices()]).z)
+
+    # fine-tuning without a selection embeds the parameters it is given
+    start = len(log.calls)
+    tuned = finetune(params, ds, cfg, selection=None)
+    assert log.count("train", True, since=start) == 1
+    reference = finetune(params, ds, cfg, selection=compute_selection(params, ds, cfg))
+    for (name, arr), (_, ref) in zip(tuned.named_arrays(), reference.named_arrays()):
+        np.testing.assert_array_equal(arr, ref, err_msg=name)
+
+
+def test_reusing_the_record_embedding_changes_nothing():
+    # pretrain hands each epoch the embedding the previous record measured;
+    # embedding afresh at every selection must give the same bits
+    cfg = tiny_config(t_warm=1, t_max=4, lr_schedule=[[3, 0.5]])
+    ds = dataset_from_config(cfg)
+    result = pretrain(ds, cfg, time_source=lambda: 0.0)
+
+    params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
+                         proj_dim=cfg.proj_dim, projection=cfg.projection,
+                         seed=[cfg.seed, 0, 0])
+    opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay,
+                              cfg.lr_schedule)
+    history = []
+    warmup(params, ds, cfg, opt=opt, history=history, time_source=lambda: 0.0)
+    for epoch in range(cfg.t_warm + 1, cfg.t_max + 1):
+        apply_lr_schedule(opt, epoch)
+        params, selection, record, _ = pretrain_epoch(params, ds, cfg, epoch, opt=opt,
+                                                      time_source=lambda: 0.0)
+        history.append(record)
+    assert history == result.history
+    np.testing.assert_array_equal(selection.pair_mask, result.selection.pair_mask)
+    for (name, arr), (_, ref) in zip(params.named_arrays(), result.params.named_arrays()):
+        np.testing.assert_array_equal(arr, ref, err_msg=name)
 
 
 # ---------------------------------------------------------------------------
