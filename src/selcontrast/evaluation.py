@@ -5,8 +5,8 @@ import csv
 
 import numpy as np
 
-from .neighbors import exact_topk
-from .selection import SelectionState, row_blocks
+from .neighbors import grid_rows, topk_blocks
+from .selection import SelectionState, upper_triangle_blocks
 
 DEFAULT_EVAL_K = 200
 DEFAULT_EVAL_TAU = 0.1
@@ -27,7 +27,9 @@ def weighted_knn_eval(train_z: np.ndarray, train_labels: np.ndarray,
     Each test point's k nearest train points by cosine similarity vote for
     their label with weight exp(similarity / tau); ties in the vote go to the
     smaller class index. Inputs are normalized internally, so any common
-    rescaling of the embeddings leaves the predictions unchanged.
+    rescaling of the embeddings leaves the predictions unchanged. Both sides
+    are rounded to the bank's grid (neighbors.grid_rows), which makes every
+    similarity exact, and the test rows vote one row block at a time.
 
     k defaults to min(200, n_train).
     """
@@ -41,41 +43,42 @@ def weighted_knn_eval(train_z: np.ndarray, train_labels: np.ndarray,
     if tau <= 0:
         raise ValueError("tau must be positive")
 
-    tz = _unit_rows(np.asarray(train_z, dtype=np.float64), "train embeddings")
-    qz = _unit_rows(np.asarray(test_z, dtype=np.float64), "test embeddings")
-    sims = qz @ tz.T
+    tz = grid_rows(_unit_rows(np.asarray(train_z, dtype=np.float64), "train embeddings"))
+    qz = grid_rows(_unit_rows(np.asarray(test_z, dtype=np.float64), "test embeddings"))
     n_classes = int(train_labels.max()) + 1
+    vote_labels = train_labels.astype(np.int64)
 
-    order = exact_topk(sims, k)
-    weights = np.take_along_axis(sims, order, axis=1)
-    weights /= tau
-    np.exp(weights, out=weights)
-    # one add.at over offset class slots, row by row in rank order: every
-    # score is summed in the same order as a per-row vote would
-    slots = train_labels.astype(np.int64)[order]
-    slots += (np.arange(len(sims)) * n_classes)[:, None]
-    scores = np.zeros(len(sims) * n_classes)
-    np.add.at(scores, slots.ravel(), weights.ravel())
-    preds = np.argmax(scores.reshape(len(sims), n_classes), axis=1)
+    scores = np.zeros((len(qz), n_classes))
+    for start, sims, order in topk_blocks(qz, tz, k):
+        weights = np.take_along_axis(sims, order, axis=1)
+        weights /= tau
+        np.exp(weights, out=weights)
+        # one add.at over offset class slots, row by row in rank order: every
+        # score is summed in the same order as a per-row vote would
+        slots = vote_labels[order]
+        slots += (np.arange(len(order)) * n_classes)[:, None]
+        np.add.at(scores[start:start + len(order)].reshape(-1), slots.ravel(), weights.ravel())
+    preds = np.argmax(scores, axis=1)
     correct = int(np.count_nonzero(preds == test_labels))
     return 100.0 * correct / len(test_labels)
 
 
-def pair_precision(pair_mask: np.ndarray, true_labels: np.ndarray) -> float | None:
+def pair_precision(pairs, true_labels: np.ndarray) -> float | None:
     """Percent of selected pairs whose endpoints share a true class, or None
-    when no pair is selected. pair_mask is symmetric with a False diagonal, so
-    each pair is counted twice on both sides of the ratio. Counted one row
-    block at a time, with no (n, n) temporary."""
+    when no pair is selected. `pairs` is a selection (anything with
+    pair_block(rows, cols), such as a SelectionState) over the examples
+    true_labels describes. Counted over the upper triangle one row block at
+    a time, with no (n, n) temporary."""
     true_labels = np.asarray(true_labels)
-    selected = int(np.count_nonzero(pair_mask))
+    selected = good = 0
+    for rows, cols in upper_triangle_blocks(np.arange(len(true_labels))):
+        block = np.triu(pairs.pair_block(rows, cols), 1)
+        selected += int(np.count_nonzero(block))
+        block &= np.equal.outer(true_labels[rows], true_labels[cols])
+        good += int(np.count_nonzero(block))
     if selected == 0:
         return None
-    good = 0
-    for start, stop in row_blocks(len(true_labels)):
-        same = true_labels[start:stop, None] == true_labels[None, :]
-        same &= pair_mask[start:stop]
-        good += int(np.count_nonzero(same))
-    return 100.0 * (good // 2) / (selected // 2)
+    return 100.0 * good / selected
 
 
 def selection_precision(state: SelectionState, true_labels: np.ndarray,
@@ -91,7 +94,7 @@ def selection_precision(state: SelectionState, true_labels: np.ndarray,
     if state.confident.size:
         hits = np.sum(true_labels[state.confident] == noisy_labels[state.confident])
         prec_examples = float(100.0 * hits / state.confident.size)
-    return prec_examples, pair_precision(state.pair_mask, true_labels)
+    return prec_examples, pair_precision(state, true_labels)
 
 
 def project_2d(x: np.ndarray) -> np.ndarray:

@@ -122,33 +122,32 @@ def unsup_contrastive(batch: BatchView, tau: float) -> tuple[float, np.ndarray]:
     return masked_contrastive(batch.z, _twin_mask(batch.twin), tau)
 
 
-def _selected_positive_mask(batch: BatchView, pair_mask: np.ndarray,
+def _selected_positive_mask(batch: BatchView, pairs,
                             anchor_origins: np.ndarray) -> np.ndarray:
     """Selected-pair positives per anchor, with the twin always included.
 
-    pair_mask is the selection's symmetric (n, n) boolean pair mask over the
-    dataset indices the origins refer to; its diagonal is False.
+    pairs is the selection (anything with pair_block(rows, cols), such as a
+    SelectionState) over the dataset indices the origins refer to.
     """
-    mask = pair_mask[np.ix_(anchor_origins, batch.origins)]
+    mask = pairs.pair_block(anchor_origins, batch.origins)
     mask |= _twin_mask(batch.twin)
     np.fill_diagonal(mask, False)
     return mask
 
 
-def sup_contrastive(batch: BatchView, pair_mask: np.ndarray,
-                    tau: float) -> tuple[float, np.ndarray]:
+def sup_contrastive(batch: BatchView, pairs, tau: float) -> tuple[float, np.ndarray]:
     """Pair-supervised contrastive loss.
 
     A view's positives are the views whose origin forms a selected pair with
     its own origin, plus its twin; a view with no selected partner therefore
-    degrades to the instance-discrimination term.
+    degrades to the instance-discrimination term. pairs is the selection, read
+    through its pair_block.
     """
-    mask = _selected_positive_mask(batch, pair_mask, batch.origins)
+    mask = _selected_positive_mask(batch, pairs, batch.origins)
     return masked_contrastive(batch.z, mask, tau)
 
 
-def mixup_contrastive(batch: BatchView, pair_mask: np.ndarray,
-                      tau: float) -> tuple[float, np.ndarray]:
+def mixup_contrastive(batch: BatchView, pairs, tau: float) -> tuple[float, np.ndarray]:
     """Interpolation-weighted contrastive loss on mixed views.
 
     Each anchor contributes lam times the pair-supervised loss under its
@@ -160,8 +159,8 @@ def mixup_contrastive(batch: BatchView, pair_mask: np.ndarray,
     lam = np.asarray(batch.lam, dtype=np.float64)
     if np.any(lam < 0.0) or np.any(lam > 1.0):
         raise ValueError("lam must lie in [0, 1]")
-    mask_a = _selected_positive_mask(batch, pair_mask, batch.mix_a)
-    mask_b = _selected_positive_mask(batch, pair_mask, batch.mix_b)
+    mask_a = _selected_positive_mask(batch, pairs, batch.mix_a)
+    mask_b = _selected_positive_mask(batch, pairs, batch.mix_b)
     shared = _anchor_softmax(batch.z, tau)  # the masks differ, the similarities do not
     val_a, grad_a = _masked_term(batch.z, shared, mask_a, tau, lam)
     val_b, grad_b = _masked_term(batch.z, shared, mask_b, tau, 1.0 - lam)
@@ -188,19 +187,18 @@ def classification_loss(p_hat: np.ndarray, labels: np.ndarray,
     return value, grad
 
 
-def similarity_loss(batch: BatchView, pair_mask: np.ndarray) -> tuple[float, np.ndarray]:
+def similarity_loss(batch: BatchView, pairs) -> tuple[float, np.ndarray]:
     """Binary cross-entropy between prediction agreement and pair membership.
 
     For every ordered view pair (i, j != i) the agreement p_hat_i . p_hat_j,
     clamped to [eps, 1 - eps], is scored against the 0/1 indicator of the
-    origin pair being selected; the value is the mean over all ordered pairs.
-    Returns (value, gradient with respect to p_hat).
+    origin pair being selected (pairs.pair_block); the value is the mean over
+    all ordered pairs. Returns (value, gradient with respect to p_hat).
     """
     m = batch.n_views
     if m < 2:
         return 0.0, np.zeros_like(batch.p_hat)
-    targets = pair_mask[np.ix_(batch.origins, batch.origins)].astype(np.float64)
-    np.fill_diagonal(targets, 0.0)
+    targets = pairs.pair_block(batch.origins, batch.origins).astype(np.float64)
 
     raw = batch.p_hat @ batch.p_hat.T
     agree = np.clip(raw, BCE_EPS, 1.0 - BCE_EPS)
@@ -222,14 +220,14 @@ def total_loss(l_mix: float, l_cls: float, l_sim: float,
     return l_mix + lambda_cls * l_cls + lambda_sim * l_sim
 
 
-def compute_loss_bundle(mixed: BatchView, plain: BatchView, pair_mask: np.ndarray,
+def compute_loss_bundle(mixed: BatchView, plain: BatchView, pairs,
                         scored: np.ndarray, tau: float,
                         lambda_cls: float, lambda_sim: float) -> LossBundle:
     """Full objective for one step: interpolation-weighted contrastive loss on
     the mixed views, classification and similarity losses on the plain views."""
-    l_mix, grad_z = mixup_contrastive(mixed, pair_mask, tau)
+    l_mix, grad_z = mixup_contrastive(mixed, pairs, tau)
     l_cls, grad_cls = classification_loss(plain.p_hat, plain.labels, scored)
-    l_sim, grad_sim = similarity_loss(plain, pair_mask)
+    l_sim, grad_sim = similarity_loss(plain, pairs)
     return LossBundle(
         l_mix=l_mix, l_cls=l_cls, l_sim=l_sim,
         l_all=total_loss(l_mix, l_cls, l_sim, lambda_cls, lambda_sim),

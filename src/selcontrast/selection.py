@@ -4,22 +4,25 @@ Examples whose observed label looks plausible under the neighbor posterior are
 kept class-balanced; pairs are formed among them and extended by high-similarity
 same-label pairs from the whole train set.
 
-A selection is stored as boolean (n, n) masks over the train set, each
-symmetric with a False diagonal: pair {i, j} is selected when
-same_label & (confident[i] & confident[j] | sims[i, j] > threshold). The tuple
-sets `pairs_confident`, `pairs_similar` and `pairs` are read-only views derived
-from those masks on first access; training reads only the masks.
-
-Besides the bank's (n, n) float64 similarity matrix and the three stored
-masks, a selection allocates nothing of size n x n: the threshold is read from
-the confident set's per-class blocks and the similar-pair mask is written in
-row blocks.
+A selection stores per-example state only: the noisy labels, the confident
+examples of each class, the similarity cut gamma and the bank's rows z. Pair
+{i, j}, i != j, is selected when noisy[i] == noisy[j] and either both are
+confident or z[i] . z[j] > gamma. The bank keeps its rows on the 2**-24 grid
+of neighbors.grid_rows, so every such dot product is exact and a pair's
+status does not depend on the row block that computes it.
+SelectionState.pair_block(rows, cols) rebuilds any sub-mask, and the losses
+and the pair precision read pairs only through it. gamma is read from each
+class's confident rows in row blocks into one float per confident pair; the
+similar-pair count and the read-only tuple sets `pairs_confident`,
+`pairs_similar` and `pairs` come from row-block passes over the upper
+triangle. Nothing of size n x n is allocated.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -53,63 +56,104 @@ def _nearest_rank_index(m: int, fractile: float) -> int:
     return min(rank, m) - 1
 
 
-# Row-block size of the passes over (n, n) masks, in matrix elements: the
-# per-block bool temporaries stay at 256 KB whatever n is.
+# Row-block size of the passes over pairs, in (rows x cols) cells: the
+# per-block temporaries stay at 2 MB of float64 similarities and 256 KB of
+# bools whatever n is.
 _BLOCK_ELEMENTS = 1 << 18
 
 
 def row_blocks(n: int) -> list[tuple[int, int]]:
-    """(start, stop) row ranges that cover an (n, n) matrix, _BLOCK_ELEMENTS
-    elements at a time; the last block may be shorter."""
+    """(start, stop) row ranges that cover n rows of n columns,
+    _BLOCK_ELEMENTS cells at a time; the last block may be shorter."""
     step = max(1, _BLOCK_ELEMENTS // max(n, 1))
     return [(start, min(start + step, n)) for start in range(0, n, step)]
 
 
-def _mask_pairs(mask: np.ndarray) -> frozenset[Pair]:
-    """The (i, j), i < j, pairs a symmetric boolean mask selects."""
-    rows, cols = np.nonzero(np.triu(mask, k=1))
-    return frozenset(zip(rows.tolist(), cols.tolist()))
+def upper_triangle_blocks(index: np.ndarray):
+    """Yield (rows, cols) blocks of a sorted index array that cover its pairs
+    i < j: rows is one of row_blocks(len(index)) and cols runs from its first
+    row to the end, so np.triu(mask, 1) of a (rows, cols) mask keeps exactly
+    the cells i < j."""
+    for start, stop in row_blocks(len(index)):
+        yield index[start:stop], index[start:]
 
 
 @dataclass
 class SelectionState:
-    """One epoch's selection: class-balanced confident examples plus the pair
-    masks used as contrastive supervision."""
+    """One epoch's selection: class-balanced confident examples plus the
+    similarity cut that, with them, defines the selected pairs."""
 
+    noisy_labels: np.ndarray         # (n,) labels the selection was made for
     confident_by_class: list[np.ndarray]
     confident: np.ndarray            # sorted union of confident_by_class
-    confident_pair_mask: np.ndarray  # (n, n) same-label pairs inside the confident set
-    similar_pair_mask: np.ndarray    # (n, n) same-label pairs above the similarity cut
-    pair_mask: np.ndarray            # (n, n) union of the two
     sim_threshold: float             # similarity cut (inf when no confident pairs)
+    z: np.ndarray                    # (n, d) the bank's grid rows it was made from
     per_class_quota: int
     epoch_tag: int = 0
     pseudo: PseudoLabelState | None = None  # the pseudo-labels it was built from
+    _is_confident: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._is_confident = self.confident_mask(len(self.noisy_labels))
 
     def confident_mask(self, n: int) -> np.ndarray:
         mask = np.zeros(n, dtype=bool)
         mask[self.confident] = True
         return mask
 
-    @property
-    def n_pairs_confident(self) -> int:
-        return int(np.count_nonzero(self.confident_pair_mask)) // 2
+    def pair_block(self, rows, cols) -> np.ndarray:
+        """(len(rows), len(cols)) mask, True where rows[a] and cols[b] form a
+        selected pair: same noisy label, and both confident or z[rows[a]] .
+        z[cols[b]] > sim_threshold. Index lists may repeat and come in any
+        order; a cell where rows[a] == cols[b] is False."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        mask = self._similar_block(rows, cols)
+        mask |= np.logical_and.outer(self._is_confident[rows], self._is_confident[cols])
+        mask &= np.equal.outer(self.noisy_labels[rows], self.noisy_labels[cols])
+        mask &= np.not_equal.outer(rows, cols)
+        return mask
+
+    def _similar_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """z[rows] . z[cols] > sim_threshold, cell by cell."""
+        if math.isinf(self.sim_threshold):
+            return np.zeros((len(rows), len(cols)), dtype=bool)
+        return self.z[rows] @ self.z[cols].T > self.sim_threshold
 
     @property
+    def n_pairs_confident(self) -> int:
+        return sum(len(members) * (len(members) - 1) // 2 for members in self.confident_by_class)
+
+    @cached_property
     def n_pairs_similar(self) -> int:
-        return int(np.count_nonzero(self.similar_pair_mask)) // 2
+        return sum(int(np.count_nonzero(block)) for _, _, block in self._similar_upper())
 
     @cached_property
     def pairs_confident(self) -> frozenset[Pair]:
-        return _mask_pairs(self.confident_pair_mask)
+        return frozenset((int(i), int(j)) for members in self.confident_by_class
+                         for i, j in itertools.combinations(np.sort(members), 2))
 
     @cached_property
     def pairs_similar(self) -> frozenset[Pair]:
-        return _mask_pairs(self.similar_pair_mask)
+        pairs = []
+        for rows, cols, block in self._similar_upper():
+            r, c = np.nonzero(block)
+            pairs += zip(rows[r].tolist(), cols[c].tolist())
+        return frozenset(pairs)
 
     @cached_property
     def pairs(self) -> frozenset[Pair]:
-        return _mask_pairs(self.pair_mask)
+        return self.pairs_confident | self.pairs_similar
+
+    def _similar_upper(self):
+        """(rows, cols, mask) blocks that hold every same-label pair i < j
+        above the similarity cut: each class's members, in
+        upper_triangle_blocks."""
+        if math.isinf(self.sim_threshold):
+            return
+        for c in np.unique(self.noisy_labels):
+            for rows, cols in upper_triangle_blocks(np.flatnonzero(self.noisy_labels == c)):
+                yield rows, cols, np.triu(self._similar_block(rows, cols), 1)
 
 
 def select_confident_examples(pseudo: PseudoLabelState, noisy_labels: np.ndarray,
@@ -141,95 +185,63 @@ def select_confident_examples(pseudo: PseudoLabelState, noisy_labels: np.ndarray
     return per_class, budget
 
 
-def _confident_pair_threshold(sims: np.ndarray, confident_by_class: list[np.ndarray],
+def _confident_pair_threshold(z: np.ndarray, confident_by_class: list[np.ndarray],
                               beta: float) -> float:
-    """Nearest-rank beta-fractile of sims[i, j] over the confident same-label
-    pairs i < j. The values are read class block by class block from the
-    upper triangle into one float per pair and sorted in place."""
-    blocks = [np.sort(members) for members in confident_by_class]
-    values = np.empty(sum(len(members) * (len(members) - 1) // 2 for members in blocks))
+    """Nearest-rank beta-fractile of z[i] . z[j] over the confident same-label
+    pairs i < j. Each class's confident rows are multiplied in row blocks and
+    the upper triangle read into one float per pair; the fractile is then
+    found by an in-place partition."""
+    values = np.empty(sum(len(members) * (len(members) - 1) // 2
+                          for members in confident_by_class))
     pos = 0
-    for members in blocks:
-        for r in range(len(members) - 1):
-            stop = pos + len(members) - r - 1
-            np.take(sims[members[r]], members[r + 1:], out=values[pos:stop])
-            pos = stop
-    values.sort()  # the order np.sort gives, without its copy
-    return float(values[_nearest_rank_index(len(values), beta)])
-
-
-def _similar_pair_mask(sims: np.ndarray, labels: np.ndarray, threshold: float) -> np.ndarray:
-    """Symmetric (n, n) mask of the same-label pairs i < j with
-    sims[i, j] > threshold, filled one row block at a time: each block judges
-    its upper-triangle pairs, then copies its lower triangle from the rows
-    above, which are complete."""
-    n = len(labels)
-    out = np.empty((n, n), dtype=bool)
-    index = np.arange(n)
-    for start, stop in row_blocks(n):
-        upper = out[start:stop, start:]
-        np.greater(sims[start:stop, start:], threshold, out=upper)
-        upper &= labels[start:stop, None] == labels[None, start:]
-        upper &= index[start:stop, None] < index[None, start:]
-        out[start:stop, :start] = out[:start, start:stop].T
-        diagonal = out[start:stop, start:stop]
-        diagonal |= diagonal.T  # numpy buffers the overlapping transpose
-    return out
-
-
-def _confident_pair_mask(n: int, confident_by_class: list[np.ndarray]) -> np.ndarray:
-    """Symmetric (n, n) mask of the pairs inside each class's confident block."""
-    out = np.zeros((n, n), dtype=bool)
     for members in confident_by_class:
-        out[np.ix_(members, members)] = True
-        out[members, members] = False
-    return out
+        rows = z[members]
+        for start, stop in row_blocks(len(rows)):
+            block = rows[start:stop] @ rows[start:].T
+            upper = block[np.triu(np.ones(block.shape, dtype=bool), 1)]
+            values[pos:pos + len(upper)] = upper
+            pos += len(upper)
+    index = _nearest_rank_index(len(values), beta)
+    values.partition(index)  # the value np.sort would put there, without a copy
+    return float(values[index])
 
 
 def select_confident_pairs(bank: EmbeddingBank, noisy_labels: np.ndarray,
-                           confident_by_class: list[np.ndarray],
-                           beta: float) -> tuple[np.ndarray, float]:
-    """Same-label pairs from the whole bank whose similarity strictly exceeds
-    the beta-fractile of the confident pairs' similarities.
+                           confident_by_class: list[np.ndarray], beta: float) -> float:
+    """The similarity cut of the similar-pair stage: same-label pairs from the
+    whole bank are selected when their similarity strictly exceeds the
+    beta-fractile of the confident pairs' similarities.
 
     confident_by_class[c] holds confident examples whose noisy label is c; the
-    confident pairs are the pairs inside one such block. Returns the (n, n)
-    mask of the selected pairs, symmetric with a False diagonal, and the
-    threshold. Pair (i, j), i < j, is judged by sims[i, j] from the upper
-    triangle and the result mirrored, so a matrix product that is not
-    bit-symmetric cannot split a pair. With no confident pairs the threshold
-    is +inf and the result empty.
+    confident pairs are the pairs inside one such block. Returns the cut,
+    which SelectionState.pair_block applies; with no confident pairs it is
+    +inf and selects nothing.
     """
     noisy_labels = np.asarray(noisy_labels)
-    n = len(noisy_labels)
-    if n != bank.n:
+    if len(noisy_labels) != bank.n:
         raise ValueError("labels and bank must have equal length")
     for c, members in enumerate(confident_by_class):
         if np.any(noisy_labels[members] != c):
             raise ValueError(f"confident block {c} holds an example of another label")
     if not any(len(members) > 1 for members in confident_by_class):
         logger.warning("no confident pairs; similarity threshold degenerates to +inf")
-        return np.zeros((n, n), dtype=bool), float("inf")
-    sims = bank.similarity_matrix()
-    threshold = _confident_pair_threshold(sims, confident_by_class, beta)
-    return _similar_pair_mask(sims, noisy_labels, threshold), threshold
+        return float("inf")
+    return _confident_pair_threshold(bank.z, confident_by_class, beta)
 
 
 def run_selection(bank: EmbeddingBank, noisy_labels: np.ndarray, pseudo: PseudoLabelState,
                   alpha: float, beta: float, epoch_tag: int = 0) -> SelectionState:
-    """Full per-epoch selection: confident examples, then both pair stages."""
+    """Full per-epoch selection: confident examples, then the similarity cut."""
     noisy_labels = np.asarray(noisy_labels)
     per_class, budget = select_confident_examples(pseudo, noisy_labels, alpha)
     confident = np.sort(np.concatenate(per_class)) if per_class else np.empty(0, dtype=np.int64)
-    similar_pairs, threshold = select_confident_pairs(bank, noisy_labels, per_class, beta)
-    confident_pairs = _confident_pair_mask(len(noisy_labels), per_class)
+    threshold = select_confident_pairs(bank, noisy_labels, per_class, beta)
     return SelectionState(
+        noisy_labels=noisy_labels,
         confident_by_class=per_class,
         confident=confident.astype(np.int64),
-        confident_pair_mask=confident_pairs,
-        similar_pair_mask=similar_pairs,
-        pair_mask=confident_pairs | similar_pairs,
         sim_threshold=threshold,
+        z=bank.z,
         per_class_quota=budget,
         epoch_tag=epoch_tag,
         pseudo=pseudo,

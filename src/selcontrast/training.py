@@ -406,12 +406,6 @@ def pretrain_epoch(params: NetworkParams, ds: Dataset, cfg: RunConfig, epoch: in
     started = time_source()
     x_train, true_train, noisy_train = _train_arrays(ds)
     n_train = len(x_train)
-    # The embedding returned for the next epoch outlives this epoch's (n, n)
-    # selection arrays. Allocated before them, it does not sit above them on
-    # the heap, so the allocator can return their pages once they are freed;
-    # allocated last, it kept them resident and raised the peak RSS of the
-    # `scale` benchmark workload by 13 MB under glibc.
-    next_z = np.empty((n_train, params.proj_dim))
     selection = compute_selection(params, ds, cfg, epoch_tag=epoch, train_z=train_z)
 
     if selection.confident.size == 0:
@@ -432,7 +426,7 @@ def pretrain_epoch(params: NetworkParams, ds: Dataset, cfg: RunConfig, epoch: in
                                     twin=twin, mix_a=origins, mix_b=origins[partner], lam=lam)
             plain_batch = BatchView(z=None, p_hat=plain_cache.p_hat,
                                     origins=origins, labels=labels, twin=twin)
-            bundle = compute_loss_bundle(mixed_batch, plain_batch, selection.pair_mask,
+            bundle = compute_loss_bundle(mixed_batch, plain_batch, selection,
                                          scored=confident[origins], tau=cfg.tau,
                                          lambda_cls=cfg.lambda_c, lambda_sim=cfg.lambda_s)
             grads = backward(params, mixed_cache, grad_z=bundle.grad_z)
@@ -442,8 +436,7 @@ def pretrain_epoch(params: NetworkParams, ds: Dataset, cfg: RunConfig, epoch: in
             steps += 1
         losses = tuple(sums / steps)
 
-    train_z = next_z
-    np.copyto(train_z, _train_embedding(params, ds))
+    train_z = _train_embedding(params, ds)
     record = _record(epoch, losses, selection,
                      selection_precision(selection, true_train, noisy_train),
                      model_metrics(params, ds, cfg, train_z), time_source() - started)
@@ -469,7 +462,6 @@ def pretrain(ds: Dataset, cfg: RunConfig, time_source=time.perf_counter,
     selection = None
     for epoch in range(cfg.t_warm + 1, cfg.t_max + 1):
         apply_lr_schedule(opt, epoch)
-        selection = None  # free the last epoch's masks before the next are built
         # train_z embeds the parameters this epoch starts from: nothing trained
         # since the last record measured it
         params, selection, record, train_z = pretrain_epoch(

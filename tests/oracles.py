@@ -5,9 +5,10 @@ loops, ``sorted()`` and ``math`` where possible, so the tests compare two
 genuinely separate derivations. The neighbor references rank one row at a
 time with a full ``np.lexsort``; the kNN probe reference keeps numpy's ``exp``
 and a per-row ``np.add.at``, so its class scores are summed in the same order
-as the package's and compare bit for bit. The two adapters at the end
-translate between pair sets and the boolean pair masks the package stores,
-so that mask results can be compared with the oracle's sets.
+as the package's and compare bit for bit. The adapters at the end translate
+between pair sets, boolean pair masks and the pair_block interface the
+package's losses and precision read, so that a hand-picked set of pairs can
+be fed to them and their blocks compared with the oracle's sets.
 """
 import math
 
@@ -94,11 +95,13 @@ def reference_pseudo_labels(sims, noisy, k, n_classes, count_noisy=False):
 def reference_knn_predictions(train_z, train_labels, test_z, k, tau):
     """Reference weighted-kNN class predictions, one test row at a time: the k
     most cosine-similar train rows vote exp(similarity / tau) for their label,
-    and a tied score goes to the smaller class."""
+    and a tied score goes to the smaller class. The unit rows are rounded to
+    the package's 2**-24 grid first, as the probe rounds them."""
     train_z = np.asarray(train_z, dtype=np.float64)
     test_z = np.asarray(test_z, dtype=np.float64)
     tz = train_z / np.linalg.norm(train_z, axis=1)[:, None]
     qz = test_z / np.linalg.norm(test_z, axis=1)[:, None]
+    tz, qz = (np.ldexp(np.rint(np.ldexp(u, 24)), -24) for u in (tz, qz))  # the 2**-24 grid
     sims = qz @ tz.T
     n_classes = int(np.max(train_labels)) + 1
     preds = []
@@ -134,3 +137,26 @@ def mask_pairs(mask):
             if mask[i][j]:
                 out.append((i, j))
     return out
+
+
+class MaskPairs:
+    """A boolean (n, n) pair mask behind the pair_block(rows, cols) interface
+    the package's losses and pair precision read."""
+
+    def __init__(self, mask):
+        self.mask = np.asarray(mask, dtype=bool)
+
+    @classmethod
+    def of(cls, pairs, n):
+        return cls(pair_mask(pairs, n))
+
+    def pair_block(self, rows, cols):
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        block = self.mask[np.ix_(rows, cols)]
+        block[rows[:, None] == cols[None, :]] = False
+        return block
+
+
+def full_mask(selection, n):
+    """The (n, n) mask a pair_block reader selects, built from one block."""
+    return selection.pair_block(np.arange(n), np.arange(n))

@@ -30,7 +30,7 @@ budgets are pinned here and must not be loosened to make a run green.
 import time
 
 import numpy as np
-from oracles import brute_force_selection, pair_mask
+from oracles import MaskPairs, brute_force_selection
 
 from selcontrast.cli import cli_run, run_sweep
 from selcontrast.evaluation import pair_precision, weighted_knn_eval
@@ -100,7 +100,7 @@ def _draw_gradient_trial(trial: int):
 
         if _margins_ok(params, np.vstack([x_plain, x_mix])):
             return (params, x_plain, x_mix, origins, twin, labels_pool[origins],
-                    pair_mat, mix_a, mix_b, lam)
+                    MaskPairs(pair_mat), mix_a, mix_b, lam)
     raise AssertionError(f"no well-conditioned draw for trial {trial}")
 
 
@@ -195,11 +195,11 @@ def test_criterion_2_selection_matches_brute_force():
         alpha = float(rng.choice([0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0]))
         beta = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))
 
-        state = run_selection(EmbeddingBank(z=z), noisy,
-                              PseudoLabelState(y_hat=y_hat, q_hat=q_hat, k=3),
+        bank = EmbeddingBank(z=z)
+        state = run_selection(bank, noisy, PseudoLabelState(y_hat=y_hat, q_hat=q_hat, k=3),
                               alpha=alpha, beta=beta)
         exp_t, exp_gp, exp_gamma, exp_gpp, exp_g = brute_force_selection(
-            z, noisy, y_hat, q_hat, alpha, beta)
+            bank.z, noisy, y_hat, q_hat, alpha, beta)  # the grid rows the selection used
 
         assert list(state.confident) == exp_t, f"confident set differs on {trial}"
         assert state.pairs_confident == exp_gp, f"same-label pairs differ on {trial}"
@@ -242,14 +242,14 @@ def test_criterion_3_reduction_identities():
 
         # twin-only supervision collapses to instance discrimination (1e-12)
         n_pool = int(origins.max()) + 1
-        v_sup, g_sup = sup_contrastive(plain, pair_mask(set(), n_pool), tau=0.2)
+        v_sup, g_sup = sup_contrastive(plain, MaskPairs.of(set(), n_pool), tau=0.2)
         v_uns, g_uns = unsup_contrastive(plain, tau=0.2)
         worst_twin = max(worst_twin, abs(v_sup - v_uns),
                          float(np.abs(g_sup - g_uns).max()))
 
         # interpolation endpoints reduce to the pure anchor loss, exactly
-        pairs = pair_mask({(i, j) for i in range(n_pool)
-                           for j in range(i + 1, n_pool) if rng.random() < 0.5}, n_pool)
+        pairs = MaskPairs.of({(i, j) for i in range(n_pool)
+                              for j in range(i + 1, n_pool) if rng.random() < 0.5}, n_pool)
         perm = rng.permutation(len(origins))
         m = len(origins)
         at_one = BatchView(z=z, p_hat=p_hat, origins=origins, labels=labels,
@@ -339,8 +339,9 @@ def test_criterion_6_pair_recovery_under_asymmetric_noise():
         ds = dataset_from_config(cfg)
         result = pretrain(ds, cfg)
         true_train = ds.true_labels[ds.train_indices()]
-        prec_same_label = pair_precision(result.selection.confident_pair_mask, true_train)
-        prec_union = pair_precision(result.selection.pair_mask, true_train)
+        prec_same_label = pair_precision(
+            MaskPairs.of(result.selection.pairs_confident, len(true_train)), true_train)
+        prec_union = pair_precision(result.selection, true_train)
         wins += prec_union >= prec_same_label
         details.append(f"{prec_same_label:.1f}->{prec_union:.1f}")
     ok = wins >= 4

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import pair_mask, reference_knn_predictions
+from oracles import MaskPairs, reference_knn_predictions
 
 from selcontrast.evaluation import (dump_projection_2d, pair_precision, project_2d,
                                     selection_precision, weighted_knn_eval)
@@ -22,12 +22,16 @@ def unit_rows(m):
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
-def make_state(confident, pairs, n):
+def make_state(confident, noisy):
+    """A selection without a similarity cut: its pairs are the same-label
+    pairs inside the confident set."""
     confident = np.asarray(confident, dtype=np.int64)
-    mask = pair_mask(pairs, n)
-    return SelectionState(confident_by_class=[confident], confident=confident,
-                          confident_pair_mask=mask, similar_pair_mask=np.zeros_like(mask),
-                          pair_mask=mask, sim_threshold=0.0, per_class_quota=0)
+    noisy = np.asarray(noisy)
+    return SelectionState(noisy_labels=noisy,
+                          confident_by_class=[confident[noisy[confident] == c]
+                                              for c in range(int(noisy.max()) + 1)],
+                          confident=confident, sim_threshold=math.inf,
+                          z=np.zeros((len(noisy), 2)), per_class_quota=0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +173,16 @@ def test_knn_spans_several_row_blocks(n_classes):
         assert_knn_matches_reference(train, train_labels, test, k, 0.1, rng)
 
 
+@pytest.mark.parametrize("dim", [2, 8, 32, 128])
+def test_knn_spans_several_row_blocks_at_any_width(dim):
+    rng = np.random.default_rng(dim)
+    train = rng.normal(size=(300, dim))
+    test = rng.normal(size=(200, dim))
+    train_labels = rng.integers(0, 4, size=300)
+    for k in (1, 37, 300):
+        assert_knn_matches_reference(train, train_labels, test, k, 0.1, rng)
+
+
 def test_knn_default_k_clips_to_train_size():
     rng = np.random.default_rng(3)
     train = unit_rows(rng.normal(size=(12, 3)))
@@ -184,7 +198,8 @@ def test_knn_default_k_clips_to_train_size():
 def test_selection_precision_arithmetic():
     true = np.array([0, 0, 1, 1, 0])
     noisy = np.array([0, 0, 1, 0, 0])
-    state = make_state([0, 1, 3], [(0, 1), (0, 3), (1, 3)], n=5)
+    state = make_state([0, 1, 3], noisy)
+    assert state.pairs == {(0, 1), (0, 3), (1, 3)}
     prec_t, prec_g = selection_precision(state, true, noisy)
     assert prec_t == pytest.approx(100 * 2 / 3)
     # true classes: 0-1 same, 0-3 differ, 1-3 differ
@@ -192,11 +207,11 @@ def test_selection_precision_arithmetic():
 
 
 def test_selection_precision_empty_sets_have_no_precision():
-    state = make_state([], [], n=3)
+    state = make_state([], np.zeros(3, int))
     prec_t, prec_g = selection_precision(state, np.zeros(3, int), np.zeros(3, int))
     assert prec_t is None and prec_g is None
     # a confident set without pairs still has an example precision
-    prec_t, prec_g = selection_precision(make_state([1], [], n=3), np.zeros(3, int),
+    prec_t, prec_g = selection_precision(make_state([1], np.zeros(3, int)), np.zeros(3, int),
                                          np.zeros(3, int))
     assert prec_t == 100.0 and prec_g is None
 
@@ -204,14 +219,14 @@ def test_selection_precision_empty_sets_have_no_precision():
 def test_pair_precision_counts_matching_wrong_labels_as_correct():
     # both endpoints mislabeled, but their TRUE classes agree -> correct pair
     true = np.array([1, 1])
-    assert pair_precision(pair_mask({(0, 1)}, 2), true) == 100.0
+    assert pair_precision(MaskPairs.of({(0, 1)}, 2), true) == 100.0
 
 
 def test_pair_precision_arithmetic():
     true = np.array([0, 1, 0, 1])
-    mask = pair_mask({(0, 2), (1, 2), (1, 3)}, 4)
-    assert pair_precision(mask, true) == 100 * 2 / 3
-    assert pair_precision(np.zeros((4, 4), dtype=bool), true) is None
+    pairs = MaskPairs.of({(0, 2), (1, 2), (1, 3)}, 4)
+    assert pair_precision(pairs, true) == 100 * 2 / 3
+    assert pair_precision(MaskPairs(np.zeros((4, 4), dtype=bool)), true) is None
 
 
 # ---------------------------------------------------------------------------

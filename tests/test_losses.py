@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import pair_mask
+from oracles import MaskPairs
 
 from selcontrast.losses import (BatchView, classification_loss,
                                 compute_loss_bundle, mixup_contrastive,
@@ -79,7 +79,7 @@ def test_identical_embeddings_give_four_log_three():
     assert value == pytest.approx(4 * math.log(3), rel=1e-12)
     # same with every pair selected: positives change, the value does not,
     # because all candidates are indistinguishable
-    all_pairs = pair_mask({(0, 1)}, 2)
+    all_pairs = MaskPairs.of({(0, 1)}, 2)
     value_sup, _ = sup_contrastive(batch, all_pairs, tau=0.1)
     assert value_sup == pytest.approx(4 * math.log(3), rel=1e-12)
 
@@ -102,7 +102,7 @@ def test_similarity_loss_uniform_two_classes_gives_log_two():
     batch = plain_batch(z, labels=[0, 0, 0, 0])
     batch.p_hat = np.full((4, 2), 0.5)  # every agreement is exactly 0.5
     # select every ordered origin pair -> all targets 1
-    pairs = pair_mask({(0, 1)}, 2)
+    pairs = MaskPairs.of({(0, 1)}, 2)
     value, _ = similarity_loss(batch, pairs)
     # 4 ordered view pairs carry target 1 (origins {0,1} cross terms);
     # 8 remaining ordered pairs carry target 0; all see s = 0.5 -> ln 2 each
@@ -119,7 +119,7 @@ def test_similarity_loss_perfect_agreement_is_tiny():
     # cross-origin targets 0 with s=0 -> ~0; same-origin ordered pairs are
     # self-pairs by origin and never selected, s=... index 0 vs 2: origins
     # equal -> target 0 but s = 1 -> large loss. So instead select {0,1}:
-    pairs = pair_mask({(0, 1)}, 2)
+    pairs = MaskPairs.of({(0, 1)}, 2)
     value, _ = similarity_loss(batch, pairs)
     # pairs (0,1),(0,3),(2,1),(2,3) ordered both ways: target 1, s=0 -> huge;
     # this instance instead demonstrates the worst case is finite (clamped)
@@ -132,7 +132,7 @@ def test_similarity_loss_matched_structure_near_zero():
     z = unit_rows(np.ones((4, 2)))
     batch = plain_batch(z, labels=[0, 0, 1, 1], origins=[0, 1, 2, 3])
     batch.p_hat = p
-    value, _ = similarity_loss(batch, pair_mask({(0, 1), (2, 3)}, 4))
+    value, _ = similarity_loss(batch, MaskPairs.of({(0, 1), (2, 3)}, 4))
     assert value == pytest.approx(0.0, abs=1e-5)
 
 
@@ -151,7 +151,7 @@ def test_total_loss_weighted_sum_exact():
 def test_sup_equals_unsup_without_selected_pairs():
     rng = np.random.default_rng(1)
     batch = random_batch(rng, n=4)
-    v_sup, g_sup = sup_contrastive(batch, pair_mask(set(), 4), tau=0.1)
+    v_sup, g_sup = sup_contrastive(batch, MaskPairs.of(set(), 4), tau=0.1)
     v_uns, g_uns = unsup_contrastive(batch, tau=0.1)
     assert v_sup == v_uns
     np.testing.assert_array_equal(g_sup, g_uns)
@@ -160,7 +160,7 @@ def test_sup_equals_unsup_without_selected_pairs():
 def test_mixup_at_lambda_one_equals_pure_sup():
     rng = np.random.default_rng(2)
     batch = random_batch(rng, n=3)
-    pairs = pair_mask({(0, 1), (1, 2)}, 3)
+    pairs = MaskPairs.of({(0, 1), (1, 2)}, 3)
     batch.mix_a = batch.origins.copy()
     batch.mix_b = np.roll(batch.origins, 1)
     batch.lam = np.ones(batch.n_views)
@@ -173,7 +173,7 @@ def test_mixup_at_lambda_one_equals_pure_sup():
 def test_mixup_at_lambda_zero_keeps_only_ingredient_b():
     rng = np.random.default_rng(3)
     batch = random_batch(rng, n=3)
-    pairs = pair_mask({(0, 2)}, 3)
+    pairs = MaskPairs.of({(0, 2)}, 3)
     batch.mix_a = np.roll(batch.origins, 1)
     batch.mix_b = batch.origins.copy()
     batch.lam = np.zeros(batch.n_views)
@@ -194,7 +194,7 @@ def test_mixup_shared_softmax_equals_two_masked_calls_exactly(seed):
     batch.mix_a = batch.origins.copy()
     batch.mix_b = rng.permutation(batch.origins)
     batch.lam = rng.random(batch.n_views)
-    pairs = pair_mask({(0, 1), (1, 3), (2, 4)}, 5)
+    pairs = MaskPairs.of({(0, 1), (1, 3), (2, 4)}, 5)
     value, grad = mixup_contrastive(batch, pairs, tau=0.1)
     v_a, g_a = masked_contrastive(batch.z, _selected_positive_mask(batch, pairs, batch.mix_a),
                                   0.1, row_weights=batch.lam)
@@ -211,7 +211,7 @@ def test_bundle_additivity_exact():
     mixed.mix_a = mixed.origins.copy()
     mixed.mix_b = np.roll(mixed.origins, 2)
     mixed.lam = rng.random(mixed.n_views)
-    pairs = pair_mask({(0, 1), (2, 3)}, 4)
+    pairs = MaskPairs.of({(0, 1), (2, 3)}, 4)
     scored = rng.random(batch.n_views) < 0.5
     bundle = compute_loss_bundle(mixed, batch, pairs, scored,
                                  tau=0.1, lambda_cls=0.7, lambda_sim=0.013)
@@ -221,7 +221,7 @@ def test_bundle_additivity_exact():
 def test_mixup_lambda_half_is_half_sum_of_anchor_losses():
     rng = np.random.default_rng(5)
     batch = random_batch(rng, n=3)
-    pairs = pair_mask({(0, 1)}, 3)
+    pairs = MaskPairs.of({(0, 1)}, 3)
     batch.mix_a = batch.origins.copy()
     batch.mix_b = np.roll(batch.origins, 1)
     batch.lam = np.full(batch.n_views, 0.5)
@@ -267,7 +267,7 @@ def test_sup_value_matches_scalar_reimplementation():
                 mask[i, g] = True
         mask[i, batch.twin[i]] = True
     expected = scalar_masked_loss(batch.z, mask, tau=0.1)
-    value, _ = sup_contrastive(batch, pair_mask(pairs, 3), tau=0.1)
+    value, _ = sup_contrastive(batch, MaskPairs.of(pairs, 3), tau=0.1)
     assert value == pytest.approx(expected, rel=1e-9)
 
 
@@ -288,7 +288,7 @@ def test_unsup_gradient_matches_finite_differences():
 def test_mixup_gradient_matches_finite_differences():
     rng = np.random.default_rng(9)
     batch = random_batch(rng, n=3)
-    pairs = pair_mask({(0, 1), (1, 2)}, 3)
+    pairs = MaskPairs.of({(0, 1), (1, 2)}, 3)
     batch.mix_a = batch.origins.copy()
     batch.mix_b = np.roll(batch.origins, 1)
     batch.lam = rng.random(batch.n_views)
@@ -325,7 +325,7 @@ def test_classification_gradient_matches_finite_differences():
 def test_similarity_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
     batch = random_batch(rng, n=3)
-    pairs = pair_mask({(0, 1)}, 3)
+    pairs = MaskPairs.of({(0, 1)}, 3)
 
     def loss_of(p):
         b = BatchView(z=batch.z, p_hat=p, origins=batch.origins,
@@ -351,7 +351,7 @@ def test_similarity_clamp_zeroes_gradient():
     batch = BatchView(z=z, p_hat=p, origins=np.array([0, 1]),
                       labels=np.array([0, 0]), twin=np.array([1, 0]))
     # agreement = 1 > 1 - eps with target 1 -> flat region, zero gradient
-    value, grad = similarity_loss(batch, pair_mask({(0, 1)}, 2))
+    value, grad = similarity_loss(batch, MaskPairs.of({(0, 1)}, 2))
     np.testing.assert_array_equal(grad, np.zeros_like(p))
 
 
@@ -377,4 +377,4 @@ def test_mixup_rejects_lambda_outside_unit_interval():
     batch.mix_b = np.roll(batch.origins, 1)
     batch.lam = np.array([0.5, 0.5, 1.2, 0.5])
     with pytest.raises(ValueError):
-        mixup_contrastive(batch, pair_mask(set(), 2), tau=0.1)
+        mixup_contrastive(batch, MaskPairs.of(set(), 2), tau=0.1)

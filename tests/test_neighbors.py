@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 from oracles import ranked_topk, reference_pseudo_labels
 
 from selcontrast.neighbors import (_BLOCK_ELEMENTS, EmbeddingBank, PseudoLabelState,
-                                   aggregate_pseudo_labels, exact_topk)
+                                   aggregate_pseudo_labels, exact_topk, grid_rows)
+from selcontrast.selection import row_blocks
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 MULTI_BLOCK_N = 300
@@ -26,8 +27,15 @@ def angles_to_bank(angles, epoch_tag=0):
     return EmbeddingBank(z=z, epoch_tag=epoch_tag)
 
 
-def bank_sims(bank):
-    return bank.z @ bank.z.T
+def topk_of(sims, k, exclude_self=False):
+    """exact_topk over a given similarity matrix: with identity keys every
+    cell of sims @ I.T has one nonzero product, so it equals sims exactly
+    (up to the sign of a zero, which no ranking sees)."""
+    return exact_topk(sims, np.eye(np.shape(sims)[1]), k, exclude_self=exclude_self)
+
+
+def bank_topk(bank, k, exclude_self=False):
+    return exact_topk(bank.z, bank.z, k, exclude_self=exclude_self)
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +46,7 @@ def test_topk_matches_exhaustive_sort():
     rng = np.random.default_rng(0)
     bank = EmbeddingBank(z=unit_rows(rng.normal(size=(30, 5))))
     sims = bank.z @ bank.z.T
-    got = exact_topk(sims, 7, exclude_self=True)
+    got = bank_topk(bank, 7, exclude_self=True)
     for i in range(30):
         expected = sorted((j for j in range(30) if j != i),
                           key=lambda j: (-sims[i, j], j))[:7]
@@ -47,49 +55,54 @@ def test_topk_matches_exhaustive_sort():
 
 def test_topk_identical_embeddings_tie_break_by_index():
     bank = EmbeddingBank(z=unit_rows(np.ones((3, 2))))
-    np.testing.assert_array_equal(exact_topk(bank_sims(bank), 2, exclude_self=True),
+    np.testing.assert_array_equal(bank_topk(bank, 2, exclude_self=True),
                                   [[1, 2], [0, 2], [0, 1]])
 
 
 def test_topk_k_equals_n_minus_one_returns_all_others():
     rng = np.random.default_rng(1)
     bank = EmbeddingBank(z=unit_rows(rng.normal(size=(6, 3))))
-    got = exact_topk(bank_sims(bank), 5, exclude_self=True)
+    got = bank_topk(bank, 5, exclude_self=True)
     for i in range(6):
         assert sorted(got[i].tolist()) == [j for j in range(6) if j != i]
 
 
 def test_topk_excludes_query_and_orders_by_similarity():
     bank = angles_to_bank(np.array([0.0, 0.1, 0.5, 1.4, 3.0]))
-    got = exact_topk(bank_sims(bank), 3, exclude_self=True)
+    got = bank_topk(bank, 3, exclude_self=True)
     np.testing.assert_array_equal(got[0], [1, 2, 3])
     for i in range(5):
         assert i not in got[i]
     # without exclusion every row finds itself first
-    np.testing.assert_array_equal(exact_topk(bank_sims(bank), 1)[:, 0], np.arange(5))
+    np.testing.assert_array_equal(bank_topk(bank, 1)[:, 0], np.arange(5))
 
 
 def test_topk_bounds_checks():
-    sims = bank_sims(angles_to_bank(np.array([0.0, 0.3, 0.6])))
+    z = angles_to_bank(np.array([0.0, 0.3, 0.6])).z
     with pytest.raises(ValueError):
-        exact_topk(sims, 3, exclude_self=True)
+        exact_topk(z, z, 3, exclude_self=True)
     with pytest.raises(ValueError):
-        exact_topk(sims, 0, exclude_self=True)
+        exact_topk(z, z, 0, exclude_self=True)
     with pytest.raises(ValueError):
-        exact_topk(sims, 4)
+        exact_topk(z, z, 4)
     with pytest.raises(ValueError):
-        exact_topk(sims, 0)
+        exact_topk(z, z, 0)
     with pytest.raises(ValueError, match="square"):
-        exact_topk(sims[:2], 1, exclude_self=True)
+        exact_topk(z[:2], z, 1, exclude_self=True)
     with pytest.raises(ValueError, match="2-d"):
-        exact_topk(sims[0], 1)
-    assert exact_topk(sims, 3).shape == (3, 3)
+        exact_topk(z[0], z, 1)
+    with pytest.raises(ValueError, match="equal width"):
+        exact_topk(z, z[:, :1], 1)
+    assert exact_topk(z, z, 3).shape == (3, 3)
 
 
 def test_topk_rejects_nan():
     sims = np.array([[1.0, np.nan, 0.5], [0.2, 1.0, 0.3], [0.5, 0.3, 1.0]])
     with pytest.raises(ValueError, match="NaN"):
-        exact_topk(sims, 2, exclude_self=True)
+        topk_of(sims, 2, exclude_self=True)
+    z = np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="NaN"):
+        exact_topk(z[:1], z, 1)
 
 
 @st.composite
@@ -112,7 +125,7 @@ def similarity_matrices(draw, square):
 @given(similarity_matrices(square=True))
 def test_topk_property_bank_matches_per_row_reference(case):
     sims, k = case
-    np.testing.assert_array_equal(exact_topk(sims, k, exclude_self=True),
+    np.testing.assert_array_equal(topk_of(sims, k, exclude_self=True),
                                   ranked_topk(sims, k, exclude_self=True))
 
 
@@ -120,7 +133,7 @@ def test_topk_property_bank_matches_per_row_reference(case):
 @given(similarity_matrices(square=False))
 def test_topk_property_queries_match_per_row_reference(case):
     sims, k = case
-    np.testing.assert_array_equal(exact_topk(sims, k), ranked_topk(sims, k))
+    np.testing.assert_array_equal(topk_of(sims, k), ranked_topk(sims, k))
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -130,16 +143,75 @@ def test_topk_property_spans_several_row_blocks(seed, levels, k):
     assert MULTI_BLOCK_N > _BLOCK_ELEMENTS // (MULTI_BLOCK_N - 1)  # blocks chain
     rng = np.random.default_rng(seed)
     sims = rng.integers(0, levels, size=(MULTI_BLOCK_N, MULTI_BLOCK_N)).astype(np.float64)
-    np.testing.assert_array_equal(exact_topk(sims, k, exclude_self=True),
+    np.testing.assert_array_equal(topk_of(sims, k, exclude_self=True),
                                   ranked_topk(sims, k, exclude_self=True))
-    np.testing.assert_array_equal(exact_topk(sims[:, :-1], k), ranked_topk(sims[:, :-1], k))
+    np.testing.assert_array_equal(topk_of(sims[:, :-1], k), ranked_topk(sims[:, :-1], k))
 
 
 def test_topk_rows_wider_than_a_block():
     rng = np.random.default_rng(6)
-    sims = rng.integers(0, 3, size=(3, _BLOCK_ELEMENTS + 5)).astype(np.float64)
+    query = rng.integers(-1, 2, size=(3, 2)).astype(np.float64)
+    keys = rng.integers(0, 3, size=(_BLOCK_ELEMENTS + 5, 2)).astype(np.float64)
+    sims = query @ keys.T  # small integers: exact, with many ties
     for k in (1, 7, _BLOCK_ELEMENTS + 5):
-        np.testing.assert_array_equal(exact_topk(sims, k), ranked_topk(sims, k))
+        np.testing.assert_array_equal(exact_topk(query, keys, k), ranked_topk(sims, k))
+
+
+# ---------------------------------------------------------------------------
+# the 2**-24 grid: every product of two bank rows is exact
+# ---------------------------------------------------------------------------
+
+GRID_WIDTHS = [2, 8, 32, 128]
+
+
+def random_grid_rows(rng, n, dim):
+    return grid_rows(unit_rows(rng.normal(size=(n, dim))))
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from(GRID_WIDTHS),
+       n=st.sampled_from([601, 1030]))
+def test_grid_rows_blocks_are_bit_equal_to_the_full_product(seed, dim, n):
+    rng = np.random.default_rng(seed)
+    z = random_grid_rows(rng, n, dim)
+    assert np.all(np.ldexp(z, 24) == np.rint(np.ldexp(z, 24)))
+    full = z @ z.T
+    # the top-k's row blocks and the selection's, each with a shorter last block
+    step = _BLOCK_ELEMENTS // n
+    for blocks in ([(a, min(a + step, n)) for a in range(0, n, step)], row_blocks(n)):
+        assert len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] < blocks[0][1]
+        for start, stop in blocks:
+            assert (z[start:stop] @ z.T).tobytes() == full[start:stop].tobytes()
+            assert (z[start:stop] @ z[start:].T).tobytes() == full[start:stop, start:].tobytes()
+    # shuffled index lists, and lists with duplicates such as a minibatch's twins
+    batch = rng.integers(0, n, size=64)
+    for rows, cols in ((rng.permutation(n)[:97], rng.permutation(n)[:130]),
+                       (np.concatenate([batch, batch]), np.concatenate([batch, batch])),
+                       (rng.integers(0, n, size=50), batch[::-1])):
+        got = z[rows] @ z[cols].T
+        assert got.tobytes() == full[np.ix_(rows, cols)].tobytes()
+
+
+def test_bank_stores_grid_rows():
+    rng = np.random.default_rng(7)
+    z = unit_rows(rng.normal(size=(20, 5)))
+    bank = EmbeddingBank(z=z)
+    np.testing.assert_array_equal(bank.z, grid_rows(z))
+    np.testing.assert_allclose(bank.z, z, rtol=0, atol=2.0 ** -25)
+    assert bank.z is not z
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from(GRID_WIDTHS),
+       k=st.sampled_from([1, 25, MULTI_BLOCK_N - 1]))
+def test_topk_of_grid_rows_spans_several_row_blocks(seed, dim, k):
+    rng = np.random.default_rng(seed)
+    z = random_grid_rows(rng, MULTI_BLOCK_N, dim)
+    sims = z @ z.T
+    np.testing.assert_array_equal(exact_topk(z, z, k, exclude_self=True),
+                                  ranked_topk(sims, k, exclude_self=True))
+    queries = random_grid_rows(rng, 2 * MULTI_BLOCK_N // 3, dim)
+    np.testing.assert_array_equal(exact_topk(queries, z, k), ranked_topk(queries @ z.T, k))
 
 
 def test_bank_rejects_non_unit_rows():
@@ -283,7 +355,7 @@ def tied_bank(rng, n, dim, n_distinct, one_hot):
 def assert_matches_reference(bank, noisy, k, n_classes, count_labels):
     state = aggregate_pseudo_labels(bank, noisy, k=k, n_classes=n_classes,
                                     count_labels=count_labels)
-    y_ref, q_ref = reference_pseudo_labels(bank.similarity_matrix(), noisy, k, n_classes,
+    y_ref, q_ref = reference_pseudo_labels(bank.z @ bank.z.T, noisy, k, n_classes,
                                            count_noisy=count_labels == "noisy")
     assert state.y_hat.dtype == np.int64
     np.testing.assert_array_equal(state.y_hat, y_ref)

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
-from oracles import brute_force_selection, mask_pairs, pair_mask
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import brute_force_selection, full_mask, mask_pairs, pair_mask
 
 from selcontrast import selection
 from selcontrast.neighbors import EmbeddingBank, PseudoLabelState
-from selcontrast.selection import (nearest_rank_fractile, row_blocks, run_selection,
-                                   select_confident_examples, select_confident_pairs)
+from selcontrast.selection import (SelectionState, nearest_rank_fractile, row_blocks,
+                                   run_selection, select_confident_examples,
+                                   select_confident_pairs)
 
 
 def unit_rows(m):
@@ -165,7 +168,6 @@ def test_pairs_from_confident_enumeration():
     q[np.arange(6), noisy] = [0.2, 0.8, 0.8, 0.8, 0.7, 0.8]
     state = select(noisy, noisy, q, alpha=0.5)
     np.testing.assert_array_equal(state.confident, [1, 2, 3, 4, 5])
-    assert mask_pairs(state.confident_pair_mask) == [(1, 2), (3, 4)]
     assert state.pairs_confident == {(1, 2), (3, 4)}
     assert state.n_pairs_confident == 2
 
@@ -174,12 +176,12 @@ def test_pairs_from_confident_empty_and_combinatorics():
     noisy = np.array([0, 0, 0, 0])
     q = np.array([[0.9, 0.1]] * 4)
     state = select(noisy, noisy, q, alpha=1.0)
-    assert len(mask_pairs(state.confident_pair_mask)) == 6  # C(4, 2)
+    assert len(state.pairs_confident) == 6  # C(4, 2)
     assert state.n_pairs_confident == 6
     # no agreement anywhere: budget 0, nothing confident, no pairs at all
     state = select(noisy, 1 - noisy, q, alpha=1.0)
     assert state.confident.size == 0
-    assert mask_pairs(state.pair_mask) == []
+    assert mask_pairs(full_mask(state, 4)) == []
     assert state.pairs == frozenset() and state.n_pairs_confident == 0
 
 
@@ -197,44 +199,52 @@ def blocks_of(indices, noisy, n_classes):
     return [indices[noisy[indices] == c] for c in range(n_classes)]
 
 
+def selection_of(bank, noisy, blocks, beta):
+    """The selection made of the given confident blocks and the cut
+    select_confident_pairs reads from them."""
+    gamma = select_confident_pairs(bank, noisy, blocks, beta=beta)
+    confident = np.sort(np.concatenate(blocks)) if blocks else np.empty(0, dtype=np.int64)
+    return SelectionState(noisy_labels=np.asarray(noisy), confident_by_class=blocks,
+                          confident=confident.astype(np.int64), sim_threshold=gamma,
+                          z=bank.z, per_class_quota=0)
+
+
 def test_similar_pairs_strict_threshold_and_full_scan():
     z, noisy = six_on_circle()
     bank = EmbeddingBank(z=z)
-    sims = z @ z.T
+    sims = bank.z @ bank.z.T
     gamma_expected = sorted([sims[0, 1], sims[3, 4]])[0]  # beta=0 -> minimum
-    similar, gamma = select_confident_pairs(bank, noisy, [np.array([0, 1]), np.array([3, 4])],
-                                            beta=0.0)
-    assert gamma == gamma_expected
+    state = selection_of(bank, noisy, [np.array([0, 1]), np.array([3, 4])], beta=0.0)
+    assert state.sim_threshold == gamma_expected
     expected = sorted((i, j) for i in range(6) for j in range(i + 1, 6)
-                      if noisy[i] == noisy[j] and sims[i, j] > gamma)
-    assert mask_pairs(similar) == expected
-    for i, j in mask_pairs(similar):
-        assert sims[i, j] > gamma  # strictly
+                      if noisy[i] == noisy[j] and sims[i, j] > state.sim_threshold)
+    assert sorted(state.pairs_similar) == expected
+    for i, j in state.pairs_similar:
+        assert sims[i, j] > state.sim_threshold  # strictly
 
 
-def test_similar_pairs_read_upper_triangle_only():
-    # a similarity matrix that is not bit-symmetric: the pair (i, j), i < j,
-    # is judged by sims[i, j], and the mask stays symmetric
+def test_similar_pairs_symmetric_on_grid_rows():
+    # on the bank's grid rows the similarity matrix is bit-symmetric, so
+    # reading pair {i, j} as (i, j) or (j, i) gives the same status
     z, noisy = six_on_circle()
     bank = EmbeddingBank(z=z)
-    sims = (z @ z.T).copy()
-    sims[1, 0] = sims[2, 0] = 2.0     # lower triangle must be ignored
-    sims[4, 3] = 3.0                  # ... also when the threshold is read
-    bank._sims = sims
-    similar, gamma = select_confident_pairs(bank, noisy, [np.array([0, 1]), np.array([3, 4])],
-                                            beta=1.0)
-    assert gamma == max(sims[0, 1], sims[3, 4])
-    assert mask_pairs(similar) == sorted((i, j) for i in range(6) for j in range(i + 1, 6)
-                                         if noisy[i] == noisy[j] and sims[i, j] > gamma)
+    sims = bank.z @ bank.z.T
+    assert sims.tobytes() == sims.T.copy().tobytes()
+    state = selection_of(bank, noisy, [np.array([0, 1]), np.array([3, 4])], beta=1.0)
+    assert state.sim_threshold == max(sims[0, 1], sims[3, 4])
+    expected = sorted((i, j) for i in range(6) for j in range(i + 1, 6)
+                      if noisy[i] == noisy[j] and sims[i, j] > state.sim_threshold)
+    assert sorted(state.pairs_similar) == expected
+    assert mask_pairs(full_mask(state, 6)) == sorted(state.pairs)  # symmetric, False diagonal
 
 
 def test_similar_pairs_empty_confident_degenerates():
     bank = EmbeddingBank(z=unit_rows(np.random.default_rng(7).normal(size=(4, 2))))
     for blocks in ([np.empty(0, dtype=np.int64)], [np.array([2])], []):
-        similar, gamma = select_confident_pairs(bank, np.zeros(4, dtype=int), blocks, beta=0.5)
-        assert similar.shape == (4, 4) and similar.dtype == bool
-        assert mask_pairs(similar) == []
-        assert math.isinf(gamma)
+        state = selection_of(bank, np.zeros(4, dtype=int), blocks, beta=0.5)
+        assert math.isinf(state.sim_threshold)
+        assert state.pairs_similar == frozenset() and state.n_pairs_similar == 0
+        assert mask_pairs(full_mask(state, 4)) == []
 
 
 def test_similar_pairs_reject_a_block_of_another_label():
@@ -250,7 +260,7 @@ def test_similar_pairs_monotone_in_beta():
     bank = EmbeddingBank(z=z)
     noisy = rng.integers(0, 2, size=15)
     blocks = blocks_of(np.flatnonzero(rng.random(15) < 0.6), noisy, 2)
-    sizes = [len(mask_pairs(select_confident_pairs(bank, noisy, blocks, beta=b)[0]))
+    sizes = [selection_of(bank, noisy, blocks, beta=b).n_pairs_similar
              for b in (0.0, 0.25, 0.5, 0.75, 1.0)]
     assert sizes == sorted(sizes, reverse=True)  # lower beta keeps more pairs
     assert sizes[0] > sizes[-1]
@@ -262,10 +272,11 @@ def test_union_pairs_dedup_and_canonical_form():
     noisy = rng.integers(0, 2, size=12)
     q = rng.dirichlet(np.ones(2), size=12)
     state = select(noisy, noisy, q, alpha=0.5, beta=0.0, z=z)
-    np.testing.assert_array_equal(state.pair_mask,
-                                  state.confident_pair_mask | state.similar_pair_mask)
-    union = set(mask_pairs(state.confident_pair_mask)) | set(mask_pairs(state.similar_pair_mask))
-    assert mask_pairs(state.pair_mask) == sorted(union)
+    np.testing.assert_array_equal(full_mask(state, 12),
+                                  pair_mask(state.pairs_confident, 12)
+                                  | pair_mask(state.pairs_similar, 12))
+    union = state.pairs_confident | state.pairs_similar
+    assert mask_pairs(full_mask(state, 12)) == sorted(union)
     assert state.pairs == union
     assert all(i < j for i, j in state.pairs)
 
@@ -276,9 +287,14 @@ def test_pair_views_mirror_masks():
     noisy = rng.integers(0, 3, size=10)
     q = rng.dirichlet(np.ones(3), size=10)
     state = select(noisy, noisy, q, alpha=1.0, beta=0.5, z=z)
-    for view, mask in ((state.pairs_confident, state.confident_pair_mask),
-                       (state.pairs_similar, state.similar_pair_mask),
-                       (state.pairs, state.pair_mask)):
+    sims = state.z @ state.z.T
+    same = noisy[:, None] == noisy[None, :]
+    flags = state.confident_mask(10)
+    confident_mask = same & flags[:, None] & flags[None, :] & ~np.eye(10, dtype=bool)
+    similar_mask = same & (sims > state.sim_threshold) & ~np.eye(10, dtype=bool)
+    for view, mask in ((state.pairs_confident, confident_mask),
+                       (state.pairs_similar, similar_mask),
+                       (state.pairs, full_mask(state, 10))):
         assert isinstance(view, frozenset)
         assert sorted(view) == mask_pairs(mask)  # symmetric, False diagonal
         assert all(type(i) is int and type(j) is int for i, j in view)
@@ -304,11 +320,11 @@ def test_selection_pipeline_matches_brute_force(trial):
     alpha = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))
     beta = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
 
-    state = run_selection(EmbeddingBank(z=z), noisy,
-                          PseudoLabelState(y_hat=y_hat, q_hat=q_hat, k=3),
+    bank = EmbeddingBank(z=z)
+    state = run_selection(bank, noisy, PseudoLabelState(y_hat=y_hat, q_hat=q_hat, k=3),
                           alpha=alpha, beta=beta)
     exp_T, exp_gp, exp_gamma, exp_gpp, exp_g = brute_force_selection(
-        z, noisy, y_hat, q_hat, alpha, beta)
+        bank.z, noisy, y_hat, q_hat, alpha, beta)
 
     np.testing.assert_array_equal(state.confident, exp_T)
     assert state.pairs_confident == exp_gp
@@ -340,9 +356,56 @@ def test_selection_state_invariants_on_random_instance():
     confident = set(state.confident.tolist())
     for i, j in state.pairs_confident:
         assert i in confident and j in confident and noisy[i] == noisy[j]
-    sims = z @ z.T
+    sims = state.z @ state.z.T
     for i, j in state.pairs_similar:
         assert noisy[i] == noisy[j] and sims[i, j] > state.sim_threshold
+
+
+# ---------------------------------------------------------------------------
+# pair_block against the brute-force pair set
+# ---------------------------------------------------------------------------
+
+@st.composite
+def pair_block_cases(draw):
+    """A selection instance plus row and column index lists: a minibatch's
+    twin views (every index twice), shuffled lists, or an empty row list.
+    The kinds "single class" and "no pairs" force one class and a confident
+    set without pairs (gamma = +inf)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "single class", "no pairs"]))
+    n = draw(st.integers(2, 40))
+    classes = 1 if kind == "single class" else draw(st.integers(2, 4))
+    z = unit_rows(rng.normal(size=(n, draw(st.sampled_from([2, 8, 32])))))
+    noisy = rng.integers(0, classes, size=n)
+    y_hat = np.where(rng.random(n) < 0.7, noisy, rng.integers(0, classes, size=n))
+    if kind == "no pairs":
+        y_hat = (noisy + 1) % classes  # nobody agrees: the quota is 0
+    q_hat = rng.dirichlet(np.ones(classes), size=n)
+    alpha = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    beta = draw(st.sampled_from([0.0, 0.25, 1.0]))
+    batch = rng.integers(0, n, size=draw(st.integers(1, 12)))
+    lists = draw(st.sampled_from(["twins", "shuffled", "empty"]))
+    if lists == "twins":
+        rows = cols = np.concatenate([batch, batch])
+    elif lists == "shuffled":
+        rows, cols = rng.permutation(n)[:len(batch)], rng.permutation(np.concatenate([batch, batch]))
+    else:
+        rows, cols = np.empty(0, dtype=np.int64), batch
+    return z, noisy, y_hat, q_hat, alpha, beta, rows, cols
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(pair_block_cases())
+def test_pair_block_matches_brute_force_pairs(case):
+    z, noisy, y_hat, q_hat, alpha, beta, rows, cols = case
+    bank = EmbeddingBank(z=z)
+    state = run_selection(bank, noisy, pseudo_state(y_hat, q_hat), alpha=alpha, beta=beta)
+    *_, gamma, _, union = brute_force_selection(bank.z, noisy, y_hat, q_hat, alpha, beta)
+    assert state.sim_threshold == gamma or math.isinf(gamma) and math.isinf(state.sim_threshold)
+    want = pair_mask(union, len(noisy))[np.ix_(rows, cols)]
+    got = state.pair_block(rows, cols)
+    assert got.dtype == bool and got.shape == (len(rows), len(cols))
+    np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -379,26 +442,41 @@ def test_selection_matches_brute_force_with_the_default_blocks():
 
 @pytest.mark.parametrize("rows", [1, 4, 9])
 def test_similar_pairs_read_upper_triangle_only_across_row_blocks(monkeypatch, rows):
+    # each pass over the similar pairs computes every same-label cell
+    # (i, j), i < j, exactly once and no cell of two labels; below the
+    # diagonal it touches only the square block of its own rows, whose lower
+    # half np.triu drops
     n = 37
-    monkeypatch.setattr(selection, "_BLOCK_ELEMENTS", rows * n)
-    assert len(row_blocks(n)) > 2
+    monkeypatch.setattr(selection, "_BLOCK_ELEMENTS", rows * 16)
     rng = np.random.default_rng(206)
-    z = unit_rows(rng.normal(size=(n, 3)))
+    bank = EmbeddingBank(z=unit_rows(rng.normal(size=(n, 3))))
     noisy = rng.integers(0, 2, size=n)
-    sims = z @ z.T
-    lower = np.tril_indices(n, k=-1)
-    sims[lower] = rng.uniform(-1.0, 1.0, size=len(lower[0]))  # junk below the diagonal
-    bank = EmbeddingBank(z=z)
-    bank._sims = sims
-    blocks = blocks_of(np.flatnonzero(rng.random(n) < 0.5), noisy, 2)
-    similar, gamma = select_confident_pairs(bank, noisy, blocks, beta=0.5)
-    upper = sorted(sims[i, j] for members in blocks
-                   for a, i in enumerate(members) for j in members[a + 1:])
-    assert gamma == upper[math.ceil(0.5 * len(upper) - 1e-9) - 1]
+    assert all(len(row_blocks(int(np.sum(noisy == c)))) > 2 for c in (0, 1))
+    state = selection_of(bank, noisy, blocks_of(np.flatnonzero(rng.random(n) < 0.5), noisy, 2),
+                         beta=0.5)
+    visited = np.zeros((n, n), dtype=int)
+    real = SelectionState._similar_block
+
+    def logged(self, rows, cols):
+        np.add.at(visited, np.ix_(rows, cols), 1)
+        return real(self, rows, cols)
+    monkeypatch.setattr(SelectionState, "_similar_block", logged)
+    sims = bank.z @ bank.z.T
     expected = [(i, j) for i in range(n) for j in range(i + 1, n)
-                if noisy[i] == noisy[j] and sims[i, j] > gamma]
-    assert mask_pairs(similar) == expected  # symmetric, False diagonal
-    assert len(expected) > 0
+                if noisy[i] == noisy[j] and sims[i, j] > state.sim_threshold]
+    assert sorted(state.pairs_similar) == expected
+    assert state.n_pairs_similar == len(expected) > 0
+    same = noisy[:, None] == noisy[None, :]
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    assert np.all(visited[upper & same] == 2)  # two passes: the pair set and the count
+    assert not visited[~same].any()
+    block_of = np.empty(n, dtype=int)  # each example's row block within its class
+    for c in (0, 1):
+        members = np.flatnonzero(noisy == c)
+        for b, (start, stop) in enumerate(row_blocks(len(members))):
+            block_of[members[start:stop]] = b
+    below, = np.nonzero(np.tril(visited, -1).ravel())
+    np.testing.assert_array_equal(block_of[below // n], block_of[below % n])
 
 
 # ---------------------------------------------------------------------------
@@ -407,18 +485,18 @@ def test_similar_pairs_read_upper_triangle_only_across_row_blocks(monkeypatch, r
 
 def assert_matches_oracle(z, noisy, y_hat, q_hat, alpha, beta):
     noisy, y_hat, q_hat = np.asarray(noisy), np.asarray(y_hat), np.asarray(q_hat, float)
-    state = run_selection(EmbeddingBank(z=z), noisy, pseudo_state(y_hat, q_hat),
-                          alpha=alpha, beta=beta)
+    bank = EmbeddingBank(z=z)
+    state = run_selection(bank, noisy, pseudo_state(y_hat, q_hat), alpha=alpha, beta=beta)
     exp_T, exp_gp, exp_gamma, exp_gpp, exp_g = brute_force_selection(
-        z, noisy, y_hat, q_hat, alpha, beta)
+        bank.z, noisy, y_hat, q_hat, alpha, beta)
     assert state.confident.tolist() == exp_T
-    assert mask_pairs(state.confident_pair_mask) == sorted(exp_gp)
+    assert sorted(state.pairs_confident) == sorted(exp_gp)
     if math.isinf(exp_gamma):
         assert math.isinf(state.sim_threshold)
     else:
         assert state.sim_threshold == exp_gamma
-    assert mask_pairs(state.similar_pair_mask) == sorted(exp_gpp)
-    assert mask_pairs(state.pair_mask) == sorted(exp_g)
+    assert sorted(state.pairs_similar) == sorted(exp_gpp)
+    assert mask_pairs(full_mask(state, len(noisy))) == sorted(exp_g)
     assert state.n_pairs_confident == len(exp_gp)
     assert state.n_pairs_similar == len(exp_gpp)
     return state
@@ -443,7 +521,7 @@ def test_degenerate_class_of_one_example():
         for beta in (0.0, 0.5):
             state = assert_matches_oracle(z, noisy, noisy, q, alpha, beta)
             assert 4 in state.confident  # the singleton class keeps its member ...
-            assert not state.pair_mask[4].any()  # ... which has no partner
+            assert not state.pair_block([4], np.arange(9)).any()  # ... which has no partner
 
 
 def test_degenerate_quota_one_has_no_pairs_and_infinite_threshold():
@@ -455,7 +533,7 @@ def test_degenerate_quota_one_has_no_pairs_and_infinite_threshold():
     state = assert_matches_oracle(z, noisy, y_hat, q, alpha=0.0, beta=0.5)
     assert state.per_class_quota == 1
     assert math.isinf(state.sim_threshold)
-    assert not state.pair_mask.any() and state.pairs == frozenset()
+    assert not full_mask(state, 8).any() and state.pairs == frozenset()
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
@@ -471,7 +549,7 @@ def test_degenerate_beta_extremes(beta, trial):
     if beta == 1.0 and state.n_pairs_confident:
         # the cut sits at the largest confident-pair similarity, so no
         # confident pair is also a similar one
-        assert not (state.confident_pair_mask & state.similar_pair_mask).any()
+        assert not state.pairs_confident & state.pairs_similar
 
 
 @pytest.mark.parametrize("noisy", [[0, 0], [0, 1], [1, 1]])

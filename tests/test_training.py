@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from selcontrast.data import Dataset, NoiseSpec, inject_noise, make_blobs
+from selcontrast.evaluation import weighted_knn_eval
 from selcontrast.network import OptState, apply_lr_schedule, forward, init_params
 from selcontrast.training import (METRICS_COLUMNS, EpochRecord, RunConfig,
                                   benchmark_config, compute_selection, dataset_from_config,
@@ -231,18 +232,18 @@ def test_zero_embedding_row_stops_the_selection(projection):
 
 
 # ---------------------------------------------------------------------------
-# selection memory: one (n, n) float64 similarity matrix plus the three
-# (n, n) bool masks a SelectionState stores, and no other (n, n) array
+# selection memory: no (n, n) array, in the selection or the kNN probe
 # ---------------------------------------------------------------------------
 
 def memory_config():
-    return benchmark_config(n=1500, t_max=3, t_finetune=0)  # 1200 train rows
+    return benchmark_config(n=5000, t_max=3, t_finetune=0)  # 4000 train rows
 
 
 def selection_bound(n_train):
-    """Bytes of the similarity matrix and three masks, plus a slack of n^2
-    bytes for the embeddings, the pseudo-labels and the row-block temporaries."""
-    return 8 * n_train ** 2 + 3 * n_train ** 2 + n_train ** 2
+    """2 n^2 bytes: a quarter of one (n, n) float64 matrix. It covers the
+    embeddings, the vote's (n, k) neighbor arrays, one float per confident
+    pair for the similarity cut and the row-block temporaries."""
+    return 2 * n_train ** 2
 
 
 def traced_peak(fn):
@@ -276,6 +277,15 @@ def test_pretrain_never_holds_two_selections():
     peak = traced_peak(lambda: pretrain(ds, cfg))
     assert peak <= selection_bound(n_train) + NETWORK_ALLOWANCE, \
         f"{peak / n_train ** 2:.2f} n^2 bytes"
+
+
+def test_knn_probe_peak_memory():
+    rng = np.random.default_rng(11)
+    train, test = rng.normal(size=(4000, 32)), rng.normal(size=(1000, 32))
+    labels = rng.integers(0, 4, size=4000)
+    full_matrix = 8 * len(test) * len(train)
+    peak = traced_peak(lambda: weighted_knn_eval(train, labels, test, labels[:1000], k=200))
+    assert peak <= full_matrix // 4, f"{peak / full_matrix:.3f} of the (1000, 4000) matrix"
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +454,8 @@ def test_reusing_the_record_embedding_changes_nothing():
                                                       time_source=lambda: 0.0)
         history.append(record)
     assert history == result.history
-    np.testing.assert_array_equal(selection.pair_mask, result.selection.pair_mask)
+    assert selection.sim_threshold == result.selection.sim_threshold
+    assert selection.pairs == result.selection.pairs
     for (name, arr), (_, ref) in zip(params.named_arrays(), result.params.named_arrays()):
         np.testing.assert_array_equal(arr, ref, err_msg=name)
 
