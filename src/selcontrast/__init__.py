@@ -14,8 +14,7 @@ from .losses import (BatchView, LossBundle, classification_loss, compute_loss_bu
                      sup_contrastive, total_loss, unsup_contrastive)
 from .network import (ForwardCache, NetworkParams, OptState, apply_lr_schedule, backward,
                       forward, init_params, load_checkpoint, save_checkpoint, sgd_step)
-from .neighbors import (EmbeddingBank, PseudoLabelState, aggregate_pseudo_labels,
-                        exact_topk)
+from .neighbors import EmbeddingBank, PseudoLabelState, aggregate_pseudo_labels
 from .selection import (SelectionState, nearest_rank_fractile, run_selection,
                         select_confident_examples, select_confident_pairs)
 from .training import (EpochRecord, PretrainResult, RunConfig, benchmark_config,

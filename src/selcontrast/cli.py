@@ -141,6 +141,38 @@ def _load_dataset(args, cfg: RunConfig):
     return dataset_from_config(cfg)
 
 
+# Pairs formatted per write of a selection dump's pair lists.
+_PAIR_CHUNK = 1 << 16
+
+
+def _dump_selection(state, train_idx, path) -> None:
+    """Write the selection as one JSON object: its per-example state, then the
+    sorted pair lists "pairs_confident" and "pairs_similar" as [[i, j], ...].
+
+    The pair lists are formatted from sorted index arrays a chunk at a time,
+    with no Python object per pair; the bytes are json.dump's.
+    """
+    head = {
+        "epoch_tag": state.epoch_tag,
+        "per_class_quota": state.per_class_quota,
+        "sim_threshold": state.sim_threshold,
+        "train_row_indices": train_idx.tolist(),
+        "confident_by_class": [c.tolist() for c in state.confident_by_class],
+    }
+    with open(path, "w") as fh:
+        fh.write(json.dumps(head)[:-1])  # the object stays open for the pair lists
+        for key, (first, second) in (("pairs_confident", state.confident_pair_index()),
+                                     ("pairs_similar", state.similar_pair_index())):
+            fh.write(f', "{key}": [')
+            for start in range(0, len(first), _PAIR_CHUNK):
+                stop = start + _PAIR_CHUNK
+                fh.write((", " if start else "") + ", ".join(
+                    map("[{}, {}]".format, first[start:stop].tolist(),
+                        second[start:stop].tolist())))
+            fh.write("]")
+        fh.write("}\n")
+
+
 def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
     out_dir = Path(args.out_dir) if args.out_dir else None
@@ -190,18 +222,7 @@ def _cmd_train(args) -> int:
     if args.dump_selection or args.dump_pseudo:
         train_idx = ds.train_indices()
         if args.dump_selection:
-            payload = {
-                "epoch_tag": state.epoch_tag,
-                "per_class_quota": state.per_class_quota,
-                "sim_threshold": state.sim_threshold,
-                "train_row_indices": train_idx.tolist(),
-                "confident_by_class": [c.tolist() for c in state.confident_by_class],
-                "pairs_confident": sorted(state.pairs_confident),
-                "pairs_similar": sorted(state.pairs_similar),
-            }
-            with open(args.dump_selection, "w") as fh:
-                json.dump(payload, fh)
-                fh.write("\n")
+            _dump_selection(state, train_idx, args.dump_selection)
         if args.dump_pseudo:
             pseudo = state.pseudo
             n_classes = pseudo.q_hat.shape[1]

@@ -182,13 +182,30 @@ def inject_noise(ds: Dataset, spec: NoiseSpec) -> Dataset:
 
 
 def augment(x: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator) -> np.ndarray:
-    """One stochastic view of `x`: add Gaussian jitter, zero random coordinates,
-    multiply by a global scale drawn from scale_range."""
-    if x.ndim != 1:
-        raise ValueError("augment expects a single vector")
-    out = x + rng.normal(0.0, spec.jitter_sigma, size=x.shape)
-    out[rng.random(x.shape) < spec.drop_prob] = 0.0
-    out *= rng.uniform(spec.scale_range[0], spec.scale_range[1])
+    """One stochastic view of each row of `x`: add Gaussian jitter, zero random
+    coordinates, multiply the row by a global scale drawn from scale_range.
+
+    The draws come row by row, in the order a per-row view would take them:
+    the row's d standard normals, its d uniforms, then its scale uniform. The
+    arithmetic then runs once over the batch, as numpy's normal(0, sigma) and
+    uniform(low, high) compute it (0 + sigma * g and low + (high - low) * s),
+    so every view is bit-equal to drawing the rows one at a time.
+    """
+    if x.ndim != 2:
+        raise ValueError("augment expects a 2-d batch of rows")
+    gauss = np.empty(x.shape)
+    drops = np.empty(x.shape)
+    scale = np.empty(len(x))
+    for i in range(len(x)):
+        rng.standard_normal(out=gauss[i])
+        rng.random(out=drops[i])
+        scale[i] = rng.random()
+    gauss *= spec.jitter_sigma
+    gauss += 0.0  # as normal(0, sigma) adds its loc: a -0.0 jitter becomes +0.0
+    out = x + gauss
+    out[drops < spec.drop_prob] = 0.0
+    low, high = spec.scale_range
+    out *= (low + (high - low) * scale)[:, None]
     return out
 
 

@@ -6,7 +6,7 @@ import csv
 import numpy as np
 
 from .neighbors import grid_rows, topk_blocks
-from .selection import SelectionState, upper_triangle_blocks
+from .selection import SelectionState, same_label_blocks
 
 DEFAULT_EVAL_K = 200
 DEFAULT_EVAL_TAU = 0.1
@@ -17,6 +17,14 @@ def _unit_rows(z: np.ndarray, what: str) -> np.ndarray:
     if np.any(norms == 0.0):
         raise ValueError(f"{what} contains a zero vector; cosine is undefined")
     return z / norms[:, None]
+
+
+def ranked_neighbors(sims: np.ndarray, hood: np.ndarray) -> np.ndarray:
+    """Each row's neighbour indices `hood` in rank order: by descending
+    similarity sims[row, index], exact ties to the smaller index."""
+    hood = np.sort(hood, axis=1)
+    values = np.take_along_axis(sims, hood, axis=1)
+    return np.take_along_axis(hood, np.argsort(-values, axis=1, kind="stable"), axis=1)
 
 
 def weighted_knn_eval(train_z: np.ndarray, train_labels: np.ndarray,
@@ -49,7 +57,8 @@ def weighted_knn_eval(train_z: np.ndarray, train_labels: np.ndarray,
     vote_labels = train_labels.astype(np.int64)
 
     scores = np.zeros((len(qz), n_classes))
-    for start, sims, order in topk_blocks(qz, tz, k):
+    for start, sims, hood in topk_blocks(qz, tz, k):
+        order = ranked_neighbors(sims, hood)
         weights = np.take_along_axis(sims, order, axis=1)
         weights /= tau
         np.exp(weights, out=weights)
@@ -63,15 +72,15 @@ def weighted_knn_eval(train_z: np.ndarray, train_labels: np.ndarray,
     return 100.0 * correct / len(test_labels)
 
 
-def pair_precision(pairs, true_labels: np.ndarray) -> float | None:
+def pair_precision(pairs, true_labels: np.ndarray, noisy_labels: np.ndarray) -> float | None:
     """Percent of selected pairs whose endpoints share a true class, or None
     when no pair is selected. `pairs` is a selection (anything with
-    pair_block(rows, cols), such as a SelectionState) over the examples
-    true_labels describes. Counted over the upper triangle one row block at
-    a time, with no (n, n) temporary."""
+    pair_block(rows, cols), such as a SelectionState) over the examples the
+    label arrays describe. It joins only examples of equal noisy label, so
+    only same_label_blocks(noisy_labels) are read, with no (n, n) temporary."""
     true_labels = np.asarray(true_labels)
     selected = good = 0
-    for rows, cols in upper_triangle_blocks(np.arange(len(true_labels))):
+    for rows, cols in same_label_blocks(np.asarray(noisy_labels)):
         block = np.triu(pairs.pair_block(rows, cols), 1)
         selected += int(np.count_nonzero(block))
         block &= np.equal.outer(true_labels[rows], true_labels[cols])
@@ -94,7 +103,8 @@ def selection_precision(state: SelectionState, true_labels: np.ndarray,
     if state.confident.size:
         hits = np.sum(true_labels[state.confident] == noisy_labels[state.confident])
         prec_examples = float(100.0 * hits / state.confident.size)
-    return prec_examples, pair_precision(state, true_labels)
+    # the selection's own labels: its pairs never cross them
+    return prec_examples, pair_precision(state, true_labels, state.noisy_labels)
 
 
 def project_2d(x: np.ndarray) -> np.ndarray:

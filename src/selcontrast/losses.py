@@ -220,11 +220,33 @@ def total_loss(l_mix: float, l_cls: float, l_sim: float,
     return l_mix + lambda_cls * l_cls + lambda_sim * l_sim
 
 
+class _StepPairs:
+    """The selected pairs among one step's dataset indices, from a single
+    pair_block call.
+
+    A pair_block cell depends only on its two indices, so the cells of
+    pairs.pair_block(rows, cols) for rows and cols among `index` are read
+    from one block over index's distinct values.
+    """
+
+    def __init__(self, pairs, index: np.ndarray):
+        self.index = np.unique(index)
+        self.block = pairs.pair_block(self.index, self.index)
+
+    def pair_block(self, rows, cols) -> np.ndarray:
+        at_rows = self.block[np.searchsorted(self.index, rows)]
+        return at_rows[:, np.searchsorted(self.index, cols)]
+
+
 def compute_loss_bundle(mixed: BatchView, plain: BatchView, pairs,
                         scored: np.ndarray, tau: float,
                         lambda_cls: float, lambda_sim: float) -> LossBundle:
     """Full objective for one step: interpolation-weighted contrastive loss on
-    the mixed views, classification and similarity losses on the plain views."""
+    the mixed views, classification and similarity losses on the plain views.
+    The three pair masks the losses read come from one pairs.pair_block call."""
+    index = [a for a in (plain.origins, mixed.origins, mixed.mix_a, mixed.mix_b)
+             if a is not None]
+    pairs = _StepPairs(pairs, np.concatenate(index))
     l_mix, grad_z = mixup_contrastive(mixed, pairs, tau)
     l_cls, grad_cls = classification_loss(plain.p_hat, plain.labels, scored)
     l_sim, grad_sim = similarity_loss(plain, pairs)

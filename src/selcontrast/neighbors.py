@@ -56,20 +56,20 @@ _BLOCK_ELEMENTS = 1 << 15
 
 
 def topk_blocks(query: np.ndarray, keys: np.ndarray, k: int, exclude_self: bool = False):
-    """Exact top-k of each query row among the key rows by dot product, one
-    row block at a time.
+    """Exact k nearest key rows of each query row by dot product, one row
+    block at a time.
 
-    Yields (start, sims, order) for consecutive blocks of query rows: sims is
-    query[start:start + b] @ keys.T and order the (b, k) key indices of each
-    row's k largest similarities, by descending similarity; exact ties
-    resolve to the smaller key index. With exclude_self the query rows are
-    the key rows and row i never selects key i (its sims cell reads -inf).
-    No (m, n) array is allocated.
+    Yields (start, sims, hood) for consecutive blocks of query rows: sims is
+    query[start:start + b] @ keys.T and hood the (b, k) key indices of each
+    row's k largest similarities, in no particular order; where the k-th
+    largest value is tied, the smaller key indices are the ones taken. With
+    exclude_self the query rows are the key rows and row i never selects key
+    i (its sims cell reads -inf). No (m, n) array is allocated.
 
-    Within a block, argpartition finds each row's k-th largest value, the k
-    candidates are sorted by index and then stable-sorted by value. Only a row
-    whose k-th value is tied with an entry outside the candidates is ranked in
-    full.
+    Within a block, argpartition finds each row's k candidates. Only a row
+    whose k-th value is tied with an entry outside the candidates is ranked
+    in full to apply the tie rule. A caller that needs the neighbours in rank
+    order sorts the k of them itself.
     """
     query = np.asarray(query, dtype=np.float64)
     keys = np.asarray(keys, dtype=np.float64)
@@ -81,10 +81,10 @@ def topk_blocks(query: np.ndarray, keys: np.ndarray, k: int, exclude_self: bool 
     limit = n - 1 if exclude_self else n
     if not 1 <= k <= limit:
         raise ValueError(f"k={k} outside [1, {limit}]")
-    return _ranked_blocks(query, keys, k, exclude_self)
+    return _neighbor_blocks(query, keys, k, exclude_self)
 
 
-def _ranked_blocks(query, keys, k, exclude_self):
+def _neighbor_blocks(query, keys, k, exclude_self):
     """The generator behind topk_blocks, which checks the arguments first."""
     m, n = len(query), len(keys)
     step = max(1, _BLOCK_ELEMENTS // n)
@@ -93,28 +93,25 @@ def _ranked_blocks(query, keys, k, exclude_self):
         if exclude_self:
             rows = np.arange(len(block))
             block[rows, start + rows] = -np.inf  # the query is never its own neighbor
-        part = np.argpartition(block, n - k, axis=1)[:, n - k:]
-        kth = np.take_along_axis(block, part[:, :1], axis=1)
-        candidates = np.sort(part, axis=1)
-        values = np.take_along_axis(block, candidates, axis=1)
+        hood = np.argpartition(block, n - k, axis=1)[:, n - k:]
+        values = np.take_along_axis(block, hood, axis=1)
         if np.isnan(values).any():  # partition ranks NaN above every number
             raise ValueError("similarities contain NaN")
-        order = np.take_along_axis(candidates, np.argsort(-values, axis=1, kind="stable"),
-                                   axis=1)
+        kth = values[:, :1]  # argpartition puts each row's k-th largest value first
         for r in np.flatnonzero(np.count_nonzero(block >= kth, axis=1) > k):
-            order[r] = np.lexsort((np.arange(n), -block[r]))[:k]
-        yield start, block, order
+            hood[r] = np.lexsort((np.arange(n), -block[r]))[:k]
+        yield start, block, hood
 
 
-def exact_topk(query: np.ndarray, keys: np.ndarray, k: int,
-               exclude_self: bool = False) -> np.ndarray:
-    """(m, k) key indices of the k most similar keys of each query row, in the
-    order and with the tie rule of topk_blocks."""
-    blocks = topk_blocks(query, keys, k, exclude_self)
-    out = np.empty((len(query), k), dtype=np.int64)
-    for start, _, order in blocks:
-        out[start:start + len(order)] = order
-    return out
+def _count_votes(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """(b, n_classes) counts of each class in each row of a (b, k) label array.
+
+    keys[i, j] = i * n_classes + labels[i, j], so one bincount counts every
+    row at once.
+    """
+    keys = labels + (np.arange(len(labels)) * n_classes)[:, None]
+    return np.bincount(keys.ravel(), minlength=len(labels) * n_classes
+                       ).reshape(len(labels), n_classes)
 
 
 @dataclass
@@ -155,20 +152,22 @@ def aggregate_pseudo_labels(bank: EmbeddingBank, noisy_labels: np.ndarray,
     if noisy_labels.min() < 0 or noisy_labels.max() >= n_classes:
         raise ValueError(f"labels must lie in [0, {n_classes})")
 
-    hoods = exact_topk(bank.z, bank.z, k, exclude_self=True)
     own = noisy_labels.astype(np.int64, copy=False)
-    offsets = (np.arange(n) * n_classes)[:, None]
-    # keys[i, j] = i * n_classes + (label of i's j-th neighbor), so a single
-    # bincount counts the votes of every row at once
-    keys = own[hoods]
-    keys += offsets
-    votes = np.bincount(keys.ravel(), minlength=n * n_classes).reshape(n, n_classes)
+    # pass 2 reads the neighbour sets again; pass 1's counts are the noisy ablation's
+    hoods = np.empty((n, k), dtype=np.int64) if count_labels == PSEUDO else None
+    votes = np.empty((n, n_classes), dtype=np.int64)
+    for start, _, hood in topk_blocks(bank.z, bank.z, k, exclude_self=True):
+        stop = start + len(hood)
+        votes[start:stop] = _count_votes(own[hood], n_classes)
+        if hoods is not None:
+            hoods[start:stop] = hood
     tied = votes == votes.max(axis=1, keepdims=True)
     y_hat = np.where(tied[np.arange(n), own], own, np.argmax(tied, axis=1))
 
-    if count_labels == PSEUDO:
-        np.take(y_hat, hoods, out=keys)
-        keys += offsets
-        votes = np.bincount(keys.ravel(), minlength=n * n_classes).reshape(n, n_classes)
+    if hoods is not None:
+        step = max(1, _BLOCK_ELEMENTS // k)
+        for start in range(0, n, step):
+            votes[start:start + step] = _count_votes(y_hat[hoods[start:start + step]],
+                                                     n_classes)
     q_hat = votes / k
     return PseudoLabelState(y_hat=y_hat, q_hat=q_hat, k=k)

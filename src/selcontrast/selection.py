@@ -13,13 +13,12 @@ status does not depend on the row block that computes it.
 SelectionState.pair_block(rows, cols) rebuilds any sub-mask, and the losses
 and the pair precision read pairs only through it. gamma is read from each
 class's confident rows in row blocks into one float per confident pair; the
-similar-pair count and the read-only tuple sets `pairs_confident`,
-`pairs_similar` and `pairs` come from row-block passes over the upper
-triangle. Nothing of size n x n is allocated.
+similar-pair count, the sorted pair index arrays and the read-only tuple sets
+`pairs_confident`, `pairs_similar` and `pairs` come from row-block passes
+over each class's upper triangle. Nothing of size n x n is allocated.
 """
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -69,13 +68,23 @@ def row_blocks(n: int) -> list[tuple[int, int]]:
     return [(start, min(start + step, n)) for start in range(0, n, step)]
 
 
-def upper_triangle_blocks(index: np.ndarray):
-    """Yield (rows, cols) blocks of a sorted index array that cover its pairs
-    i < j: rows is one of row_blocks(len(index)) and cols runs from its first
-    row to the end, so np.triu(mask, 1) of a (rows, cols) mask keeps exactly
-    the cells i < j."""
-    for start, stop in row_blocks(len(index)):
-        yield index[start:stop], index[start:]
+def same_label_blocks(labels: np.ndarray):
+    """Yield (rows, cols) blocks that cover every pair i < j of equal label:
+    for each label's members, in index order, rows is one of
+    row_blocks(len(members)) and cols runs from its first row to the end, so
+    np.triu(mask, 1) of a (rows, cols) mask keeps exactly the cells i < j."""
+    for c in np.unique(labels):
+        members = np.flatnonzero(labels == c)
+        for start, stop in row_blocks(len(members)):
+            yield members[start:stop], members[start:]
+
+
+def _sorted_pairs(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The (i, j) index arrays of the pairs in `parts`, sorted by i, then j."""
+    i = np.concatenate([a for a, _ in parts] + [np.empty(0, dtype=np.int64)])
+    j = np.concatenate([b for _, b in parts] + [np.empty(0, dtype=np.int64)])
+    order = np.lexsort((j, i))
+    return i[order], j[order]
 
 
 @dataclass
@@ -128,18 +137,30 @@ class SelectionState:
     def n_pairs_similar(self) -> int:
         return sum(int(np.count_nonzero(block)) for _, _, block in self._similar_upper())
 
+    def confident_pair_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(i, j) index arrays of the confident pairs i < j, sorted by i, then j."""
+        parts = []
+        for members in self.confident_by_class:
+            members = np.sort(members)
+            r, c = np.triu_indices(len(members), 1)
+            parts.append((members[r], members[c]))
+        return _sorted_pairs(parts)
+
+    def similar_pair_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(i, j) index arrays of the similar pairs i < j, sorted by i, then j."""
+        parts = []
+        for rows, cols, block in self._similar_upper():
+            r, c = np.nonzero(block)
+            parts.append((rows[r], cols[c]))
+        return _sorted_pairs(parts)
+
     @cached_property
     def pairs_confident(self) -> frozenset[Pair]:
-        return frozenset((int(i), int(j)) for members in self.confident_by_class
-                         for i, j in itertools.combinations(np.sort(members), 2))
+        return frozenset(zip(*(a.tolist() for a in self.confident_pair_index())))
 
     @cached_property
     def pairs_similar(self) -> frozenset[Pair]:
-        pairs = []
-        for rows, cols, block in self._similar_upper():
-            r, c = np.nonzero(block)
-            pairs += zip(rows[r].tolist(), cols[c].tolist())
-        return frozenset(pairs)
+        return frozenset(zip(*(a.tolist() for a in self.similar_pair_index())))
 
     @cached_property
     def pairs(self) -> frozenset[Pair]:
@@ -147,13 +168,11 @@ class SelectionState:
 
     def _similar_upper(self):
         """(rows, cols, mask) blocks that hold every same-label pair i < j
-        above the similarity cut: each class's members, in
-        upper_triangle_blocks."""
+        above the similarity cut, in same_label_blocks."""
         if math.isinf(self.sim_threshold):
             return
-        for c in np.unique(self.noisy_labels):
-            for rows, cols in upper_triangle_blocks(np.flatnonzero(self.noisy_labels == c)):
-                yield rows, cols, np.triu(self._similar_block(rows, cols), 1)
+        for rows, cols in same_label_blocks(self.noisy_labels):
+            yield rows, cols, np.triu(self._similar_block(rows, cols), 1)
 
 
 def select_confident_examples(pseudo: PseudoLabelState, noisy_labels: np.ndarray,

@@ -231,11 +231,6 @@ def _train_arrays(ds: Dataset):
     return (ds.instances[idx], ds.true_labels[idx], ds.noisy_labels[idx])
 
 
-def _augment_rows(rows: np.ndarray, spec: AugmentationSpec,
-                  rng: np.random.Generator) -> np.ndarray:
-    return np.stack([augment(row, spec, rng) for row in rows])
-
-
 def _view_batches(x_train: np.ndarray, labels: np.ndarray, cfg: RunConfig,
                   rng: np.random.Generator):
     """Shuffle the train rows and yield one minibatch at a time as
@@ -251,8 +246,8 @@ def _view_batches(x_train: np.ndarray, labels: np.ndarray, cfg: RunConfig,
     for start in range(0, len(perm), cfg.batch_size):
         batch_idx = perm[start:start + cfg.batch_size]
         nb = len(batch_idx)
-        views = np.concatenate([_augment_rows(x_train[batch_idx], aug, rng),
-                                _augment_rows(x_train[batch_idx], aug, rng)])
+        views = np.concatenate([augment(x_train[batch_idx], aug, rng),
+                                augment(x_train[batch_idx], aug, rng)])
         twin = np.concatenate([np.arange(nb) + nb, np.arange(nb)])
         yield (views, np.concatenate([batch_idx, batch_idx]),
                np.concatenate([labels[batch_idx], labels[batch_idx]]), twin)
@@ -291,7 +286,7 @@ def _cross_entropy_epoch(params, opt, x_train, labels, rows, cfg, rng,
     perm = rows[rng.permutation(len(rows))]
     for start in range(0, len(perm), cfg.batch_size):
         batch_idx = perm[start:start + cfg.batch_size]
-        x = x_train[batch_idx] if aug is None else _augment_rows(x_train[batch_idx], aug, rng)
+        x = x_train[batch_idx] if aug is None else augment(x_train[batch_idx], aug, rng)
         cache = forward(params, x, project=False)
         _, grad_p = classification_loss(cache.p_hat, labels[batch_idx],
                                         np.ones(len(batch_idx), dtype=bool))

@@ -339,9 +339,11 @@ def test_criterion_6_pair_recovery_under_asymmetric_noise():
         ds = dataset_from_config(cfg)
         result = pretrain(ds, cfg)
         true_train = ds.true_labels[ds.train_indices()]
+        noisy_train = ds.noisy_labels[ds.train_indices()]
         prec_same_label = pair_precision(
-            MaskPairs.of(result.selection.pairs_confident, len(true_train)), true_train)
-        prec_union = pair_precision(result.selection, true_train)
+            MaskPairs.of(result.selection.pairs_confident, len(true_train)), true_train,
+            noisy_train)
+        prec_union = pair_precision(result.selection, true_train, noisy_train)
         wins += prec_union >= prec_same_label
         details.append(f"{prec_same_label:.1f}->{prec_union:.1f}")
     ok = wins >= 4

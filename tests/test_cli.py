@@ -13,6 +13,8 @@ import selcontrast.cli as cli
 from selcontrast.cli import cli_run, emit_summary
 from selcontrast.data import load_features_csv
 from selcontrast.network import load_checkpoint
+from selcontrast.neighbors import grid_rows
+from selcontrast.selection import SelectionState
 from selcontrast.training import METRICS_COLUMNS
 
 # Small enough that a full train run takes well under a second.
@@ -150,6 +152,33 @@ def test_train_dumps_selection_and_pseudo_labels(tmp_path, trained):
     assert len(lines) == 1 + len(payload["train_row_indices"])
     first = lines[1].split(",")
     assert abs(float(first[2]) + float(first[3]) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 1 << 16])
+@pytest.mark.parametrize("threshold", [0.3, float("inf")])
+def test_selection_dump_is_json_dump_of_the_sorted_pairs(tmp_path, monkeypatch, chunk,
+                                                         threshold):
+    rng = np.random.default_rng(4)
+    noisy = rng.integers(0, 3, size=30)
+    confident = np.flatnonzero(rng.random(30) < 0.4)
+    z = rng.normal(size=(30, 3))
+    state = SelectionState(noisy_labels=noisy,
+                           confident_by_class=[confident[noisy[confident] == c]
+                                               for c in range(3)],
+                           confident=confident, sim_threshold=threshold,
+                           z=grid_rows(z / np.linalg.norm(z, axis=1, keepdims=True)),
+                           per_class_quota=4, epoch_tag=7)
+    train_idx = np.arange(100, 130)
+    monkeypatch.setattr(cli, "_PAIR_CHUNK", chunk)
+    cli._dump_selection(state, train_idx, tmp_path / "sel.json")
+    payload = {"epoch_tag": 7, "per_class_quota": 4, "sim_threshold": threshold,
+               "train_row_indices": train_idx.tolist(),
+               "confident_by_class": [c.tolist() for c in state.confident_by_class],
+               "pairs_confident": sorted(state.pairs_confident),
+               "pairs_similar": sorted(state.pairs_similar)}
+    assert len(payload["pairs_confident"]) > 5
+    assert (len(payload["pairs_similar"]) > 5) == (threshold < 1)
+    assert (tmp_path / "sel.json").read_text() == json.dumps(payload) + "\n"
 
 
 def _record_calls(monkeypatch, name):

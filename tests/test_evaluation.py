@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import MaskPairs, reference_knn_predictions
+from oracles import MaskPairs, full_mask, reference_knn_predictions
 
 from selcontrast.evaluation import (dump_projection_2d, pair_precision, project_2d,
                                     selection_precision, weighted_knn_eval)
-from selcontrast.neighbors import _BLOCK_ELEMENTS
+from selcontrast.neighbors import _BLOCK_ELEMENTS, grid_rows
 from selcontrast.selection import SelectionState
 
 
@@ -219,14 +219,35 @@ def test_selection_precision_empty_sets_have_no_precision():
 def test_pair_precision_counts_matching_wrong_labels_as_correct():
     # both endpoints mislabeled, but their TRUE classes agree -> correct pair
     true = np.array([1, 1])
-    assert pair_precision(MaskPairs.of({(0, 1)}, 2), true) == 100.0
+    assert pair_precision(MaskPairs.of({(0, 1)}, 2), true, np.array([0, 0])) == 100.0
 
 
 def test_pair_precision_arithmetic():
     true = np.array([0, 1, 0, 1])
+    noisy = np.zeros(4, dtype=int)
     pairs = MaskPairs.of({(0, 2), (1, 2), (1, 3)}, 4)
-    assert pair_precision(pairs, true) == 100 * 2 / 3
-    assert pair_precision(MaskPairs(np.zeros((4, 4), dtype=bool)), true) is None
+    assert pair_precision(pairs, true, noisy) == 100 * 2 / 3
+    assert pair_precision(MaskPairs(np.zeros((4, 4), dtype=bool)), true, noisy) is None
+
+
+@pytest.mark.parametrize("noisy", [[0] * 40, [0, 1] * 19 + [2, 1]],
+                         ids=["single-class", "class-of-one"])
+def test_pair_precision_per_class_matches_brute_force(noisy):
+    rng = np.random.default_rng(11)
+    noisy = np.asarray(noisy)
+    n = len(noisy)
+    true = rng.integers(0, 3, size=n)
+    confident = np.union1d(np.flatnonzero(rng.random(n) < 0.3), [38])
+    state = SelectionState(noisy_labels=noisy,
+                           confident_by_class=[confident[noisy[confident] == c]
+                                               for c in range(int(noisy.max()) + 1)],
+                           confident=confident, sim_threshold=0.5,
+                           z=grid_rows(unit_rows(rng.normal(size=(n, 3)))), per_class_quota=0)
+    mask = full_mask(state, n)
+    selected = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
+    good = sum(1 for i, j in selected if true[i] == true[j])
+    assert 0 < good < len(selected)
+    assert pair_precision(state, true, noisy) == 100.0 * good / len(selected)
 
 
 # ---------------------------------------------------------------------------

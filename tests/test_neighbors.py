@@ -2,6 +2,8 @@
 sort oracles, hand enumerations, tie-break contracts, equivariance and
 hypothesis properties against the per-row references in oracles.py.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import ranked_topk, reference_pseudo_labels
 
+from selcontrast.evaluation import ranked_neighbors
 from selcontrast.neighbors import (_BLOCK_ELEMENTS, EmbeddingBank, PseudoLabelState,
-                                   aggregate_pseudo_labels, exact_topk, grid_rows)
+                                   aggregate_pseudo_labels, grid_rows, topk_blocks)
 from selcontrast.selection import row_blocks
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -27,19 +30,31 @@ def angles_to_bank(angles, epoch_tag=0):
     return EmbeddingBank(z=z, epoch_tag=epoch_tag)
 
 
+def topk_ranked(query, keys, k, exclude_self=False):
+    """The (m, k) neighbour sets of topk_blocks, gathered over its row blocks
+    and put in rank order by the kNN probe's ranked_neighbors: equal to the
+    per-row reference ranking exactly when every set is right and the ranking
+    step orders it."""
+    blocks = topk_blocks(query, keys, k, exclude_self)
+    out = np.empty((len(query), k), dtype=np.int64)
+    for start, sims, hood in blocks:
+        out[start:start + len(hood)] = ranked_neighbors(sims, hood)
+    return out
+
+
 def topk_of(sims, k, exclude_self=False):
-    """exact_topk over a given similarity matrix: with identity keys every
+    """topk_ranked over a given similarity matrix: with identity keys every
     cell of sims @ I.T has one nonzero product, so it equals sims exactly
     (up to the sign of a zero, which no ranking sees)."""
-    return exact_topk(sims, np.eye(np.shape(sims)[1]), k, exclude_self=exclude_self)
+    return topk_ranked(sims, np.eye(np.shape(sims)[1]), k, exclude_self=exclude_self)
 
 
 def bank_topk(bank, k, exclude_self=False):
-    return exact_topk(bank.z, bank.z, k, exclude_self=exclude_self)
+    return topk_ranked(bank.z, bank.z, k, exclude_self=exclude_self)
 
 
 # ---------------------------------------------------------------------------
-# exact_topk
+# topk_blocks and the probe's ranking step
 # ---------------------------------------------------------------------------
 
 def test_topk_matches_exhaustive_sort():
@@ -80,20 +95,20 @@ def test_topk_excludes_query_and_orders_by_similarity():
 def test_topk_bounds_checks():
     z = angles_to_bank(np.array([0.0, 0.3, 0.6])).z
     with pytest.raises(ValueError):
-        exact_topk(z, z, 3, exclude_self=True)
+        topk_ranked(z, z, 3, exclude_self=True)
     with pytest.raises(ValueError):
-        exact_topk(z, z, 0, exclude_self=True)
+        topk_ranked(z, z, 0, exclude_self=True)
     with pytest.raises(ValueError):
-        exact_topk(z, z, 4)
+        topk_ranked(z, z, 4)
     with pytest.raises(ValueError):
-        exact_topk(z, z, 0)
+        topk_ranked(z, z, 0)
     with pytest.raises(ValueError, match="square"):
-        exact_topk(z[:2], z, 1, exclude_self=True)
+        topk_ranked(z[:2], z, 1, exclude_self=True)
     with pytest.raises(ValueError, match="2-d"):
-        exact_topk(z[0], z, 1)
+        topk_ranked(z[0], z, 1)
     with pytest.raises(ValueError, match="equal width"):
-        exact_topk(z, z[:, :1], 1)
-    assert exact_topk(z, z, 3).shape == (3, 3)
+        topk_ranked(z, z[:, :1], 1)
+    assert topk_ranked(z, z, 3).shape == (3, 3)
 
 
 def test_topk_rejects_nan():
@@ -102,7 +117,7 @@ def test_topk_rejects_nan():
         topk_of(sims, 2, exclude_self=True)
     z = np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="NaN"):
-        exact_topk(z[:1], z, 1)
+        topk_ranked(z[:1], z, 1)
 
 
 @st.composite
@@ -154,7 +169,7 @@ def test_topk_rows_wider_than_a_block():
     keys = rng.integers(0, 3, size=(_BLOCK_ELEMENTS + 5, 2)).astype(np.float64)
     sims = query @ keys.T  # small integers: exact, with many ties
     for k in (1, 7, _BLOCK_ELEMENTS + 5):
-        np.testing.assert_array_equal(exact_topk(query, keys, k), ranked_topk(sims, k))
+        np.testing.assert_array_equal(topk_ranked(query, keys, k), ranked_topk(sims, k))
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +223,10 @@ def test_topk_of_grid_rows_spans_several_row_blocks(seed, dim, k):
     rng = np.random.default_rng(seed)
     z = random_grid_rows(rng, MULTI_BLOCK_N, dim)
     sims = z @ z.T
-    np.testing.assert_array_equal(exact_topk(z, z, k, exclude_self=True),
+    np.testing.assert_array_equal(topk_ranked(z, z, k, exclude_self=True),
                                   ranked_topk(sims, k, exclude_self=True))
     queries = random_grid_rows(rng, 2 * MULTI_BLOCK_N // 3, dim)
-    np.testing.assert_array_equal(exact_topk(queries, z, k), ranked_topk(queries @ z.T, k))
+    np.testing.assert_array_equal(topk_ranked(queries, z, k), ranked_topk(queries @ z.T, k))
 
 
 def test_bank_rejects_non_unit_rows():
@@ -406,3 +421,28 @@ def test_labels_outside_class_range_rejected():
         aggregate_pseudo_labels(bank, np.array([0, 1, 2]), k=2, n_classes=2)
     with pytest.raises(ValueError, match="labels"):
         aggregate_pseudo_labels(bank, np.array([0, -1, 1]), k=2, n_classes=2)
+
+
+# Row-block scratch of the vote: a (b, n) block of similarities with its
+# argpartition indices and tie mask at _BLOCK_ELEMENTS cells each, the (b, k)
+# label keys and the (n, n_classes) counts and posterior; about 1.1 MiB at
+# n = 2400.
+VOTE_SCRATCH = 2 * 1024 * 1024
+
+
+@pytest.mark.parametrize("count_labels", ["pseudo", "noisy"])
+def test_vote_peak_memory(count_labels):
+    rng = np.random.default_rng(5)
+    n, k = 2400, 250
+    bank = EmbeddingBank(z=unit_rows(rng.normal(size=(n, 16))))
+    noisy = rng.integers(0, 4, size=n)
+    tracemalloc.start()
+    try:
+        aggregate_pseudo_labels(bank, noisy, k=k, n_classes=4, count_labels=count_labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # pass 2 reads one (n, k) int64 array of neighbour sets; the noisy
+    # ablation has no pass 2 and keeps none
+    kept = 8 * n * k if count_labels == "pseudo" else 0
+    assert peak <= kept + VOTE_SCRATCH, f"{peak / 2 ** 20:.2f} MiB"

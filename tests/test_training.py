@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import augment_row
 
 from selcontrast.data import Dataset, NoiseSpec, inject_noise, make_blobs
 from selcontrast.evaluation import weighted_knn_eval
@@ -458,6 +459,27 @@ def test_reusing_the_record_embedding_changes_nothing():
     assert selection.pairs == result.selection.pairs
     for (name, arr), (_, ref) in zip(params.named_arrays(), result.params.named_arrays()):
         np.testing.assert_array_equal(arr, ref, err_msg=name)
+
+
+def test_batched_augment_changes_no_bit_of_a_run(monkeypatch):
+    # every augmented view, contrastive and fine-tuning alike, must equal the
+    # per-row oracle's, so swapping it in changes no parameter and no record
+    import selcontrast.training as training
+    cfg = tiny_config(t_warm=1, t_max=4, t_finetune=2)
+    ds = dataset_from_config(cfg)
+
+    def run():
+        result = pretrain(ds, cfg, time_source=lambda: 0.0)
+        return result.history, finetune(result.params, ds, cfg, selection=result.selection)
+
+    history, tuned = run()
+    assert all(r.n_confident > 0 for r in history[1:])  # every epoch selective
+    monkeypatch.setattr(training, "augment", lambda x, spec, rng: np.stack(
+        [augment_row(row, spec, rng) for row in x]))
+    ref_history, ref_tuned = run()
+    assert history == ref_history
+    for (name, arr), (_, ref) in zip(tuned.named_arrays(), ref_tuned.named_arrays()):
+        assert arr.tobytes() == ref.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
