@@ -18,6 +18,10 @@ _NORM_FLOOR = 1e-30
 
 _CHECKPOINT_VERSION = 1
 
+# Elements per chunk of sgd_step; of 2**12 to 2**16, 2**15 (256 KB of float64)
+# was the fastest at the shapes of the wide benchmark workload.
+_SGD_CHUNK = 1 << 15
+
 
 @dataclass
 class NetworkParams:
@@ -235,11 +239,10 @@ class OptState:
     buf <- momentum * buf + grad + weight_decay * param; param <- param - lr * buf.
 
     lr_scale holds optional per-tensor learning-rate multipliers (0 freezes a
-    tensor entirely, including its weight decay). sgd_step computes each
-    trained tensor's next momentum buffer into spare[name] and its next value
-    into scratch[name], so a step allocates no tensor-sized memory; besides
-    the parameters it holds three tensor-sized arrays per trained tensor
-    (buffers, spare, scratch).
+    tensor entirely, including its weight decay). Besides the parameters it
+    holds one tensor-sized array per trained tensor, the momentum buffer, and
+    one pair of chunk-sized arrays that sgd_step computes in (allocated on
+    the first step).
     """
 
     lr: float
@@ -248,8 +251,7 @@ class OptState:
     schedule: list[tuple[int, float]] = field(default_factory=list)
     buffers: dict[str, np.ndarray] = field(default_factory=dict)
     lr_scale: dict[str, float] = field(default_factory=dict)
-    spare: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-    scratch: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    chunk_pair: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
     def for_params(cls, params: NetworkParams, lr: float, momentum: float = 0.9,
@@ -273,34 +275,63 @@ def apply_lr_schedule(opt: OptState, epoch: int) -> None:
 def sgd_step(params: NetworkParams, grads: dict[str, np.ndarray], opt: OptState) -> NetworkParams:
     """One in-place momentum-SGD update of every tensor, or of none.
 
-    Each new momentum buffer and each new value is computed once and
-    checked; only when every new value is finite are they stored. Otherwise
-    FloatingPointError names the first non-finite tensor and the parameters
-    and buffers are left as they were.
+    Each trained tensor is flattened and cut into chunks of _SGD_CHUNK
+    elements. Pass 1 computes every chunk's new momentum buffer and new value
+    into opt's chunk pair and checks that the values are finite, storing
+    nothing: the chunks are laid out one after another in the pair, and one
+    that does not fit starts again at its front, so only the chunks since then
+    are still held at the end. Only when every new value is finite does pass 2
+    store them: it copies the chunks still held and recomputes each other
+    chunk in place, with the same operations in the same order, so it stores
+    the values pass 1 checked, bit for bit. Otherwise FloatingPointError names
+    the first non-finite tensor and the parameters and buffers are left as
+    they were. Trained tensors and their buffers must be C-contiguous, as
+    every constructor here makes them; ValueError is raised otherwise, before
+    anything is written.
     """
-    staged = []
+    chunks = []
     for name, arr in params.named_arrays():
         scale = opt.lr_scale.get(name, 1.0)
-        if scale == 0.0:
-            continue
-        buf = opt.spare.get(name)
-        if buf is None:
-            buf = opt.spare[name] = np.empty_like(arr)
-        new = opt.scratch.get(name)
-        if new is None:
-            new = opt.scratch[name] = np.empty_like(arr)
-        # buf = momentum * buf + (grad + wd * param), new = param - (lr * scale) * buf,
-        # rounded step by step as that formula is (addition commutes), without temporaries
-        np.multiply(arr, opt.weight_decay, out=buf)
-        buf += grads[name]
-        buf += np.multiply(opt.buffers[name], opt.momentum, out=new)
-        np.subtract(arr, np.multiply(buf, opt.lr * scale, out=new), out=new)
-        if not np.all(np.isfinite(new)):
+        if scale != 0.0:
+            buf = opt.buffers[name]
+            if not (arr.flags.c_contiguous and buf.flags.c_contiguous):
+                raise ValueError(f"tensor '{name}' or its momentum buffer is not C-contiguous")
+            p, buf = arr.reshape(-1), buf.reshape(-1)  # views, as both are contiguous
+            g = np.asarray(grads[name]).reshape(-1)
+            chunks += [(name, p[lo:lo + _SGD_CHUNK], buf[lo:lo + _SGD_CHUNK],
+                        g[lo:lo + _SGD_CHUNK], opt.lr * scale)
+                       for lo in range(0, p.size, _SGD_CHUNK)]
+    size = min(_SGD_CHUNK, sum(chunk[1].size for chunk in chunks))
+    if opt.chunk_pair is None or opt.chunk_pair[0].size < size:
+        opt.chunk_pair = (np.empty(size), np.empty(size))
+    next_buf, next_val = opt.chunk_pair
+    wd, mom = opt.weight_decay, opt.momentum
+    # buf = (wd * p + g) + mom * buf, p = p - (lr * scale) * buf, rounded step by
+    # step as that formula is (addition commutes), without temporaries
+    held, at = [], 0
+    for name, p, buf, g, step in chunks:
+        if at + p.size > size:
+            held, at = [], 0
+        b, v = next_buf[at:at + p.size], next_val[at:at + p.size]
+        at += p.size
+        np.multiply(p, wd, out=b)
+        b += g
+        b += np.multiply(buf, mom, out=v)
+        np.subtract(p, np.multiply(b, step, out=v), out=v)
+        if not np.isfinite(v).all():
             raise FloatingPointError(f"non-finite values in tensor '{name}' after update")
-        staged.append((name, arr, buf, new))
-    for name, arr, buf, new in staged:
-        np.copyto(arr, new)
-        opt.spare[name], opt.buffers[name] = opt.buffers[name], buf
+        held.append((b, v))
+    first = len(chunks) - len(held)  # the held chunks are the last ones
+    for (_, p, buf, _, _), (b, v) in zip(chunks[first:], held):
+        np.copyto(buf, b)  # before any recomputation overwrites the pair
+        np.copyto(p, v)
+    for _, p, buf, g, step in chunks[:first]:
+        s = next_val[:p.size]
+        np.multiply(buf, mom, out=s)
+        np.multiply(p, wd, out=buf)
+        buf += g
+        buf += s
+        p -= np.multiply(buf, step, out=s)
     return params
 
 

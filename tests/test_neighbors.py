@@ -12,8 +12,10 @@ from hypothesis.extra.numpy import arrays
 from oracles import ranked_topk, reference_pseudo_labels
 
 from selcontrast.evaluation import ranked_neighbors
-from selcontrast.neighbors import (_BLOCK_ELEMENTS, EmbeddingBank, PseudoLabelState,
-                                   aggregate_pseudo_labels, grid_rows, topk_blocks)
+from selcontrast import neighbors
+from selcontrast.neighbors import (_BLOCK_ELEMENTS, _MIN_BLOCK_ROWS, EmbeddingBank,
+                                   PseudoLabelState, aggregate_pseudo_labels, grid_rows,
+                                   topk_blocks)
 from selcontrast.selection import row_blocks
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -227,6 +229,29 @@ def test_topk_of_grid_rows_spans_several_row_blocks(seed, dim, k):
                                   ranked_topk(sims, k, exclude_self=True))
     queries = random_grid_rows(rng, 2 * MULTI_BLOCK_N // 3, dim)
     np.testing.assert_array_equal(topk_ranked(queries, z, k), ranked_topk(queries @ z.T, k))
+
+
+@pytest.mark.parametrize("rows_per_budget", [1, 3, _MIN_BLOCK_ROWS + 5])
+def test_topk_blocks_take_at_least_the_minimum_rows(monkeypatch, rows_per_budget):
+    # a block budget below _MIN_BLOCK_ROWS rows of keys (n_train > 4096; one
+    # row past 16384) still gets blocks of _MIN_BLOCK_ROWS rows
+    n, k = MULTI_BLOCK_N, 25
+    monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", rows_per_budget * n)
+    step = max(_MIN_BLOCK_ROWS, rows_per_budget)
+    rng = np.random.default_rng(rows_per_budget)
+    z = random_grid_rows(rng, n, 8)
+    starts, sizes = [], []
+    for start, sims, hood in topk_blocks(z, z, k, exclude_self=True):
+        starts.append(start)
+        sizes.append(len(hood))
+        assert sims.shape == (len(hood), n)
+    assert starts == list(range(0, n, step))
+    assert sizes == [min(step, n - start) for start in starts]
+    np.testing.assert_array_equal(topk_ranked(z, z, k, exclude_self=True),
+                                  ranked_topk(z @ z.T, k, exclude_self=True))
+    noisy = rng.integers(0, 4, size=n)
+    for count_labels in ("pseudo", "noisy"):
+        assert_matches_reference(EmbeddingBank(z=z), noisy, k, 4, count_labels)
 
 
 def test_bank_rejects_non_unit_rows():

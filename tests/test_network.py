@@ -1,9 +1,12 @@
 """Tests for the three-head network: forward oracle, analytic gradients vs
 central finite differences, optimizer arithmetic, and checkpoint round-trips.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from selcontrast import network
 from selcontrast.network import (ForwardCache, NetworkParams, OptState,
                                  apply_lr_schedule, backward, forward, he_init,
                                  init_params, load_checkpoint, save_checkpoint,
@@ -304,28 +307,82 @@ def test_sgd_non_finite_last_tensor_leaves_everything_unchanged():
         np.testing.assert_array_equal(buf, buffers_before[name], err_msg=name)
 
 
-def test_sgd_step_matches_in_place_reference_bitwise():
-    params = small_params(seed=19)
-    reference = params.copy()
-    rng = np.random.default_rng(10)
+@pytest.mark.parametrize("where", ["param", "buffer"])
+def test_sgd_non_contiguous_tensor_raises_before_any_write(where):
+    # sgd_step works on flat views; a tensor or buffer that has none is
+    # refused before the tensors in front of it are touched
+    params = small_params(seed=23)
+    rng = np.random.default_rng(14)
     grads = {name: rng.normal(size=arr.shape) for name, arr in params.named_arrays()}
-    opt = OptState.for_params(params, lr=0.05, momentum=0.9, weight_decay=1e-4,
-                              schedule=[], lr_scale={"enc_w1": 0.5})
-    ref_buffers = {n: b.copy() for n, b in opt.buffers.items()}
-    for _ in range(3):
+    opt = OptState.for_params(params, lr=0.1, momentum=0.9, weight_decay=1e-2,
+                              schedule=[])
+    if where == "param":
+        params.cls_w = np.asfortranarray(params.cls_w)
+    else:
+        opt.buffers["cls_w"] = np.asfortranarray(rng.normal(size=params.cls_w.shape))
+    params_before = params.copy()
+    buffers_before = {n: b.copy() for n, b in opt.buffers.items()}
+    with pytest.raises(ValueError, match="cls_w"):
         sgd_step(params, grads, opt)
-        for name, arr in reference.named_arrays():
-            buf = ref_buffers[name]
-            buf *= 0.9
-            buf += grads[name] + 1e-4 * arr
-            arr -= 0.05 * opt.lr_scale.get(name, 1.0) * buf
-    for (name, arr), (_, ref) in zip(params.named_arrays(), reference.named_arrays()):
-        np.testing.assert_array_equal(arr, ref, err_msg=name)
-        np.testing.assert_array_equal(opt.buffers[name], ref_buffers[name], err_msg=name)
+    for (n, arr), (_, ref) in zip(params.named_arrays(), params_before.named_arrays()):
+        np.testing.assert_array_equal(arr, ref, err_msg=n)
+    for n, buf in opt.buffers.items():
+        np.testing.assert_array_equal(buf, buffers_before[n], err_msg=n)
+
+
+@pytest.mark.parametrize("name", ["enc_w1", "enc_w2", "cls_w"])
+def test_sgd_non_finite_last_chunk_leaves_everything_unchanged(monkeypatch, name):
+    # every chunk of every tensor is checked before any is stored: an inf in
+    # the last chunk of a tensor split into several leaves its earlier chunks,
+    # and the tensors before it, as they were
+    monkeypatch.setattr(network, "_SGD_CHUNK", 5)
+    params = small_params(seed=21)
+    rng = np.random.default_rng(12)
+    grads = {n: rng.normal(size=arr.shape) for n, arr in params.named_arrays()}
+    assert grads[name].size > 2 * network._SGD_CHUNK
+    grads[name].flat[-1] = np.inf
+    opt = OptState.for_params(params, lr=0.1, momentum=0.9, weight_decay=1e-2,
+                              schedule=[])
+    for n in opt.buffers:
+        opt.buffers[n] = rng.normal(size=opt.buffers[n].shape)
+    params_before = params.copy()
+    buffers_before = {n: b.copy() for n, b in opt.buffers.items()}
+    with pytest.raises(FloatingPointError, match=name):
+        sgd_step(params, grads, opt)
+    for (n, arr), (_, ref) in zip(params.named_arrays(), params_before.named_arrays()):
+        np.testing.assert_array_equal(arr, ref, err_msg=n)
+    for n, buf in opt.buffers.items():
+        np.testing.assert_array_equal(buf, buffers_before[n], err_msg=n)
+
+
+def test_sgd_step_matches_in_place_reference_bitwise(monkeypatch):
+    # one chunk per tensor, where the whole network fits in the chunk pair and
+    # pass 2 copies every chunk, and chunks of 5 and 7, which split every
+    # weight matrix with a shorter last chunk and leave most chunks for pass 2
+    # to recompute
+    for chunk in (network._SGD_CHUNK, 5, 7):
+        monkeypatch.setattr(network, "_SGD_CHUNK", chunk)
+        params = small_params(seed=19)
+        reference = params.copy()
+        rng = np.random.default_rng(10)
+        grads = {name: rng.normal(size=arr.shape) for name, arr in params.named_arrays()}
+        opt = OptState.for_params(params, lr=0.05, momentum=0.9, weight_decay=1e-4,
+                                  schedule=[], lr_scale={"enc_w1": 0.5})
+        ref_buffers = {n: b.copy() for n, b in opt.buffers.items()}
+        for _ in range(3):
+            sgd_step(params, grads, opt)
+            for name, arr in reference.named_arrays():
+                buf = ref_buffers[name]
+                buf *= 0.9
+                buf += grads[name] + 1e-4 * arr
+                arr -= 0.05 * opt.lr_scale.get(name, 1.0) * buf
+        for (name, arr), (_, ref) in zip(params.named_arrays(), reference.named_arrays()):
+            np.testing.assert_array_equal(arr, ref, err_msg=f"{name}, chunk {chunk}")
+            np.testing.assert_array_equal(opt.buffers[name], ref_buffers[name],
+                                          err_msg=f"{name}, chunk {chunk}")
 
 
 def test_sgd_step_allocates_no_tensor_sized_memory():
-    import tracemalloc
     params = small_params(seed=20, dim=8, hidden=64, proj_dim=16, projection="mlp")
     rng = np.random.default_rng(11)
     grads = {name: rng.normal(size=arr.shape) for name, arr in params.named_arrays()}
@@ -340,6 +397,26 @@ def test_sgd_step_allocates_no_tensor_sized_memory():
     finally:
         tracemalloc.stop()
     assert peak < largest // 2, (peak, largest)
+
+
+def test_sgd_first_step_allocates_one_chunk_pair_at_wide_shapes():
+    # hidden 512 with an MLP projection to 128 (626,308 parameters): the
+    # optimizer keeps only the momentum buffers, so a fresh OptState's first
+    # step allocates its two chunk-sized arrays (512 KB), not one staging
+    # array per tensor (10.0 MB)
+    params = init_params(64, 4, hidden=512, proj_dim=128, projection="mlp", seed=22)
+    assert sum(arr.size for _, arr in params.named_arrays()) == 626_308
+    rng = np.random.default_rng(13)
+    grads = {name: rng.normal(size=arr.shape) for name, arr in params.named_arrays()}
+    opt = OptState.for_params(params, lr=0.05, momentum=0.9, weight_decay=1e-4,
+                              schedule=[])
+    tracemalloc.start()
+    try:
+        sgd_step(params, grads, opt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 # ---------------------------------------------------------------------------
