@@ -357,7 +357,7 @@ def _cmd_dump_proj(args) -> int:
         raise CliError(f"bad checkpoint: {exc}") from exc
     ds = _load_dataset(args, cfg)
     idx = ds.train_indices() if args.split == "train" else ds.test_indices()
-    z = forward(params, ds.instances[idx]).z
+    z = forward(params, ds.instances[idx], backprop=False).z
     if args.split == "train":
         mask = compute_selection(params, ds, cfg, train_z=z).confident_mask(len(idx))
     else:

@@ -6,6 +6,7 @@ batch and the caller picks the reduction by scaling upstream gradients.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,9 @@ _CHECKPOINT_VERSION = 1
 # Elements per chunk of sgd_step; of 2**12 to 2**16, 2**15 (256 KB of float64)
 # was the fastest at the shapes of the wide benchmark workload.
 _SGD_CHUNK = 1 << 15
+
+# sgd_step's no-overflow bound on |weight_decay|, |momentum| and |lr * scale|.
+_BOUND = 2.0 ** 200
 
 
 @dataclass
@@ -84,23 +88,22 @@ class NetworkParams:
 
 @dataclass
 class ForwardCache:
-    """Per-example intermediates kept for the backward pass.
+    """The outputs of one forward pass and what backward reads of it.
 
-    The projection fields are None when forward ran with project=False.
+    backward takes each ReLU mask from the layer's output, `act > 0`, which
+    equals `pre > 0` for every float (±0 and NaN included), so no
+    pre-activation is kept. The projection fields are None when forward ran
+    with project=False; enc_act1, v and proj_act1 are None when it ran with
+    backprop=False.
     """
 
     x: np.ndarray
-    enc_pre1: np.ndarray
-    enc_act1: np.ndarray
-    enc_pre2: np.ndarray
-    v: np.ndarray        # encoder output, (batch, hidden)
-    proj_pre1: np.ndarray | None
-    proj_act1: np.ndarray | None  # mlp only
-    z_raw: np.ndarray | None    # pre-normalization projection, (batch, proj_dim)
-    z_norm: np.ndarray | None   # (batch,) euclidean norms of z_raw
-    z: np.ndarray | None        # unit rows, (batch, proj_dim)
-    logits: np.ndarray
-    p_hat: np.ndarray    # softmax rows, (batch, n_classes)
+    enc_act1: np.ndarray | None   # first encoder layer's ReLU output
+    v: np.ndarray | None          # encoder output, (batch, hidden)
+    proj_act1: np.ndarray | None  # mlp only: the projection's ReLU output
+    z_norm: np.ndarray | None     # (batch,) euclidean norms of z before normalization
+    z: np.ndarray | None          # unit rows, (batch, proj_dim)
+    p_hat: np.ndarray             # softmax rows, (batch, n_classes)
 
 
 def he_init(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -127,66 +130,126 @@ def init_params(dim: int, n_classes: int, hidden: int = 64, proj_dim: int = 32,
     return params
 
 
-def forward(params: NetworkParams, x: np.ndarray, project: bool = True) -> ForwardCache:
+def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ w.T + b, the bias added in place into the product."""
+    out = a @ w.T
+    out += b
+    return out
+
+
+def _relu_layer(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max(a @ w.T + b, 0), computed in the product's array."""
+    out = _affine(a, w, b)
+    return np.maximum(out, 0.0, out=out)
+
+
+def forward(params: NetworkParams, x: np.ndarray, project: bool = True,
+            backprop: bool = True) -> ForwardCache:
     """Run the network on a (batch, dim) matrix.
 
     The projection output is L2-normalized per row; a zero pre-normalization
     row (degenerate parameters) maps to the zero vector rather than erroring.
     With project=False the projection head is skipped and the cache's
-    projection fields are None; v, logits and p_hat are the same either way.
+    projection fields are None; v and p_hat are the same either way. Biases,
+    ReLUs, the normalization and the softmax run in place in each layer's
+    product. With backprop=False, for callers that only read z and p_hat,
+    each hidden activation is dropped once the next layer exists, and the
+    cache cannot be passed to backward.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != params.dim:
         raise ValueError(f"input has dim {x.shape[1]}, params expect {params.dim}")
 
-    enc_pre1 = x @ params.enc_w1.T + params.enc_b1
-    enc_act1 = np.maximum(enc_pre1, 0.0)
-    enc_pre2 = enc_act1 @ params.enc_w2.T + params.enc_b2
-    v = np.maximum(enc_pre2, 0.0)
+    enc_act1 = _relu_layer(x, params.enc_w1, params.enc_b1)
+    v = _relu_layer(enc_act1, params.enc_w2, params.enc_b2)
+    if not backprop:
+        enc_act1 = None
 
-    proj_pre1 = proj_act1 = z_raw = z_norm = z = None
+    p_hat = _affine(v, params.cls_w, params.cls_b)  # the logits, then their softmax
+    p_hat -= p_hat.max(axis=1, keepdims=True)
+    np.exp(p_hat, out=p_hat)
+    p_hat /= p_hat.sum(axis=1, keepdims=True)
+
+    proj_act1 = z_norm = z = None
     if project:
-        proj_pre1 = v @ params.proj_w1.T + params.proj_b1
         if params.projection == MLP:
-            proj_act1 = np.maximum(proj_pre1, 0.0)
-            z_raw = proj_act1 @ params.proj_w2.T + params.proj_b2
+            proj_act1 = _relu_layer(v, params.proj_w1, params.proj_b1)
+            if not backprop:
+                v = None
+            z = _affine(proj_act1, params.proj_w2, params.proj_b2)
         else:
-            z_raw = proj_pre1
+            z = _affine(v, params.proj_w1, params.proj_b1)
         # A zero projection output (possible only for degenerate parameters,
         # e.g. all-zero weights) normalizes to the zero vector instead of
         # erroring; the embedding bank still enforces unit norms before any
         # selection runs.
-        z_norm = np.linalg.norm(z_raw, axis=1)
-        z = z_raw / np.maximum(z_norm, _NORM_FLOOR)[:, None]
+        z_norm = np.linalg.norm(z, axis=1)
+        z /= np.maximum(z_norm, _NORM_FLOOR)[:, None]
+    if not backprop:
+        v = proj_act1 = None
 
-    logits = v @ params.cls_w.T + params.cls_b
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    p_hat = exp / exp.sum(axis=1, keepdims=True)
+    return ForwardCache(x=x, enc_act1=enc_act1, v=v, proj_act1=proj_act1,
+                        z_norm=z_norm, z=z, p_hat=p_hat)
 
-    return ForwardCache(x=x, enc_pre1=enc_pre1, enc_act1=enc_act1, enc_pre2=enc_pre2,
-                        v=v, proj_pre1=proj_pre1, proj_act1=proj_act1, z_raw=z_raw,
-                        z_norm=z_norm, z=z, logits=logits, p_hat=p_hat)
+
+def _weight_grad(target: dict, name: str, g: np.ndarray, a: np.ndarray, add: bool) -> None:
+    """Store (or with add, add) g.T @ a, the batch-summed gradient of weight
+    matrix `name`, in target[name]; a name target lacks is skipped."""
+    if name in target:
+        if add:
+            target[name] += g.T @ a
+        else:
+            np.matmul(g.T, a, out=target[name])
+
+
+def _bias_grad(target: dict, name: str, g: np.ndarray, add: bool) -> None:
+    """As _weight_grad, for the bias gradient g.sum(axis=0)."""
+    if name in target:
+        if add:
+            target[name] += g.sum(axis=0)
+        else:
+            np.sum(g, axis=0, out=target[name])
 
 
 def backward(params: NetworkParams, cache: ForwardCache,
              grad_z: np.ndarray | None = None,
              grad_p: np.ndarray | None = None,
-             into: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+             into: dict[str, np.ndarray] | None = None,
+             out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """Backpropagate upstream gradients on z (normalized projection) and
     p_hat (softmax output) to all parameters.
 
-    Returns a dict keyed like named_arrays(), with gradients summed over the
-    batch; a head whose upstream gradient is omitted gets zero gradients.
-    With `into`, a dict an earlier backward returned, the gradients are added
-    into its arrays instead, a head without an upstream gradient adds
-    nothing, and `into` is returned. grad_z needs a cache built with the
-    projection head.
+    The gradients are summed over the batch. By default they come back in a
+    fresh dict keyed like named_arrays(), where a head whose upstream
+    gradient is omitted gets zero gradients. With `out`, a dict of arrays
+    shaped like the parameters (such as an OptState's `grads` workspace),
+    they are written into its arrays instead (bit-equal to the fresh
+    products), a head without an upstream gradient has its arrays zeroed, a
+    tensor `out` has no array for is skipped, and `out` is returned. With
+    `into`, a dict an earlier backward filled, they are added into its
+    arrays, a head without an upstream gradient adds nothing, and `into` is
+    returned. The ReLU masks are read from the cached activations. grad_z
+    needs a cache built with the projection head, and every cache one built
+    with backprop=True.
     """
+    if cache.v is None:
+        raise ValueError("the cache has no activations (forward ran with backprop=False)")
     if grad_z is not None and cache.z is None:
         raise ValueError("grad_z given, but the cache has no projection "
                          "(forward ran with project=False)")
-    grads: dict[str, np.ndarray] = {}
+    if into is not None and out is not None:
+        raise ValueError("give backward `into` or `out`, not both")
+    add = into is not None
+    if add:
+        target = into
+    else:
+        target = out if out is not None else {
+            name: np.empty_like(arr) for name, arr in params.named_arrays()}
+        for name, arr in target.items():
+            if ((grad_z is None and name.startswith("proj"))
+                    or (grad_p is None and name.startswith("cls"))):
+                arr.fill(0.0)
+
     gv = None
     if grad_z is not None:
         gz = np.asarray(grad_z, dtype=np.float64)
@@ -194,42 +257,37 @@ def backward(params: NetworkParams, cache: ForwardCache,
         gu = ((gz - (gz * cache.z).sum(axis=1, keepdims=True) * cache.z)
               / np.maximum(cache.z_norm, _NORM_FLOOR)[:, None])
         if params.projection == MLP:
-            grads["proj_w2"] = gu.T @ cache.proj_act1
-            grads["proj_b2"] = gu.sum(axis=0)
-            g_act = gu @ params.proj_w2
-            g_pre = g_act * (cache.proj_pre1 > 0.0)
+            _weight_grad(target, "proj_w2", gu, cache.proj_act1, add)
+            _bias_grad(target, "proj_b2", gu, add)
+            g_pre = gu @ params.proj_w2
+            g_pre *= cache.proj_act1 > 0.0
         else:
             g_pre = gu
-        grads["proj_w1"] = g_pre.T @ cache.v
-        grads["proj_b1"] = g_pre.sum(axis=0)
+        _weight_grad(target, "proj_w1", g_pre, cache.v, add)
+        _bias_grad(target, "proj_b1", g_pre, add)
         gv = g_pre @ params.proj_w1
 
     if grad_p is not None:
         gp = np.asarray(grad_p, dtype=np.float64)
         # Softmax Jacobian: g_logits = p * (gp - <gp, p>).
         g_logits = cache.p_hat * (gp - (gp * cache.p_hat).sum(axis=1, keepdims=True))
-        grads["cls_w"] = g_logits.T @ cache.v
-        grads["cls_b"] = g_logits.sum(axis=0)
-        gv_cls = g_logits @ params.cls_w
-        gv = gv_cls if gv is None else gv + gv_cls
+        _weight_grad(target, "cls_w", g_logits, cache.v, add)
+        _bias_grad(target, "cls_b", g_logits, add)
+        if gv is None:
+            gv = g_logits @ params.cls_w
+        else:
+            gv += g_logits @ params.cls_w
 
     if gv is None:
         gv = np.zeros_like(cache.v)
-    g_pre2 = gv * (cache.enc_pre2 > 0.0)
-    grads["enc_w2"] = g_pre2.T @ cache.enc_act1
-    grads["enc_b2"] = g_pre2.sum(axis=0)
-    g_pre1 = (g_pre2 @ params.enc_w2) * (cache.enc_pre1 > 0.0)
-    grads["enc_w1"] = g_pre1.T @ cache.x
-    grads["enc_b1"] = g_pre1.sum(axis=0)
-
-    if into is not None:
-        for name, grad in grads.items():
-            into[name] += grad
-        return into
-    for name, arr in params.named_arrays():
-        if name not in grads:
-            grads[name] = np.zeros_like(arr)
-    return grads
+    gv *= cache.v > 0.0  # the gradient on the second encoder pre-activation
+    _weight_grad(target, "enc_w2", gv, cache.enc_act1, add)
+    _bias_grad(target, "enc_b2", gv, add)
+    g_pre1 = gv @ params.enc_w2
+    g_pre1 *= cache.enc_act1 > 0.0
+    _weight_grad(target, "enc_w1", g_pre1, cache.x, add)
+    _bias_grad(target, "enc_b1", g_pre1, add)
+    return target
 
 
 @dataclass
@@ -239,10 +297,13 @@ class OptState:
     buf <- momentum * buf + grad + weight_decay * param; param <- param - lr * buf.
 
     lr_scale holds optional per-tensor learning-rate multipliers (0 freezes a
-    tensor entirely, including its weight decay). Besides the parameters it
-    holds one tensor-sized array per trained tensor, the momentum buffer, and
-    one pair of chunk-sized arrays that sgd_step computes in (allocated on
-    the first step).
+    tensor entirely, including its weight decay); which tensors are trained
+    is fixed when the state is built. Besides the parameters it holds, per
+    trained tensor (lr_scale not 0), two tensor-sized arrays: the momentum
+    buffer and the tensor's array of the gradient workspace `grads`, which
+    backward(..., out=opt.grads) fills once per step. It also holds one pair
+    of chunk-sized arrays that sgd_step computes in (allocated on the first
+    step).
     """
 
     lr: float
@@ -251,6 +312,7 @@ class OptState:
     schedule: list[tuple[int, float]] = field(default_factory=list)
     buffers: dict[str, np.ndarray] = field(default_factory=dict)
     lr_scale: dict[str, float] = field(default_factory=dict)
+    grads: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     chunk_pair: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
@@ -261,7 +323,9 @@ class OptState:
                   schedule=[(int(e), float(m)) for e, m in (schedule or [])],
                   lr_scale=dict(lr_scale or {}))
         for name, arr in params.named_arrays():
-            opt.buffers[name] = np.zeros_like(arr)
+            if opt.lr_scale.get(name, 1.0) != 0.0:
+                opt.buffers[name] = np.zeros_like(arr)
+                opt.grads[name] = np.zeros_like(arr)
         return opt
 
 
@@ -272,61 +336,66 @@ def apply_lr_schedule(opt: OptState, epoch: int) -> None:
             opt.lr *= mult
 
 
-def sgd_step(params: NetworkParams, grads: dict[str, np.ndarray], opt: OptState) -> NetworkParams:
-    """One in-place momentum-SGD update of every tensor, or of none.
-
-    Each trained tensor is flattened and cut into chunks of _SGD_CHUNK
-    elements. Pass 1 computes every chunk's new momentum buffer and new value
-    into opt's chunk pair and checks that the values are finite, storing
-    nothing: the chunks are laid out one after another in the pair, and one
-    that does not fit starts again at its front, so only the chunks since then
-    are still held at the end. Only when every new value is finite does pass 2
-    store them: it copies the chunks still held and recomputes each other
-    chunk in place, with the same operations in the same order, so it stores
-    the values pass 1 checked, bit for bit. Otherwise FloatingPointError names
-    the first non-finite tensor and the parameters and buffers are left as
-    they were. Trained tensors and their buffers must be C-contiguous, as
-    every constructor here makes them; ValueError is raised otherwise, before
-    anything is written.
-    """
-    chunks = []
-    for name, arr in params.named_arrays():
-        scale = opt.lr_scale.get(name, 1.0)
-        if scale != 0.0:
-            buf = opt.buffers[name]
-            if not (arr.flags.c_contiguous and buf.flags.c_contiguous):
-                raise ValueError(f"tensor '{name}' or its momentum buffer is not C-contiguous")
-            p, buf = arr.reshape(-1), buf.reshape(-1)  # views, as both are contiguous
-            g = np.asarray(grads[name]).reshape(-1)
-            chunks += [(name, p[lo:lo + _SGD_CHUNK], buf[lo:lo + _SGD_CHUNK],
-                        g[lo:lo + _SGD_CHUNK], opt.lr * scale)
-                       for lo in range(0, p.size, _SGD_CHUNK)]
-    size = min(_SGD_CHUNK, sum(chunk[1].size for chunk in chunks))
-    if opt.chunk_pair is None or opt.chunk_pair[0].size < size:
-        opt.chunk_pair = (np.empty(size), np.empty(size))
-    next_buf, next_val = opt.chunk_pair
-    wd, mom = opt.weight_decay, opt.momentum
-    # buf = (wd * p + g) + mom * buf, p = p - (lr * scale) * buf, rounded step by
-    # step as that formula is (addition commutes), without temporaries
-    held, at = [], 0
+def _check_update(chunks, wd: float, mom: float, pair) -> None:
+    """Compute every chunk's new momentum buffer and value into `pair`, as
+    sgd_step would store them, and raise FloatingPointError naming the first
+    tensor with a non-finite new value; store nothing."""
     for name, p, buf, g, step in chunks:
-        if at + p.size > size:
-            held, at = [], 0
-        b, v = next_buf[at:at + p.size], next_val[at:at + p.size]
-        at += p.size
+        b, v = pair[0][:p.size], pair[1][:p.size]
         np.multiply(p, wd, out=b)
         b += g
         b += np.multiply(buf, mom, out=v)
         np.subtract(p, np.multiply(b, step, out=v), out=v)
         if not np.isfinite(v).all():
             raise FloatingPointError(f"non-finite values in tensor '{name}' after update")
-        held.append((b, v))
-    first = len(chunks) - len(held)  # the held chunks are the last ones
-    for (_, p, buf, _, _), (b, v) in zip(chunks[first:], held):
-        np.copyto(buf, b)  # before any recomputation overwrites the pair
-        np.copyto(p, v)
-    for _, p, buf, g, step in chunks[:first]:
-        s = next_val[:p.size]
+
+
+def sgd_step(params: NetworkParams, grads: dict[str, np.ndarray], opt: OptState) -> NetworkParams:
+    """One in-place momentum-SGD update of every trained tensor, or of none.
+
+    Each trained tensor is flattened and cut into chunks of _SGD_CHUNK
+    elements, and each chunk is updated in place with one chunk-sized
+    scratch: buf <- (wd * p + g) + mom * buf, then p <- p - (lr * scale) *
+    buf, rounded step by step as written. That one pass is the whole step
+    when no new value can overflow, which an exact bound shows: every p.p,
+    g.g and buf.buf is finite, so every entry is below 2**512 in magnitude,
+    and |wd|, |mom| and every |lr * scale| are at most 2**200, so every new
+    buffer entry is below 2**714 and every new value below 2**915. When the
+    bound does not hold, a first pass (_check_update) computes every chunk's
+    new values into opt's chunk pair with the same operations and checks
+    that they are finite, storing nothing; FloatingPointError then names the
+    first non-finite tensor and the parameters and buffers are left as they
+    were. Trained tensors and their buffers must be C-contiguous, as every
+    constructor here makes them; ValueError is raised otherwise, before
+    anything is written.
+    """
+    wd, mom = opt.weight_decay, opt.momentum
+    bounded = abs(wd) <= _BOUND and abs(mom) <= _BOUND
+    chunks = []
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow here only means "check"
+        for name, arr in params.named_arrays():
+            scale = opt.lr_scale.get(name, 1.0)
+            if scale != 0.0:
+                buf = opt.buffers[name]
+                if not (arr.flags.c_contiguous and buf.flags.c_contiguous):
+                    raise ValueError(f"tensor '{name}' or its momentum buffer is not C-contiguous")
+                p, buf = arr.reshape(-1), buf.reshape(-1)  # views, as both are contiguous
+                g = np.asarray(grads[name]).reshape(-1)
+                step = opt.lr * scale
+                bounded = (bounded and abs(step) <= _BOUND
+                           and math.isfinite(np.dot(p, p)) and math.isfinite(np.dot(g, g))
+                           and math.isfinite(np.dot(buf, buf)))
+                chunks += [(name, p[lo:lo + _SGD_CHUNK], buf[lo:lo + _SGD_CHUNK],
+                            g[lo:lo + _SGD_CHUNK], step)
+                           for lo in range(0, p.size, _SGD_CHUNK)]
+        size = min(_SGD_CHUNK, sum(chunk[1].size for chunk in chunks))
+        if opt.chunk_pair is None or opt.chunk_pair[0].size < size:
+            opt.chunk_pair = (np.empty(size), np.empty(size))
+        if not bounded:
+            _check_update(chunks, wd, mom, opt.chunk_pair)
+    scratch = opt.chunk_pair[0]
+    for _, p, buf, g, step in chunks:
+        s = scratch[:p.size]
         np.multiply(buf, mom, out=s)
         np.multiply(p, wd, out=buf)
         buf += g

@@ -13,8 +13,8 @@ import numpy as np
 
 from .data import AugmentationSpec, Dataset, NoiseSpec, augment, inject_noise, make_blobs, mixup
 from .evaluation import selection_precision, weighted_knn_eval
-from .losses import (BatchView, classification_loss, compute_loss_bundle, masked_contrastive,
-                     unsup_contrastive)
+from .losses import (BatchView, LossBundle, classification_loss, compute_loss_bundle,
+                     masked_contrastive, unsup_contrastive)
 from .network import (NetworkParams, OptState, apply_lr_schedule, backward, forward,
                       init_params, sgd_step)
 from .neighbors import EmbeddingBank, aggregate_pseudo_labels
@@ -272,7 +272,7 @@ def _contrastive_epoch(params, opt, ds, cfg, epoch, kind, on_step=None) -> float
             value, grad_z = unsup_contrastive(
                 BatchView(z=cache.z, p_hat=cache.p_hat, origins=origins, labels=labels,
                           twin=twin), cfg.tau)
-        sgd_step(params, backward(params, cache, grad_z=grad_z), opt)
+        sgd_step(params, backward(params, cache, grad_z=grad_z, out=opt.grads), opt)
         values.append(value)
         if on_step is not None:
             on_step(len(values) - 1, value)
@@ -290,12 +290,12 @@ def _cross_entropy_epoch(params, opt, x_train, labels, rows, cfg, rng,
         cache = forward(params, x, project=False)
         _, grad_p = classification_loss(cache.p_hat, labels[batch_idx],
                                         np.ones(len(batch_idx), dtype=bool))
-        sgd_step(params, backward(params, cache, grad_p=grad_p), opt)
+        sgd_step(params, backward(params, cache, grad_p=grad_p, out=opt.grads), opt)
 
 
 def _train_embedding(params: NetworkParams, ds: Dataset) -> np.ndarray:
     """The unit projections z of the train rows under `params`."""
-    return forward(params, ds.instances[ds.train_indices()]).z
+    return forward(params, ds.instances[ds.train_indices()], backprop=False).z
 
 
 def model_metrics(params: NetworkParams, ds: Dataset, cfg: RunConfig,
@@ -310,7 +310,7 @@ def model_metrics(params: NetworkParams, ds: Dataset, cfg: RunConfig,
     if train_z is None:
         train_z = _train_embedding(params, ds)
     test_idx = ds.test_indices()
-    test_cache = forward(params, ds.instances[test_idx])
+    test_cache = forward(params, ds.instances[test_idx], backprop=False)
     vote = noisy_train if cfg.knn_vote == "noisy" else true_train
     knn = weighted_knn_eval(train_z, vote, test_cache.z, ds.true_labels[test_idx],
                             k=min(cfg.k_eval, len(train_z)), tau=cfg.tau_knn)
@@ -382,6 +382,31 @@ def warmup(params: NetworkParams, ds: Dataset, cfg: RunConfig, opt: OptState | N
     return params, train_z
 
 
+def _selective_step(params, opt, batch, selection, confident, cfg, rng) -> LossBundle:
+    """One composite-loss minibatch of a selective epoch (in place): mixup
+    drawn from `rng`, Sup-CL on the mixed views, the classification and
+    similarity losses on the plain views, then one SGD step. The mixed
+    views' gradients fill opt's workspace and the plain views' are added in.
+    `batch` is one item of _view_batches, `confident` the train rows' mask of
+    the confident set."""
+    views, origins, labels, twin = batch
+    mixed_x, partner, lam, dominant = mixup(views, cfg.alpha_m, rng)
+    mixed_cache = forward(params, mixed_x)
+    plain_cache = forward(params, views, project=False)  # only p_hat is read
+    mixed_batch = BatchView(z=mixed_cache.z, p_hat=mixed_cache.p_hat,
+                            origins=origins[dominant], labels=labels[dominant],
+                            twin=twin, mix_a=origins, mix_b=origins[partner], lam=lam)
+    plain_batch = BatchView(z=None, p_hat=plain_cache.p_hat,
+                            origins=origins, labels=labels, twin=twin)
+    bundle = compute_loss_bundle(mixed_batch, plain_batch, selection,
+                                 scored=confident[origins], tau=cfg.tau,
+                                 lambda_cls=cfg.lambda_c, lambda_sim=cfg.lambda_s)
+    grads = backward(params, mixed_cache, grad_z=bundle.grad_z, out=opt.grads)
+    backward(params, plain_cache, grad_p=bundle.grad_p, into=grads)
+    sgd_step(params, grads, opt)
+    return bundle
+
+
 def pretrain_epoch(params: NetworkParams, ds: Dataset, cfg: RunConfig, epoch: int,
                    opt: OptState | None = None, time_source=time.perf_counter,
                    train_z: np.ndarray | None = None):
@@ -412,21 +437,8 @@ def pretrain_epoch(params: NetworkParams, ds: Dataset, cfg: RunConfig, epoch: in
         confident = selection.confident_mask(n_train)
         sums = np.zeros(4)
         steps = 0
-        for views, origins, labels, twin in _view_batches(x_train, noisy_train, cfg, rng):
-            mixed_x, partner, lam, dominant = mixup(views, cfg.alpha_m, rng)
-            mixed_cache = forward(params, mixed_x)
-            plain_cache = forward(params, views, project=False)  # only p_hat is read
-            mixed_batch = BatchView(z=mixed_cache.z, p_hat=mixed_cache.p_hat,
-                                    origins=origins[dominant], labels=labels[dominant],
-                                    twin=twin, mix_a=origins, mix_b=origins[partner], lam=lam)
-            plain_batch = BatchView(z=None, p_hat=plain_cache.p_hat,
-                                    origins=origins, labels=labels, twin=twin)
-            bundle = compute_loss_bundle(mixed_batch, plain_batch, selection,
-                                         scored=confident[origins], tau=cfg.tau,
-                                         lambda_cls=cfg.lambda_c, lambda_sim=cfg.lambda_s)
-            grads = backward(params, mixed_cache, grad_z=bundle.grad_z)
-            backward(params, plain_cache, grad_p=bundle.grad_p, into=grads)
-            sgd_step(params, grads, opt)
+        for batch in _view_batches(x_train, noisy_train, cfg, rng):
+            bundle = _selective_step(params, opt, batch, selection, confident, cfg, rng)
             sums += (bundle.l_mix, bundle.l_cls, bundle.l_sim, bundle.l_all)
             steps += 1
         losses = tuple(sums / steps)
@@ -535,6 +547,6 @@ def train_cross_entropy_baseline(ds: Dataset, cfg: RunConfig,
 def test_accuracy(params: NetworkParams, ds: Dataset) -> float:
     """Classifier accuracy (percent) on the test split."""
     test_idx = ds.test_indices()
-    cache = forward(params, ds.instances[test_idx], project=False)
+    cache = forward(params, ds.instances[test_idx], project=False, backprop=False)
     preds = np.argmax(cache.p_hat, axis=1)
     return 100.0 * float(np.mean(preds == ds.true_labels[test_idx]))

@@ -8,7 +8,10 @@ and a per-row ``np.add.at``, so its class scores are summed in the same order
 as the package's and compare bit for bit. The adapters at the end translate
 between pair sets, boolean pair masks and the pair_block interface the
 package's losses and precision read, so that a hand-picked set of pairs can
-be fed to them and their blocks compared with the oracle's sets.
+be fed to them and their blocks compared with the oracle's sets. The network
+references (forward, backward, the SGD step) keep the operations and their
+order of the straightforward formulas: every pre-activation, a fresh dict of
+gradients per call, so the lean package versions compare bit for bit.
 """
 import math
 
@@ -120,6 +123,89 @@ def reference_knn_predictions(train_z, train_labels, test_z, k, tau):
         np.add.at(scores, np.asarray(train_labels)[order], np.exp(row[order] / tau))
         preds.append(int(np.argmax(scores)))
     return np.array(preds, dtype=np.int64)
+
+
+def reference_forward(params, x, project=True):
+    """The network's forward pass in plain numpy formulas that keep every
+    intermediate: a dict with x, enc_pre1, enc_act1, enc_pre2, v, logits and
+    p_hat, plus proj_pre1, proj_act1 (MLP projection only), z_raw, z_norm
+    and z with `project`. The operations and their order are the package's,
+    so the outputs compare bit for bit."""
+    r = {"x": np.atleast_2d(np.asarray(x, dtype=np.float64))}
+    r["enc_pre1"] = r["x"] @ params.enc_w1.T + params.enc_b1
+    r["enc_act1"] = np.maximum(r["enc_pre1"], 0.0)
+    r["enc_pre2"] = r["enc_act1"] @ params.enc_w2.T + params.enc_b2
+    r["v"] = np.maximum(r["enc_pre2"], 0.0)
+    if project:
+        r["proj_pre1"] = r["v"] @ params.proj_w1.T + params.proj_b1
+        if params.projection == "mlp":
+            r["proj_act1"] = np.maximum(r["proj_pre1"], 0.0)
+            r["z_raw"] = r["proj_act1"] @ params.proj_w2.T + params.proj_b2
+        else:
+            r["z_raw"] = r["proj_pre1"]
+        r["z_norm"] = np.linalg.norm(r["z_raw"], axis=1)
+        r["z"] = r["z_raw"] / np.maximum(r["z_norm"], 1e-30)[:, None]
+    r["logits"] = r["v"] @ params.cls_w.T + params.cls_b
+    shifted = r["logits"] - r["logits"].max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    r["p_hat"] = exp / exp.sum(axis=1, keepdims=True)
+    return r
+
+
+def reference_backward(params, ref, grad_z=None, grad_p=None, into=None):
+    """Gradients of every parameter from a reference_forward dict, with each
+    ReLU mask taken from its pre-activation (pre > 0). Returns a fresh dict
+    keyed like params.named_arrays(), zeros for a head without an upstream
+    gradient; with `into`, adds the gradients it computed into into's arrays
+    and returns `into`."""
+    grads = {}
+    gv = None
+    if grad_z is not None:
+        gz = np.asarray(grad_z, dtype=np.float64)
+        gu = ((gz - (gz * ref["z"]).sum(axis=1, keepdims=True) * ref["z"])
+              / np.maximum(ref["z_norm"], 1e-30)[:, None])
+        if params.projection == "mlp":
+            grads["proj_w2"] = gu.T @ ref["proj_act1"]
+            grads["proj_b2"] = gu.sum(axis=0)
+            g_pre = (gu @ params.proj_w2) * (ref["proj_pre1"] > 0.0)
+        else:
+            g_pre = gu
+        grads["proj_w1"] = g_pre.T @ ref["v"]
+        grads["proj_b1"] = g_pre.sum(axis=0)
+        gv = g_pre @ params.proj_w1
+    if grad_p is not None:
+        gp = np.asarray(grad_p, dtype=np.float64)
+        g_logits = ref["p_hat"] * (gp - (gp * ref["p_hat"]).sum(axis=1, keepdims=True))
+        grads["cls_w"] = g_logits.T @ ref["v"]
+        grads["cls_b"] = g_logits.sum(axis=0)
+        gv_cls = g_logits @ params.cls_w
+        gv = gv_cls if gv is None else gv + gv_cls
+    if gv is None:
+        gv = np.zeros_like(ref["v"])
+    g_pre2 = gv * (ref["enc_pre2"] > 0.0)
+    grads["enc_w2"] = g_pre2.T @ ref["enc_act1"]
+    grads["enc_b2"] = g_pre2.sum(axis=0)
+    g_pre1 = (g_pre2 @ params.enc_w2) * (ref["enc_pre1"] > 0.0)
+    grads["enc_w1"] = g_pre1.T @ ref["x"]
+    grads["enc_b1"] = g_pre1.sum(axis=0)
+    if into is not None:
+        for name, grad in grads.items():
+            into[name] += grad
+        return into
+    return {name: grads.get(name, np.zeros_like(arr)) for name, arr in params.named_arrays()}
+
+
+def reference_sgd_step(params, grads, buffers, lr, momentum, weight_decay, lr_scale=None):
+    """Momentum SGD on copies: returns (new params by name, new buffers by
+    name) for every tensor with a buffer, computed as buf <- (wd * p + g) +
+    mom * buf, p <- p - (lr * scale) * buf, one rounded operation at a time."""
+    new_params, new_buffers = {}, {}
+    for name, arr in params.named_arrays():
+        if name in buffers:
+            buf = (weight_decay * arr + grads[name]) + momentum * buffers[name]
+            new_buffers[name] = buf
+            new_params[name] = arr - (lr * (lr_scale or {}).get(name, 1.0)) * buf
+    return new_params, new_buffers
 
 
 def pair_mask(pairs, n):

@@ -62,11 +62,15 @@ def _unit_rows(m: np.ndarray) -> np.ndarray:
 
 def _margins_ok(params, x) -> bool:
     """All ReLU pre-activations sit well away from the kink and the projection
-    norms away from zero, so central differences with step 1e-5 are trusted."""
+    norms away from zero, so central differences with step 1e-5 are trusted.
+    The pre-activations are recomputed here, as the cache keeps only the
+    activations."""
     cache = forward(params, x)
-    margin = min(np.abs(cache.enc_pre1).min(), np.abs(cache.enc_pre2).min())
+    pre = [cache.x @ params.enc_w1.T + params.enc_b1,
+           cache.enc_act1 @ params.enc_w2.T + params.enc_b2]
     if cache.proj_act1 is not None:
-        margin = min(margin, np.abs(cache.proj_pre1).min())
+        pre.append(cache.v @ params.proj_w1.T + params.proj_b1)
+    margin = min(np.abs(p).min() for p in pre)
     return margin > 1e-3 and cache.z_norm.min() > 0.05
 
 

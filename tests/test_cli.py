@@ -299,9 +299,9 @@ def test_dump_proj_train_split(tmp_path, trained, monkeypatch):
     from selcontrast import training
     rows = []
     for module in (cli, training):  # forward is looked up in both modules
-        def counting(params, x, project=True, real=module.forward):
+        def counting(params, x, project=True, backprop=True, real=module.forward):
             rows.append(len(x))
-            return real(params, x, project=project)
+            return real(params, x, project=project, backprop=backprop)
         monkeypatch.setattr(module, "forward", counting)
     out = tmp_path / "proj.csv"
     assert cli_run(["dump-proj", *TINY, "--checkpoint", str(trained["checkpoint"]),

@@ -5,7 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_backward, reference_forward, reference_sgd_step
 from selcontrast import network
 from selcontrast.network import (ForwardCache, NetworkParams, OptState,
                                  apply_lr_schedule, backward, forward, he_init,
@@ -92,9 +95,9 @@ def test_projection_free_forward_matches_full_forward(projection):
     params = small_params(seed=3, projection=projection)
     x = np.random.default_rng(11).normal(size=(6, 3))
     full, lean = forward(params, x), forward(params, x, project=False)
-    for name in ("v", "logits", "p_hat"):
+    for name in ("v", "p_hat"):
         np.testing.assert_array_equal(getattr(lean, name), getattr(full, name), err_msg=name)
-    for name in ("proj_pre1", "proj_act1", "z_raw", "z_norm", "z"):
+    for name in ("proj_act1", "z_norm", "z"):
         assert getattr(lean, name) is None, name
 
 
@@ -180,6 +183,103 @@ def test_backward_into_equals_sum_of_two_full_backwards_bitwise(projection):
     assert set(into) == set(mixed)
     for name in mixed:
         np.testing.assert_array_equal(into[name], mixed[name] + plain[name], err_msg=name)
+
+
+def assert_bits_equal(actual, expected, what):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype, what
+    assert actual.tobytes() == expected.tobytes(), what
+
+
+def with_exact_zeros_and_nan(params, x, special, rng):
+    """Make some pre-activations exactly +0 or -0 ("zeros": zero weight rows,
+    signed-zero biases, a zero input row) or NaN ("nan": one NaN bias)."""
+    if special == "zeros":
+        layers = [("enc_w1", "enc_b1"), ("enc_w2", "enc_b2")]
+        if params.projection == "mlp":
+            layers.append(("proj_w1", "proj_b1"))
+        for w, b in layers:
+            rows = rng.choice(len(getattr(params, b)), size=2, replace=False)
+            getattr(params, w)[rows] = 0.0
+            getattr(params, b)[rows] = [0.0, -0.0]
+        x[0] = 0.0
+    elif special == "nan":
+        name = rng.choice(["enc_b1", "enc_b2"] + (["proj_b1"] if params.projection == "mlp" else []))
+        getattr(params, name)[0] = np.nan
+    return params, x
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), projection=st.sampled_from(["linear", "mlp"]),
+       project=st.booleans(), m=st.sampled_from([1, 3, 8]),
+       heads=st.sampled_from(["z", "p", "both", "none"]),
+       mode=st.sampled_from(["fresh", "out", "into"]),
+       special=st.sampled_from([None, "zeros", "nan"]))
+def test_forward_and_backward_match_the_pre_activation_oracles_bitwise(
+        seed, projection, project, m, heads, mode, special):
+    # the lean forward keeps activations and takes its ReLU masks from them;
+    # the oracle keeps every pre-activation, masks with pre > 0 and builds a
+    # fresh dict per backward; outputs and gradients agree bit for bit,
+    # including at exact +-0 and NaN pre-activations
+    rng = np.random.default_rng(seed)
+    dim, hidden, proj_dim, classes = (int(v) for v in rng.integers(2, 7, size=4))
+    params = small_params(seed=seed, dim=dim, hidden=hidden, proj_dim=proj_dim,
+                          n_classes=classes, projection=projection)
+    params, x = with_exact_zeros_and_nan(params, rng.normal(size=(m, dim)), special, rng)
+    cache, ref = forward(params, x, project=project), reference_forward(params, x, project)
+    for name in ("x", "enc_act1", "v", "p_hat") + (("proj_act1", "z_norm", "z") if project else ()):
+        if name == "proj_act1" and projection == "linear":
+            assert cache.proj_act1 is None
+        else:
+            assert_bits_equal(getattr(cache, name), ref[name], name)
+    lean = forward(params, x, project=project, backprop=False)
+    assert lean.enc_act1 is None and lean.v is None and lean.proj_act1 is None
+    for name in ("p_hat",) + (("z_norm", "z") if project else ()):
+        assert_bits_equal(getattr(lean, name), ref[name], f"{name}, backprop=False")
+
+    gz = rng.normal(size=(m, proj_dim)) if heads in ("z", "both") and project else None
+    gp = rng.normal(size=(m, classes)) if heads in ("p", "both") else None
+    if mode == "fresh":
+        grads, expected = backward(params, cache, gz, gp), reference_backward(params, ref, gz, gp)
+    elif mode == "out":
+        workspace = {name: np.full_like(arr, 7.0) for name, arr in params.named_arrays()}
+        grads = backward(params, cache, gz, gp, out=workspace)
+        assert grads is workspace
+        expected = reference_backward(params, ref, gz, gp)
+    else:
+        # the selective step: a mixed batch's gradients, then these added in
+        x_mixed = rng.normal(size=(m, dim))
+        gz_mixed = rng.normal(size=(m, proj_dim))
+        start = reference_backward(params, reference_forward(params, x_mixed), gz_mixed)
+        grads = backward(params, cache, gz, gp, into={n: g.copy() for n, g in start.items()})
+        expected = reference_backward(params, ref, gz, gp, into=start)
+    assert set(grads) == set(expected)
+    for name in expected:
+        assert_bits_equal(grads[name], expected[name], f"{name}, {mode}")
+
+
+def test_backward_out_skips_tensors_it_has_no_array_for():
+    # a workspace without the frozen tensors: their gradients are not stored
+    params = small_params(seed=31, projection="mlp")
+    rng = np.random.default_rng(31)
+    x, gp = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    workspace = {name: np.empty_like(arr) for name, arr in params.named_arrays()
+                 if name.startswith("cls")}
+    backward(params, forward(params, x, project=False), grad_p=gp, out=workspace)
+    expected = reference_backward(params, reference_forward(params, x, project=False), grad_p=gp)
+    assert set(workspace) == {"cls_w", "cls_b"}
+    for name, grad in workspace.items():
+        assert_bits_equal(grad, expected[name], name)
+
+
+def test_backward_refuses_a_cache_without_activations():
+    params = small_params(seed=32)
+    cache = forward(params, np.ones((2, 3)), backprop=False)
+    with pytest.raises(ValueError, match="backprop=False"):
+        backward(params, cache, grad_p=np.ones((2, 3)))
+    with pytest.raises(ValueError, match="not both"):
+        backward(params, forward(params, np.ones((2, 3))), grad_p=np.ones((2, 3)),
+                 into={}, out={})
 
 
 def test_normalization_jacobian_output_is_tangent():
@@ -380,6 +480,75 @@ def test_sgd_step_matches_in_place_reference_bitwise(monkeypatch):
             np.testing.assert_array_equal(arr, ref, err_msg=f"{name}, chunk {chunk}")
             np.testing.assert_array_equal(opt.buffers[name], ref_buffers[name],
                                           err_msg=f"{name}, chunk {chunk}")
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """Counts sgd_step's calls of the checking pass."""
+    calls = []
+    real = network._check_update
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+    monkeypatch.setattr(network, "_check_update", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["self_dot_overflows", "lr_above_bound"])
+def test_sgd_step_outside_the_bound_checks_first_and_stores_the_reference_bits(
+        check_calls, case):
+    # an entry of 1e200 makes p.p overflow, and an lr of 2**201 exceeds the
+    # 2**200 bound, though each update is finite: both take the checked path
+    # and store what the in-place formula gives
+    params = small_params(seed=33, projection="mlp")
+    rng = np.random.default_rng(33)
+    grads = {name: rng.normal(size=arr.shape) for name, arr in params.named_arrays()}
+    lr = 0.05
+    if case == "self_dot_overflows":
+        params.enc_w2[1, 2] = 1e200
+    else:
+        lr = 2.0 ** 201
+    opt = OptState.for_params(params, lr=lr, momentum=0.9, weight_decay=1e-4,
+                              lr_scale={"cls_b": 0.5})
+    for name in opt.buffers:
+        opt.buffers[name] = rng.normal(size=opt.buffers[name].shape)
+    new_params, new_buffers = reference_sgd_step(params, grads, opt.buffers, lr, 0.9, 1e-4,
+                                                 opt.lr_scale)
+    sgd_step(params, grads, opt)
+    assert len(check_calls) == 1
+    for name, arr in params.named_arrays():
+        assert np.all(np.isfinite(arr)), name
+        assert_bits_equal(arr, new_params[name], name)
+        assert_bits_equal(opt.buffers[name], new_buffers[name], name)
+
+
+def test_sgd_step_within_the_bound_runs_one_pass(check_calls):
+    params = small_params(seed=34)
+    rng = np.random.default_rng(34)
+    grads = {name: rng.normal(size=arr.shape) for name, arr in params.named_arrays()}
+    opt = OptState.for_params(params, lr=2.0 ** 200, momentum=-(2.0 ** 200),
+                              weight_decay=2.0 ** 200)
+    new_params, new_buffers = reference_sgd_step(params, grads, opt.buffers, opt.lr,
+                                                 opt.momentum, opt.weight_decay)
+    sgd_step(params, grads, opt)
+    assert check_calls == []
+    for name, arr in params.named_arrays():
+        assert_bits_equal(arr, new_params[name], name)
+        assert_bits_equal(opt.buffers[name], new_buffers[name], name)
+
+
+def test_optimizer_holds_arrays_only_for_trained_tensors():
+    params = small_params(seed=35, projection="mlp")
+    frozen = {"proj_w1": 0.0, "proj_b1": 0.0, "proj_w2": 0.0, "proj_b2": 0.0, "enc_w1": 0.0}
+    opt = OptState.for_params(params, lr=0.1, lr_scale={**frozen, "enc_b1": 0.5})
+    trained = {name for name, _ in params.named_arrays()} - set(frozen)
+    assert set(opt.buffers) == set(opt.grads) == trained
+    before = params.copy()
+    grads = {name: np.ones_like(arr) for name, arr in params.named_arrays()}
+    sgd_step(params, grads, opt)
+    for (name, arr), (_, ref) in zip(params.named_arrays(), before.named_arrays()):
+        assert np.array_equal(arr, ref) == (name in frozen), name
 
 
 def test_sgd_step_allocates_no_tensor_sized_memory():

@@ -5,11 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import augment_row
+from oracles import MaskPairs, augment_row
 
 from selcontrast.data import Dataset, NoiseSpec, inject_noise, make_blobs
 from selcontrast.evaluation import weighted_knn_eval
 from selcontrast.network import OptState, apply_lr_schedule, forward, init_params
+from selcontrast import training
 from selcontrast.training import (METRICS_COLUMNS, EpochRecord, RunConfig,
                                   benchmark_config, compute_selection, dataset_from_config,
                                   finetune, pretrain, pretrain_epoch,
@@ -289,6 +290,40 @@ def test_knn_probe_peak_memory():
     assert peak <= full_matrix // 4, f"{peak / full_matrix:.3f} of the (1000, 4000) matrix"
 
 
+def test_selective_step_allocates_no_gradient_dict_at_wide_shapes():
+    # one steady-state step of the wide configuration (batch 64, so 128
+    # views; dim 64, hidden 512, MLP projection to 128: 626,308 parameters):
+    # two forwards, the loss bundle, two backwards and sgd_step. The
+    # gradients go into the optimizer's workspace, so the step allocates the
+    # activation caches and the backward temporaries (5.3 MiB), not a fresh
+    # 4.8 MiB gradient dict, a partial one for the plain views and the
+    # pre-activation caches besides (14.0 MiB)
+    cfg = benchmark_config(noise_kind="asymmetric", dim=64, hidden_dim=512, proj_dim=128,
+                           projection="mlp")
+    rng = np.random.default_rng(5)
+    params = init_params(64, 4, hidden=512, proj_dim=128, projection="mlp", seed=5)
+    opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay)
+    n_train, nb = 400, cfg.batch_size
+    noisy = rng.integers(0, 4, size=n_train)
+    selection = MaskPairs.of([(i, j) for i in range(0, n_train, 3)
+                              for j in range(i + 1, n_train, 7) if noisy[i] == noisy[j]], n_train)
+    confident = rng.random(n_train) < 0.7
+
+    def batch():
+        rows = rng.choice(n_train, size=nb, replace=False)
+        twin = np.concatenate([np.arange(nb) + nb, np.arange(nb)])
+        return (rng.normal(size=(2 * nb, 64)), np.concatenate([rows, rows]),
+                np.concatenate([noisy[rows], noisy[rows]]), twin)
+
+    training._selective_step(params, opt, batch(), selection, confident, cfg, rng)
+    step_batch = batch()
+    peak = traced_peak(lambda: training._selective_step(params, opt, step_batch, selection,
+                                                        confident, cfg, rng))
+    gradient_dict = sum(arr.nbytes for _, arr in params.named_arrays())
+    assert gradient_dict == 8 * 626_308
+    assert peak < 1.5 * gradient_dict, f"{peak / 2 ** 20:.2f} MiB"
+
+
 # ---------------------------------------------------------------------------
 # fine-tuning
 # ---------------------------------------------------------------------------
@@ -310,6 +345,30 @@ def test_finetune_freezes_projection_and_respects_encoder_scale():
     np.testing.assert_array_equal(tuned.proj_w1, result.params.proj_w1)
     np.testing.assert_array_equal(tuned.enc_w1, result.params.enc_w1)
     assert not np.array_equal(tuned.cls_w, result.params.cls_w)
+
+
+@pytest.mark.parametrize("freeze_encoder", [False, True])
+def test_finetune_optimizer_holds_arrays_only_for_trained_tensors(monkeypatch, freeze_encoder):
+    # the projection head (and a frozen encoder) gets neither a momentum
+    # buffer nor a gradient workspace array
+    cfg = tiny_config(t_max=2, t_finetune=1, projection="mlp", freeze_encoder=freeze_encoder)
+    ds = dataset_from_config(cfg)
+    result = pretrain(ds, cfg)
+    opts = []
+    real = training.sgd_step
+
+    def spy(params, grads, opt):
+        opts.append(opt)
+        return real(params, grads, opt)
+    monkeypatch.setattr(training, "sgd_step", spy)
+    tuned = finetune(result.params, ds, cfg, selection=result.selection)
+    assert opts and all(opt is opts[0] for opt in opts)
+    trained = {"cls_w", "cls_b"}
+    if not freeze_encoder:
+        trained |= {"enc_w1", "enc_b1", "enc_w2", "enc_b2"}
+    assert set(opts[0].buffers) == set(opts[0].grads) == trained
+    for (name, arr), (_, ref) in zip(tuned.named_arrays(), result.params.named_arrays()):
+        assert np.array_equal(arr, ref) == (name not in trained), name
 
 
 def test_finetune_fresh_head_starts_from_zero():
@@ -372,12 +431,15 @@ class ForwardLog:
         splits = {"train": ds.instances[ds.train_indices()],
                   "test": ds.instances[ds.test_indices()]}
         self.calls = []
+        self.whole_backprop = []  # backprop of each whole-split forward
 
-        def logged(params, x, project=True):
+        def logged(params, x, project=True, backprop=True):
             whole = next((name for name, rows in splits.items()
                           if np.shape(x) == rows.shape and np.array_equal(x, rows)), None)
             self.calls.append((whole, len(x), project))
-            return real(params, x, project=project)
+            if whole is not None:
+                self.whole_backprop.append(backprop)
+            return real(params, x, project=project, backprop=backprop)
         monkeypatch.setattr(training, "forward", logged)
 
     def count(self, whole, project, since=0):
@@ -409,6 +471,8 @@ def test_each_forward_computes_only_what_is_read(monkeypatch):
     assert len(tail) == cfg.t_finetune * n_ft_batches + 1
     assert all(whole is None and not project for whole, _, project in tail[:-1])
     assert tail[-1] == ("test", len(ds.test_indices()), False)  # test_accuracy
+    # the whole-split embeddings are never backpropagated, so they keep no activations
+    assert len(log.whole_backprop) == 2 * cfg.t_max + 1 and not any(log.whole_backprop)
 
 
 def test_bank_is_embedded_afresh_after_parameters_change(monkeypatch):
