@@ -16,7 +16,8 @@ GRID_BITS = 24
 
 
 def grid_rows(z: np.ndarray) -> np.ndarray:
-    """z rounded to the nearest multiple of 2**-24, ties to even.
+    """Round the float64 array z in place to the nearest multiple of 2**-24,
+    ties to even, and return it.
 
     For rows of norm at most about 1, every product of two entries is then a
     multiple of 2**-48 and, by Cauchy-Schwarz, every partial sum of a dot
@@ -25,7 +26,9 @@ def grid_rows(z: np.ndarray) -> np.ndarray:
     z[rows] @ z[cols].T is bit-equal to the same cells of z @ z.T, whatever
     order or blocking the matrix product sums in.
     """
-    return np.ldexp(np.rint(np.ldexp(z, GRID_BITS)), -GRID_BITS)
+    np.ldexp(z, GRID_BITS, out=z)
+    np.rint(z, out=z)
+    return np.ldexp(z, -GRID_BITS, out=z)
 
 
 @dataclass
@@ -37,7 +40,7 @@ class EmbeddingBank:
     epoch_tag: int = 0
 
     def __post_init__(self):
-        self.z = grid_rows(np.asarray(self.z, dtype=np.float64))
+        self.z = grid_rows(np.array(self.z, dtype=np.float64))
         norms = np.linalg.norm(self.z, axis=1)
         if not np.all(np.abs(norms - 1.0) <= 1e-6):  # NaN fails the comparison
             worst = int(np.argmax(np.abs(norms - 1.0)))
@@ -48,15 +51,35 @@ class EmbeddingBank:
         return len(self.z)
 
 
-# Row-block size of the top-k, in similarity-matrix elements: 2**15 float64
-# values are 256 KB, so the per-block temporaries stay far below an (m, n)
-# matrix. Timed on the 2400-row vote at k=250, 2**15 beat 2**13, 2**14, 2**16
-# and 2**17. A block takes at least _MIN_BLOCK_ROWS rows all the same: the
-# budget gives fewer rows than that for n > 4096 and one row per block past
-# n = 16384, and a vote over 40000 rows (dim 32, k 250) took 17 s as a loop of
-# one-row products against 9.6 s in blocks of 8 rows (2.6 MB each).
+# Row blocks of every pass over similarities or pairs (row_blocks): the vote
+# and the kNN probe (topk_blocks), the train embedding, the similarity cut,
+# the similar-pair count and index and the pair precision. A block holds at
+# most _BLOCK_ELEMENTS cells, 256 KB of float64, or _MIN_BLOCK_ROWS rows where
+# that budget gives fewer.
+# Timed on the 2400-row vote at k=250, a budget of 2**15 beat 2**13, 2**14,
+# 2**16 and 2**17. The budget alone gives fewer than 16 rows past n = 2048
+# and one row past n = 16384: a vote over 40000 rows (dim 32, k 250) took
+# 17 s as a loop of one-row products against 9.6 s in blocks of 8 rows. On
+# `train --n 50000 --t-max 3 --t-finetune 1 --k 250` (n_train 40000, 2 cores)
+# a floor of 16 rows took a median 47.9 s over 3 runs against 60.8 s at 8
+# rows; single runs at 32 and 64 rows took 58.1 and 57.3 s and peaked at 187
+# and 250 MB RSS, against 153 MB at 16. Past about 19 rows the vote's scratch
+# at n = 2400 would also outgrow the 2 MiB that tests/test_neighbors.py allows.
 _BLOCK_ELEMENTS = 1 << 15
-_MIN_BLOCK_ROWS = 8
+_MIN_BLOCK_ROWS = 16
+
+
+def row_blocks(n_rows: int, n_cols: int | None = None) -> list[tuple[int, int]]:
+    """(start, stop) ranges that cover n_rows rows of an (n_rows, n_cols)
+    array, square when n_cols is None: the fewest blocks of at most
+    max(_MIN_BLOCK_ROWS, _BLOCK_ELEMENTS // n_cols) rows each, in index order.
+    Their lengths differ by at most one row, so no block is a short remainder:
+    BLAS may sum a product of a few rows in another order than a longer one,
+    and the train embedding's blocks must equal the whole split's product."""
+    width = n_rows if n_cols is None else n_cols
+    step = max(_MIN_BLOCK_ROWS, _BLOCK_ELEMENTS // max(width, 1))
+    count = -(-n_rows // step)
+    return [(n_rows * b // count, n_rows * (b + 1) // count) for b in range(count)]
 
 
 def topk_blocks(query: np.ndarray, keys: np.ndarray, k: int, exclude_self: bool = False):
@@ -90,10 +113,9 @@ def topk_blocks(query: np.ndarray, keys: np.ndarray, k: int, exclude_self: bool 
 
 def _neighbor_blocks(query, keys, k, exclude_self):
     """The generator behind topk_blocks, which checks the arguments first."""
-    m, n = len(query), len(keys)
-    step = max(_MIN_BLOCK_ROWS, _BLOCK_ELEMENTS // n)
-    for start in range(0, m, step):
-        block = query[start:start + step] @ keys.T
+    n = len(keys)
+    for start, stop in row_blocks(len(query), n):
+        block = query[start:stop] @ keys.T
         if exclude_self:
             rows = np.arange(len(block))
             block[rows, start + rows] = -np.inf  # the query is never its own neighbor
@@ -157,8 +179,11 @@ def aggregate_pseudo_labels(bank: EmbeddingBank, noisy_labels: np.ndarray,
         raise ValueError(f"labels must lie in [0, {n_classes})")
 
     own = noisy_labels.astype(np.int64, copy=False)
-    # pass 2 reads the neighbour sets again; pass 1's counts are the noisy ablation's
-    hoods = np.empty((n, k), dtype=np.int64) if count_labels == PSEUDO else None
+    # pass 2 reads the neighbour sets again, kept in the narrowest dtype that
+    # holds every index (uint16 up to n = 65536); pass 1's counts are the
+    # noisy ablation's
+    hoods = (np.empty((n, k), dtype=np.min_scalar_type(n - 1))
+             if count_labels == PSEUDO else None)
     votes = np.empty((n, n_classes), dtype=np.int64)
     for start, _, hood in topk_blocks(bank.z, bank.z, k, exclude_self=True):
         stop = start + len(hood)
@@ -169,9 +194,7 @@ def aggregate_pseudo_labels(bank: EmbeddingBank, noisy_labels: np.ndarray,
     y_hat = np.where(tied[np.arange(n), own], own, np.argmax(tied, axis=1))
 
     if hoods is not None:
-        step = max(1, _BLOCK_ELEMENTS // k)
-        for start in range(0, n, step):
-            votes[start:start + step] = _count_votes(y_hat[hoods[start:start + step]],
-                                                     n_classes)
+        for start, stop in row_blocks(n, k):
+            votes[start:stop] = _count_votes(y_hat[hoods[start:stop]], n_classes)
     q_hat = votes / k
     return PseudoLabelState(y_hat=y_hat, q_hat=q_hat, k=k)

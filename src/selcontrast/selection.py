@@ -11,11 +11,14 @@ confident or z[i] . z[j] > gamma. The bank keeps its rows on the 2**-24 grid
 of neighbors.grid_rows, so every such dot product is exact and a pair's
 status does not depend on the row block that computes it.
 SelectionState.pair_block(rows, cols) rebuilds any sub-mask, and the losses
-and the pair precision read pairs only through it. gamma is read from each
-class's confident rows in row blocks into one float per confident pair; the
-similar-pair count, the sorted pair index arrays and the read-only tuple sets
-`pairs_confident`, `pairs_similar` and `pairs` come from row-block passes
-over each class's upper triangle. Nothing of size n x n is allocated.
+and the pair precision read pairs only through it. gamma is the exact
+nearest-rank fractile of the confident pairs' similarities, found by counting
+them per bucket of their integer keys in a few passes over each class's
+confident rows, without keeping one value per pair. The similar-pair count,
+the sorted pair index arrays and the read-only tuple sets `pairs_confident`,
+`pairs_similar` and `pairs` come from passes over each class's upper
+triangle. Every pass works in neighbors.row_blocks, so nothing of size n x n
+is allocated.
 """
 from __future__ import annotations
 
@@ -26,7 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .neighbors import EmbeddingBank, PseudoLabelState
+from . import neighbors
+from .neighbors import GRID_BITS, EmbeddingBank, PseudoLabelState, row_blocks
 
 LOG_EPS = 1e-12
 
@@ -53,19 +57,6 @@ def _nearest_rank_index(m: int, fractile: float) -> int:
         raise ValueError("fractile of an empty collection")
     rank = max(1, math.ceil(fractile * m - 1e-9))
     return min(rank, m) - 1
-
-
-# Row-block size of the passes over pairs, in (rows x cols) cells: the
-# per-block temporaries stay at 2 MB of float64 similarities and 256 KB of
-# bools whatever n is.
-_BLOCK_ELEMENTS = 1 << 18
-
-
-def row_blocks(n: int) -> list[tuple[int, int]]:
-    """(start, stop) row ranges that cover n rows of n columns,
-    _BLOCK_ELEMENTS cells at a time; the last block may be shorter."""
-    step = max(1, _BLOCK_ELEMENTS // max(n, 1))
-    return [(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def same_label_blocks(labels: np.ndarray):
@@ -204,25 +195,71 @@ def select_confident_examples(pseudo: PseudoLabelState, noisy_labels: np.ndarray
     return per_class, budget
 
 
-def _confident_pair_threshold(z: np.ndarray, confident_by_class: list[np.ndarray],
-                              beta: float) -> float:
-    """Nearest-rank beta-fractile of z[i] . z[j] over the confident same-label
-    pairs i < j. Each class's confident rows are multiplied in row blocks and
-    the upper triangle read into one float per pair; the fractile is then
-    found by an in-place partition."""
-    values = np.empty(sum(len(members) * (len(members) - 1) // 2
-                          for members in confident_by_class))
-    pos = 0
+# A similarity of two bank rows is a multiple of 2**-_KEY_BITS, so its key
+# ldexp(value, _KEY_BITS) is an integer; below 2 in magnitude it is below
+# 2**(_KEY_BITS + 1). Each narrowing pass of _confident_pair_threshold counts
+# the keys of one key range in 2**_FRACTILE_BUCKET_BITS buckets.
+_KEY_BITS = 2 * GRID_BITS
+_FRACTILE_BUCKET_BITS = 12
+
+
+def _confident_pair_sims(z: np.ndarray, confident_by_class: list[np.ndarray]):
+    """Yield z[i] . z[j] over the confident same-label pairs i < j, one row
+    block of a class's confident rows at a time, as arrays of any shape that
+    together hold each pair once."""
     for members in confident_by_class:
         rows = z[members]
         for start, stop in row_blocks(len(rows)):
             block = rows[start:stop] @ rows[start:].T
-            upper = block[np.triu(np.ones(block.shape, dtype=bool), 1)]
-            values[pos:pos + len(upper)] = upper
-            pos += len(upper)
-    index = _nearest_rank_index(len(values), beta)
-    values.partition(index)  # the value np.sort would put there, without a copy
-    return float(values[index])
+            b = stop - start
+            yield block[:, :b][~np.tri(b, dtype=bool)]  # the square part, above its diagonal
+            yield block[:, b:]
+
+
+def _confident_pair_threshold(z: np.ndarray, confident_by_class: list[np.ndarray],
+                              beta: float) -> float:
+    """Nearest-rank beta-fractile of z[i] . z[j] over the confident same-label
+    pairs i < j, found without holding the values.
+
+    z holds grid rows (neighbors.grid_rows), so every value v is exact and its
+    key ldexp(v, _KEY_BITS) an integer. Each pass recomputes the values in row
+    blocks and counts them per bucket of one key range: the first range covers
+    every value, and each later one is the bucket of the last pass that holds
+    the rank. Once that bucket holds at most _BLOCK_ELEMENTS values, one more
+    pass gathers them and a partition picks the rank among them; a bucket of a
+    single key holds one value, which is the fractile. Memory stays at one row
+    block, the bucket counts and at most one block of gathered values,
+    whatever the number of pairs.
+    """
+    rank = _nearest_rank_index(sum(len(members) * (len(members) - 1) // 2
+                                   for members in confident_by_class), beta)
+    buckets = 1 << _FRACTILE_BUCKET_BITS
+    shift = _KEY_BITS + 2  # keys lie in [lo, lo + 2**shift)
+    lo = -(1 << (_KEY_BITS + 1))
+    while True:
+        shift = max(0, shift - _FRACTILE_BUCKET_BITS)
+        # bucket of key = (key - lo) >> shift, plus one; keys below the range
+        # count in bucket 0 and keys above it in the last
+        counts = np.zeros(buckets + 2, dtype=np.int64)
+        for sims in _confident_pair_sims(z, confident_by_class):
+            index = np.ldexp(sims, _KEY_BITS - shift)
+            index -= (lo >> shift) - 1
+            np.floor(index, out=index)
+            np.clip(index, 0, buckets + 1, out=index)
+            counts += np.bincount(index.astype(np.intp).ravel(), minlength=buckets + 2)
+        below = np.cumsum(counts)
+        bucket = int(np.searchsorted(below, rank, side="right"))
+        lo += (bucket - 1) << shift
+        if shift == 0:
+            return float(np.ldexp(lo, -_KEY_BITS))
+        if counts[bucket] <= neighbors._BLOCK_ELEMENTS:
+            rank -= int(below[bucket - 1])  # its rank among the bucket's values
+            break
+    low, high = np.ldexp(lo, -_KEY_BITS), np.ldexp(lo + (1 << shift), -_KEY_BITS)
+    values = np.concatenate([sims[(sims >= low) & (sims < high)]
+                             for sims in _confident_pair_sims(z, confident_by_class)])
+    values.partition(rank)
+    return float(values[rank])
 
 
 def select_confident_pairs(bank: EmbeddingBank, noisy_labels: np.ndarray,

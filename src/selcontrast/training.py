@@ -17,7 +17,7 @@ from .losses import (BatchView, LossBundle, classification_loss, compute_loss_bu
                      masked_contrastive, unsup_contrastive)
 from .network import (NetworkParams, OptState, apply_lr_schedule, backward, forward,
                       init_params, sgd_step)
-from .neighbors import EmbeddingBank, aggregate_pseudo_labels
+from .neighbors import EmbeddingBank, aggregate_pseudo_labels, row_blocks
 from .selection import SelectionState, run_selection
 
 logger = logging.getLogger(__name__)
@@ -294,8 +294,13 @@ def _cross_entropy_epoch(params, opt, x_train, labels, rows, cfg, rng,
 
 
 def _train_embedding(params: NetworkParams, ds: Dataset) -> np.ndarray:
-    """The unit projections z of the train rows under `params`."""
-    return forward(params, ds.instances[ds.train_indices()], backprop=False).z
+    """The unit projections z of the train rows under `params`, computed in
+    row blocks of hidden-width activations."""
+    rows = ds.train_indices()
+    z = np.empty((len(rows), params.proj_dim))
+    for start, stop in row_blocks(len(rows), params.hidden):
+        z[start:stop] = forward(params, ds.instances[rows[start:stop]], backprop=False).z
+    return z
 
 
 def model_metrics(params: NetworkParams, ds: Dataset, cfg: RunConfig,

@@ -13,7 +13,7 @@ from oracles import MaskPairs, full_mask, reference_knn_predictions
 
 from selcontrast.evaluation import (dump_projection_2d, pair_precision, project_2d,
                                     selection_precision, weighted_knn_eval)
-from selcontrast.neighbors import _BLOCK_ELEMENTS, grid_rows
+from selcontrast.neighbors import grid_rows, row_blocks
 from selcontrast.selection import SelectionState
 
 
@@ -163,7 +163,7 @@ def test_knn_property_matches_per_row_reference(case):
 
 @pytest.mark.parametrize("n_classes", [1, 3])
 def test_knn_spans_several_row_blocks(n_classes):
-    assert 200 > _BLOCK_ELEMENTS // 300  # the 200 test rows chain several blocks
+    assert len(row_blocks(200, 300)) > 1  # the 200 test rows chain several blocks
     rng = np.random.default_rng(n_classes)
     pool = rng.normal(size=(40, 4))
     train = pool[rng.integers(0, 40, size=300)]

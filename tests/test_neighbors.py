@@ -15,8 +15,7 @@ from selcontrast.evaluation import ranked_neighbors
 from selcontrast import neighbors
 from selcontrast.neighbors import (_BLOCK_ELEMENTS, _MIN_BLOCK_ROWS, EmbeddingBank,
                                    PseudoLabelState, aggregate_pseudo_labels, grid_rows,
-                                   topk_blocks)
-from selcontrast.selection import row_blocks
+                                   row_blocks, topk_blocks)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 MULTI_BLOCK_N = 300
@@ -157,7 +156,7 @@ def test_topk_property_queries_match_per_row_reference(case):
 @given(seed=st.integers(0, 2**32 - 1), levels=st.integers(1, 6),
        k=st.sampled_from([1, 2, 50, 149, 298, 299]))
 def test_topk_property_spans_several_row_blocks(seed, levels, k):
-    assert MULTI_BLOCK_N > _BLOCK_ELEMENTS // (MULTI_BLOCK_N - 1)  # blocks chain
+    assert len(row_blocks(MULTI_BLOCK_N, MULTI_BLOCK_N - 1)) > 2  # blocks chain
     rng = np.random.default_rng(seed)
     sims = rng.integers(0, levels, size=(MULTI_BLOCK_N, MULTI_BLOCK_N)).astype(np.float64)
     np.testing.assert_array_equal(topk_of(sims, k, exclude_self=True),
@@ -193,13 +192,12 @@ def test_grid_rows_blocks_are_bit_equal_to_the_full_product(seed, dim, n):
     z = random_grid_rows(rng, n, dim)
     assert np.all(np.ldexp(z, 24) == np.rint(np.ldexp(z, 24)))
     full = z @ z.T
-    # the top-k's row blocks and the selection's, each with a shorter last block
-    step = _BLOCK_ELEMENTS // n
-    for blocks in ([(a, min(a + step, n)) for a in range(0, n, step)], row_blocks(n)):
-        assert len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] < blocks[0][1]
-        for start, stop in blocks:
-            assert (z[start:stop] @ z.T).tobytes() == full[start:stop].tobytes()
-            assert (z[start:stop] @ z[start:].T).tobytes() == full[start:stop, start:].tobytes()
+    # the row blocks of the top-k and of the selection's passes, of two lengths
+    blocks = row_blocks(n)
+    assert len(blocks) > 1 and len({stop - start for start, stop in blocks}) == 2
+    for start, stop in blocks:
+        assert (z[start:stop] @ z.T).tobytes() == full[start:stop].tobytes()
+        assert (z[start:stop] @ z[start:].T).tobytes() == full[start:stop, start:].tobytes()
     # shuffled index lists, and lists with duplicates such as a minibatch's twins
     batch = rng.integers(0, n, size=64)
     for rows, cols in ((rng.permutation(n)[:97], rng.permutation(n)[:130]),
@@ -213,7 +211,7 @@ def test_bank_stores_grid_rows():
     rng = np.random.default_rng(7)
     z = unit_rows(rng.normal(size=(20, 5)))
     bank = EmbeddingBank(z=z)
-    np.testing.assert_array_equal(bank.z, grid_rows(z))
+    np.testing.assert_array_equal(bank.z, grid_rows(z.copy()))
     np.testing.assert_allclose(bank.z, z, rtol=0, atol=2.0 ** -25)
     assert bank.z is not z
 
@@ -231,10 +229,11 @@ def test_topk_of_grid_rows_spans_several_row_blocks(seed, dim, k):
     np.testing.assert_array_equal(topk_ranked(queries, z, k), ranked_topk(queries @ z.T, k))
 
 
-@pytest.mark.parametrize("rows_per_budget", [1, 3, _MIN_BLOCK_ROWS + 5])
+@pytest.mark.parametrize("rows_per_budget", [1, 3, 13, _MIN_BLOCK_ROWS + 5])
 def test_topk_blocks_take_at_least_the_minimum_rows(monkeypatch, rows_per_budget):
-    # a block budget below _MIN_BLOCK_ROWS rows of keys (n_train > 4096; one
-    # row past 16384) still gets blocks of _MIN_BLOCK_ROWS rows
+    # a block budget below _MIN_BLOCK_ROWS rows of keys (n_train > 2048)
+    # still gets blocks of up to _MIN_BLOCK_ROWS rows: the fewest such
+    # blocks, their lengths at most one row apart
     n, k = MULTI_BLOCK_N, 25
     monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", rows_per_budget * n)
     step = max(_MIN_BLOCK_ROWS, rows_per_budget)
@@ -245,8 +244,9 @@ def test_topk_blocks_take_at_least_the_minimum_rows(monkeypatch, rows_per_budget
         starts.append(start)
         sizes.append(len(hood))
         assert sims.shape == (len(hood), n)
-    assert starts == list(range(0, n, step))
-    assert sizes == [min(step, n - start) for start in starts]
+    assert len(sizes) == -(-n // step) and max(sizes) <= step
+    assert max(sizes) - min(sizes) <= 1
+    assert starts == np.cumsum([0] + sizes[:-1]).tolist() and sum(sizes) == n
     np.testing.assert_array_equal(topk_ranked(z, z, k, exclude_self=True),
                                   ranked_topk(z @ z.T, k, exclude_self=True))
     noisy = rng.integers(0, 4, size=n)
@@ -421,7 +421,10 @@ def test_vote_property_matches_per_row_reference(case, count_labels):
 
 
 @pytest.mark.parametrize("count_labels", ["pseudo", "noisy"])
-@pytest.mark.parametrize("n, k, n_classes", [(2, 1, 1), (2, 1, 2), (9, 8, 3), (9, 1, 1)])
+@pytest.mark.parametrize("n, k, n_classes", [(2, 1, 1), (2, 1, 2), (9, 8, 3), (9, 1, 1),
+                                             # neighbour ids in uint8, then uint16
+                                             (256, 255, 3), (256, 40, 4),
+                                             (257, 256, 3), (257, 40, 4)])
 def test_vote_edge_sizes_match_per_row_reference(n, k, n_classes, count_labels):
     rng = np.random.default_rng(n * 10 + k)
     bank = tied_bank(rng, n, dim=2, n_distinct=2, one_hot=True)
@@ -433,7 +436,7 @@ def test_vote_edge_sizes_match_per_row_reference(n, k, n_classes, count_labels):
 @given(seed=st.integers(0, 2**32 - 1), n_distinct=st.sampled_from([3, 40, MULTI_BLOCK_N]),
        k=st.sampled_from([1, 25, MULTI_BLOCK_N - 1]), count_labels=st.sampled_from(["pseudo", "noisy"]))
 def test_vote_property_spans_several_row_blocks(seed, n_distinct, k, count_labels):
-    assert MULTI_BLOCK_N > _BLOCK_ELEMENTS // MULTI_BLOCK_N  # blocks chain
+    assert len(row_blocks(MULTI_BLOCK_N)) > 2  # blocks chain
     rng = np.random.default_rng(seed)
     bank = tied_bank(rng, MULTI_BLOCK_N, dim=4, n_distinct=n_distinct, one_hot=n_distinct == 3)
     noisy = rng.integers(0, 4, size=MULTI_BLOCK_N)
@@ -449,9 +452,9 @@ def test_labels_outside_class_range_rejected():
 
 
 # Row-block scratch of the vote: a (b, n) block of similarities with its
-# argpartition indices and tie mask at _BLOCK_ELEMENTS cells each, the (b, k)
-# label keys and the (n, n_classes) counts and posterior; about 1.1 MiB at
-# n = 2400.
+# argpartition indices and tie mask at max(_BLOCK_ELEMENTS, _MIN_BLOCK_ROWS
+# * n) cells each, the (b, k) label keys and the (n, n_classes) counts and
+# posterior; about 1.5 MiB at n = 2400.
 VOTE_SCRATCH = 2 * 1024 * 1024
 
 
@@ -467,7 +470,7 @@ def test_vote_peak_memory(count_labels):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # pass 2 reads one (n, k) int64 array of neighbour sets; the noisy
-    # ablation has no pass 2 and keeps none
-    kept = 8 * n * k if count_labels == "pseudo" else 0
+    # pass 2 reads one (n, k) array of neighbour sets, uint16 below n = 65537;
+    # the noisy ablation has no pass 2 and keeps none
+    kept = 2 * n * k if count_labels == "pseudo" else 0
     assert peak <= kept + VOTE_SCRATCH, f"{peak / 2 ** 20:.2f} MiB"

@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import brute_force_selection, full_mask, mask_pairs, pair_mask
 
-from selcontrast import selection
-from selcontrast.neighbors import EmbeddingBank, PseudoLabelState
-from selcontrast.selection import (SelectionState, nearest_rank_fractile, row_blocks,
-                                   run_selection, select_confident_examples,
-                                   select_confident_pairs)
+from selcontrast import neighbors, selection
+from selcontrast.neighbors import EmbeddingBank, PseudoLabelState, row_blocks
+from selcontrast.selection import (SelectionState, nearest_rank_fractile, run_selection,
+                                   select_confident_examples, select_confident_pairs)
 
 
 def unit_rows(m):
@@ -422,9 +421,10 @@ def random_instance(rng, n, classes):
 @pytest.mark.parametrize("n,rows,beta", [(23, 5, 0.25), (40, 7, 0.5), (41, 4, 0.0),
                                          (29, 6, 0.75)])
 def test_selection_matches_brute_force_across_row_blocks(monkeypatch, n, rows, beta):
-    monkeypatch.setattr(selection, "_BLOCK_ELEMENTS", rows * n)
-    blocks = row_blocks(n)
-    assert len(blocks) > 2 and blocks[-1][1] - blocks[-1][0] < rows == blocks[0][1]
+    monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", rows * n)
+    monkeypatch.setattr(neighbors, "_MIN_BLOCK_ROWS", 1)
+    sizes = [stop - start for start, stop in row_blocks(n)]
+    assert len(sizes) > 2 and max(sizes) == rows > min(sizes)
     rng = np.random.default_rng([204, n])
     z, noisy, y_hat, q = random_instance(rng, n, 3)
     state = assert_matches_oracle(z, noisy, y_hat, q, alpha=1.0, beta=beta)
@@ -433,8 +433,7 @@ def test_selection_matches_brute_force_across_row_blocks(monkeypatch, n, rows, b
 
 def test_selection_matches_brute_force_with_the_default_blocks():
     n = 600
-    blocks = row_blocks(n)
-    assert len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] < blocks[0][1]
+    assert len(row_blocks(n)) > 1
     z, noisy, y_hat, q = random_instance(np.random.default_rng(205), n, 4)
     state = assert_matches_oracle(z, noisy, y_hat, q, alpha=0.5, beta=0.25)
     assert state.n_pairs_similar > 0
@@ -447,7 +446,8 @@ def test_similar_pairs_read_upper_triangle_only_across_row_blocks(monkeypatch, r
     # diagonal it touches only the square block of its own rows, whose lower
     # half np.triu drops
     n = 37
-    monkeypatch.setattr(selection, "_BLOCK_ELEMENTS", rows * 16)
+    monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", rows * 16)
+    monkeypatch.setattr(neighbors, "_MIN_BLOCK_ROWS", 1)
     rng = np.random.default_rng(206)
     bank = EmbeddingBank(z=unit_rows(rng.normal(size=(n, 3))))
     noisy = rng.integers(0, 2, size=n)
@@ -559,3 +559,93 @@ def test_degenerate_two_examples(noisy, beta):
     q = np.array([[0.7, 0.3], [0.4, 0.6]])
     for y_hat in ([0, 0], [0, 1], [1, 1]):
         assert_matches_oracle(z, noisy, y_hat, q, alpha=1.0, beta=beta)
+
+
+# ---------------------------------------------------------------------------
+# the similarity cut, found by bucket counts, on hard inputs
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def narrow(monkeypatch):
+    """Four buckets per pass, at most three values gathered and one-row
+    blocks, so that the cut narrows its key range over several passes even
+    at these sizes. Returns the list that counts the passes over the pairs."""
+    monkeypatch.setattr(selection, "_FRACTILE_BUCKET_BITS", 2)
+    monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", 3)
+    monkeypatch.setattr(neighbors, "_MIN_BLOCK_ROWS", 1)
+    passes = []
+    real = selection._confident_pair_sims
+
+    def counted(z, confident_by_class):
+        passes.append(len(passes))
+        return real(z, confident_by_class)
+    monkeypatch.setattr(selection, "_confident_pair_sims", counted)
+    return passes
+
+
+def confident_sims(state):
+    """The confident pairs' similarities, sorted, from the full product."""
+    sims = state.z @ state.z.T
+    return sorted(sims[i, j] for i, j in state.pairs_confident)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+def test_cut_of_a_collapsed_embedding_matches_brute_force(narrow, beta):
+    # every row is the same vector, so every confident similarity is one
+    # value: all of them stay in one bucket until it is a single key
+    rng = np.random.default_rng(210)
+    n = 14
+    z = np.tile(unit_rows(rng.normal(size=(1, 4))), (n, 1))
+    noisy = rng.integers(0, 2, size=n)
+    state = assert_matches_oracle(z, noisy, noisy, rng.dirichlet(np.ones(2), size=n),
+                                  alpha=1.0, beta=beta)
+    assert len(set(confident_sims(state))) == 1 and state.n_pairs_confident > 3
+    assert len(narrow) == 25  # 50 key bits, 2 per pass, and no gathering pass
+    assert state.n_pairs_similar == 0  # nothing lies strictly above the common value
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 1.0])
+@pytest.mark.parametrize("trial", range(3))
+def test_cut_of_negative_and_unit_similarities_matches_brute_force(narrow, beta, trial):
+    # signed axes give similarities of exactly -1, 0 and 1, the random rows
+    # negative ones in between
+    rng = np.random.default_rng([211, trial])
+    axes = np.concatenate([np.eye(3), -np.eye(3)])
+    z = np.concatenate([axes[rng.integers(0, 6, size=12)], unit_rows(rng.normal(size=(8, 3)))])
+    noisy = rng.integers(0, 2, size=len(z))
+    state = assert_matches_oracle(z, noisy, noisy, rng.dirichlet(np.ones(2), size=len(z)),
+                                  alpha=1.0, beta=beta)
+    values = confident_sims(state)
+    assert values[0] == -1.0 and values[-1] == 1.0 and 0.0 in values
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+def test_cut_of_a_single_confident_pair_is_its_similarity(narrow, beta):
+    # class 0 has the only two members, so the quota of 2 makes one pair
+    rng = np.random.default_rng(212)
+    z = unit_rows(rng.normal(size=(5, 3)))
+    noisy = np.array([0, 1, 0, 2, 3])
+    state = assert_matches_oracle(z, noisy, noisy, rng.dirichlet(np.ones(4), size=5),
+                                  alpha=1.0, beta=beta)
+    assert state.n_pairs_confident == 1
+    assert state.sim_threshold == state.z[0] @ state.z[2]
+    assert len(narrow) == 2  # one count and one gathering pass
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.5, 0.7, 1.0])
+@pytest.mark.parametrize("trial", range(3))
+def test_cut_with_ties_across_the_rank_matches_brute_force(narrow, beta, trial):
+    # three distinct rows give at most six distinct similarities, so each
+    # value repeats and the rank falls inside a run of equal values
+    rng = np.random.default_rng([213, trial])
+    pool = unit_rows(rng.normal(size=(3, 4)))
+    z = pool[rng.integers(0, 3, size=24)]
+    noisy = rng.integers(0, 2, size=24)
+    state = assert_matches_oracle(z, noisy, noisy, rng.dirichlet(np.ones(2), size=24),
+                                  alpha=1.0, beta=beta)
+    values = confident_sims(state)
+    tied = [i for i, v in enumerate(values) if v == state.sim_threshold]
+    assert len(tied) > 1
+    if 0.0 < beta < 1.0:
+        assert tied[0] > 0 and tied[-1] < len(values) - 1  # other values lie on both sides
+    assert len(narrow) > 3

@@ -10,7 +10,7 @@ from oracles import MaskPairs, augment_row
 from selcontrast.data import Dataset, NoiseSpec, inject_noise, make_blobs
 from selcontrast.evaluation import weighted_knn_eval
 from selcontrast.network import OptState, apply_lr_schedule, forward, init_params
-from selcontrast import training
+from selcontrast import neighbors, training
 from selcontrast.training import (METRICS_COLUMNS, EpochRecord, RunConfig,
                                   benchmark_config, compute_selection, dataset_from_config,
                                   finetune, pretrain, pretrain_epoch,
@@ -237,15 +237,23 @@ def test_zero_embedding_row_stops_the_selection(projection):
 # selection memory: no (n, n) array, in the selection or the kNN probe
 # ---------------------------------------------------------------------------
 
-def memory_config():
-    return benchmark_config(n=5000, t_max=3, t_finetune=0)  # 4000 train rows
+def memory_config(**overrides):
+    return benchmark_config(n=5000, t_max=3, t_finetune=0, **overrides)  # 4000 train rows
 
 
-def selection_bound(n_train):
-    """2 n^2 bytes: a quarter of one (n, n) float64 matrix. It covers the
-    embeddings, the vote's (n, k) neighbor arrays, one float per confident
-    pair for the similarity cut and the row-block temporaries."""
+def quadratic_bound(n_train):
+    """2 n^2 bytes: a quarter of one (n, n) float64 matrix."""
     return 2 * n_train ** 2
+
+
+def selection_bound(cfg, n_train):
+    """Bytes of a selection's peak, O(n d + n k) with no term in n^2 and
+    none per pair: the train rows, their embedding and the bank's grid copy
+    (8 n (dim + 2 proj_dim)); the vote's neighbour ids, uint16 below
+    n = 65537 (2 n k); and one row block with its temporaries, 48 bytes per
+    cell of max(_BLOCK_ELEMENTS, _MIN_BLOCK_ROWS n)."""
+    cells = max(neighbors._BLOCK_ELEMENTS, neighbors._MIN_BLOCK_ROWS * n_train)
+    return 8 * n_train * (cfg.dim + 2 * cfg.proj_dim) + 2 * n_train * cfg.k + 48 * cells
 
 
 def traced_peak(fn):
@@ -257,14 +265,31 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_compute_selection_peak_memory():
-    cfg = memory_config()
+def assert_selection_within_bound(cfg, collapsed=False):
     ds = dataset_from_config(cfg)
     n_train = len(ds.train_indices())
     params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
                          proj_dim=cfg.proj_dim, seed=[cfg.seed, 0, 0])
-    peak = traced_peak(lambda: compute_selection(params, ds, cfg))
-    assert peak <= selection_bound(n_train), f"{peak / n_train ** 2:.2f} n^2 bytes"
+    if collapsed:
+        params.proj_w1[...] = 0.0
+        params.proj_b1[...] = 1.0
+    selections = []
+    peak = traced_peak(lambda: selections.append(compute_selection(params, ds, cfg)))
+    state, = selections
+    bound = selection_bound(cfg, n_train)
+    assert 8 * state.n_pairs_confident > bound  # one float per pair would not fit
+    assert peak <= bound, f"{peak / 2 ** 20:.2f} MiB"
+
+
+def test_compute_selection_peak_memory():
+    assert_selection_within_bound(memory_config())
+
+
+def test_compute_selection_peak_memory_of_a_collapsed_embedding():
+    # every row embeds to one vector, so every confident similarity is one
+    # value, which the cut narrows down to a single key; the vote's
+    # neighbour sets all tie, and alpha = 1 keeps a quota
+    assert_selection_within_bound(memory_config(alpha=1.0), collapsed=True)
 
 
 # Parameters and momentum buffers of the hidden-64 network, the minibatch
@@ -277,7 +302,7 @@ def test_pretrain_never_holds_two_selections():
     ds = dataset_from_config(cfg)
     n_train = len(ds.train_indices())
     peak = traced_peak(lambda: pretrain(ds, cfg))
-    assert peak <= selection_bound(n_train) + NETWORK_ALLOWANCE, \
+    assert peak <= quadratic_bound(n_train) + NETWORK_ALLOWANCE, \
         f"{peak / n_train ** 2:.2f} n^2 bytes"
 
 
