@@ -41,19 +41,13 @@ class BatchView:
 
 @dataclass
 class LossBundle:
-    """Per-batch training losses and the gradients to feed backward.
-
-    grad_z applies to the contrastive (possibly mixed) views' embeddings;
-    grad_p applies to the plain views' softmax outputs and already carries the
-    classification/similarity weights.
-    """
+    """One step's loss values: the mixed views' contrastive loss, the plain
+    views' classification and similarity losses, and their weighted total."""
 
     l_mix: float
     l_cls: float
     l_sim: float
     l_all: float
-    grad_z: np.ndarray
-    grad_p: np.ndarray
 
 
 def _twin_mask(twin: np.ndarray) -> np.ndarray:
@@ -220,39 +214,11 @@ def total_loss(l_mix: float, l_cls: float, l_sim: float,
     return l_mix + lambda_cls * l_cls + lambda_sim * l_sim
 
 
-class _StepPairs:
-    """The selected pairs among one step's dataset indices, from a single
-    pair_block call.
-
-    A pair_block cell depends only on its two indices, so the cells of
-    pairs.pair_block(rows, cols) for rows and cols among `index` are read
-    from one block over index's distinct values.
-    """
-
-    def __init__(self, pairs, index: np.ndarray):
-        self.index = np.unique(index)
-        self.block = pairs.pair_block(self.index, self.index)
-
-    def pair_block(self, rows, cols) -> np.ndarray:
-        at_rows = self.block[np.searchsorted(self.index, rows)]
-        return at_rows[:, np.searchsorted(self.index, cols)]
-
-
-def compute_loss_bundle(mixed: BatchView, plain: BatchView, pairs,
-                        scored: np.ndarray, tau: float,
-                        lambda_cls: float, lambda_sim: float) -> LossBundle:
-    """Full objective for one step: interpolation-weighted contrastive loss on
-    the mixed views, classification and similarity losses on the plain views.
-    The three pair masks the losses read come from one pairs.pair_block call."""
-    index = [a for a in (plain.origins, mixed.origins, mixed.mix_a, mixed.mix_b)
-             if a is not None]
-    pairs = _StepPairs(pairs, np.concatenate(index))
-    l_mix, grad_z = mixup_contrastive(mixed, pairs, tau)
+def plain_view_losses(plain: BatchView, pairs, scored: np.ndarray, lambda_cls: float,
+                      lambda_sim: float) -> tuple[float, float, np.ndarray]:
+    """The plain views' part of the objective: (l_cls, l_sim, grad_p), where
+    grad_p is the gradient on plain.p_hat and already carries the
+    classification and similarity weights."""
     l_cls, grad_cls = classification_loss(plain.p_hat, plain.labels, scored)
     l_sim, grad_sim = similarity_loss(plain, pairs)
-    return LossBundle(
-        l_mix=l_mix, l_cls=l_cls, l_sim=l_sim,
-        l_all=total_loss(l_mix, l_cls, l_sim, lambda_cls, lambda_sim),
-        grad_z=grad_z,
-        grad_p=lambda_cls * grad_cls + lambda_sim * grad_sim,
-    )
+    return l_cls, l_sim, lambda_cls * grad_cls + lambda_sim * grad_sim

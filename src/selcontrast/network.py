@@ -94,7 +94,8 @@ class ForwardCache:
     equals `pre > 0` for every float (±0 and NaN included), so no
     pre-activation is kept. The projection fields are None when forward ran
     with project=False; enc_act1, v and proj_act1 are None when it ran with
-    backprop=False.
+    backprop=False. A selective step holds one cache at a time: the mixed
+    views' until their backward, then the plain views' projection-free one.
     """
 
     x: np.ndarray
@@ -107,7 +108,9 @@ class ForwardCache:
 
 
 def he_init(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
-    return rng.standard_normal((fan_out, fan_in)) * np.sqrt(2.0 / fan_in)
+    w = rng.standard_normal((fan_out, fan_in))
+    w *= np.sqrt(2.0 / fan_in)  # in place: no second (fan_out, fan_in) array
+    return w
 
 
 def init_params(dim: int, n_classes: int, hidden: int = 64, proj_dim: int = 32,
@@ -194,12 +197,17 @@ def forward(params: NetworkParams, x: np.ndarray, project: bool = True,
 
 def _weight_grad(target: dict, name: str, g: np.ndarray, a: np.ndarray, add: bool) -> None:
     """Store (or with add, add) g.T @ a, the batch-summed gradient of weight
-    matrix `name`, in target[name]; a name target lacks is skipped."""
+    matrix `name`, in target[name]; a name target lacks is skipped. With add
+    the product is made and added in row chunks of at most _SGD_CHUNK cells
+    (one row at least), so no tensor-sized product is allocated."""
     if name in target:
+        out = target[name]
         if add:
-            target[name] += g.T @ a
+            rows = max(1, _SGD_CHUNK // out.shape[1])
+            for lo in range(0, len(out), rows):
+                out[lo:lo + rows] += g.T[lo:lo + rows] @ a
         else:
-            np.matmul(g.T, a, out=target[name])
+            np.matmul(g.T, a, out=out)
 
 
 def _bias_grad(target: dict, name: str, g: np.ndarray, add: bool) -> None:
@@ -227,10 +235,15 @@ def backward(params: NetworkParams, cache: ForwardCache,
     products), a head without an upstream gradient has its arrays zeroed, a
     tensor `out` has no array for is skipped, and `out` is returned. With
     `into`, a dict an earlier backward filled, they are added into its
-    arrays, a head without an upstream gradient adds nothing, and `into` is
-    returned. The ReLU masks are read from the cached activations. grad_z
-    needs a cache built with the projection head, and every cache one built
-    with backprop=True.
+    arrays, each weight gradient in row chunks of at most _SGD_CHUNK cells
+    so that no tensor-sized product is made, a head without an upstream
+    gradient adds nothing, and `into` is returned. A selective step calls
+    backward twice on opt.grads: `out` with the mixed views' cache, then
+    `into` with the plain views'. Each upstream gradient is released once
+    the next layer's exists, so at most two (batch, hidden) gradients are
+    alive at once. The ReLU masks are read from the cached activations.
+    grad_z needs a cache built with the projection head, and every cache
+    one built with backprop=True.
     """
     if cache.v is None:
         raise ValueError("the cache has no activations (forward ran with backprop=False)")
@@ -250,22 +263,20 @@ def backward(params: NetworkParams, cache: ForwardCache,
                     or (grad_p is None and name.startswith("cls"))):
                 arr.fill(0.0)
 
-    gv = None
+    g = None  # the gradient on the current layer's output, replaced layer by layer
     if grad_z is not None:
         gz = np.asarray(grad_z, dtype=np.float64)
         # d/du (u/|u|) applied to gz: remove the component along z, divide by |u|.
-        gu = ((gz - (gz * cache.z).sum(axis=1, keepdims=True) * cache.z)
-              / np.maximum(cache.z_norm, _NORM_FLOOR)[:, None])
+        g = ((gz - (gz * cache.z).sum(axis=1, keepdims=True) * cache.z)
+             / np.maximum(cache.z_norm, _NORM_FLOOR)[:, None])
         if params.projection == MLP:
-            _weight_grad(target, "proj_w2", gu, cache.proj_act1, add)
-            _bias_grad(target, "proj_b2", gu, add)
-            g_pre = gu @ params.proj_w2
-            g_pre *= cache.proj_act1 > 0.0
-        else:
-            g_pre = gu
-        _weight_grad(target, "proj_w1", g_pre, cache.v, add)
-        _bias_grad(target, "proj_b1", g_pre, add)
-        gv = g_pre @ params.proj_w1
+            _weight_grad(target, "proj_w2", g, cache.proj_act1, add)
+            _bias_grad(target, "proj_b2", g, add)
+            g = g @ params.proj_w2
+            g *= cache.proj_act1 > 0.0
+        _weight_grad(target, "proj_w1", g, cache.v, add)
+        _bias_grad(target, "proj_b1", g, add)
+        g = g @ params.proj_w1
 
     if grad_p is not None:
         gp = np.asarray(grad_p, dtype=np.float64)
@@ -273,20 +284,20 @@ def backward(params: NetworkParams, cache: ForwardCache,
         g_logits = cache.p_hat * (gp - (gp * cache.p_hat).sum(axis=1, keepdims=True))
         _weight_grad(target, "cls_w", g_logits, cache.v, add)
         _bias_grad(target, "cls_b", g_logits, add)
-        if gv is None:
-            gv = g_logits @ params.cls_w
+        if g is None:
+            g = g_logits @ params.cls_w
         else:
-            gv += g_logits @ params.cls_w
+            g += g_logits @ params.cls_w
 
-    if gv is None:
-        gv = np.zeros_like(cache.v)
-    gv *= cache.v > 0.0  # the gradient on the second encoder pre-activation
-    _weight_grad(target, "enc_w2", gv, cache.enc_act1, add)
-    _bias_grad(target, "enc_b2", gv, add)
-    g_pre1 = gv @ params.enc_w2
-    g_pre1 *= cache.enc_act1 > 0.0
-    _weight_grad(target, "enc_w1", g_pre1, cache.x, add)
-    _bias_grad(target, "enc_b1", g_pre1, add)
+    if g is None:
+        g = np.zeros_like(cache.v)
+    g *= cache.v > 0.0  # the gradient on the second encoder pre-activation
+    _weight_grad(target, "enc_w2", g, cache.enc_act1, add)
+    _bias_grad(target, "enc_b2", g, add)
+    g = g @ params.enc_w2
+    g *= cache.enc_act1 > 0.0
+    _weight_grad(target, "enc_w1", g, cache.x, add)
+    _bias_grad(target, "enc_b1", g, add)
     return target
 
 

@@ -13,8 +13,8 @@ import numpy as np
 
 from .data import AugmentationSpec, Dataset, NoiseSpec, augment, inject_noise, make_blobs, mixup
 from .evaluation import selection_precision, weighted_knn_eval
-from .losses import (BatchView, LossBundle, classification_loss, compute_loss_bundle,
-                     masked_contrastive, unsup_contrastive)
+from .losses import (BatchView, LossBundle, classification_loss, masked_contrastive,
+                     mixup_contrastive, plain_view_losses, total_loss, unsup_contrastive)
 from .network import (NetworkParams, OptState, apply_lr_schedule, backward, forward,
                       init_params, sgd_step)
 from .neighbors import EmbeddingBank, aggregate_pseudo_labels, row_blocks
@@ -387,29 +387,52 @@ def warmup(params: NetworkParams, ds: Dataset, cfg: RunConfig, opt: OptState | N
     return params, train_z
 
 
+class _StepPairs:
+    """The selected pairs among one step's dataset indices, from a single
+    pair_block call.
+
+    A pair_block cell depends only on its two indices, so the cells of
+    pairs.pair_block(rows, cols) for rows and cols among `index` are read
+    from one block over index's distinct values.
+    """
+
+    def __init__(self, pairs, index: np.ndarray):
+        self.index = np.unique(index)
+        self.block = pairs.pair_block(self.index, self.index)
+
+    def pair_block(self, rows, cols) -> np.ndarray:
+        at_rows = self.block[np.searchsorted(self.index, rows)]
+        return at_rows[:, np.searchsorted(self.index, cols)]
+
+
 def _selective_step(params, opt, batch, selection, confident, cfg, rng) -> LossBundle:
-    """One composite-loss minibatch of a selective epoch (in place): mixup
-    drawn from `rng`, Sup-CL on the mixed views, the classification and
-    similarity losses on the plain views, then one SGD step. The mixed
-    views' gradients fill opt's workspace and the plain views' are added in.
-    `batch` is one item of _view_batches, `confident` the train rows' mask of
-    the confident set."""
+    """One composite-loss minibatch of a selective epoch (in place), in two
+    halves that share only the parameters and opt's gradient workspace, so
+    the two view sets' activations are never alive together. Mixup is drawn
+    from `rng` and the step's pairs come from one pair_block call. The mixed
+    half runs Sup-CL on the mixed views and a backward that fills the
+    workspace; the plain half runs the classification and similarity losses
+    on a projection-free forward, a backward that adds into the workspace,
+    and the SGD step. `batch` is one item of _view_batches, `confident` the
+    train rows' mask of the confident set."""
     views, origins, labels, twin = batch
     mixed_x, partner, lam, dominant = mixup(views, cfg.alpha_m, rng)
-    mixed_cache = forward(params, mixed_x)
-    plain_cache = forward(params, views, project=False)  # only p_hat is read
-    mixed_batch = BatchView(z=mixed_cache.z, p_hat=mixed_cache.p_hat,
-                            origins=origins[dominant], labels=labels[dominant],
-                            twin=twin, mix_a=origins, mix_b=origins[partner], lam=lam)
-    plain_batch = BatchView(z=None, p_hat=plain_cache.p_hat,
-                            origins=origins, labels=labels, twin=twin)
-    bundle = compute_loss_bundle(mixed_batch, plain_batch, selection,
-                                 scored=confident[origins], tau=cfg.tau,
-                                 lambda_cls=cfg.lambda_c, lambda_sim=cfg.lambda_s)
-    grads = backward(params, mixed_cache, grad_z=bundle.grad_z, out=opt.grads)
-    backward(params, plain_cache, grad_p=bundle.grad_p, into=grads)
-    sgd_step(params, grads, opt)
-    return bundle
+    pairs = _StepPairs(selection, np.concatenate(
+        [origins, origins[dominant], origins, origins[partner]]))
+    mixed = forward(params, mixed_x)
+    l_mix, grad_z = mixup_contrastive(
+        BatchView(z=mixed.z, p_hat=mixed.p_hat, origins=origins[dominant],
+                  labels=labels[dominant], twin=twin, mix_a=origins,
+                  mix_b=origins[partner], lam=lam), pairs, cfg.tau)
+    backward(params, mixed, grad_z=grad_z, out=opt.grads)
+    del mixed, grad_z
+    plain = forward(params, views, project=False)  # only p_hat is read
+    l_cls, l_sim, grad_p = plain_view_losses(
+        BatchView(z=None, p_hat=plain.p_hat, origins=origins, labels=labels, twin=twin),
+        pairs, confident[origins], cfg.lambda_c, cfg.lambda_s)
+    sgd_step(params, backward(params, plain, grad_p=grad_p, into=opt.grads), opt)
+    return LossBundle(l_mix=l_mix, l_cls=l_cls, l_sim=l_sim,
+                      l_all=total_loss(l_mix, l_cls, l_sim, cfg.lambda_c, cfg.lambda_s))
 
 
 def pretrain_epoch(params: NetworkParams, ds: Dataset, cfg: RunConfig, epoch: int,

@@ -12,6 +12,8 @@ be fed to them and their blocks compared with the oracle's sets. The network
 references (forward, backward, the SGD step) keep the operations and their
 order of the straightforward formulas: every pre-activation, a fresh dict of
 gradients per call, so the lean package versions compare bit for bit.
+The reference selective step composes them with the package's mixup and
+loss functions in the joint order the step first had.
 """
 import math
 
@@ -206,6 +208,38 @@ def reference_sgd_step(params, grads, buffers, lr, momentum, weight_decay, lr_sc
             new_buffers[name] = buf
             new_params[name] = arr - (lr * (lr_scale or {}).get(name, 1.0)) * buf
     return new_params, new_buffers
+
+
+def reference_selective_step(params, buffers, batch, pairs, confident, cfg, rng):
+    """One selective step in the joint order: mixup drawn from `rng`, both
+    views' reference caches, every loss, the mixed views' gradients in a
+    fresh dict with the plain views' added, then reference_sgd_step at cfg's
+    lr. Updates `params` and `buffers` (by name) in place and returns
+    (l_mix, l_cls, l_sim, l_all)."""
+    from selcontrast.data import mixup
+    from selcontrast.losses import (BatchView, classification_loss, mixup_contrastive,
+                                    similarity_loss, total_loss)
+    views, origins, labels, twin = batch
+    mixed_x, partner, lam, dominant = mixup(views, cfg.alpha_m, rng)
+    mixed_ref = reference_forward(params, mixed_x)
+    plain_ref = reference_forward(params, views, project=False)
+    mixed = BatchView(z=mixed_ref["z"], p_hat=mixed_ref["p_hat"], origins=origins[dominant],
+                      labels=labels[dominant], twin=twin, mix_a=origins,
+                      mix_b=origins[partner], lam=lam)
+    plain = BatchView(z=None, p_hat=plain_ref["p_hat"], origins=origins, labels=labels,
+                      twin=twin)
+    l_mix, grad_z = mixup_contrastive(mixed, pairs, cfg.tau)
+    l_cls, grad_cls = classification_loss(plain.p_hat, labels, confident[origins])
+    l_sim, grad_sim = similarity_loss(plain, pairs)
+    grads = reference_backward(params, mixed_ref, grad_z=grad_z)
+    reference_backward(params, plain_ref, grad_p=cfg.lambda_c * grad_cls
+                       + cfg.lambda_s * grad_sim, into=grads)
+    new_params, new_buffers = reference_sgd_step(params, grads, buffers, cfg.lr,
+                                                 cfg.momentum, cfg.weight_decay)
+    for name, arr in new_params.items():
+        setattr(params, name, arr)
+    buffers.update(new_buffers)
+    return l_mix, l_cls, l_sim, total_loss(l_mix, l_cls, l_sim, cfg.lambda_c, cfg.lambda_s)
 
 
 def pair_mask(pairs, n):

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from oracles import MaskPairs
 
-from selcontrast.losses import (BatchView, classification_loss,
-                                compute_loss_bundle, mixup_contrastive,
-                                similarity_loss, sup_contrastive, total_loss,
-                                unsup_contrastive)
+from selcontrast.losses import (BatchView, classification_loss, mixup_contrastive,
+                                plain_view_losses, similarity_loss, sup_contrastive,
+                                total_loss, unsup_contrastive)
 
 
 def unit_rows(m):
@@ -213,9 +212,13 @@ def test_bundle_additivity_exact():
     mixed.lam = rng.random(mixed.n_views)
     pairs = MaskPairs.of({(0, 1), (2, 3)}, 4)
     scored = rng.random(batch.n_views) < 0.5
-    bundle = compute_loss_bundle(mixed, batch, pairs, scored,
-                                 tau=0.1, lambda_cls=0.7, lambda_sim=0.013)
-    assert bundle.l_all == bundle.l_mix + 0.7 * bundle.l_cls + 0.013 * bundle.l_sim
+    l_mix, _ = mixup_contrastive(mixed, pairs, tau=0.1)
+    l_cls, l_sim, grad_p = plain_view_losses(batch, pairs, scored, 0.7, 0.013)
+    v_cls, g_cls = classification_loss(batch.p_hat, batch.labels, scored)
+    v_sim, g_sim = similarity_loss(batch, pairs)
+    assert (l_cls, l_sim) == (v_cls, v_sim)
+    np.testing.assert_array_equal(grad_p, 0.7 * g_cls + 0.013 * g_sim)
+    assert total_loss(l_mix, l_cls, l_sim, 0.7, 0.013) == l_mix + 0.7 * l_cls + 0.013 * l_sim
 
 
 def test_mixup_lambda_half_is_half_sum_of_anchor_losses():

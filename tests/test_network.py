@@ -185,6 +185,32 @@ def test_backward_into_equals_sum_of_two_full_backwards_bitwise(projection):
         np.testing.assert_array_equal(into[name], mixed[name] + plain[name], err_msg=name)
 
 
+def test_backward_into_adds_in_row_chunks_at_wide_shapes():
+    # hidden 512: enc_w2's 2 MiB gradient is added in 8 row chunks of
+    # _SGD_CHUNK cells, bit-equal to adding the whole product, and the plain
+    # views' backward never holds a product the size of one such matrix
+    params = init_params(64, 4, hidden=512, proj_dim=128, projection="mlp", seed=24)
+    assert params.enc_w2.size // network._SGD_CHUNK == 8
+    rng = np.random.default_rng(24)
+    x_mixed, x_plain = rng.normal(size=(128, 64)), rng.normal(size=(128, 64))
+    start = reference_backward(params, reference_forward(params, x_mixed),
+                               grad_z=rng.normal(size=(128, 128)))
+    gp = rng.normal(size=(128, 4)) * 1e-2
+    into = {name: grad.copy() for name, grad in start.items()}
+    cache = forward(params, x_plain, project=False)
+    tracemalloc.start()
+    try:
+        backward(params, cache, grad_p=gp, into=into)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    expected = reference_backward(params, reference_forward(params, x_plain, project=False),
+                                  grad_p=gp, into=start)
+    for name in expected:
+        assert_bits_equal(into[name], expected[name], name)
+    assert peak < params.enc_w2.nbytes, f"{peak / 2 ** 20:.2f} MiB"
+
+
 def assert_bits_equal(actual, expected, what):
     actual, expected = np.asarray(actual), np.asarray(expected)
     assert actual.shape == expected.shape and actual.dtype == expected.dtype, what

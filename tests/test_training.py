@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import MaskPairs, augment_row
+from oracles import MaskPairs, augment_row, reference_selective_step
 
 from selcontrast.data import Dataset, NoiseSpec, inject_noise, make_blobs
 from selcontrast.evaluation import weighted_knn_eval
@@ -317,12 +317,13 @@ def test_knn_probe_peak_memory():
 
 def test_selective_step_allocates_no_gradient_dict_at_wide_shapes():
     # one steady-state step of the wide configuration (batch 64, so 128
-    # views; dim 64, hidden 512, MLP projection to 128: 626,308 parameters):
-    # two forwards, the loss bundle, two backwards and sgd_step. The
-    # gradients go into the optimizer's workspace, so the step allocates the
-    # activation caches and the backward temporaries (5.3 MiB), not a fresh
-    # 4.8 MiB gradient dict, a partial one for the plain views and the
-    # pre-activation caches besides (14.0 MiB)
+    # views; dim 64, hidden 512, MLP projection to 128: 626,308 parameters),
+    # in two halves: the mixed views' forward, mixup loss and a backward
+    # into the optimizer's workspace, then, with the mixed cache dropped, the
+    # plain views' forward, losses and a backward added into the workspace
+    # in row chunks, then sgd_step. So one view set's activations and one
+    # backward's temporaries are alive at a time (2.8 MiB), not both caches
+    # with a whole enc_w2 product (5.3 MiB) or a fresh 4.8 MiB gradient dict
     cfg = benchmark_config(noise_kind="asymmetric", dim=64, hidden_dim=512, proj_dim=128,
                            projection="mlp")
     rng = np.random.default_rng(5)
@@ -346,7 +347,44 @@ def test_selective_step_allocates_no_gradient_dict_at_wide_shapes():
                                                         confident, cfg, rng))
     gradient_dict = sum(arr.nbytes for _, arr in params.named_arrays())
     assert gradient_dict == 8 * 626_308
-    assert peak < 1.5 * gradient_dict, f"{peak / 2 ** 20:.2f} MiB"
+    assert peak < 0.75 * gradient_dict, f"{peak / 2 ** 20:.2f} MiB"
+
+
+@pytest.mark.parametrize("case", ["linear", "mlp", "no_scored_row", "no_pairs", "wide"])
+def test_selective_step_matches_the_joint_reference_bitwise(case):
+    # three steps (32, 32, then a trailing 16 rows) against the oracle step,
+    # which holds both caches, computes every loss, stores the mixed views'
+    # gradients in a fresh dict and adds the plain views' before its SGD
+    # step: parameters, momentum buffers and losses agree bit for bit
+    hidden, dim = (512, 64) if case == "wide" else (16, 6)
+    projection = "linear" if case == "linear" else "mlp"
+    cfg = benchmark_config(dim=dim, hidden_dim=hidden, proj_dim=8, projection=projection,
+                           batch_size=32, lr=0.05)
+    rng = np.random.default_rng(21)
+    n_train = 80
+    x_train, noisy = rng.normal(size=(n_train, dim)), rng.integers(0, 3, size=n_train)
+    batches = list(training._view_batches(x_train, noisy, cfg, rng))
+    assert [len(b[1]) for b in batches] == [64, 64, 32]
+    confident = rng.random(n_train) < 0.6
+    if case == "no_scored_row":
+        confident[batches[1][1]] = False
+    pairs = MaskPairs.of([] if case == "no_pairs" else
+                         [(i, j) for i in range(n_train) for j in range(i + 1, n_train)
+                          if noisy[i] == noisy[j] and (i + j) % 3 == 0], n_train)
+    params = init_params(dim, 3, hidden=hidden, proj_dim=8, projection=projection, seed=21)
+    opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay)
+    ref_params = params.copy()
+    ref_buffers = {name: buf.copy() for name, buf in opt.buffers.items()}
+    rng_step, rng_ref = np.random.default_rng(22), np.random.default_rng(22)
+    for step, batch in enumerate(batches):
+        bundle = training._selective_step(params, opt, batch, pairs, confident, cfg, rng_step)
+        expected = reference_selective_step(ref_params, ref_buffers, batch, pairs, confident,
+                                            cfg, rng_ref)
+        assert (bundle.l_mix, bundle.l_cls, bundle.l_sim, bundle.l_all) == expected, step
+        assert (bundle.l_cls == 0.0) == (case == "no_scored_row" and step == 1), step
+    for (name, arr), (_, ref) in zip(params.named_arrays(), ref_params.named_arrays()):
+        assert arr.tobytes() == ref.tobytes(), name
+        assert opt.buffers[name].tobytes() == ref_buffers[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------
