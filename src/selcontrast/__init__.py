@@ -9,9 +9,8 @@ from .data import (AugmentationSpec, Dataset, NoiseSpec, augment, dump_features_
                    inject_noise, load_features_csv, make_blobs, mixup)
 from .evaluation import (dump_projection_2d, pair_precision, project_2d, selection_precision,
                          weighted_knn_eval)
-from .losses import (BatchView, LossBundle, classification_loss, masked_contrastive,
-                     mixup_contrastive, plain_view_losses, similarity_loss,
-                     sup_contrastive, total_loss, unsup_contrastive)
+from .losses import (classification_loss, masked_contrastive, mixup_contrastive,
+                     positive_mask, similarity_loss, total_loss, unsup_contrastive)
 from .network import (ForwardCache, NetworkParams, OptState, apply_lr_schedule, backward,
                       forward, init_params, load_checkpoint, save_checkpoint, sgd_step)
 from .neighbors import EmbeddingBank, PseudoLabelState, aggregate_pseudo_labels

@@ -359,7 +359,7 @@ def _cmd_dump_proj(args) -> int:
     idx = ds.train_indices() if args.split == "train" else ds.test_indices()
     z = forward(params, ds.instances[idx], backprop=False).z
     if args.split == "train":
-        mask = compute_selection(params, ds, cfg, train_z=z).confident_mask(len(idx))
+        mask = compute_selection(params, ds, cfg, train_z=z).is_confident
     else:
         mask = np.zeros(len(idx), dtype=bool)
     dump_projection_2d(z, ds.true_labels[idx], ds.noisy_labels[idx], mask, args.out)

@@ -1,5 +1,13 @@
 """Contrastive, classification and pair-similarity losses with analytic gradients.
 
+Every loss takes plain arrays. A minibatch of 2N views is described by its
+embeddings z or softmax outputs p_hat, by twin (twin[i] is the other view
+built from view i's input) and, where pairs matter, by boolean (2N, 2N)
+masks whose cell (i, j) says whether view i's and view j's examples form a
+selected pair; the selective step slices all of them from one
+SelectionState.pair_block. positive_mask is the one place that adds the
+twin to a view's positives.
+
 Conventions: contrastive values are summed over anchors; the classification
 and similarity values are means over their scored items. Gradients come back
 with respect to the quantities the network exposes (normalized embeddings z
@@ -7,53 +15,21 @@ and softmax outputs p_hat), so the network's backward pass composes them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 CE_EPS = 1e-12   # guard inside -log(prob)
 BCE_EPS = 1e-7   # clamp for dot-product probabilities
 
 
-@dataclass
-class BatchView:
-    """A 2N-view minibatch: two stochastic views per drawn example.
-
-    origins holds each view's dataset index (for mixed views, the index of the
-    dominant ingredient); twin[i] is the other view built from the same input.
-    For mixed batches, mix_a/mix_b give both ingredient indices and lam the
-    mixing weight of ingredient a.
-    """
-
-    z: np.ndarray | None     # (2N, proj_dim); None when no loss reads it
-    p_hat: np.ndarray        # (2N, n_classes)
-    origins: np.ndarray      # (2N,)
-    labels: np.ndarray       # (2N,) noisy labels matching origins
-    twin: np.ndarray         # (2N,)
-    mix_a: np.ndarray | None = None
-    mix_b: np.ndarray | None = None
-    lam: np.ndarray | None = None
-
-    @property
-    def n_views(self) -> int:
-        return len(self.origins)
-
-
-@dataclass
-class LossBundle:
-    """One step's loss values: the mixed views' contrastive loss, the plain
-    views' classification and similarity losses, and their weighted total."""
-
-    l_mix: float
-    l_cls: float
-    l_sim: float
-    l_all: float
-
-
-def _twin_mask(twin: np.ndarray) -> np.ndarray:
+def positive_mask(pair_mask: np.ndarray, twin: np.ndarray) -> np.ndarray:
+    """Each view's contrastive positives: its selected pairs (pair_mask) and
+    its twin, never itself. Returns a new (m, m) mask."""
+    mask = np.array(pair_mask, dtype=bool)
     m = len(twin)
-    mask = np.zeros((m, m), dtype=bool)
+    if mask.shape != (m, m):
+        raise ValueError("pair mask shape mismatch")
     mask[np.arange(m), twin] = True
+    np.fill_diagonal(mask, False)
     return mask
 
 
@@ -111,53 +87,29 @@ def _masked_term(z: np.ndarray, anchor_softmax: tuple[np.ndarray, np.ndarray],
     return value, grad
 
 
-def unsup_contrastive(batch: BatchView, tau: float) -> tuple[float, np.ndarray]:
+def unsup_contrastive(z: np.ndarray, twin: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
     """Instance-discrimination loss: the only positive of a view is its twin."""
-    return masked_contrastive(batch.z, _twin_mask(batch.twin), tau)
+    m = len(twin)
+    return masked_contrastive(z, positive_mask(np.zeros((m, m), dtype=bool), twin), tau)
 
 
-def _selected_positive_mask(batch: BatchView, pairs,
-                            anchor_origins: np.ndarray) -> np.ndarray:
-    """Selected-pair positives per anchor, with the twin always included.
-
-    pairs is the selection (anything with pair_block(rows, cols), such as a
-    SelectionState) over the dataset indices the origins refer to.
-    """
-    mask = pairs.pair_block(anchor_origins, batch.origins)
-    mask |= _twin_mask(batch.twin)
-    np.fill_diagonal(mask, False)
-    return mask
-
-
-def sup_contrastive(batch: BatchView, pairs, tau: float) -> tuple[float, np.ndarray]:
-    """Pair-supervised contrastive loss.
-
-    A view's positives are the views whose origin forms a selected pair with
-    its own origin, plus its twin; a view with no selected partner therefore
-    degrades to the instance-discrimination term. pairs is the selection, read
-    through its pair_block.
-    """
-    mask = _selected_positive_mask(batch, pairs, batch.origins)
-    return masked_contrastive(batch.z, mask, tau)
-
-
-def mixup_contrastive(batch: BatchView, pairs, tau: float) -> tuple[float, np.ndarray]:
+def mixup_contrastive(z: np.ndarray, pair_a: np.ndarray, pair_b: np.ndarray,
+                      twin: np.ndarray, lam: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
     """Interpolation-weighted contrastive loss on mixed views.
 
-    Each anchor contributes lam times the pair-supervised loss under its
-    ingredient-a identity plus (1 - lam) times the loss under ingredient b;
-    other views always participate under their dominant identity.
+    Anchor i contributes lam[i] times the pair-supervised loss under its
+    ingredient-a identity plus (1 - lam[i]) times the loss under its
+    ingredient b; the other views always take part under their dominant
+    identity. pair_a[i, j] (pair_b[i, j]) says whether anchor i's ingredient
+    a (b) forms a selected pair with view j's dominant ingredient; the twin
+    is added by positive_mask.
     """
-    if batch.mix_a is None or batch.mix_b is None or batch.lam is None:
-        raise ValueError("mixup_contrastive needs a mixed batch (mix_a/mix_b/lam)")
-    lam = np.asarray(batch.lam, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
     if np.any(lam < 0.0) or np.any(lam > 1.0):
         raise ValueError("lam must lie in [0, 1]")
-    mask_a = _selected_positive_mask(batch, pairs, batch.mix_a)
-    mask_b = _selected_positive_mask(batch, pairs, batch.mix_b)
-    shared = _anchor_softmax(batch.z, tau)  # the masks differ, the similarities do not
-    val_a, grad_a = _masked_term(batch.z, shared, mask_a, tau, lam)
-    val_b, grad_b = _masked_term(batch.z, shared, mask_b, tau, 1.0 - lam)
+    shared = _anchor_softmax(z, tau)  # the masks differ, the similarities do not
+    val_a, grad_a = _masked_term(z, shared, positive_mask(pair_a, twin), tau, lam)
+    val_b, grad_b = _masked_term(z, shared, positive_mask(pair_b, twin), tau, 1.0 - lam)
     return val_a + val_b, grad_a + grad_b
 
 
@@ -181,20 +133,21 @@ def classification_loss(p_hat: np.ndarray, labels: np.ndarray,
     return value, grad
 
 
-def similarity_loss(batch: BatchView, pairs) -> tuple[float, np.ndarray]:
+def similarity_loss(p_hat: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Binary cross-entropy between prediction agreement and pair membership.
 
     For every ordered view pair (i, j != i) the agreement p_hat_i . p_hat_j,
-    clamped to [eps, 1 - eps], is scored against the 0/1 indicator of the
-    origin pair being selected (pairs.pair_block); the value is the mean over
-    all ordered pairs. Returns (value, gradient with respect to p_hat).
+    clamped to [eps, 1 - eps], is scored against targets[i, j], the 0/1
+    indicator of the two views' examples forming a selected pair; the value
+    is the mean over all ordered pairs. Returns (value, gradient with
+    respect to p_hat).
     """
-    m = batch.n_views
+    m = len(p_hat)
     if m < 2:
-        return 0.0, np.zeros_like(batch.p_hat)
-    targets = pairs.pair_block(batch.origins, batch.origins).astype(np.float64)
+        return 0.0, np.zeros_like(p_hat)
+    targets = np.asarray(targets, dtype=np.float64)
 
-    raw = batch.p_hat @ batch.p_hat.T
+    raw = p_hat @ p_hat.T
     agree = np.clip(raw, BCE_EPS, 1.0 - BCE_EPS)
     off = ~np.eye(m, dtype=bool)
     losses = -(targets * np.log(agree) + (1.0 - targets) * np.log(1.0 - agree))
@@ -204,7 +157,7 @@ def similarity_loss(batch: BatchView, pairs) -> tuple[float, np.ndarray]:
     d_agree = (-targets / agree + (1.0 - targets) / (1.0 - agree)) / count
     d_agree[~off] = 0.0
     d_agree[(raw < BCE_EPS) | (raw > 1.0 - BCE_EPS)] = 0.0  # clamp is flat
-    grad = d_agree @ batch.p_hat + d_agree.T @ batch.p_hat
+    grad = d_agree @ p_hat + d_agree.T @ p_hat
     return value, grad
 
 
@@ -212,13 +165,3 @@ def total_loss(l_mix: float, l_cls: float, l_sim: float,
                lambda_cls: float, lambda_sim: float) -> float:
     """Training objective: l_mix + lambda_cls * l_cls + lambda_sim * l_sim."""
     return l_mix + lambda_cls * l_cls + lambda_sim * l_sim
-
-
-def plain_view_losses(plain: BatchView, pairs, scored: np.ndarray, lambda_cls: float,
-                      lambda_sim: float) -> tuple[float, float, np.ndarray]:
-    """The plain views' part of the objective: (l_cls, l_sim, grad_p), where
-    grad_p is the gradient on plain.p_hat and already carries the
-    classification and similarity weights."""
-    l_cls, grad_cls = classification_loss(plain.p_hat, plain.labels, scored)
-    l_sim, grad_sim = similarity_loss(plain, pairs)
-    return l_cls, l_sim, lambda_cls * grad_cls + lambda_sim * grad_sim

@@ -37,7 +37,6 @@ class EmbeddingBank:
     the grid of grid_rows so that every similarity of two rows is exact."""
 
     z: np.ndarray  # (n, proj_dim), rows unit-norm, on the 2**-24 grid
-    epoch_tag: int = 0
 
     def __post_init__(self):
         self.z = grid_rows(np.array(self.z, dtype=np.float64))

@@ -227,37 +227,31 @@ def backward(params: NetworkParams, cache: ForwardCache,
     """Backpropagate upstream gradients on z (normalized projection) and
     p_hat (softmax output) to all parameters.
 
-    The gradients are summed over the batch. By default they come back in a
-    fresh dict keyed like named_arrays(), where a head whose upstream
-    gradient is omitted gets zero gradients. With `out`, a dict of arrays
+    The gradients are summed over the batch and land in a dict of arrays
     shaped like the parameters (such as an OptState's `grads` workspace),
-    they are written into its arrays instead (bit-equal to the fresh
-    products), a head without an upstream gradient has its arrays zeroed, a
-    tensor `out` has no array for is skipped, and `out` is returned. With
-    `into`, a dict an earlier backward filled, they are added into its
-    arrays, each weight gradient in row chunks of at most _SGD_CHUNK cells
-    so that no tensor-sized product is made, a head without an upstream
-    gradient adds nothing, and `into` is returned. A selective step calls
-    backward twice on opt.grads: `out` with the mixed views' cache, then
-    `into` with the plain views'. Each upstream gradient is released once
-    the next layer's exists, so at most two (batch, hidden) gradients are
-    alive at once. The ReLU masks are read from the cached activations.
-    grad_z needs a cache built with the projection head, and every cache
-    one built with backprop=True.
+    which is returned. With `out` they are written into its arrays, a head
+    whose upstream gradient is omitted has its arrays zeroed, and a tensor
+    `out` has no array for is skipped. With `into`, a dict an earlier
+    backward filled, they are added into its arrays, each weight gradient
+    in row chunks of at most _SGD_CHUNK cells so that no tensor-sized
+    product is made, and a head without an upstream gradient adds nothing.
+    A selective step calls backward twice on opt.grads: `out` with the mixed
+    views' cache, then `into` with the plain views'. Each upstream gradient
+    is released once the next layer's exists, so at most two (batch, hidden)
+    gradients are alive at once. The ReLU masks are read from the cached
+    activations. grad_z needs a cache built with the projection head, and
+    every cache one built with backprop=True.
     """
     if cache.v is None:
         raise ValueError("the cache has no activations (forward ran with backprop=False)")
     if grad_z is not None and cache.z is None:
         raise ValueError("grad_z given, but the cache has no projection "
                          "(forward ran with project=False)")
-    if into is not None and out is not None:
-        raise ValueError("give backward `into` or `out`, not both")
+    if (into is None) == (out is None):
+        raise ValueError("give backward `into` or `out`, one of them and not both")
     add = into is not None
-    if add:
-        target = into
-    else:
-        target = out if out is not None else {
-            name: np.empty_like(arr) for name, arr in params.named_arrays()}
+    target = into if add else out
+    if not add:
         for name, arr in target.items():
             if ((grad_z is None and name.startswith("proj"))
                     or (grad_p is None and name.startswith("cls"))):

@@ -10,15 +10,17 @@ examples of each class, the similarity cut gamma and the bank's rows z. Pair
 confident or z[i] . z[j] > gamma. The bank keeps its rows on the 2**-24 grid
 of neighbors.grid_rows, so every such dot product is exact and a pair's
 status does not depend on the row block that computes it.
-SelectionState.pair_block(rows, cols) rebuilds any sub-mask, and the losses
-and the pair precision read pairs only through it. gamma is the exact
-nearest-rank fractile of the confident pairs' similarities, found by counting
-them per bucket of their integer keys in a few passes over each class's
-confident rows, without keeping one value per pair. The similar-pair count,
-the sorted pair index arrays and the read-only tuple sets `pairs_confident`,
-`pairs_similar` and `pairs` come from passes over each class's upper
-triangle. Every pass works in neighbors.row_blocks, so nothing of size n x n
-is allocated.
+SelectionState.pair_block(rows, cols) rebuilds any sub-mask, and training
+and the pair precision read pairs only through it: a selective step makes
+one call over its views' examples and slices every loss mask from that
+block, which is exact because a cell depends on its two indices alone.
+gamma is the exact nearest-rank fractile of the confident pairs'
+similarities, found by counting them per bucket of their integer keys in a
+few passes over each class's confident rows, without keeping one value per
+pair. The similar-pair count, the sorted pair index arrays and the read-only
+tuple sets `pairs_confident`, `pairs_similar` and `pairs` come from passes
+over each class's upper triangle. Every pass works in neighbors.row_blocks,
+so nothing of size n x n is allocated.
 """
 from __future__ import annotations
 
@@ -91,15 +93,11 @@ class SelectionState:
     per_class_quota: int
     epoch_tag: int = 0
     pseudo: PseudoLabelState | None = None  # the pseudo-labels it was built from
-    _is_confident: np.ndarray = field(init=False, repr=False, compare=False)
+    is_confident: np.ndarray = field(init=False, repr=False, compare=False)  # (n,) bool
 
     def __post_init__(self):
-        self._is_confident = self.confident_mask(len(self.noisy_labels))
-
-    def confident_mask(self, n: int) -> np.ndarray:
-        mask = np.zeros(n, dtype=bool)
-        mask[self.confident] = True
-        return mask
+        self.is_confident = np.zeros(len(self.noisy_labels), dtype=bool)
+        self.is_confident[self.confident] = True
 
     def pair_block(self, rows, cols) -> np.ndarray:
         """(len(rows), len(cols)) mask, True where rows[a] and cols[b] form a
@@ -109,7 +107,7 @@ class SelectionState:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         mask = self._similar_block(rows, cols)
-        mask |= np.logical_and.outer(self._is_confident[rows], self._is_confident[cols])
+        mask |= np.logical_and.outer(self.is_confident[rows], self.is_confident[cols])
         mask &= np.equal.outer(self.noisy_labels[rows], self.noisy_labels[cols])
         mask &= np.not_equal.outer(rows, cols)
         return mask

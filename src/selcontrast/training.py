@@ -13,8 +13,8 @@ import numpy as np
 
 from .data import AugmentationSpec, Dataset, NoiseSpec, augment, inject_noise, make_blobs, mixup
 from .evaluation import selection_precision, weighted_knn_eval
-from .losses import (BatchView, LossBundle, classification_loss, masked_contrastive,
-                     mixup_contrastive, plain_view_losses, total_loss, unsup_contrastive)
+from .losses import (classification_loss, masked_contrastive, mixup_contrastive,
+                     similarity_loss, total_loss, unsup_contrastive)
 from .network import (NetworkParams, OptState, apply_lr_schedule, backward, forward,
                       init_params, sgd_step)
 from .neighbors import EmbeddingBank, aggregate_pseudo_labels, row_blocks
@@ -264,14 +264,12 @@ def _contrastive_epoch(params, opt, ds, cfg, epoch, kind, on_step=None) -> float
     x_train, _, noisy = _train_arrays(ds)
     rng = _epoch_rng(cfg.seed, _STREAM_TRAIN, epoch)
     values = []
-    for views, origins, labels, twin in _view_batches(x_train, noisy, cfg, rng):
+    for views, _, labels, twin in _view_batches(x_train, noisy, cfg, rng):
         cache = forward(params, views)
         if kind == SUPERVISED:
             value, grad_z = masked_contrastive(cache.z, _label_mask(labels), cfg.tau)
         else:
-            value, grad_z = unsup_contrastive(
-                BatchView(z=cache.z, p_hat=cache.p_hat, origins=origins, labels=labels,
-                          twin=twin), cfg.tau)
+            value, grad_z = unsup_contrastive(cache.z, twin, cfg.tau)
         sgd_step(params, backward(params, cache, grad_z=grad_z, out=opt.grads), opt)
         values.append(value)
         if on_step is not None:
@@ -354,7 +352,7 @@ def compute_selection(params: NetworkParams, ds: Dataset, cfg: RunConfig,
     x_train, _, noisy_train = _train_arrays(ds)
     if train_z is None:
         train_z = _train_embedding(params, ds)
-    bank = EmbeddingBank(train_z, epoch_tag=epoch_tag)
+    bank = EmbeddingBank(train_z)
     pseudo = aggregate_pseudo_labels(bank, noisy_train, k=min(cfg.k, len(x_train) - 1),
                                      n_classes=ds.n_classes, count_labels=cfg.count_labels)
     return run_selection(bank, noisy_train, pseudo, cfg.alpha, cfg.beta,
@@ -387,52 +385,38 @@ def warmup(params: NetworkParams, ds: Dataset, cfg: RunConfig, opt: OptState | N
     return params, train_z
 
 
-class _StepPairs:
-    """The selected pairs among one step's dataset indices, from a single
-    pair_block call.
+def _selective_step(params, opt, batch, selection, confident, cfg,
+                    rng) -> tuple[float, float, float, float]:
+    """One composite-loss minibatch of a selective epoch (in place); returns
+    (l_mix, l_cls, l_sim, l_all).
 
-    A pair_block cell depends only on its two indices, so the cells of
-    pairs.pair_block(rows, cols) for rows and cols among `index` are read
-    from one block over index's distinct values.
-    """
-
-    def __init__(self, pairs, index: np.ndarray):
-        self.index = np.unique(index)
-        self.block = pairs.pair_block(self.index, self.index)
-
-    def pair_block(self, rows, cols) -> np.ndarray:
-        at_rows = self.block[np.searchsorted(self.index, rows)]
-        return at_rows[:, np.searchsorted(self.index, cols)]
-
-
-def _selective_step(params, opt, batch, selection, confident, cfg, rng) -> LossBundle:
-    """One composite-loss minibatch of a selective epoch (in place), in two
-    halves that share only the parameters and opt's gradient workspace, so
-    the two view sets' activations are never alive together. Mixup is drawn
-    from `rng` and the step's pairs come from one pair_block call. The mixed
-    half runs Sup-CL on the mixed views and a backward that fills the
-    workspace; the plain half runs the classification and similarity losses
-    on a projection-free forward, a backward that adds into the workspace,
-    and the SGD step. `batch` is one item of _view_batches, `confident` the
-    train rows' mask of the confident set."""
+    Mixup is drawn from `rng`. Every pair mask comes from one block,
+    selection.pair_block(origins, origins) over the 2N views: a cell depends
+    only on its two examples, so anchor i's ingredient a (origins[i])
+    against view j's dominant ingredient (origins[dominant[j]]) is
+    block[i, dominant[j]], and its ingredient b (origins[partner[i]]) is
+    block[partner[i], dominant[j]]. The step runs in two halves that share
+    only the parameters and opt's gradient workspace, so the two view sets'
+    activations are never alive together: the mixed half runs Sup-CL on the
+    mixed views and a backward that fills the workspace; the plain half runs
+    the classification and similarity losses on a projection-free forward,
+    a backward that adds into the workspace, and the SGD step. `batch` is
+    one item of _view_batches, `confident` the train rows' mask of the
+    confident set."""
     views, origins, labels, twin = batch
     mixed_x, partner, lam, dominant = mixup(views, cfg.alpha_m, rng)
-    pairs = _StepPairs(selection, np.concatenate(
-        [origins, origins[dominant], origins, origins[partner]]))
+    block = selection.pair_block(origins, origins)
     mixed = forward(params, mixed_x)
-    l_mix, grad_z = mixup_contrastive(
-        BatchView(z=mixed.z, p_hat=mixed.p_hat, origins=origins[dominant],
-                  labels=labels[dominant], twin=twin, mix_a=origins,
-                  mix_b=origins[partner], lam=lam), pairs, cfg.tau)
+    l_mix, grad_z = mixup_contrastive(mixed.z, block[:, dominant], block[partner][:, dominant],
+                                      twin, lam, cfg.tau)
     backward(params, mixed, grad_z=grad_z, out=opt.grads)
     del mixed, grad_z
     plain = forward(params, views, project=False)  # only p_hat is read
-    l_cls, l_sim, grad_p = plain_view_losses(
-        BatchView(z=None, p_hat=plain.p_hat, origins=origins, labels=labels, twin=twin),
-        pairs, confident[origins], cfg.lambda_c, cfg.lambda_s)
+    l_cls, g_cls = classification_loss(plain.p_hat, labels, confident[origins])
+    l_sim, g_sim = similarity_loss(plain.p_hat, block)
+    grad_p = cfg.lambda_c * g_cls + cfg.lambda_s * g_sim
     sgd_step(params, backward(params, plain, grad_p=grad_p, into=opt.grads), opt)
-    return LossBundle(l_mix=l_mix, l_cls=l_cls, l_sim=l_sim,
-                      l_all=total_loss(l_mix, l_cls, l_sim, cfg.lambda_c, cfg.lambda_s))
+    return l_mix, l_cls, l_sim, total_loss(l_mix, l_cls, l_sim, cfg.lambda_c, cfg.lambda_s)
 
 
 def pretrain_epoch(params: NetworkParams, ds: Dataset, cfg: RunConfig, epoch: int,
@@ -453,7 +437,6 @@ def pretrain_epoch(params: NetworkParams, ds: Dataset, cfg: RunConfig, epoch: in
                                   cfg.lr_schedule)
     started = time_source()
     x_train, true_train, noisy_train = _train_arrays(ds)
-    n_train = len(x_train)
     selection = compute_selection(params, ds, cfg, epoch_tag=epoch, train_z=train_z)
 
     if selection.confident.size == 0:
@@ -462,12 +445,11 @@ def pretrain_epoch(params: NetworkParams, ds: Dataset, cfg: RunConfig, epoch: in
         losses = (value, 0.0, 0.0, value)
     else:
         rng = _epoch_rng(cfg.seed, _STREAM_TRAIN, epoch)
-        confident = selection.confident_mask(n_train)
         sums = np.zeros(4)
         steps = 0
         for batch in _view_batches(x_train, noisy_train, cfg, rng):
-            bundle = _selective_step(params, opt, batch, selection, confident, cfg, rng)
-            sums += (bundle.l_mix, bundle.l_cls, bundle.l_sim, bundle.l_all)
+            sums += _selective_step(params, opt, batch, selection, selection.is_confident,
+                                    cfg, rng)
             steps += 1
         losses = tuple(sums / steps)
 
@@ -508,8 +490,7 @@ def pretrain(ds: Dataset, cfg: RunConfig, time_source=time.perf_counter,
 
 
 def finetune(params: NetworkParams, ds: Dataset, cfg: RunConfig,
-             selection: SelectionState | None = None,
-             time_source=time.perf_counter) -> NetworkParams:
+             selection: SelectionState | None = None) -> NetworkParams:
     """Cross-entropy training of the classifier head on the confident examples.
 
     The head restarts from zeros unless cfg.retrain_classifier is False (a

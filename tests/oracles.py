@@ -6,14 +6,16 @@ genuinely separate derivations. The neighbor references rank one row at a
 time with a full ``np.lexsort``; the kNN probe reference keeps numpy's ``exp``
 and a per-row ``np.add.at``, so its class scores are summed in the same order
 as the package's and compare bit for bit. The adapters at the end translate
-between pair sets, boolean pair masks and the pair_block interface the
-package's losses and precision read, so that a hand-picked set of pairs can
-be fed to them and their blocks compared with the oracle's sets. The network
-references (forward, backward, the SGD step) keep the operations and their
-order of the straightforward formulas: every pre-activation, a fresh dict of
-gradients per call, so the lean package versions compare bit for bit.
+between pair sets, boolean pair masks and the pair_block interface that the
+selective step and the pair precision read, so that a hand-picked set of
+pairs can be fed to them, sliced into the losses' masks and compared with
+the oracle's sets. The network references (forward, backward, the SGD step)
+keep the operations and their order of the straightforward formulas: every
+pre-activation, a fresh dict of gradients per call, so the lean package
+versions compare bit for bit.
 The reference selective step composes them with the package's mixup and
-loss functions in the joint order the step first had.
+loss functions in the joint order the step first had, and reads its three
+pair masks with three pair_block calls rather than slicing one block.
 """
 import math
 
@@ -214,23 +216,24 @@ def reference_selective_step(params, buffers, batch, pairs, confident, cfg, rng)
     """One selective step in the joint order: mixup drawn from `rng`, both
     views' reference caches, every loss, the mixed views' gradients in a
     fresh dict with the plain views' added, then reference_sgd_step at cfg's
-    lr. Updates `params` and `buffers` (by name) in place and returns
-    (l_mix, l_cls, l_sim, l_all)."""
+    lr. Each pair mask is a pair_block call of its own: the mixed views'
+    ingredients a (mix_a, the views' own origins) and b (mix_b, their
+    partners' origins) against every mixed view's dominant ingredient, and
+    the plain views' origins against each other. Updates `params` and
+    `buffers` (by name) in place and returns (l_mix, l_cls, l_sim, l_all)."""
     from selcontrast.data import mixup
-    from selcontrast.losses import (BatchView, classification_loss, mixup_contrastive,
-                                    similarity_loss, total_loss)
+    from selcontrast.losses import (classification_loss, mixup_contrastive, similarity_loss,
+                                    total_loss)
     views, origins, labels, twin = batch
     mixed_x, partner, lam, dominant = mixup(views, cfg.alpha_m, rng)
     mixed_ref = reference_forward(params, mixed_x)
     plain_ref = reference_forward(params, views, project=False)
-    mixed = BatchView(z=mixed_ref["z"], p_hat=mixed_ref["p_hat"], origins=origins[dominant],
-                      labels=labels[dominant], twin=twin, mix_a=origins,
-                      mix_b=origins[partner], lam=lam)
-    plain = BatchView(z=None, p_hat=plain_ref["p_hat"], origins=origins, labels=labels,
-                      twin=twin)
-    l_mix, grad_z = mixup_contrastive(mixed, pairs, cfg.tau)
-    l_cls, grad_cls = classification_loss(plain.p_hat, labels, confident[origins])
-    l_sim, grad_sim = similarity_loss(plain, pairs)
+    mix_a, mix_b = origins, origins[partner]
+    pair_a = pairs.pair_block(mix_a, origins[dominant])
+    pair_b = pairs.pair_block(mix_b, origins[dominant])
+    l_mix, grad_z = mixup_contrastive(mixed_ref["z"], pair_a, pair_b, twin, lam, cfg.tau)
+    l_cls, grad_cls = classification_loss(plain_ref["p_hat"], labels, confident[origins])
+    l_sim, grad_sim = similarity_loss(plain_ref["p_hat"], pairs.pair_block(origins, origins))
     grads = reference_backward(params, mixed_ref, grad_z=grad_z)
     reference_backward(params, plain_ref, grad_p=cfg.lambda_c * grad_cls
                        + cfg.lambda_s * grad_sim, into=grads)
@@ -243,8 +246,7 @@ def reference_selective_step(params, buffers, batch, pairs, confident, cfg, rng)
 
 
 def pair_mask(pairs, n):
-    """Symmetric (n, n) boolean mask of a collection of index pairs, as the
-    package's pair-taking losses and precision expect it."""
+    """Symmetric (n, n) boolean mask of a collection of index pairs."""
     mask = np.zeros((n, n), dtype=bool)
     for i, j in pairs:
         if i == j:
@@ -271,7 +273,7 @@ def mask_pairs(mask):
 
 class MaskPairs:
     """A boolean (n, n) pair mask behind the pair_block(rows, cols) interface
-    the package's losses and pair precision read."""
+    the selective step and the pair precision read."""
 
     def __init__(self, mask):
         self.mask = np.asarray(mask, dtype=bool)

@@ -34,9 +34,8 @@ from oracles import MaskPairs, brute_force_selection
 
 from selcontrast.cli import cli_run, run_sweep
 from selcontrast.evaluation import pair_precision, weighted_knn_eval
-from selcontrast.losses import (BatchView, classification_loss, mixup_contrastive,
-                                similarity_loss, sup_contrastive, total_loss,
-                                unsup_contrastive)
+from selcontrast.losses import (classification_loss, masked_contrastive, mixup_contrastive,
+                                positive_mask, similarity_loss, total_loss, unsup_contrastive)
 from selcontrast.neighbors import EmbeddingBank, PseudoLabelState, aggregate_pseudo_labels
 from selcontrast.network import backward, forward, init_params
 from selcontrast.selection import run_selection
@@ -140,35 +139,31 @@ def test_criterion_1_gradients_match_finite_differences():
         scored = np.zeros(len(origins), dtype=bool)
         scored[::2] = True
         mixed_origins = np.where(lam >= 0.5, mix_a, mix_b)
-
-        def plain_view(cache):
-            return BatchView(z=cache.z, p_hat=cache.p_hat, origins=origins,
-                             labels=labels, twin=twin)
-
-        def mixed_view(cache):
-            return BatchView(z=cache.z, p_hat=cache.p_hat, origins=mixed_origins,
-                             labels=labels, twin=twin, mix_a=mix_a, mix_b=mix_b,
-                             lam=lam)
+        plain_pairs = pair_mat.pair_block(origins, origins)
+        pair_a = pair_mat.pair_block(mix_a, mixed_origins)
+        pair_b = pair_mat.pair_block(mix_b, mixed_origins)
 
         cases = [
             ("instance-contrastive", x_plain,
-             lambda c: unsup_contrastive(plain_view(c), tau) + (None,)),
+             lambda c: unsup_contrastive(c.z, twin, tau) + (None,)),
             ("pair-contrastive", x_plain,
-             lambda c: sup_contrastive(plain_view(c), pair_mat, tau) + (None,)),
+             lambda c: masked_contrastive(c.z, positive_mask(plain_pairs, twin), tau)
+             + (None,)),
             ("mixed-contrastive", x_mix,
-             lambda c: mixup_contrastive(mixed_view(c), pair_mat, tau) + (None,)),
+             lambda c: mixup_contrastive(c.z, pair_a, pair_b, twin, lam, tau) + (None,)),
             ("classification", x_plain,
              lambda c: (lambda v, gp: (v, None, gp))(
                  *classification_loss(c.p_hat, labels, scored))),
             ("similarity", x_plain,
              lambda c: (lambda v, gp: (v, None, gp))(
-                 *similarity_loss(plain_view(c), pair_mat))),
+                 *similarity_loss(c.p_hat, plain_pairs))),
         ]
         for name, x_in, loss_fn in cases:
             cache = forward(params, x_in)
             _, grad_z, grad_p = loss_fn(cache)
-            analytic = _flat(backward(params, cache, grad_z=grad_z, grad_p=grad_p),
-                             params)
+            zeroed = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
+            analytic = _flat(backward(params, cache, grad_z=grad_z, grad_p=grad_p,
+                                      out=zeroed), params)
             fd = _fd_flat(lambda: loss_fn(forward(params, x_in))[0], params)
             rel = np.linalg.norm(fd - analytic) / max(np.linalg.norm(fd),
                                                       np.linalg.norm(analytic), 1e-300)
@@ -241,13 +236,16 @@ def test_criterion_3_reduction_identities():
     additive_exact = True
     for trial in range(10):
         rng = np.random.default_rng([9300, trial])
-        z, p_hat, origins, twin, labels = _random_views(rng, int(rng.integers(3, 7)))
-        plain = BatchView(z=z, p_hat=p_hat, origins=origins, labels=labels, twin=twin)
+        z, _, origins, twin, _ = _random_views(rng, int(rng.integers(3, 7)))
+
+        def sup_cl(pairs):
+            return masked_contrastive(
+                z, positive_mask(pairs.pair_block(origins, origins), twin), tau=0.2)
 
         # twin-only supervision collapses to instance discrimination (1e-12)
         n_pool = int(origins.max()) + 1
-        v_sup, g_sup = sup_contrastive(plain, MaskPairs.of(set(), n_pool), tau=0.2)
-        v_uns, g_uns = unsup_contrastive(plain, tau=0.2)
+        v_sup, g_sup = sup_cl(MaskPairs.of(set(), n_pool))
+        v_uns, g_uns = unsup_contrastive(z, twin, tau=0.2)
         worst_twin = max(worst_twin, abs(v_sup - v_uns),
                          float(np.abs(g_sup - g_uns).max()))
 
@@ -256,17 +254,12 @@ def test_criterion_3_reduction_identities():
                               for j in range(i + 1, n_pool) if rng.random() < 0.5}, n_pool)
         perm = rng.permutation(len(origins))
         m = len(origins)
-        at_one = BatchView(z=z, p_hat=p_hat, origins=origins, labels=labels,
-                           twin=twin, mix_a=origins, mix_b=origins[perm],
-                           lam=np.ones(m))
-        v1, g1 = mixup_contrastive(at_one, pairs, tau=0.2)
-        vs, gs = sup_contrastive(plain, pairs, tau=0.2)
+        own, other = pairs.pair_block(origins, origins), pairs.pair_block(origins[perm], origins)
+        v1, g1 = mixup_contrastive(z, own, other, twin, np.ones(m), tau=0.2)
+        vs, gs = sup_cl(pairs)
         endpoints_exact &= (v1 == vs) and bool(np.all(g1 == gs))
 
-        at_zero = BatchView(z=z, p_hat=p_hat, origins=origins, labels=labels,
-                            twin=twin, mix_a=origins[perm], mix_b=origins,
-                            lam=np.zeros(m))
-        v0, g0 = mixup_contrastive(at_zero, pairs, tau=0.2)
+        v0, g0 = mixup_contrastive(z, other, own, twin, np.zeros(m), tau=0.2)
         endpoints_exact &= (v0 == vs) and bool(np.all(g0 == gs))
 
         # composite objective is exactly additive

@@ -1,5 +1,10 @@
 """Tests for the loss zoo: frozen analytic values, independent scalar oracles,
 finite-difference gradient checks and the reduction identities.
+
+A batch here is 2N views of N examples laid out as the trainer lays them
+out: views i and i + N come from example i (their origin) and are each
+other's twin. The pair masks come from MaskPairs.pair_block over the views'
+origins, as the selective step reads them from the selection.
 """
 import math
 
@@ -7,9 +12,10 @@ import numpy as np
 import pytest
 from oracles import MaskPairs
 
-from selcontrast.losses import (BatchView, classification_loss, mixup_contrastive,
-                                plain_view_losses, similarity_loss, sup_contrastive,
-                                total_loss, unsup_contrastive)
+from selcontrast import training
+from selcontrast.losses import (classification_loss, masked_contrastive, mixup_contrastive,
+                                positive_mask, similarity_loss, total_loss, unsup_contrastive)
+from selcontrast.network import OptState, forward, init_params
 
 
 def unit_rows(m):
@@ -17,28 +23,26 @@ def unit_rows(m):
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
-def plain_batch(z, labels, origins=None):
-    """Two-view batch layout used by the trainer: twin(i) = i +- N."""
-    m = len(z)
-    n = m // 2
-    if origins is None:
-        origins = np.concatenate([np.arange(n), np.arange(n)])
-    twin = np.concatenate([np.arange(n) + n, np.arange(n)])
-    p_hat = np.full((m, 2), 0.5)
-    return BatchView(z=np.asarray(z, float), p_hat=p_hat,
-                     origins=np.asarray(origins),
-                     labels=np.asarray(labels), twin=twin)
+def two_views(n):
+    """(origins, twin) of 2n views of the examples 0..n-1."""
+    return (np.concatenate([np.arange(n), np.arange(n)]),
+            np.concatenate([np.arange(n) + n, np.arange(n)]))
 
 
 def random_batch(rng, n=3, proj_dim=4, classes=3):
+    """(z, p_hat, origins, twin, labels) of 2n random views."""
     z = unit_rows(rng.normal(size=(2 * n, proj_dim)))
-    labels_per_origin = rng.integers(0, classes, size=n)
-    labels = np.concatenate([labels_per_origin, labels_per_origin])
+    origins, twin = two_views(n)
+    labels = rng.integers(0, classes, size=n)[origins]
     logits = rng.normal(size=(2 * n, classes))
     p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-    batch = plain_batch(z, labels)
-    batch.p_hat = p
-    return batch
+    return z, p, origins, twin, labels
+
+
+def sup_cl(z, pairs, origins, twin, tau):
+    """Sup-CL: a view's positives are the views whose origin forms a selected
+    pair with its own, plus its twin."""
+    return masked_contrastive(z, positive_mask(pairs.pair_block(origins, origins), twin), tau)
 
 
 def scalar_masked_loss(z, mask, tau, weights=None):
@@ -73,13 +77,12 @@ def fd_grad_z(loss_fn, z, step=1e-6):
 
 def test_identical_embeddings_give_four_log_three():
     z = unit_rows(np.ones((4, 3)))
-    batch = plain_batch(z, labels=[0, 0, 0, 0])
-    value, _ = unsup_contrastive(batch, tau=0.1)
+    origins, twin = two_views(2)
+    value, _ = unsup_contrastive(z, twin, tau=0.1)
     assert value == pytest.approx(4 * math.log(3), rel=1e-12)
     # same with every pair selected: positives change, the value does not,
     # because all candidates are indistinguishable
-    all_pairs = MaskPairs.of({(0, 1)}, 2)
-    value_sup, _ = sup_contrastive(batch, all_pairs, tau=0.1)
+    value_sup, _ = sup_cl(z, MaskPairs.of({(0, 1)}, 2), origins, twin, tau=0.1)
     assert value_sup == pytest.approx(4 * math.log(3), rel=1e-12)
 
 
@@ -97,12 +100,11 @@ def test_one_hot_predictions_give_zero_loss():
 
 
 def test_similarity_loss_uniform_two_classes_gives_log_two():
-    z = unit_rows(np.ones((4, 2)))
-    batch = plain_batch(z, labels=[0, 0, 0, 0])
-    batch.p_hat = np.full((4, 2), 0.5)  # every agreement is exactly 0.5
+    origins, _ = two_views(2)
+    p = np.full((4, 2), 0.5)  # every agreement is exactly 0.5
     # select every ordered origin pair -> all targets 1
-    pairs = MaskPairs.of({(0, 1)}, 2)
-    value, _ = similarity_loss(batch, pairs)
+    targets = MaskPairs.of({(0, 1)}, 2).pair_block(origins, origins)
+    value, _ = similarity_loss(p, targets)
     # 4 ordered view pairs carry target 1 (origins {0,1} cross terms);
     # 8 remaining ordered pairs carry target 0; all see s = 0.5 -> ln 2 each
     assert value == pytest.approx(math.log(2), rel=1e-9)
@@ -111,15 +113,13 @@ def test_similarity_loss_uniform_two_classes_gives_log_two():
 def test_similarity_loss_perfect_agreement_is_tiny():
     # one-hot same class on selected pair, orthogonal one-hots elsewhere
     p = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    z = unit_rows(np.ones((4, 2)))
-    batch = plain_batch(z, labels=[0, 1, 0, 1], origins=[0, 1, 0, 1])
-    batch.p_hat = p
+    origins = np.array([0, 1, 0, 1])
     # views 0/2 share origin 0, views 1/3 share origin 1; select no pairs:
     # cross-origin targets 0 with s=0 -> ~0; same-origin ordered pairs are
     # self-pairs by origin and never selected, s=... index 0 vs 2: origins
     # equal -> target 0 but s = 1 -> large loss. So instead select {0,1}:
-    pairs = MaskPairs.of({(0, 1)}, 2)
-    value, _ = similarity_loss(batch, pairs)
+    targets = MaskPairs.of({(0, 1)}, 2).pair_block(origins, origins)
+    value, _ = similarity_loss(p, targets)
     # pairs (0,1),(0,3),(2,1),(2,3) ordered both ways: target 1, s=0 -> huge;
     # this instance instead demonstrates the worst case is finite (clamped)
     assert np.isfinite(value)
@@ -128,10 +128,8 @@ def test_similarity_loss_perfect_agreement_is_tiny():
 def test_similarity_loss_matched_structure_near_zero():
     # agreement 1 on selected pairs and 0 on unselected ones -> loss ~ 0
     p = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    z = unit_rows(np.ones((4, 2)))
-    batch = plain_batch(z, labels=[0, 0, 1, 1], origins=[0, 1, 2, 3])
-    batch.p_hat = p
-    value, _ = similarity_loss(batch, MaskPairs.of({(0, 1), (2, 3)}, 4))
+    origins = np.arange(4)
+    value, _ = similarity_loss(p, MaskPairs.of({(0, 1), (2, 3)}, 4).pair_block(origins, origins))
     assert value == pytest.approx(0.0, abs=1e-5)
 
 
@@ -143,42 +141,56 @@ def test_total_loss_weighted_sum_exact():
         assert total_loss(lm, lc, ls, wc, ws) == lm + wc * lc + ws * ls
 
 
+def test_positive_mask_adds_the_twin_and_clears_the_diagonal():
+    rng = np.random.default_rng(14)
+    _, twin = two_views(4)
+    pair_mask = rng.random((8, 8)) < 0.4
+    before = pair_mask.copy()
+    mask = positive_mask(pair_mask, twin)
+    np.testing.assert_array_equal(pair_mask, before)  # the input is left alone
+    for i in range(8):
+        for j in range(8):
+            assert mask[i, j] == (i != j and (bool(pair_mask[i, j]) or j == twin[i])), (i, j)
+    with pytest.raises(ValueError, match="shape"):
+        positive_mask(np.zeros((8, 6), dtype=bool), twin)
+
+
 # ---------------------------------------------------------------------------
 # reduction identities
 # ---------------------------------------------------------------------------
 
 def test_sup_equals_unsup_without_selected_pairs():
     rng = np.random.default_rng(1)
-    batch = random_batch(rng, n=4)
-    v_sup, g_sup = sup_contrastive(batch, MaskPairs.of(set(), 4), tau=0.1)
-    v_uns, g_uns = unsup_contrastive(batch, tau=0.1)
+    z, _, origins, twin, _ = random_batch(rng, n=4)
+    v_sup, g_sup = sup_cl(z, MaskPairs.of(set(), 4), origins, twin, tau=0.1)
+    v_uns, g_uns = unsup_contrastive(z, twin, tau=0.1)
     assert v_sup == v_uns
     np.testing.assert_array_equal(g_sup, g_uns)
 
 
 def test_mixup_at_lambda_one_equals_pure_sup():
     rng = np.random.default_rng(2)
-    batch = random_batch(rng, n=3)
+    z, _, origins, twin, _ = random_batch(rng, n=3)
     pairs = MaskPairs.of({(0, 1), (1, 2)}, 3)
-    batch.mix_a = batch.origins.copy()
-    batch.mix_b = np.roll(batch.origins, 1)
-    batch.lam = np.ones(batch.n_views)
-    v_mix, g_mix = mixup_contrastive(batch, pairs, tau=0.1)
-    v_sup, g_sup = sup_contrastive(batch, pairs, tau=0.1)
+    mix_a, mix_b = origins.copy(), np.roll(origins, 1)
+    v_mix, g_mix = mixup_contrastive(z, pairs.pair_block(mix_a, origins),
+                                     pairs.pair_block(mix_b, origins), twin,
+                                     np.ones(len(z)), tau=0.1)
+    v_sup, g_sup = sup_cl(z, pairs, origins, twin, tau=0.1)
     assert v_mix == v_sup
     np.testing.assert_array_equal(g_mix, g_sup)
 
 
 def test_mixup_at_lambda_zero_keeps_only_ingredient_b():
     rng = np.random.default_rng(3)
-    batch = random_batch(rng, n=3)
+    z, _, origins, twin, _ = random_batch(rng, n=3)
     pairs = MaskPairs.of({(0, 2)}, 3)
-    batch.mix_a = np.roll(batch.origins, 1)
-    batch.mix_b = batch.origins.copy()
-    batch.lam = np.zeros(batch.n_views)
-    v_mix, g_mix = mixup_contrastive(batch, pairs, tau=0.1)
+    mix_a, mix_b = np.roll(origins, 1), origins.copy()
+    v_mix, g_mix = mixup_contrastive(z, pairs.pair_block(mix_a, origins),
+                                     pairs.pair_block(mix_b, origins), twin,
+                                     np.zeros(len(z)), tau=0.1)
     # with lam = 0 everywhere, the dominant identities equal origins = mix_b
-    v_sup, g_sup = sup_contrastive(batch, pairs, tau=0.1)
+    v_sup, g_sup = sup_cl(z, pairs, origins, twin, tau=0.1)
     assert v_mix == v_sup
     np.testing.assert_array_equal(g_mix, g_sup)
 
@@ -187,58 +199,54 @@ def test_mixup_at_lambda_zero_keeps_only_ingredient_b():
 def test_mixup_shared_softmax_equals_two_masked_calls_exactly(seed):
     # one similarity/softmax for both masks must not change a single bit of
     # what two independent masked_contrastive calls give
-    from selcontrast.losses import _selected_positive_mask, masked_contrastive
     rng = np.random.default_rng(seed)
-    batch = random_batch(rng, n=5)
-    batch.mix_a = batch.origins.copy()
-    batch.mix_b = rng.permutation(batch.origins)
-    batch.lam = rng.random(batch.n_views)
+    z, _, origins, twin, _ = random_batch(rng, n=5)
+    lam = rng.random(len(z))
     pairs = MaskPairs.of({(0, 1), (1, 3), (2, 4)}, 5)
-    value, grad = mixup_contrastive(batch, pairs, tau=0.1)
-    v_a, g_a = masked_contrastive(batch.z, _selected_positive_mask(batch, pairs, batch.mix_a),
-                                  0.1, row_weights=batch.lam)
-    v_b, g_b = masked_contrastive(batch.z, _selected_positive_mask(batch, pairs, batch.mix_b),
-                                  0.1, row_weights=1.0 - batch.lam)
+    pair_a = pairs.pair_block(origins, origins)
+    pair_b = pairs.pair_block(rng.permutation(origins), origins)
+    value, grad = mixup_contrastive(z, pair_a, pair_b, twin, lam, tau=0.1)
+    v_a, g_a = masked_contrastive(z, positive_mask(pair_a, twin), 0.1, row_weights=lam)
+    v_b, g_b = masked_contrastive(z, positive_mask(pair_b, twin), 0.1, row_weights=1.0 - lam)
     assert value == v_a + v_b
     np.testing.assert_array_equal(grad, g_a + g_b)
 
 
 def test_bundle_additivity_exact():
+    # one selective step returns (l_mix, l_cls, l_sim, l_all): the plain
+    # views' values are the classification and similarity losses of their
+    # p_hat (the mixed half leaves the parameters alone), and l_all is the
+    # weighted sum of the three, exactly
+    cfg = training.benchmark_config(dim=6, hidden_dim=8, proj_dim=4, lambda_c=0.7,
+                                    lambda_s=0.013, batch_size=4)
     rng = np.random.default_rng(4)
-    batch = random_batch(rng, n=4)
-    mixed = random_batch(rng, n=4)
-    mixed.mix_a = mixed.origins.copy()
-    mixed.mix_b = np.roll(mixed.origins, 2)
-    mixed.lam = rng.random(mixed.n_views)
+    params = init_params(6, 3, hidden=8, proj_dim=4, seed=4)
+    opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay)
+    origins, twin = two_views(4)
+    views, labels = rng.normal(size=(8, 6)), rng.integers(0, 3, size=4)[origins]
     pairs = MaskPairs.of({(0, 1), (2, 3)}, 4)
-    scored = rng.random(batch.n_views) < 0.5
-    l_mix, _ = mixup_contrastive(mixed, pairs, tau=0.1)
-    l_cls, l_sim, grad_p = plain_view_losses(batch, pairs, scored, 0.7, 0.013)
-    v_cls, g_cls = classification_loss(batch.p_hat, batch.labels, scored)
-    v_sim, g_sim = similarity_loss(batch, pairs)
-    assert (l_cls, l_sim) == (v_cls, v_sim)
-    np.testing.assert_array_equal(grad_p, 0.7 * g_cls + 0.013 * g_sim)
-    assert total_loss(l_mix, l_cls, l_sim, 0.7, 0.013) == l_mix + 0.7 * l_cls + 0.013 * l_sim
+    scored = rng.random(4) < 0.5
+    p_hat = forward(params, views, project=False).p_hat
+    l_mix, l_cls, l_sim, l_all = training._selective_step(
+        params, opt, (views, origins, labels, twin), pairs, scored, cfg, rng)
+    assert l_cls == classification_loss(p_hat, labels, scored[origins])[0]
+    assert l_sim == similarity_loss(p_hat, pairs.pair_block(origins, origins))[0]
+    assert l_all == total_loss(l_mix, l_cls, l_sim, 0.7, 0.013)
+    assert l_all == l_mix + 0.7 * l_cls + 0.013 * l_sim
 
 
 def test_mixup_lambda_half_is_half_sum_of_anchor_losses():
     rng = np.random.default_rng(5)
-    batch = random_batch(rng, n=3)
+    z, _, origins, twin, _ = random_batch(rng, n=3)
     pairs = MaskPairs.of({(0, 1)}, 3)
-    batch.mix_a = batch.origins.copy()
-    batch.mix_b = np.roll(batch.origins, 1)
-    batch.lam = np.full(batch.n_views, 0.5)
-    v_mix, _ = mixup_contrastive(batch, pairs, tau=0.2)
-    batch_a = BatchView(z=batch.z, p_hat=batch.p_hat, origins=batch.origins,
-                        labels=batch.labels, twin=batch.twin)
-    v_a, _ = sup_contrastive(batch_a, pairs, tau=0.2)
-    batch_b = BatchView(z=batch.z, p_hat=batch.p_hat, origins=batch.origins,
-                        labels=batch.labels, twin=batch.twin)
-    # ingredient-b identities differ; compute its anchor loss with origins
-    # swapped to mix_b while the batch context (others' identities) is fixed
-    from selcontrast.losses import _selected_positive_mask, masked_contrastive
-    mask_b = _selected_positive_mask(batch, pairs, batch.mix_b)
-    v_b = masked_contrastive(batch.z, mask_b, 0.2)[0]
+    mix_a, mix_b = origins.copy(), np.roll(origins, 1)
+    pair_b = pairs.pair_block(mix_b, origins)
+    v_mix, _ = mixup_contrastive(z, pairs.pair_block(mix_a, origins), pair_b, twin,
+                                 np.full(len(z), 0.5), tau=0.2)
+    v_a, _ = sup_cl(z, pairs, origins, twin, tau=0.2)
+    # ingredient-b identities differ; compute its anchor loss with the anchors'
+    # identities swapped to mix_b while the others' identities stay fixed
+    v_b = masked_contrastive(z, positive_mask(pair_b, twin), 0.2)[0]
     assert v_mix == pytest.approx(0.5 * v_a + 0.5 * v_b, rel=1e-12)
 
 
@@ -248,62 +256,53 @@ def test_mixup_lambda_half_is_half_sum_of_anchor_losses():
 
 def test_unsup_value_matches_scalar_reimplementation():
     rng = np.random.default_rng(6)
-    batch = random_batch(rng, n=3)
+    z, _, _, twin, _ = random_batch(rng, n=3)
     mask = np.zeros((6, 6), dtype=bool)
-    mask[np.arange(6), batch.twin] = True
-    expected = scalar_masked_loss(batch.z, mask, tau=0.1)
-    value, _ = unsup_contrastive(batch, tau=0.1)
+    mask[np.arange(6), twin] = True
+    expected = scalar_masked_loss(z, mask, tau=0.1)
+    value, _ = unsup_contrastive(z, twin, tau=0.1)
     assert value == pytest.approx(expected, rel=1e-9)
 
 
 def test_sup_value_matches_scalar_reimplementation():
     rng = np.random.default_rng(7)
-    batch = random_batch(rng, n=3)
+    z, _, origins, twin, _ = random_batch(rng, n=3)
     pairs = {(0, 1), (0, 2)}
     mask = np.zeros((6, 6), dtype=bool)
     for i in range(6):
         for g in range(6):
             if i == g:
                 continue
-            a, b = int(batch.origins[i]), int(batch.origins[g])
+            a, b = int(origins[i]), int(origins[g])
             if a != b and ((min(a, b), max(a, b)) in pairs):
                 mask[i, g] = True
-        mask[i, batch.twin[i]] = True
-    expected = scalar_masked_loss(batch.z, mask, tau=0.1)
-    value, _ = sup_contrastive(batch, MaskPairs.of(pairs, 3), tau=0.1)
+        mask[i, twin[i]] = True
+    expected = scalar_masked_loss(z, mask, tau=0.1)
+    value, _ = sup_cl(z, MaskPairs.of(pairs, 3), origins, twin, tau=0.1)
     assert value == pytest.approx(expected, rel=1e-9)
 
 
 def test_unsup_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
-    batch = random_batch(rng, n=3)
-
-    def loss_of(z):
-        b = BatchView(z=z, p_hat=batch.p_hat, origins=batch.origins,
-                      labels=batch.labels, twin=batch.twin)
-        return unsup_contrastive(b, tau=0.1)[0]
-
-    _, grad = unsup_contrastive(batch, tau=0.1)
-    numeric = fd_grad_z(loss_of, batch.z)
+    z, _, _, twin, _ = random_batch(rng, n=3)
+    _, grad = unsup_contrastive(z, twin, tau=0.1)
+    numeric = fd_grad_z(lambda zz: unsup_contrastive(zz, twin, tau=0.1)[0], z)
     np.testing.assert_allclose(grad, numeric, rtol=1e-4, atol=1e-7)
 
 
 def test_mixup_gradient_matches_finite_differences():
     rng = np.random.default_rng(9)
-    batch = random_batch(rng, n=3)
+    z, _, origins, twin, _ = random_batch(rng, n=3)
     pairs = MaskPairs.of({(0, 1), (1, 2)}, 3)
-    batch.mix_a = batch.origins.copy()
-    batch.mix_b = np.roll(batch.origins, 1)
-    batch.lam = rng.random(batch.n_views)
+    pair_a = pairs.pair_block(origins, origins)
+    pair_b = pairs.pair_block(np.roll(origins, 1), origins)
+    lam = rng.random(len(z))
 
-    def loss_of(z):
-        b = BatchView(z=z, p_hat=batch.p_hat, origins=batch.origins,
-                      labels=batch.labels, twin=batch.twin,
-                      mix_a=batch.mix_a, mix_b=batch.mix_b, lam=batch.lam)
-        return mixup_contrastive(b, pairs, tau=0.1)[0]
+    def loss_of(zz):
+        return mixup_contrastive(zz, pair_a, pair_b, twin, lam, tau=0.1)[0]
 
-    _, grad = mixup_contrastive(batch, pairs, tau=0.1)
-    numeric = fd_grad_z(loss_of, batch.z)
+    _, grad = mixup_contrastive(z, pair_a, pair_b, twin, lam, tau=0.1)
+    numeric = fd_grad_z(loss_of, z)
     np.testing.assert_allclose(grad, numeric, rtol=1e-4, atol=1e-7)
 
 
@@ -327,34 +326,28 @@ def test_classification_gradient_matches_finite_differences():
 
 def test_similarity_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
-    batch = random_batch(rng, n=3)
-    pairs = MaskPairs.of({(0, 1)}, 3)
+    _, p_hat, origins, _, _ = random_batch(rng, n=3)
+    targets = MaskPairs.of({(0, 1)}, 3).pair_block(origins, origins)
 
-    def loss_of(p):
-        b = BatchView(z=batch.z, p_hat=p, origins=batch.origins,
-                      labels=batch.labels, twin=batch.twin)
-        return similarity_loss(b, pairs)[0]
-
-    _, grad = similarity_loss(batch, pairs)
+    _, grad = similarity_loss(p_hat, targets)
     step = 1e-6
-    numeric = np.zeros_like(batch.p_hat)
-    for i in range(batch.n_views):
-        for c in range(batch.p_hat.shape[1]):
-            pp, pm = batch.p_hat.copy(), batch.p_hat.copy()
+    numeric = np.zeros_like(p_hat)
+    for i in range(p_hat.shape[0]):
+        for c in range(p_hat.shape[1]):
+            pp, pm = p_hat.copy(), p_hat.copy()
             pp[i, c] += step
             pm[i, c] -= step
-            numeric[i, c] = (loss_of(pp) - loss_of(pm)) / (2 * step)
+            numeric[i, c] = (similarity_loss(pp, targets)[0]
+                             - similarity_loss(pm, targets)[0]) / (2 * step)
     np.testing.assert_allclose(grad, numeric, rtol=1e-4, atol=1e-7)
 
 
 def test_similarity_clamp_zeroes_gradient():
     # agreements outside [eps, 1-eps] sit on the clamp plateau
     p = np.array([[1.0, 0.0], [1.0, 0.0]])
-    z = unit_rows(np.ones((2, 2)))
-    batch = BatchView(z=z, p_hat=p, origins=np.array([0, 1]),
-                      labels=np.array([0, 0]), twin=np.array([1, 0]))
+    origins = np.array([0, 1])
     # agreement = 1 > 1 - eps with target 1 -> flat region, zero gradient
-    value, grad = similarity_loss(batch, MaskPairs.of({(0, 1)}, 2))
+    value, grad = similarity_loss(p, MaskPairs.of({(0, 1)}, 2).pair_block(origins, origins))
     np.testing.assert_array_equal(grad, np.zeros_like(p))
 
 
@@ -368,16 +361,14 @@ def test_empty_scored_set_gives_zero_loss_and_gradient():
 
 def test_contrastive_rejects_nonpositive_tau():
     rng = np.random.default_rng(12)
-    batch = random_batch(rng, n=2)
+    z, _, _, twin, _ = random_batch(rng, n=2)
     with pytest.raises(ValueError):
-        unsup_contrastive(batch, tau=0.0)
+        unsup_contrastive(z, twin, tau=0.0)
 
 
 def test_mixup_rejects_lambda_outside_unit_interval():
     rng = np.random.default_rng(13)
-    batch = random_batch(rng, n=2)
-    batch.mix_a = batch.origins.copy()
-    batch.mix_b = np.roll(batch.origins, 1)
-    batch.lam = np.array([0.5, 0.5, 1.2, 0.5])
-    with pytest.raises(ValueError):
-        mixup_contrastive(batch, MaskPairs.of(set(), 2), tau=0.1)
+    z, _, _, twin, _ = random_batch(rng, n=2)
+    no_pairs = np.zeros((4, 4), dtype=bool)
+    with pytest.raises(ValueError, match="lam"):
+        mixup_contrastive(z, no_pairs, no_pairs, twin, np.array([0.5, 0.5, 1.2, 0.5]), tau=0.1)

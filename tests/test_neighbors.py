@@ -26,9 +26,9 @@ def unit_rows(m):
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
-def angles_to_bank(angles, epoch_tag=0):
+def angles_to_bank(angles):
     z = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return EmbeddingBank(z=z, epoch_tag=epoch_tag)
+    return EmbeddingBank(z=z)
 
 
 def topk_ranked(query, keys, k, exclude_self=False):

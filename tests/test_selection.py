@@ -288,7 +288,7 @@ def test_pair_views_mirror_masks():
     state = select(noisy, noisy, q, alpha=1.0, beta=0.5, z=z)
     sims = state.z @ state.z.T
     same = noisy[:, None] == noisy[None, :]
-    flags = state.confident_mask(10)
+    flags = state.is_confident
     confident_mask = same & flags[:, None] & flags[None, :] & ~np.eye(10, dtype=bool)
     similar_mask = same & (sims > state.sim_threshold) & ~np.eye(10, dtype=bool)
     for view, mask in ((state.pairs_confident, confident_mask),
@@ -349,6 +349,9 @@ def test_selection_state_invariants_on_random_instance():
         population = int(np.sum(noisy == c))
         assert len(members) == min(state.per_class_quota, population)
         assert np.all(noisy[members] == c)
+    # the boolean membership array marks exactly the confident examples
+    assert state.is_confident.dtype == bool and len(state.is_confident) == 20
+    np.testing.assert_array_equal(np.flatnonzero(state.is_confident), state.confident)
     # pair sets nest in the union; confident pairs live inside the confident set
     assert state.pairs_confident <= state.pairs
     assert state.pairs_similar <= state.pairs

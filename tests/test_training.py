@@ -11,6 +11,7 @@ from selcontrast.data import Dataset, NoiseSpec, inject_noise, make_blobs
 from selcontrast.evaluation import weighted_knn_eval
 from selcontrast.network import OptState, apply_lr_schedule, forward, init_params
 from selcontrast import neighbors, training
+from selcontrast.selection import run_selection
 from selcontrast.training import (METRICS_COLUMNS, EpochRecord, RunConfig,
                                   benchmark_config, compute_selection, dataset_from_config,
                                   finetune, pretrain, pretrain_epoch,
@@ -350,12 +351,15 @@ def test_selective_step_allocates_no_gradient_dict_at_wide_shapes():
     assert peak < 0.75 * gradient_dict, f"{peak / 2 ** 20:.2f} MiB"
 
 
-@pytest.mark.parametrize("case", ["linear", "mlp", "no_scored_row", "no_pairs", "wide"])
+@pytest.mark.parametrize("case", ["linear", "mlp", "no_scored_row", "no_pairs", "wide",
+                                  "selection"])
 def test_selective_step_matches_the_joint_reference_bitwise(case):
     # three steps (32, 32, then a trailing 16 rows) against the oracle step,
-    # which holds both caches, computes every loss, stores the mixed views'
-    # gradients in a fresh dict and adds the plain views' before its SGD
-    # step: parameters, momentum buffers and losses agree bit for bit
+    # which holds both caches, computes every loss, reads each pair mask with
+    # a pair_block call of its own, stores the mixed views' gradients in a
+    # fresh dict and adds the plain views' before its SGD step: parameters,
+    # momentum buffers and losses agree bit for bit. "selection" reads the
+    # pairs from a SelectionState made by run_selection
     hidden, dim = (512, 64) if case == "wide" else (16, 6)
     projection = "linear" if case == "linear" else "mlp"
     cfg = benchmark_config(dim=dim, hidden_dim=hidden, proj_dim=8, projection=projection,
@@ -371,20 +375,54 @@ def test_selective_step_matches_the_joint_reference_bitwise(case):
     pairs = MaskPairs.of([] if case == "no_pairs" else
                          [(i, j) for i in range(n_train) for j in range(i + 1, n_train)
                           if noisy[i] == noisy[j] and (i + j) % 3 == 0], n_train)
+    if case == "selection":
+        z = rng.normal(size=(n_train, 5))
+        bank = neighbors.EmbeddingBank(z / np.linalg.norm(z, axis=1, keepdims=True))
+        pseudo = neighbors.aggregate_pseudo_labels(bank, noisy, k=10, n_classes=3)
+        pairs = run_selection(bank, noisy, pseudo, alpha=0.5, beta=0.25)
+        confident = pairs.is_confident
+        assert pairs.n_pairs_confident > 0 and pairs.n_pairs_similar > 0
     params = init_params(dim, 3, hidden=hidden, proj_dim=8, projection=projection, seed=21)
     opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay)
     ref_params = params.copy()
     ref_buffers = {name: buf.copy() for name, buf in opt.buffers.items()}
     rng_step, rng_ref = np.random.default_rng(22), np.random.default_rng(22)
     for step, batch in enumerate(batches):
-        bundle = training._selective_step(params, opt, batch, pairs, confident, cfg, rng_step)
+        losses = training._selective_step(params, opt, batch, pairs, confident, cfg, rng_step)
         expected = reference_selective_step(ref_params, ref_buffers, batch, pairs, confident,
                                             cfg, rng_ref)
-        assert (bundle.l_mix, bundle.l_cls, bundle.l_sim, bundle.l_all) == expected, step
-        assert (bundle.l_cls == 0.0) == (case == "no_scored_row" and step == 1), step
+        assert losses == expected, step
+        assert (losses[1] == 0.0) == (case == "no_scored_row" and step == 1), step
     for (name, arr), (_, ref) in zip(params.named_arrays(), ref_params.named_arrays()):
         assert arr.tobytes() == ref.tobytes(), name
         assert opt.buffers[name].tobytes() == ref_buffers[name].tobytes(), name
+
+
+class CountingPairs(MaskPairs):
+    """MaskPairs that counts its pair_block calls."""
+
+    calls = 0
+
+    def pair_block(self, rows, cols):
+        self.calls += 1
+        return super().pair_block(rows, cols)
+
+
+def test_selective_step_reads_pairs_once():
+    # the mixup masks and the similarity targets are all sliced from one
+    # pair_block over the step's views
+    cfg = benchmark_config(dim=6, hidden_dim=8, proj_dim=4, batch_size=16)
+    rng = np.random.default_rng(23)
+    n_train = 40
+    x_train, noisy = rng.normal(size=(n_train, 6)), rng.integers(0, 3, size=n_train)
+    pairs = CountingPairs.of([(i, j) for i in range(n_train) for j in range(i + 1, n_train)
+                              if noisy[i] == noisy[j]], n_train)
+    params = init_params(6, 3, hidden=8, proj_dim=4, seed=23)
+    opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay)
+    confident = np.ones(n_train, dtype=bool)
+    for step, batch in enumerate(training._view_batches(x_train, noisy, cfg, rng)):
+        training._selective_step(params, opt, batch, pairs, confident, cfg, rng)
+        assert pairs.calls == step + 1, step
 
 
 # ---------------------------------------------------------------------------
