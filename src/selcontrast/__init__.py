@@ -19,7 +19,7 @@ from .selection import (SelectionState, nearest_rank_fractile, run_selection,
 from .training import (EpochRecord, PretrainResult, RunConfig, benchmark_config,
                        compute_selection, dataset_from_config, finetune, model_metrics,
                        pretrain, pretrain_epoch, test_accuracy, train_cross_entropy_baseline,
-                       warmup, write_metrics_csv)
+                       train_embedding, warmup, write_metrics_csv)
 
 __version__ = "0.1.0"
 

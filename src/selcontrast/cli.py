@@ -17,7 +17,8 @@ from .data import NoiseSpec, dump_features_csv, inject_noise, load_features_csv,
 from .evaluation import dump_projection_2d
 from .network import forward, load_checkpoint, save_checkpoint
 from .training import (RunConfig, benchmark_config, compute_selection, dataset_from_config,
-                       finetune, model_metrics, pretrain, test_accuracy, write_metrics_csv)
+                       finetune, model_metrics, pretrain, test_accuracy, train_embedding,
+                       write_metrics_csv)
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -60,7 +61,6 @@ def _resolve_config(args) -> RunConfig:
             if f.name == "lr_schedule":
                 value = json.loads(value)
             setattr(cfg, f.name, value)
-        cfg.lr_schedule = [[int(e), float(m)] for e, m in cfg.lr_schedule]
         return cfg.validate()
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise CliError(f"bad configuration: {exc}") from exc
@@ -190,7 +190,7 @@ def _cmd_train(args) -> int:
     # epoch's, or, when only warm-up ran, one made from the warmed-up model.
     state = result.selection
     if state is None and (do_finetune or args.dump_selection or args.dump_pseudo):
-        state = compute_selection(result.params, ds, cfg)
+        state = compute_selection(train_embedding(result.params, ds), ds, cfg)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "config": cfg.as_dict(),
@@ -248,7 +248,7 @@ def _cmd_eval(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         raise CliError(f"bad checkpoint: {exc}") from exc
     ds = _load_dataset(args, cfg)
-    knn_accuracy, accuracy = model_metrics(params, ds, cfg)
+    knn_accuracy, accuracy = model_metrics(params, ds, cfg, train_embedding(params, ds))
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "n_train": int(len(ds.train_indices())),
@@ -356,11 +356,13 @@ def _cmd_dump_proj(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         raise CliError(f"bad checkpoint: {exc}") from exc
     ds = _load_dataset(args, cfg)
-    idx = ds.train_indices() if args.split == "train" else ds.test_indices()
-    z = forward(params, ds.instances[idx], backprop=False).z
     if args.split == "train":
-        mask = compute_selection(params, ds, cfg, train_z=z).is_confident
+        idx = ds.train_indices()
+        z = train_embedding(params, ds)
+        mask = compute_selection(z, ds, cfg).is_confident
     else:
+        idx = ds.test_indices()
+        z = forward(params, ds.instances[idx], backprop=False).z
         mask = np.zeros(len(idx), dtype=bool)
     dump_projection_2d(z, ds.true_labels[idx], ds.noisy_labels[idx], mask, args.out)
     print(f"wrote {args.out}: {len(idx)} points")

@@ -93,6 +93,8 @@ class RunConfig:
     data_seed: int = 1
 
     def validate(self) -> "RunConfig":
+        """Raise ValueError on the first bad field; otherwise normalize
+        lr_schedule to [[int, float], ...] and return self."""
         checks = [
             (0.0 <= self.alpha <= 1.0, "alpha must lie in [0, 1]"),
             (0.0 <= self.beta <= 1.0, "beta must lie in [0, 1]"),
@@ -104,6 +106,7 @@ class RunConfig:
             (self.knn_vote in ("noisy", "true"), "knn_vote must be 'noisy' or 'true'"),
             (self.count_labels in ("pseudo", "noisy"),
              "count_labels must be 'pseudo' or 'noisy'"),
+            (self.t_max >= 1, "t_max must be >= 1"),
             (0 <= self.t_warm <= self.t_max, "need 0 <= t_warm <= t_max"),
             (self.t_finetune >= 0, "t_finetune must be >= 0"),
             (self.batch_size >= 2, "batch_size must be >= 2"),
@@ -122,6 +125,7 @@ class RunConfig:
         for entry in self.lr_schedule:
             if len(entry) != 2:
                 raise ValueError("lr_schedule entries must be [epoch, multiplier]")
+        self.lr_schedule = [[int(e), float(m)] for e, m in self.lr_schedule]
         return self
 
     def as_dict(self) -> dict:
@@ -133,9 +137,7 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**data)
-        cfg.lr_schedule = [[int(e), float(m)] for e, m in cfg.lr_schedule]
-        return cfg.validate()
+        return cls(**data).validate()
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -259,7 +261,7 @@ def _label_mask(labels: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _contrastive_epoch(params, opt, ds, cfg, epoch, kind, on_step=None) -> float:
+def _contrastive_epoch(params, opt, ds, cfg, epoch, kind) -> float:
     """Selection-free epoch (warm-up or empty-selection fallback)."""
     x_train, _, noisy = _train_arrays(ds)
     rng = _epoch_rng(cfg.seed, _STREAM_TRAIN, epoch)
@@ -272,8 +274,6 @@ def _contrastive_epoch(params, opt, ds, cfg, epoch, kind, on_step=None) -> float
             value, grad_z = unsup_contrastive(cache.z, twin, cfg.tau)
         sgd_step(params, backward(params, cache, grad_z=grad_z, out=opt.grads), opt)
         values.append(value)
-        if on_step is not None:
-            on_step(len(values) - 1, value)
     return float(np.mean(values))
 
 
@@ -291,9 +291,13 @@ def _cross_entropy_epoch(params, opt, x_train, labels, rows, cfg, rng,
         sgd_step(params, backward(params, cache, grad_p=grad_p, out=opt.grads), opt)
 
 
-def _train_embedding(params: NetworkParams, ds: Dataset) -> np.ndarray:
+def train_embedding(params: NetworkParams, ds: Dataset) -> np.ndarray:
     """The unit projections z of the train rows under `params`, computed in
-    row blocks of hidden-width activations."""
+    row blocks of hidden-width activations.
+
+    The one way the train split is embedded: every selection and every kNN
+    probe reads an embedding made here.
+    """
     rows = ds.train_indices()
     z = np.empty((len(rows), params.proj_dim))
     for start, stop in row_blocks(len(rows), params.hidden):
@@ -302,16 +306,13 @@ def _train_embedding(params: NetworkParams, ds: Dataset) -> np.ndarray:
 
 
 def model_metrics(params: NetworkParams, ds: Dataset, cfg: RunConfig,
-                  train_z: np.ndarray | None = None) -> tuple[float, float]:
+                  train_z: np.ndarray) -> tuple[float, float]:
     """(weighted-KNN accuracy, classifier accuracy) on the test split, in
     percent; the probe votes with the train labels cfg.knn_vote names.
 
-    train_z is the train rows' embedding z under `params`, when the caller
-    already has it.
+    train_z is train_embedding(params, ds).
     """
     _, true_train, noisy_train = _train_arrays(ds)
-    if train_z is None:
-        train_z = _train_embedding(params, ds)
     test_idx = ds.test_indices()
     test_cache = forward(params, ds.instances[test_idx], backprop=False)
     vote = noisy_train if cfg.knn_vote == "noisy" else true_train
@@ -322,67 +323,61 @@ def model_metrics(params: NetworkParams, ds: Dataset, cfg: RunConfig,
     return knn, test_acc
 
 
-def _record(epoch, losses, selection, prec, metrics, seconds) -> EpochRecord:
+def _record(params, ds, cfg, epoch, losses, selection, started,
+            time_source) -> tuple[EpochRecord, np.ndarray]:
+    """The tail of every epoch: embed the train split under the epoch's
+    trained `params` once, measure the selection's precision (none after
+    warm-up, selection None) and the probe on it, and return the record with
+    that embedding."""
+    train_z = train_embedding(params, ds)
     l_mix, l_cls, l_sim, l_all = losses
     if selection is None:
         n_conf = n_gp = n_gpp = 0
         threshold = float("inf")
+        prec = (None, None)
     else:
         n_conf = int(selection.confident.size)
         n_gp = selection.n_pairs_confident
         n_gpp = selection.n_pairs_similar
         threshold = selection.sim_threshold
-    return EpochRecord(epoch=epoch, l_mix=l_mix, l_cls=l_cls, l_sim=l_sim, l_all=l_all,
-                       n_confident=n_conf, n_pairs_confident=n_gp, n_pairs_similar=n_gpp,
-                       sim_threshold=threshold, precision_examples=prec[0],
-                       precision_pairs=prec[1], knn_accuracy=metrics[0],
-                       test_accuracy=metrics[1], seconds=seconds)
+        prec = selection_precision(selection, *_train_arrays(ds)[1:])  # true, noisy
+    knn, test_acc = model_metrics(params, ds, cfg, train_z)
+    record = EpochRecord(epoch=epoch, l_mix=l_mix, l_cls=l_cls, l_sim=l_sim, l_all=l_all,
+                         n_confident=n_conf, n_pairs_confident=n_gp, n_pairs_similar=n_gpp,
+                         sim_threshold=threshold, precision_examples=prec[0],
+                         precision_pairs=prec[1], knn_accuracy=knn,
+                         test_accuracy=test_acc, seconds=time_source() - started)
+    return record, train_z
 
 
-def compute_selection(params: NetworkParams, ds: Dataset, cfg: RunConfig,
-                      epoch_tag: int = 0, train_z: np.ndarray | None = None) -> SelectionState:
-    """Embed the train split with `params`, vote pseudo-labels among each
-    example's k nearest neighbors and select confident examples and pairs.
+def compute_selection(train_z: np.ndarray, ds: Dataset, cfg: RunConfig,
+                      epoch_tag: int = 0) -> SelectionState:
+    """Vote pseudo-labels among each train example's k nearest neighbors in
+    the embedding train_z (train_embedding of some parameters) and select
+    confident examples and pairs.
 
     The one way a selection is made: each selective epoch, fine-tuning without
     a given selection, and the command line when no selective epoch ran.
-    train_z is the train rows' embedding z under `params`, when the caller
-    already has it.
     """
-    x_train, _, noisy_train = _train_arrays(ds)
-    if train_z is None:
-        train_z = _train_embedding(params, ds)
+    _, _, noisy_train = _train_arrays(ds)
     bank = EmbeddingBank(train_z)
-    pseudo = aggregate_pseudo_labels(bank, noisy_train, k=min(cfg.k, len(x_train) - 1),
+    pseudo = aggregate_pseudo_labels(bank, noisy_train, k=min(cfg.k, len(train_z) - 1),
                                      n_classes=ds.n_classes, count_labels=cfg.count_labels)
     return run_selection(bank, noisy_train, pseudo, cfg.alpha, cfg.beta,
                          epoch_tag=epoch_tag)
 
 
-def warmup(params: NetworkParams, ds: Dataset, cfg: RunConfig, opt: OptState | None = None,
-           history: list | None = None, on_step=None,
-           time_source=time.perf_counter) -> tuple[NetworkParams, np.ndarray | None]:
-    """Epochs 1..t_warm of selection-free contrastive training (in place).
+def warmup(params: NetworkParams, opt: OptState, ds: Dataset, cfg: RunConfig, epoch: int,
+           time_source) -> tuple[EpochRecord, np.ndarray]:
+    """One warm-up epoch of selection-free contrastive training (in place).
 
-    Returns (params, train_z): train_z is the train rows' embedding z under
-    the returned params, which the last epoch record was measured on, or
-    None when no record was made (no history, or t_warm == 0).
+    Returns (record, train_z): train_z is train_embedding(params, ds) of the
+    trained params, which the record was measured on.
     """
-    if opt is None:
-        opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay,
-                                  cfg.lr_schedule)
-    train_z = None
-    for epoch in range(1, cfg.t_warm + 1):
-        apply_lr_schedule(opt, epoch)
-        started = time_source()
-        value = _contrastive_epoch(params, opt, ds, cfg, epoch, cfg.warmup_kind,
-                                   on_step=on_step)
-        if history is not None:
-            train_z = _train_embedding(params, ds)
-            history.append(_record(epoch, (value, 0.0, 0.0, value), None, (None, None),
-                                   model_metrics(params, ds, cfg, train_z),
-                                   time_source() - started))
-    return params, train_z
+    started = time_source()
+    value = _contrastive_epoch(params, opt, ds, cfg, epoch, cfg.warmup_kind)
+    return _record(params, ds, cfg, epoch, (value, 0.0, 0.0, value), None, started,
+                   time_source)
 
 
 def _selective_step(params, opt, batch, selection, confident, cfg,
@@ -419,25 +414,18 @@ def _selective_step(params, opt, batch, selection, confident, cfg,
     return l_mix, l_cls, l_sim, total_loss(l_mix, l_cls, l_sim, cfg.lambda_c, cfg.lambda_s)
 
 
-def pretrain_epoch(params: NetworkParams, ds: Dataset, cfg: RunConfig, epoch: int,
-                   opt: OptState | None = None, time_source=time.perf_counter,
-                   train_z: np.ndarray | None = None):
-    """One selective epoch: embed, select, then composite-loss minibatches.
+def pretrain_epoch(params: NetworkParams, opt: OptState, ds: Dataset, cfg: RunConfig,
+                   epoch: int, train_z: np.ndarray, time_source):
+    """One selective epoch (in place): select from train_z, then composite-loss
+    minibatches.
 
-    train_z is the train rows' embedding z under `params` when the caller
-    already has it, as the last epoch record measured it; the train rows are
-    embedded here otherwise.
-    Returns (params, SelectionState, EpochRecord, train_z), where train_z is
-    the embedding of the returned params that the record was measured on.
-    The caller owns learning-rate scheduling; a fresh optimizer (with cold
-    momentum) is built when none is given.
+    train_z is train_embedding(params, ds) of the params the epoch starts
+    from. Returns (SelectionState, EpochRecord, train_z), where the returned
+    train_z embeds the trained params and the record was measured on it.
     """
-    if opt is None:
-        opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay,
-                                  cfg.lr_schedule)
     started = time_source()
-    x_train, true_train, noisy_train = _train_arrays(ds)
-    selection = compute_selection(params, ds, cfg, epoch_tag=epoch, train_z=train_z)
+    x_train, _, noisy_train = _train_arrays(ds)
+    selection = compute_selection(train_z, ds, cfg, epoch_tag=epoch)
 
     if selection.confident.size == 0:
         logger.warning("epoch %d: empty confident set; training unsupervised", epoch)
@@ -453,19 +441,19 @@ def pretrain_epoch(params: NetworkParams, ds: Dataset, cfg: RunConfig, epoch: in
             steps += 1
         losses = tuple(sums / steps)
 
-    train_z = _train_embedding(params, ds)
-    record = _record(epoch, losses, selection,
-                     selection_precision(selection, true_train, noisy_train),
-                     model_metrics(params, ds, cfg, train_z), time_source() - started)
-    return params, selection, record, train_z
+    record, train_z = _record(params, ds, cfg, epoch, losses, selection, started,
+                              time_source)
+    return selection, record, train_z
 
 
-def pretrain(ds: Dataset, cfg: RunConfig, time_source=time.perf_counter,
-             on_epoch=None) -> PretrainResult:
-    """Warm-up followed by selective epochs up to t_max.
+def pretrain(ds: Dataset, cfg: RunConfig, time_source=time.perf_counter) -> PretrainResult:
+    """Epochs 1..t_max: warm-up up to t_warm, selective epochs after it.
 
-    The returned history has exactly t_max records; selection is the final
-    epoch's (None when t_max == t_warm).
+    Owns the optimizer and its learning-rate schedule. Each selective epoch
+    selects from the embedding the previous epoch's record was measured on
+    (nothing trains in between); with no warm-up, the first one selects from
+    the initial parameters' embedding. The returned history has exactly t_max
+    records; selection is the final epoch's (None when t_max == t_warm).
     """
     cfg.validate()
     params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
@@ -474,19 +462,19 @@ def pretrain(ds: Dataset, cfg: RunConfig, time_source=time.perf_counter,
     opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay,
                               cfg.lr_schedule)
     history: list[EpochRecord] = []
-    params, train_z = warmup(params, ds, cfg, opt=opt, history=history,
-                             time_source=time_source)
     selection = None
-    for epoch in range(cfg.t_warm + 1, cfg.t_max + 1):
+    # nothing is measured before the first epoch: without warm-up, embed the
+    # initial parameters for the first selection
+    train_z = train_embedding(params, ds) if cfg.t_warm == 0 else None
+    for epoch in range(1, cfg.t_max + 1):
         apply_lr_schedule(opt, epoch)
-        # train_z embeds the parameters this epoch starts from: nothing trained
-        # since the last record measured it
-        params, selection, record, train_z = pretrain_epoch(
-            params, ds, cfg, epoch, opt=opt, time_source=time_source, train_z=train_z)
+        if epoch <= cfg.t_warm:
+            record, train_z = warmup(params, opt, ds, cfg, epoch, time_source)
+        else:
+            selection, record, train_z = pretrain_epoch(params, opt, ds, cfg, epoch,
+                                                        train_z, time_source)
         history.append(record)
-        if on_epoch is not None:
-            on_epoch(record, selection)
-    return PretrainResult(params=params, history=history, selection=selection)
+    return PretrainResult(params, history, selection)
 
 
 def finetune(params: NetworkParams, ds: Dataset, cfg: RunConfig,
@@ -498,11 +486,12 @@ def finetune(params: NetworkParams, ds: Dataset, cfg: RunConfig,
     stays stable whatever scale the encoder output has reached); the encoder
     follows at finetune_encoder_scale times the head's learning rate (or not
     at all with freeze_encoder); the projection head is untouched.
+    selection defaults to one made from `params`' own embedding.
     Raises when the confident set is empty.
     """
     cfg.validate()
     if selection is None:
-        selection = compute_selection(params, ds, cfg)
+        selection = compute_selection(train_embedding(params, ds), ds, cfg)
     if selection.confident.size == 0:
         raise ValueError("no confident examples selected; lower alpha and retry")
 

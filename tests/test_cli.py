@@ -340,6 +340,13 @@ def test_invalid_config_value_exits_1(capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+def test_zero_epochs_exits_1(capsys):
+    # no epoch means no record to report, so the config is refused up front
+    assert cli_run(["train", *TINY, "--t-max", "0", "--t-warm", "0", "--fixed-clock"]) == 1
+    err = capsys.readouterr().err
+    assert "bad configuration" in err and "t_max" in err
+
+
 def test_unknown_config_key_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"not_a_key": 1}))

@@ -1,6 +1,7 @@
 """Tests for the training loops: warm-up behavior, per-epoch selection,
 determinism, fallback paths, fine-tuning and the cross-entropy control.
 """
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from selcontrast.selection import run_selection
 from selcontrast.training import (METRICS_COLUMNS, EpochRecord, RunConfig,
                                   benchmark_config, compute_selection, dataset_from_config,
                                   finetune, pretrain, pretrain_epoch,
-                                  train_cross_entropy_baseline, warmup,
+                                  train_cross_entropy_baseline, train_embedding, warmup,
                                   write_metrics_csv)
 from selcontrast.training import test_accuracy as model_test_accuracy
 
@@ -26,6 +27,28 @@ def tiny_config(**overrides):
                 noise_rate=0.2, noise_seed=1, seed=1)
     base.update(overrides)
     return benchmark_config(**base)
+
+
+def fresh_start(cfg, ds):
+    """The initial parameters pretrain makes for cfg, and a fresh optimizer."""
+    params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
+                         proj_dim=cfg.proj_dim, projection=cfg.projection,
+                         seed=[cfg.seed, 0, 0])
+    return params, OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay,
+                                       cfg.lr_schedule)
+
+
+def record_step_losses(monkeypatch):
+    """Wrap the two selection-free losses as training calls them; returns the
+    list that gets each minibatch's loss value."""
+    values = []
+    for name in ("unsup_contrastive", "masked_contrastive"):
+        def recording(*args, real=getattr(training, name)):
+            value, grad = real(*args)
+            values.append(value)
+            return value, grad
+        monkeypatch.setattr(training, name, recording)
+    return values
 
 
 def minority_swamped_dataset():
@@ -69,6 +92,15 @@ def test_config_validation_messages():
         tiny_config(t_warm=9, t_max=3)
     with pytest.raises(ValueError):
         tiny_config(warmup_kind="contrastive")
+    with pytest.raises(ValueError, match="t_max"):
+        tiny_config(t_warm=0, t_max=0)
+
+
+def test_validate_normalizes_the_lr_schedule():
+    # the one place a schedule read from JSON or a flag gets its types
+    cfg = RunConfig(lr_schedule=[(3, 1), ["7", "0.5"]]).validate()
+    assert cfg.lr_schedule == [[3, 1.0], [7, 0.5]]
+    assert [[type(e), type(m)] for e, m in cfg.lr_schedule] == [[int, float]] * 2
 
 
 def test_dataset_from_config_matches_direct_generation():
@@ -86,38 +118,37 @@ def test_dataset_from_config_matches_direct_generation():
 # warm-up
 # ---------------------------------------------------------------------------
 
-def test_warmup_loss_decreases_for_most_seeds():
+def test_warmup_loss_decreases_for_most_seeds(monkeypatch):
+    losses = record_step_losses(monkeypatch)
     decreased = 0
     for seed in range(1, 11):
         cfg = tiny_config(n=64, seed=seed, noise_seed=seed, t_warm=1, t_max=1)
         ds = dataset_from_config(cfg)
-        params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
-                             proj_dim=cfg.proj_dim, seed=[cfg.seed, 0, 0])
-        losses = []
-        warmup(params, ds, cfg, on_step=lambda i, v: losses.append(v))
+        params, opt = fresh_start(cfg, ds)
+        losses.clear()
+        warmup(params, opt, ds, cfg, 1, time.perf_counter)
         if losses[-1] < losses[0]:
             decreased += 1
     assert decreased >= 9
 
 
 @pytest.mark.parametrize("kind", ["unsupervised", "supervised"])
-def test_warmup_kinds_run_with_finite_losses(kind):
+def test_warmup_kinds_run_with_finite_losses(monkeypatch, kind):
     cfg = tiny_config(warmup_kind=kind)
     ds = dataset_from_config(cfg)
-    params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
-                         proj_dim=cfg.proj_dim, seed=[cfg.seed, 0, 0])
-    losses = []
-    warmup(params, ds, cfg, on_step=lambda i, v: losses.append(v))
+    params, opt = fresh_start(cfg, ds)
+    losses = record_step_losses(monkeypatch)
+    record, _ = warmup(params, opt, ds, cfg, 1, time.perf_counter)
     assert losses and np.all(np.isfinite(losses))
+    assert record.l_all == record.l_mix == float(np.mean(losses))
 
 
 def test_zero_like_lr_keeps_params_unchanged():
     cfg = tiny_config(lr=1e-300)
     ds = dataset_from_config(cfg)
-    params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
-                         proj_dim=cfg.proj_dim, seed=[cfg.seed, 0, 0])
+    params, opt = fresh_start(cfg, ds)
     before = params.copy()
-    warmup(params, ds, cfg)
+    warmup(params, opt, ds, cfg, 1, time.perf_counter)
     for (name, arr), (_, ref) in zip(params.named_arrays(), before.named_arrays()):
         np.testing.assert_allclose(arr, ref, rtol=0, atol=1e-280, err_msg=name)
 
@@ -139,17 +170,16 @@ def test_pretrain_history_has_one_record_per_epoch():
 
 
 @pytest.mark.parametrize("batch_size", [35, 64])
-def test_small_train_split_and_trailing_batch_of_one(batch_size):
+def test_small_train_split_and_trailing_batch_of_one(monkeypatch, batch_size):
     # 45 points in 3 classes leave 36 train rows: batch_size 35 ends each
     # epoch on a batch of a single example, 64 exceeds the whole split
     cfg = tiny_config(n=45, classes=3, dim=5, t_max=3, t_finetune=2,
                       batch_size=batch_size)
     ds = dataset_from_config(cfg)
     assert len(ds.train_indices()) == 36
-    initial = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
-                          proj_dim=cfg.proj_dim, seed=[cfg.seed, 0, 0])
-    steps = []
-    warmup(initial.copy(), ds, cfg, on_step=lambda i, v: steps.append(v))
+    initial, opt = fresh_start(cfg, ds)
+    steps = record_step_losses(monkeypatch)
+    warmup(initial.copy(), opt, ds, cfg, 1, time.perf_counter)
     assert len(steps) == -(-36 // batch_size) and np.all(np.isfinite(steps))
 
     result = pretrain(ds, cfg)
@@ -196,10 +226,10 @@ def test_zero_noise_selection_is_perfectly_precise():
 def test_swamped_minority_triggers_unsupervised_fallback(caplog):
     ds = minority_swamped_dataset()
     cfg = tiny_config(n=40, noise_rate=0.0)
-    params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
-                         proj_dim=cfg.proj_dim, seed=[cfg.seed, 0, 0])
+    params, opt = fresh_start(cfg, ds)
     with caplog.at_level("WARNING"):
-        params, selection, record, _ = pretrain_epoch(params, ds, cfg, epoch=2)
+        selection, record, _ = pretrain_epoch(params, opt, ds, cfg, 2,
+                                              train_embedding(params, ds), time.perf_counter)
     assert selection.confident.size == 0
     assert record.n_confident == 0
     assert record.sim_threshold == float("inf")
@@ -210,9 +240,9 @@ def test_swamped_minority_triggers_unsupervised_fallback(caplog):
 def test_pretrain_epoch_emits_selection_counts():
     cfg = tiny_config()
     ds = dataset_from_config(cfg)
-    params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
-                         proj_dim=cfg.proj_dim, seed=[cfg.seed, 0, 0])
-    params, selection, record, _ = pretrain_epoch(params, ds, cfg, epoch=2)
+    params, opt = fresh_start(cfg, ds)
+    selection, record, _ = pretrain_epoch(params, opt, ds, cfg, 2, train_embedding(params, ds),
+                                          time.perf_counter)
     assert record.n_confident == selection.confident.size
     assert record.n_pairs_confident == len(selection.pairs_confident)
     assert record.n_pairs_similar == len(selection.pairs_similar)
@@ -231,7 +261,7 @@ def test_zero_embedding_row_stops_the_selection(projection):
         if name.startswith("proj"):
             array[...] = 0.0
     with pytest.raises(ValueError, match=r"bank row 0 has norm 0\.0+, expected 1"):
-        compute_selection(params, ds, cfg)
+        compute_selection(train_embedding(params, ds), ds, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +305,9 @@ def assert_selection_within_bound(cfg, collapsed=False):
         params.proj_w1[...] = 0.0
         params.proj_b1[...] = 1.0
     selections = []
-    peak = traced_peak(lambda: selections.append(compute_selection(params, ds, cfg)))
+    # the train split is embedded inside the traced call, as an epoch does it
+    peak = traced_peak(lambda: selections.append(
+        compute_selection(train_embedding(params, ds), ds, cfg)))
     state, = selections
     bound = selection_bound(cfg, n_train)
     assert 8 * state.n_pairs_confident > bound  # one float per pair would not fit
@@ -502,9 +534,9 @@ def test_finetune_head_fits_confident_set_on_frozen_encoder():
 def test_finetune_rejects_empty_selection():
     ds = minority_swamped_dataset()
     cfg = tiny_config(n=40, noise_rate=0.0)
-    params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
-                         proj_dim=cfg.proj_dim, seed=[cfg.seed, 0, 0])
-    params, selection, _, _ = pretrain_epoch(params, ds, cfg, epoch=2)
+    params, opt = fresh_start(cfg, ds)
+    selection, _, _ = pretrain_epoch(params, opt, ds, cfg, 2, train_embedding(params, ds),
+                                     time.perf_counter)
     with pytest.raises(ValueError, match="lower alpha"):
         finetune(params, ds, cfg, selection=selection)
 
@@ -576,18 +608,44 @@ def test_each_forward_computes_only_what_is_read(monkeypatch):
     assert len(log.whole_backprop) == 2 * cfg.t_max + 1 and not any(log.whole_backprop)
 
 
+def test_pretrain_without_warmup_selects_from_the_initial_embedding(monkeypatch):
+    # with t_warm = 0 nothing has been measured before epoch 1, so pretrain
+    # embeds the initial parameters once for the first selection
+    cfg = tiny_config(t_warm=0, t_max=3)
+    ds = dataset_from_config(cfg)
+    initial, _ = fresh_start(cfg, ds)
+    expected = compute_selection(train_embedding(initial, ds), ds, cfg, epoch_tag=1)
+    kinds = []
+    for name in ("warmup", "pretrain_epoch"):
+        def counting(*args, name=name, real=getattr(training, name)):
+            kinds.append(name)
+            return real(*args)
+        monkeypatch.setattr(training, name, counting)
+    log = ForwardLog(monkeypatch, ds)
+    result = pretrain(ds, cfg)
+    assert kinds == ["pretrain_epoch"] * cfg.t_max
+    assert [r.epoch for r in result.history] == [1, 2, 3]
+    assert all(r.precision_examples is not None for r in result.history)
+    assert log.count("train", True) == cfg.t_max + 1
+    first = result.history[0]
+    assert expected.confident.size > 0
+    assert first.n_confident == expected.confident.size
+    assert first.sim_threshold == expected.sim_threshold
+
+
 def test_bank_is_embedded_afresh_after_parameters_change(monkeypatch):
+    # each epoch embeds the parameters it trained once, for its record, and
+    # hands that embedding on; the next epoch selects from it as it is
     cfg = tiny_config(t_warm=1, t_max=2)
     ds = dataset_from_config(cfg)
-    params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
-                         proj_dim=cfg.proj_dim, seed=[cfg.seed, 0, 0])
+    params, opt = fresh_start(cfg, ds)
     log = ForwardLog(monkeypatch, ds)
-    # warm-up without history measures nothing, so it hands over no embedding
-    params, train_z = warmup(params, ds, cfg)
-    assert train_z is None and log.count("train", True) == 0
+    _, train_z = warmup(params, opt, ds, cfg, 1, time.perf_counter)
+    assert log.count("train", True) == 1
+    np.testing.assert_array_equal(train_z, forward(params, ds.instances[ds.train_indices()]).z)
     start = len(log.calls)
-    params, selection, _, train_z = pretrain_epoch(params, ds, cfg, epoch=2)
-    assert log.count("train", True, since=start) == 2  # the bank, then the record
+    selection, _, train_z = pretrain_epoch(params, opt, ds, cfg, 2, train_z, time.perf_counter)
+    assert log.count("train", True, since=start) == 1  # the record's; the bank was handed on
     assert selection.confident.size > 0
     np.testing.assert_array_equal(train_z, forward(params, ds.instances[ds.train_indices()]).z)
 
@@ -595,29 +653,29 @@ def test_bank_is_embedded_afresh_after_parameters_change(monkeypatch):
     start = len(log.calls)
     tuned = finetune(params, ds, cfg, selection=None)
     assert log.count("train", True, since=start) == 1
-    reference = finetune(params, ds, cfg, selection=compute_selection(params, ds, cfg))
+    reference = finetune(params, ds, cfg,
+                         selection=compute_selection(train_embedding(params, ds), ds, cfg))
     for (name, arr), (_, ref) in zip(tuned.named_arrays(), reference.named_arrays()):
         np.testing.assert_array_equal(arr, ref, err_msg=name)
 
 
 def test_reusing_the_record_embedding_changes_nothing():
     # pretrain hands each epoch the embedding the previous record measured;
-    # embedding afresh at every selection must give the same bits
+    # embedding afresh at every epoch must give the same bits
     cfg = tiny_config(t_warm=1, t_max=4, lr_schedule=[[3, 0.5]])
     ds = dataset_from_config(cfg)
     result = pretrain(ds, cfg, time_source=lambda: 0.0)
 
-    params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
-                         proj_dim=cfg.proj_dim, projection=cfg.projection,
-                         seed=[cfg.seed, 0, 0])
-    opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay,
-                              cfg.lr_schedule)
+    params, opt = fresh_start(cfg, ds)
     history = []
-    warmup(params, ds, cfg, opt=opt, history=history, time_source=lambda: 0.0)
-    for epoch in range(cfg.t_warm + 1, cfg.t_max + 1):
+    for epoch in range(1, cfg.t_max + 1):
         apply_lr_schedule(opt, epoch)
-        params, selection, record, _ = pretrain_epoch(params, ds, cfg, epoch, opt=opt,
-                                                      time_source=lambda: 0.0)
+        fresh = train_embedding(params, ds)
+        if epoch <= cfg.t_warm:
+            record, _ = warmup(params, opt, ds, cfg, epoch, lambda: 0.0)
+        else:
+            selection, record, _ = pretrain_epoch(params, opt, ds, cfg, epoch, fresh,
+                                                  lambda: 0.0)
         history.append(record)
     assert history == result.history
     assert selection.sim_threshold == result.selection.sim_threshold
