@@ -91,7 +91,6 @@ def build_parser() -> _Parser:
     train.add_argument("--report", help="summary report JSON path")
     train.add_argument("--dump-selection", help="final selection JSON path")
     train.add_argument("--dump-pseudo", help="final pseudo-label CSV path")
-    train.add_argument("--finetune", action=argparse.BooleanOptionalAction, default=True)
     train.add_argument("--fixed-clock", action="store_true",
                        help="write 0.000 wall seconds for byte-reproducible metrics")
 
@@ -108,7 +107,6 @@ def build_parser() -> _Parser:
                        help="comma-separated axis values")
     sweep.add_argument("--seeds", default="1,2,3", help="comma-separated run seeds")
     sweep.add_argument("--out", required=True, help="summary CSV path")
-    sweep.add_argument("--finetune", action=argparse.BooleanOptionalAction, default=True)
 
     proj = sub.add_parser("dump-proj", help="2-d projection CSV of the embeddings")
     _add_config_flags(proj)
@@ -185,12 +183,6 @@ def _cmd_train(args) -> int:
     clock = (lambda: 0.0) if args.fixed_clock else time.perf_counter
     result = pretrain(ds, cfg, time_source=clock)
     final_params = result.params
-    do_finetune = args.finetune and cfg.t_finetune > 0
-    # The selection fine-tuning uses and the dumps describe: the last selective
-    # epoch's, or, when only warm-up ran, one made from the warmed-up model.
-    state = result.selection
-    if state is None and (do_finetune or args.dump_selection or args.dump_pseudo):
-        state = compute_selection(train_embedding(result.params, ds), ds, cfg)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "config": cfg.as_dict(),
@@ -200,8 +192,8 @@ def _cmd_train(args) -> int:
         "pretrain_knn_accuracy": result.history[-1].knn_accuracy,
         "finetuned_test_accuracy": None,
     }
-    if do_finetune:
-        final_params = finetune(result.params, ds, cfg, selection=state)
+    if cfg.t_finetune > 0:
+        final_params = finetune(result.params, ds, cfg, selection=result.selection)
         report["finetuned_test_accuracy"] = test_accuracy(final_params, ds)
 
     if metrics_path:
@@ -222,9 +214,9 @@ def _cmd_train(args) -> int:
     if args.dump_selection or args.dump_pseudo:
         train_idx = ds.train_indices()
         if args.dump_selection:
-            _dump_selection(state, train_idx, args.dump_selection)
+            _dump_selection(result.selection, train_idx, args.dump_selection)
         if args.dump_pseudo:
-            pseudo = state.pseudo
+            pseudo = result.selection.pseudo
             n_classes = pseudo.q_hat.shape[1]
             header = "index,y_hat," + ",".join(f"q_{c}" for c in range(n_classes))
             lines = [header]
@@ -304,9 +296,9 @@ def emit_summary(results: list[dict], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def run_sweep(cfg: RunConfig, axis: str, values: list, seeds: list[int],
-              with_finetune: bool = True) -> list[dict]:
-    """One full run per (value, seed); failures are recorded, not raised."""
+def run_sweep(cfg: RunConfig, axis: str, values: list, seeds: list[int]) -> list[dict]:
+    """One full run per (value, seed), fine-tuned when t_finetune > 0;
+    failures are recorded, not raised."""
     results = []
     for value in values:
         for seed in seeds:
@@ -317,7 +309,7 @@ def run_sweep(cfg: RunConfig, axis: str, values: list, seeds: list[int],
                 run_cfg.validate()
                 ds = dataset_from_config(run_cfg)
                 result = pretrain(ds, run_cfg)
-                if with_finetune and run_cfg.t_finetune > 0:
+                if run_cfg.t_finetune > 0:
                     params = finetune(result.params, ds, run_cfg,
                                       selection=result.selection)
                     row["test_acc"] = test_accuracy(params, ds)
@@ -339,7 +331,7 @@ def _cmd_sweep(args) -> int:
         raise CliError(f"bad --seeds: {exc}") from exc
     if not seeds:
         raise CliError("--seeds needs at least one entry")
-    results = run_sweep(cfg, args.axis, values, seeds, with_finetune=args.finetune)
+    results = run_sweep(cfg, args.axis, values, seeds)
     emit_summary(results, args.out)
     failures = [r for r in results if r["error"] is not None]
     for row in failures:

@@ -90,21 +90,22 @@ def pair_precision(pairs, true_labels: np.ndarray, noisy_labels: np.ndarray) -> 
     return 100.0 * good / selected
 
 
-def selection_precision(state: SelectionState, true_labels: np.ndarray,
-                        noisy_labels: np.ndarray) -> tuple[float | None, float | None]:
-    """Percent of confident examples whose noisy label is the true one, and
-    percent of selected pairs whose endpoints share a true class.
+def selection_precision(state: SelectionState,
+                        true_labels: np.ndarray) -> tuple[float | None, float | None]:
+    """Percent of confident examples whose noisy label (state.noisy_labels,
+    the labels the selection was made from) is the true one, and percent of
+    selected pairs whose endpoints share a true class.
 
     An empty set has no precision: its entry is None.
     """
     true_labels = np.asarray(true_labels)
-    noisy_labels = np.asarray(noisy_labels)
+    noisy_labels = state.noisy_labels
     prec_examples = None
     if state.confident.size:
         hits = np.sum(true_labels[state.confident] == noisy_labels[state.confident])
         prec_examples = float(100.0 * hits / state.confident.size)
-    # the selection's own labels: its pairs never cross them
-    return prec_examples, pair_precision(state, true_labels, state.noisy_labels)
+    # pairs never cross the selection's labels
+    return prec_examples, pair_precision(state, true_labels, noisy_labels)
 
 
 def project_2d(x: np.ndarray) -> np.ndarray:

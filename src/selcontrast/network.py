@@ -422,35 +422,38 @@ def save_checkpoint(params: NetworkParams, path) -> None:
 
 
 def load_checkpoint(path) -> NetworkParams:
-    """Load parameters written by save_checkpoint, validating version and shapes."""
+    """Load parameters written by save_checkpoint, validating version, names and shapes."""
     with open(path) as fh:
         payload = json.load(fh)
     version = payload.get("format_version")
     if version != _CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
     projection = payload.get("projection", LINEAR)
+    if projection not in (LINEAR, MLP):
+        raise ValueError(f"unknown projection kind {projection!r}")
     tensors = {name: np.asarray(data, dtype=np.float64)
                for name, data in payload["tensors"].items()}
-    required = {"enc_w1", "enc_b1", "enc_w2", "enc_b2", "proj_w1", "proj_b1", "cls_w", "cls_b"}
+    out_w = "proj_w1" if projection == LINEAR else "proj_w2"
+    names = {"enc_w1", "enc_b1", "enc_w2", "enc_b2", "proj_w1", "proj_b1", "cls_w", "cls_b"}
     if projection == MLP:
-        required |= {"proj_w2", "proj_b2"}
-    missing = required - set(tensors)
-    if missing:
-        raise ValueError(f"checkpoint missing tensors: {sorted(missing)}")
-    params = NetworkParams(
-        enc_w1=tensors["enc_w1"], enc_b1=tensors["enc_b1"],
-        enc_w2=tensors["enc_w2"], enc_b2=tensors["enc_b2"],
-        proj_w1=tensors["proj_w1"], proj_b1=tensors["proj_b1"],
-        cls_w=tensors["cls_w"], cls_b=tensors["cls_b"],
-        projection=projection,
-        proj_w2=tensors.get("proj_w2"), proj_b2=tensors.get("proj_b2"),
-    )
-    hidden = params.hidden
-    expect = {"enc_w1": (hidden, params.dim), "enc_b1": (hidden,),
+        names |= {"proj_w2", "proj_b2"}
+    for problem, found in (("missing", names - set(tensors)),
+                           ("unknown", set(tensors) - names)):
+        if found:
+            raise ValueError(f"checkpoint has {problem} tensors: {sorted(found)}")
+    # the widths are read off these three weights; every shape is checked after
+    if any(tensors[name].ndim != 2 for name in ("enc_w1", "cls_w", out_w)):
+        raise ValueError(f"checkpoint tensors enc_w1, cls_w and {out_w} must be matrices")
+    hidden, dim = tensors["enc_w1"].shape
+    n_classes, proj_dim = tensors["cls_w"].shape[0], tensors[out_w].shape[0]
+    proj_out1 = proj_dim if projection == LINEAR else hidden
+    expect = {"enc_w1": (hidden, dim), "enc_b1": (hidden,),
               "enc_w2": (hidden, hidden), "enc_b2": (hidden,),
-              "cls_w": (params.n_classes, hidden), "cls_b": (params.n_classes,)}
-    for name, shape in expect.items():
-        if tensors[name].shape != shape:
+              "proj_w1": (proj_out1, hidden), "proj_b1": (proj_out1,),
+              "proj_w2": (proj_dim, hidden), "proj_b2": (proj_dim,),
+              "cls_w": (n_classes, hidden), "cls_b": (n_classes,)}
+    for name, arr in tensors.items():
+        if arr.shape != expect[name]:
             raise ValueError(f"checkpoint tensor '{name}' has shape "
-                             f"{tensors[name].shape}, expected {shape}")
-    return params
+                             f"{arr.shape}, expected {expect[name]}")
+    return NetworkParams(projection=projection, **tensors)

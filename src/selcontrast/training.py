@@ -70,8 +70,7 @@ class RunConfig:
     seed: int = 1
     # fine-tuning
     finetune_lr: float = 0.001
-    finetune_encoder_scale: float = 0.1
-    freeze_encoder: bool = False
+    finetune_encoder_scale: float = 0.1  # 0 freezes the encoder
     retrain_classifier: bool = True
     # architecture
     hidden_dim: int = 64
@@ -112,6 +111,7 @@ class RunConfig:
             (self.batch_size >= 2, "batch_size must be >= 2"),
             (self.lr > 0, "lr must be positive"),
             (self.finetune_lr > 0, "finetune_lr must be positive"),
+            (self.finetune_encoder_scale >= 0, "finetune_encoder_scale must be >= 0"),
             (self.warmup_kind in (UNSUPERVISED, SUPERVISED),
              f"warmup_kind must be '{UNSUPERVISED}' or '{SUPERVISED}'"),
             (self.projection in ("linear", "mlp"), "projection must be 'linear' or 'mlp'"),
@@ -219,9 +219,12 @@ def write_metrics_csv(history: list[EpochRecord], path) -> None:
 
 @dataclass
 class PretrainResult:
+    """Trained parameters, one record per epoch, and the selection that
+    fine-tuning and the selection dumps use."""
+
     params: NetworkParams
     history: list[EpochRecord]
-    selection: SelectionState | None
+    selection: SelectionState
 
 
 def _epoch_rng(seed: int, stream: int, epoch: int) -> np.random.Generator:
@@ -340,7 +343,7 @@ def _record(params, ds, cfg, epoch, losses, selection, started,
         n_gp = selection.n_pairs_confident
         n_gpp = selection.n_pairs_similar
         threshold = selection.sim_threshold
-        prec = selection_precision(selection, *_train_arrays(ds)[1:])  # true, noisy
+        prec = selection_precision(selection, ds.true_labels[ds.train_indices()])
     knn, test_acc = model_metrics(params, ds, cfg, train_z)
     record = EpochRecord(epoch=epoch, l_mix=l_mix, l_cls=l_cls, l_sim=l_sim, l_all=l_all,
                          n_confident=n_conf, n_pairs_confident=n_gp, n_pairs_similar=n_gpp,
@@ -356,8 +359,8 @@ def compute_selection(train_z: np.ndarray, ds: Dataset, cfg: RunConfig,
     the embedding train_z (train_embedding of some parameters) and select
     confident examples and pairs.
 
-    The one way a selection is made: each selective epoch, fine-tuning without
-    a given selection, and the command line when no selective epoch ran.
+    The one way a selection is made: each selective epoch, the end of a
+    warm-up-only run, and dump-proj.
     """
     _, _, noisy_train = _train_arrays(ds)
     bank = EmbeddingBank(train_z)
@@ -453,7 +456,8 @@ def pretrain(ds: Dataset, cfg: RunConfig, time_source=time.perf_counter) -> Pret
     selects from the embedding the previous epoch's record was measured on
     (nothing trains in between); with no warm-up, the first one selects from
     the initial parameters' embedding. The returned history has exactly t_max
-    records; selection is the final epoch's (None when t_max == t_warm).
+    records. selection is the last selective epoch's, or, when only warm-up
+    ran, one made (epoch_tag 0) from the embedding the last record measured.
     """
     cfg.validate()
     params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
@@ -462,7 +466,6 @@ def pretrain(ds: Dataset, cfg: RunConfig, time_source=time.perf_counter) -> Pret
     opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay,
                               cfg.lr_schedule)
     history: list[EpochRecord] = []
-    selection = None
     # nothing is measured before the first epoch: without warm-up, embed the
     # initial parameters for the first selection
     train_z = train_embedding(params, ds) if cfg.t_warm == 0 else None
@@ -474,34 +477,34 @@ def pretrain(ds: Dataset, cfg: RunConfig, time_source=time.perf_counter) -> Pret
             selection, record, train_z = pretrain_epoch(params, opt, ds, cfg, epoch,
                                                         train_z, time_source)
         history.append(record)
+    if cfg.t_warm == cfg.t_max:  # no selective epoch ran
+        selection = compute_selection(train_z, ds, cfg)
     return PretrainResult(params, history, selection)
 
 
 def finetune(params: NetworkParams, ds: Dataset, cfg: RunConfig,
-             selection: SelectionState | None = None) -> NetworkParams:
-    """Cross-entropy training of the classifier head on the confident examples.
+             selection: SelectionState) -> NetworkParams:
+    """Cross-entropy training of the classifier head on the confident examples
+    of `selection` (pretrain's), for cfg.t_finetune epochs.
 
     The head restarts from zeros unless cfg.retrain_classifier is False (a
     zero linear head is the symmetric start for this convex sub-problem and
     stays stable whatever scale the encoder output has reached); the encoder
-    follows at finetune_encoder_scale times the head's learning rate (or not
-    at all with freeze_encoder); the projection head is untouched.
-    selection defaults to one made from `params`' own embedding.
+    follows at finetune_encoder_scale times the head's learning rate (0
+    freezes it); the projection head is untouched.
     Raises when the confident set is empty.
     """
     cfg.validate()
-    if selection is None:
-        selection = compute_selection(train_embedding(params, ds), ds, cfg)
     if selection.confident.size == 0:
-        raise ValueError("no confident examples selected; lower alpha and retry")
+        raise ValueError("no confident examples selected: "
+                         f"per_class_quota is {selection.per_class_quota}")
 
     params = params.copy()
     if cfg.retrain_classifier:
         params.cls_w = np.zeros_like(params.cls_w)
         params.cls_b = np.zeros_like(params.cls_b)
 
-    encoder_scale = 0.0 if cfg.freeze_encoder else cfg.finetune_encoder_scale
-    lr_scale = {name: encoder_scale for name in
+    lr_scale = {name: cfg.finetune_encoder_scale for name in
                 ("enc_w1", "enc_b1", "enc_w2", "enc_b2")}
     lr_scale.update({name: 0.0 for name, _ in params.named_arrays()
                      if name.startswith("proj")})

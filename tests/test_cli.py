@@ -119,11 +119,12 @@ def test_eval_prints_json_to_stdout_without_out_flag(trained, capsys):
 
 def test_train_without_finetune_leaves_report_field_null(tmp_path, trained):
     report_path = tmp_path / "report.json"
-    assert cli_run(["train", *TINY, "--data", str(trained["data"]), "--no-finetune",
+    assert cli_run(["train", *TINY, "--data", str(trained["data"]), "--t-finetune", "0",
                     "--report", str(report_path), "--fixed-clock"]) == 0
     report = json.loads(report_path.read_text())
     assert report["finetuned_test_accuracy"] is None
     assert 0.0 <= report["pretrain_test_accuracy"] <= 100.0
+    assert report["config"]["t_finetune"] == 0  # the report names the run that ran
 
 
 def test_fixed_clock_runs_are_byte_identical(tmp_path, trained):
@@ -131,7 +132,7 @@ def test_fixed_clock_runs_are_byte_identical(tmp_path, trained):
     for name in ("a", "b"):
         metrics = tmp_path / f"{name}.csv"
         assert cli_run(["train", *TINY, "--data", str(trained["data"]),
-                        "--metrics", str(metrics), "--no-finetune",
+                        "--metrics", str(metrics), "--t-finetune", "0",
                         "--fixed-clock"]) == 0
         blobs.append(metrics.read_bytes())
     assert blobs[0] == blobs[1]
@@ -139,7 +140,7 @@ def test_fixed_clock_runs_are_byte_identical(tmp_path, trained):
 
 def test_train_dumps_selection_and_pseudo_labels(tmp_path, trained):
     sel, pseudo = tmp_path / "sel.json", tmp_path / "pseudo.csv"
-    assert cli_run(["train", *TINY, "--data", str(trained["data"]), "--no-finetune",
+    assert cli_run(["train", *TINY, "--data", str(trained["data"]), "--t-finetune", "0",
                     "--dump-selection", str(sel), "--dump-pseudo", str(pseudo),
                     "--fixed-clock"]) == 0
     payload = json.loads(sel.read_text())
@@ -227,14 +228,23 @@ def test_dumped_selection_is_the_one_finetuning_used(tmp_path, trained, monkeypa
 
 def test_dump_without_selective_epoch_selects_once_from_warmed_up_model(
         tmp_path, trained, monkeypatch):
+    # pretrain makes the selection from the embedding its one record
+    # measured, so the train split is embedded once in the whole run
+    from selcontrast import training
     pretrained = _record_calls(monkeypatch, "pretrain")
     finetuned = _record_calls(monkeypatch, "finetune")
-    made = _record_calls(monkeypatch, "compute_selection")
+    embedded = []
+    for module in (cli, training):
+        def counting(params, ds, real=module.train_embedding):
+            embedded.append(module.__name__)
+            return real(params, ds)
+        monkeypatch.setattr(module, "train_embedding", counting)
     sel, pseudo = _train_with_dumps(tmp_path, trained, "--t-max", "1")
-    assert pretrained[0][1].selection is None
-    ((_, state),) = made
-    assert finetuned[0][0]["selection"] is state
-    _assert_dumps_describe(state, sel, pseudo)
+    ((_, result),) = pretrained
+    assert result.selection.epoch_tag == 0
+    assert finetuned[0][0]["selection"] is result.selection
+    assert len(embedded) == 1
+    _assert_dumps_describe(result.selection, sel, pseudo)
 
 
 def test_config_file_with_flag_override(tmp_path, trained):
@@ -247,7 +257,7 @@ def test_config_file_with_flag_override(tmp_path, trained):
     report_path = tmp_path / "report.json"
     assert cli_run(["train", "--config", str(cfg_path), "--data", str(trained["data"]),
                     "--lambda-s", "0.05", "--report", str(report_path),
-                    "--no-finetune", "--fixed-clock"]) == 0
+                    "--fixed-clock"]) == 0
     cfg = json.loads(report_path.read_text())["config"]
     assert cfg["lambda_s"] == 0.05  # flag beats file
     assert cfg["t_max"] == 2        # file beats built-in default
@@ -256,7 +266,7 @@ def test_config_file_with_flag_override(tmp_path, trained):
 def test_sweep_summary_table(tmp_path):
     out = tmp_path / "sweep.csv"
     assert cli_run(["sweep", *TINY, "--axis", "lambda_s", "--values", "0.0,0.01",
-                    "--seeds", "2,2", "--out", str(out), "--no-finetune"]) == 0
+                    "--seeds", "2,2", "--out", str(out), "--t-finetune", "0"]) == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "value,mean_test_acc,std_test_acc,mean_prec_T"
     assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "0.01"]
@@ -280,7 +290,7 @@ def test_sweep_summary_skips_empty_precision(tmp_path):
 def test_sweep_failed_runs_leave_empty_cells_and_exit_2(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = cli_run(["sweep", *TINY, "--axis", "alpha", "--values", "0.5,2.0",
-                    "--seeds", "2", "--out", str(out), "--no-finetune"])
+                    "--seeds", "2", "--out", str(out), "--t-finetune", "0"])
     assert code == 2
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 3
@@ -365,6 +375,26 @@ def test_corrupt_checkpoint_exits_1(tmp_path, trained, capsys):
     assert cli_run(["eval", "--checkpoint", str(bad),
                     "--data", str(trained["data"])]) == 1
     assert "checkpoint" in capsys.readouterr().err
+
+
+def test_checkpoint_with_wrong_projection_shape_exits_1(tmp_path, trained, capsys):
+    blob = json.loads(trained["checkpoint"].read_text())
+    blob["tensors"]["proj_w1"] = np.zeros((32, 10)).tolist()
+    bad = tmp_path / "ckpt.json"
+    bad.write_text(json.dumps(blob))
+    assert cli_run(["eval", "--checkpoint", str(bad), "--data", str(trained["data"]),
+                    "--k-eval", "10"]) == 1
+    err = capsys.readouterr().err
+    assert "bad checkpoint" in err and "proj_w1" in err
+
+
+def test_train_with_nothing_selected_exits_2_naming_the_quota(capsys):
+    # k >= n_train - 1 on balanced clean data: every per-class quota is 0
+    # (tests/test_training.py pins the records), so fine-tuning has nothing to fit
+    assert cli_run(["train", "--n", "100", "--noise-rate", "0", "--k", "500",
+                    "--t-max", "3", "--t-finetune", "1", "--fixed-clock"]) == 2
+    err = capsys.readouterr().err
+    assert "ValueError: no confident examples selected: per_class_quota is 0\n" in err
 
 
 def test_mismatched_checkpoint_is_runtime_error(tmp_path, trained, capsys):

@@ -200,7 +200,7 @@ def test_selection_precision_arithmetic():
     noisy = np.array([0, 0, 1, 0, 0])
     state = make_state([0, 1, 3], noisy)
     assert state.pairs == {(0, 1), (0, 3), (1, 3)}
-    prec_t, prec_g = selection_precision(state, true, noisy)
+    prec_t, prec_g = selection_precision(state, true)
     assert prec_t == pytest.approx(100 * 2 / 3)
     # true classes: 0-1 same, 0-3 differ, 1-3 differ
     assert prec_g == pytest.approx(100 * 1 / 3)
@@ -208,11 +208,10 @@ def test_selection_precision_arithmetic():
 
 def test_selection_precision_empty_sets_have_no_precision():
     state = make_state([], np.zeros(3, int))
-    prec_t, prec_g = selection_precision(state, np.zeros(3, int), np.zeros(3, int))
+    prec_t, prec_g = selection_precision(state, np.zeros(3, int))
     assert prec_t is None and prec_g is None
     # a confident set without pairs still has an example precision
-    prec_t, prec_g = selection_precision(make_state([1], np.zeros(3, int)), np.zeros(3, int),
-                                         np.zeros(3, int))
+    prec_t, prec_g = selection_precision(make_state([1], np.zeros(3, int)), np.zeros(3, int))
     assert prec_t == 100.0 and prec_g is None
 
 

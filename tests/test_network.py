@@ -669,3 +669,37 @@ def test_checkpoint_missing_tensor_rejected(tmp_path):
     path.write_text(json.dumps(blob))
     with pytest.raises(ValueError, match="cls_w"):
         load_checkpoint(path)
+
+
+def _edited_checkpoint(tmp_path, projection, edit):
+    import json
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(small_params(seed=26, projection=projection), path)
+    blob = json.loads(path.read_text())
+    edit(blob["tensors"])
+    path.write_text(json.dumps(blob))
+    return path
+
+
+@pytest.mark.parametrize("projection,name", [("linear", "proj_w1"), ("linear", "proj_b1"),
+                                             ("mlp", "proj_w1"), ("mlp", "proj_b1"),
+                                             ("mlp", "proj_w2"), ("mlp", "proj_b2")])
+def test_checkpoint_projection_shapes_are_checked(tmp_path, projection, name):
+    def widen(tensors):  # the last axis: a matrix's fan-in, a bias's length
+        shape = np.shape(tensors[name])
+        tensors[name] = np.zeros((*shape[:-1], shape[-1] + 1)).tolist()
+    path = _edited_checkpoint(tmp_path, projection, widen)
+    with pytest.raises(ValueError, match=f"'{name}' has shape"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_unknown_or_missing_projection_tensors_rejected(tmp_path):
+    # a linear head's checkpoint carrying a second projection layer, and an
+    # mlp head's checkpoint without one
+    def add(tensors):
+        tensors["proj_w2"], tensors["proj_b2"] = tensors["proj_w1"], tensors["proj_b1"]
+    with pytest.raises(ValueError, match=r"unknown tensors: \['proj_b2', 'proj_w2'\]"):
+        load_checkpoint(_edited_checkpoint(tmp_path, "linear", add))
+    with pytest.raises(ValueError, match=r"missing tensors: \['proj_w2'\]"):
+        load_checkpoint(_edited_checkpoint(tmp_path, "mlp",
+                                           lambda tensors: tensors.pop("proj_w2")))

@@ -94,6 +94,9 @@ def test_config_validation_messages():
         tiny_config(warmup_kind="contrastive")
     with pytest.raises(ValueError, match="t_max"):
         tiny_config(t_warm=0, t_max=0)
+    # 0 freezes the encoder; a negative scale would step it up its gradient
+    with pytest.raises(ValueError, match="finetune_encoder_scale"):
+        tiny_config(finetune_encoder_scale=-0.1)
 
 
 def test_validate_normalizes_the_lr_schedule():
@@ -471,7 +474,7 @@ def test_finetune_improves_or_matches_clean_baseline():
 
 
 def test_finetune_freezes_projection_and_respects_encoder_scale():
-    cfg = tiny_config(freeze_encoder=True)
+    cfg = tiny_config(finetune_encoder_scale=0.0)
     ds = dataset_from_config(cfg)
     result = pretrain(ds, cfg)
     tuned = finetune(result.params, ds, cfg, selection=result.selection)
@@ -480,11 +483,12 @@ def test_finetune_freezes_projection_and_respects_encoder_scale():
     assert not np.array_equal(tuned.cls_w, result.params.cls_w)
 
 
-@pytest.mark.parametrize("freeze_encoder", [False, True])
-def test_finetune_optimizer_holds_arrays_only_for_trained_tensors(monkeypatch, freeze_encoder):
-    # the projection head (and a frozen encoder) gets neither a momentum
-    # buffer nor a gradient workspace array
-    cfg = tiny_config(t_max=2, t_finetune=1, projection="mlp", freeze_encoder=freeze_encoder)
+@pytest.mark.parametrize("frozen", [False, True])
+def test_finetune_optimizer_holds_arrays_only_for_trained_tensors(monkeypatch, frozen):
+    # the projection head (and an encoder frozen by finetune_encoder_scale 0)
+    # gets neither a momentum buffer nor a gradient workspace array
+    cfg = tiny_config(t_max=2, t_finetune=1, projection="mlp",
+                      finetune_encoder_scale=0.0 if frozen else 0.1)
     ds = dataset_from_config(cfg)
     result = pretrain(ds, cfg)
     opts = []
@@ -497,7 +501,7 @@ def test_finetune_optimizer_holds_arrays_only_for_trained_tensors(monkeypatch, f
     tuned = finetune(result.params, ds, cfg, selection=result.selection)
     assert opts and all(opt is opts[0] for opt in opts)
     trained = {"cls_w", "cls_b"}
-    if not freeze_encoder:
+    if not frozen:
         trained |= {"enc_w1", "enc_b1", "enc_w2", "enc_b2"}
     assert set(opts[0].buffers) == set(opts[0].grads) == trained
     for (name, arr), (_, ref) in zip(tuned.named_arrays(), result.params.named_arrays()):
@@ -521,7 +525,7 @@ def test_finetune_can_keep_pretraining_head():
 
 
 def test_finetune_head_fits_confident_set_on_frozen_encoder():
-    cfg = tiny_config(freeze_encoder=True, t_finetune=10, t_max=4)
+    cfg = tiny_config(finetune_encoder_scale=0.0, t_finetune=10, t_max=4)
     ds = dataset_from_config(cfg)
     result = pretrain(ds, cfg)
     tuned = finetune(result.params, ds, cfg, selection=result.selection)
@@ -537,16 +541,23 @@ def test_finetune_rejects_empty_selection():
     params, opt = fresh_start(cfg, ds)
     selection, _, _ = pretrain_epoch(params, opt, ds, cfg, 2, train_embedding(params, ds),
                                      time.perf_counter)
-    with pytest.raises(ValueError, match="lower alpha"):
+    with pytest.raises(ValueError, match="no confident examples selected: "
+                                         "per_class_quota is 0$"):
         finetune(params, ds, cfg, selection=selection)
 
 
-def test_finetune_without_selection_recomputes_it():
-    cfg = tiny_config()
+def test_neighbourhood_of_the_whole_split_selects_nothing():
+    # with k >= n_train - 1 each example's vote runs over all the others, in
+    # which its own class is one short on balanced data, so no vote agrees
+    # with its label: every agreement count, and so the quota, is 0
+    cfg = benchmark_config(n=100, noise_rate=0, k=500, t_max=3, t_finetune=1)
     ds = dataset_from_config(cfg)
+    assert cfg.k >= len(ds.train_indices()) - 1
     result = pretrain(ds, cfg)
-    tuned_explicit = finetune(result.params, ds, cfg, selection=None)
-    assert model_test_accuracy(tuned_explicit, ds) > 0.0
+    selective = result.history[cfg.t_warm:]
+    assert selective and all(r.n_confident == 0 and r.sim_threshold == float("inf")
+                             for r in selective)
+    assert result.selection.per_class_quota == 0
 
 
 # ---------------------------------------------------------------------------
@@ -649,14 +660,39 @@ def test_bank_is_embedded_afresh_after_parameters_change(monkeypatch):
     assert selection.confident.size > 0
     np.testing.assert_array_equal(train_z, forward(params, ds.instances[ds.train_indices()]).z)
 
-    # fine-tuning without a selection embeds the parameters it is given
-    start = len(log.calls)
-    tuned = finetune(params, ds, cfg, selection=None)
-    assert log.count("train", True, since=start) == 1
-    reference = finetune(params, ds, cfg,
-                         selection=compute_selection(train_embedding(params, ds), ds, cfg))
-    for (name, arr), (_, ref) in zip(tuned.named_arrays(), reference.named_arrays()):
-        np.testing.assert_array_equal(arr, ref, err_msg=name)
+
+def test_warmup_only_pretrain_selects_from_the_last_record_embedding(monkeypatch):
+    # with no selective epoch, pretrain still returns the selection that
+    # fine-tuning and the dumps use, made from the embedding the last record
+    # measured: the train split is embedded once per record and never again
+    cfg = tiny_config(t_warm=2, t_max=2)
+    ds = dataset_from_config(cfg)
+    embeddings, made = [], []
+
+    def recording_embedding(params, ds, real=training.train_embedding):
+        embeddings.append(real(params, ds))
+        return embeddings[-1]
+
+    def recording_selection(train_z, *args, real=training.compute_selection, **kwargs):
+        made.append(train_z)
+        return real(train_z, *args, **kwargs)
+    monkeypatch.setattr(training, "train_embedding", recording_embedding)
+    monkeypatch.setattr(training, "compute_selection", recording_selection)
+    log = ForwardLog(monkeypatch, ds)
+    result = pretrain(ds, cfg)
+    assert log.count("train", True) == cfg.t_max
+    assert len(made) == 1 and made[0] is embeddings[-1]
+
+    monkeypatch.undo()
+    expected = compute_selection(train_embedding(result.params, ds), ds, cfg)
+    state = result.selection
+    assert state.epoch_tag == 0
+    assert state.confident.size > 0
+    np.testing.assert_array_equal(state.confident, expected.confident)
+    assert state.per_class_quota == expected.per_class_quota
+    assert state.sim_threshold == expected.sim_threshold
+    assert state.pairs == expected.pairs
+    np.testing.assert_array_equal(state.pseudo.q_hat, expected.pseudo.q_hat)
 
 
 def test_reusing_the_record_embedding_changes_nothing():
