@@ -13,16 +13,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NoiseSpec, dump_features_csv, inject_noise, load_features_csv, make_blobs
+from .data import dump_features_csv, load_features_csv
 from .evaluation import dump_projection_2d
 from .network import forward, load_checkpoint, save_checkpoint
-from .training import (RunConfig, benchmark_config, compute_selection, dataset_from_config,
-                       finetune, model_metrics, pretrain, test_accuracy, train_embedding,
+from .training import (DATASET_KEYS, PROBE_KEYS, SELECTION_KEYS, RunConfig,
+                       benchmark_config, compute_selection, dataset_from_config, finetune,
+                       model_metrics, pretrain, test_accuracy, train_embedding,
                        write_metrics_csv)
 
 REPORT_SCHEMA_VERSION = 1
 
 SWEEP_AXES = ("lambda_s", "alpha", "beta", "noise_rate", "warmup_kind")
+
+_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 class CliError(Exception):
@@ -34,33 +37,42 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{message}\n{self.format_usage()}")
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file of RunConfig keys")
-    for f in dataclasses.fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.name == "lr_schedule":
-            parser.add_argument(flag, default=None, metavar="JSON",
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, keys, config_file=True) -> None:
+    """One override flag per RunConfig key in `keys`, after --config unless
+    config_file is False."""
+    if config_file:
+        parser.add_argument("--config", help="JSON file of RunConfig keys")
+    for key in keys:
+        default = _FIELDS[key].default
+        if key == "lr_schedule":
+            parser.add_argument(_flag(key), default=None, metavar="JSON",
                                 help="e.g. '[[126,0.1],[201,0.1]]'")
-        elif isinstance(f.default, bool):
-            parser.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
+        elif isinstance(default, bool):
+            parser.add_argument(_flag(key), action=argparse.BooleanOptionalAction,
+                                default=None)
         else:
-            kind = type(f.default) if f.default is not dataclasses.MISSING else str
-            parser.add_argument(flag, type=kind, default=None)
+            parser.add_argument(_flag(key), type=type(default), default=None)
 
 
 def _resolve_config(args) -> RunConfig:
+    """The --config file (benchmark_config() without one) with every given
+    flag applied, validated."""
     try:
-        if args.config:
+        if getattr(args, "config", None):
             cfg = RunConfig.from_json(args.config)
         else:
             cfg = benchmark_config()
-        for f in dataclasses.fields(RunConfig):
-            value = getattr(args, f.name, None)
+        for key in _FIELDS:
+            value = getattr(args, key, None)
             if value is None:
                 continue
-            if f.name == "lr_schedule":
+            if key == "lr_schedule":
                 value = json.loads(value)
-            setattr(cfg, f.name, value)
+            setattr(cfg, key, value)
         return cfg.validate()
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise CliError(f"bad configuration: {exc}") from exc
@@ -70,38 +82,28 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="selcontrast", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    gen = sub.add_parser("gen", help="generate a blob dataset CSV")
-    gen.add_argument("--n", type=int, default=500)
-    gen.add_argument("--classes", type=int, default=4)
-    gen.add_argument("--dim", type=int, default=16)
-    gen.add_argument("--spread", type=float, default=0.5)
-    gen.add_argument("--seed", type=int, default=1)
-    gen.add_argument("--noise-kind", choices=("symmetric", "asymmetric"),
-                     default="symmetric")
-    gen.add_argument("--noise-rate", type=float, default=0.0)
-    gen.add_argument("--noise-seed", type=int, default=0)
+    gen = sub.add_parser("gen", help="generate the dataset CSV a config describes")
+    _add_config_flags(gen, DATASET_KEYS, config_file=False)
     gen.add_argument("--out", required=True)
 
     train = sub.add_parser("train", help="pretrain (and fine-tune) on one dataset")
-    _add_config_flags(train)
-    train.add_argument("--data", help="dataset CSV; generated from config when absent")
-    train.add_argument("--metrics", help="per-epoch metrics CSV path")
+    _add_config_flags(train, _FIELDS)
+    train.add_argument("--data", help="dataset CSV, used instead of the config's "
+                                      "dataset keys; generated from them when absent")
     train.add_argument("--out-dir", help="directory for metrics/config/report/checkpoint")
-    train.add_argument("--checkpoint", help="final model JSON path")
-    train.add_argument("--report", help="summary report JSON path")
     train.add_argument("--dump-selection", help="final selection JSON path")
     train.add_argument("--dump-pseudo", help="final pseudo-label CSV path")
     train.add_argument("--fixed-clock", action="store_true",
                        help="write 0.000 wall seconds for byte-reproducible metrics")
 
     ev = sub.add_parser("eval", help="metrics of a checkpoint on a dataset")
-    _add_config_flags(ev)
+    _add_config_flags(ev, PROBE_KEYS)
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--out", help="write the JSON report here instead of stdout")
 
     sweep = sub.add_parser("sweep", help="grid over one config axis x seeds")
-    _add_config_flags(sweep)
+    _add_config_flags(sweep, _FIELDS)
     sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     sweep.add_argument("--values", required=True,
                        help="comma-separated axis values")
@@ -109,7 +111,7 @@ def build_parser() -> _Parser:
     sweep.add_argument("--out", required=True, help="summary CSV path")
 
     proj = sub.add_parser("dump-proj", help="2-d projection CSV of the embeddings")
-    _add_config_flags(proj)
+    _add_config_flags(proj, SELECTION_KEYS)
     proj.add_argument("--checkpoint", required=True)
     proj.add_argument("--data", required=True)
     proj.add_argument("--out", required=True)
@@ -118,10 +120,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
-    ds = make_blobs(args.n, args.classes, args.dim, args.spread, args.seed)
-    if args.noise_rate > 0:
-        ds = inject_noise(ds, NoiseSpec(kind=args.noise_kind, rate=args.noise_rate,
-                                        rng_seed=args.noise_seed))
+    ds = _load_dataset(args, _resolve_config(args))
     dump_features_csv(ds, args.out)
     corrupted = int(np.sum(ds.noisy_labels != ds.true_labels))
     print(f"wrote {args.out}: n={ds.n} classes={ds.n_classes} dim={ds.dim} "
@@ -131,12 +130,20 @@ def _cmd_gen(args) -> int:
 
 
 def _load_dataset(args, cfg: RunConfig):
+    """The --data CSV when given, which no dataset flag may accompany;
+    otherwise the dataset cfg's dataset keys describe."""
     if getattr(args, "data", None):
+        given = [_flag(key) for key in DATASET_KEYS if getattr(args, key, None) is not None]
+        if given:
+            raise CliError(f"{', '.join(given)} cannot be combined with --data")
         try:
             return load_features_csv(args.data)
         except (OSError, ValueError) as exc:
             raise CliError(f"bad dataset: {exc}") from exc
-    return dataset_from_config(cfg)
+    try:
+        return dataset_from_config(cfg)
+    except ValueError as exc:
+        raise CliError(f"bad configuration: {exc}") from exc
 
 
 # Pairs formatted per write of a selection dump's pair lists.
@@ -173,20 +180,35 @@ def _dump_selection(state, train_idx, path) -> None:
 
 def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
+    ds = _load_dataset(args, cfg)
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_path = Path(args.metrics) if args.metrics else (
-        out_dir / "metrics.csv" if out_dir else None)
-
-    ds = _load_dataset(args, cfg)
     clock = (lambda: 0.0) if args.fixed_clock else time.perf_counter
     result = pretrain(ds, cfg, time_source=clock)
+
+    # what pretraining produced is written before fine-tuning, which may fail
+    if out_dir:
+        write_metrics_csv(result.history, out_dir / "metrics.csv")
+        cfg.to_json(out_dir / "config.json")
+    train_idx = ds.train_indices()
+    if args.dump_selection:
+        _dump_selection(result.selection, train_idx, args.dump_selection)
+    if args.dump_pseudo:
+        pseudo = result.selection.pseudo
+        n_classes = pseudo.q_hat.shape[1]
+        header = "index,y_hat," + ",".join(f"q_{c}" for c in range(n_classes))
+        lines = [header]
+        for i in range(len(pseudo.y_hat)):
+            qs = ",".join(f"{v:.6f}" for v in pseudo.q_hat[i])
+            lines.append(f"{int(train_idx[i])},{int(pseudo.y_hat[i])},{qs}")
+        Path(args.dump_pseudo).write_text("\n".join(lines) + "\n")
+
     final_params = result.params
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "config": cfg.as_dict(),
-        "n_train": int(len(ds.train_indices())),
+        "n_train": int(len(train_idx)),
         "n_test": int(len(ds.test_indices())),
         "pretrain_test_accuracy": result.history[-1].test_accuracy,
         "pretrain_knn_accuracy": result.history[-1].knn_accuracy,
@@ -195,35 +217,11 @@ def _cmd_train(args) -> int:
     if cfg.t_finetune > 0:
         final_params = finetune(result.params, ds, cfg, selection=result.selection)
         report["finetuned_test_accuracy"] = test_accuracy(final_params, ds)
-
-    if metrics_path:
-        write_metrics_csv(result.history, metrics_path)
-        cfg.to_json(metrics_path.with_suffix(".config.json")
-                    if not out_dir else out_dir / "config.json")
-    ckpt_path = Path(args.checkpoint) if args.checkpoint else (
-        out_dir / "checkpoint.json" if out_dir else None)
-    if ckpt_path:
-        save_checkpoint(final_params, ckpt_path)
-    report_path = Path(args.report) if args.report else (
-        out_dir / "report.json" if out_dir else None)
-    if report_path:
-        with open(report_path, "w") as fh:
+    if out_dir:
+        save_checkpoint(final_params, out_dir / "checkpoint.json")
+        with open(out_dir / "report.json", "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
-
-    if args.dump_selection or args.dump_pseudo:
-        train_idx = ds.train_indices()
-        if args.dump_selection:
-            _dump_selection(result.selection, train_idx, args.dump_selection)
-        if args.dump_pseudo:
-            pseudo = result.selection.pseudo
-            n_classes = pseudo.q_hat.shape[1]
-            header = "index,y_hat," + ",".join(f"q_{c}" for c in range(n_classes))
-            lines = [header]
-            for i in range(len(pseudo.y_hat)):
-                qs = ",".join(f"{v:.6f}" for v in pseudo.q_hat[i])
-                lines.append(f"{int(train_idx[i])},{int(pseudo.y_hat[i])},{qs}")
-            Path(args.dump_pseudo).write_text("\n".join(lines) + "\n")
 
     final_acc = report["finetuned_test_accuracy"]
     if final_acc is None:

@@ -8,9 +8,6 @@ import numpy as np
 from .neighbors import grid_rows, topk_blocks
 from .selection import SelectionState, same_label_blocks
 
-DEFAULT_EVAL_K = 200
-DEFAULT_EVAL_TAU = 0.1
-
 
 def _unit_rows(z: np.ndarray, what: str) -> np.ndarray:
     norms = np.linalg.norm(z, axis=1)
@@ -29,7 +26,7 @@ def ranked_neighbors(sims: np.ndarray, hood: np.ndarray) -> np.ndarray:
 
 def weighted_knn_eval(train_z: np.ndarray, train_labels: np.ndarray,
                       test_z: np.ndarray, test_labels: np.ndarray,
-                      k: int | None = None, tau: float = DEFAULT_EVAL_TAU) -> float:
+                      k: int, tau: float) -> float:
     """Accuracy (percent) of a soft nearest-neighbor vote in embedding space.
 
     Each test point's k nearest train points by cosine similarity vote for
@@ -38,14 +35,10 @@ def weighted_knn_eval(train_z: np.ndarray, train_labels: np.ndarray,
     rescaling of the embeddings leaves the predictions unchanged. Both sides
     are rounded to the bank's grid (neighbors.grid_rows), which makes every
     similarity exact, and the test rows vote one row block at a time.
-
-    k defaults to min(200, n_train).
     """
     train_labels = np.asarray(train_labels)
     test_labels = np.asarray(test_labels)
     n_train = len(train_z)
-    if k is None:
-        k = min(DEFAULT_EVAL_K, n_train)
     if not 1 <= k <= n_train:
         raise ValueError(f"k={k} outside [1, {n_train}]")
     if tau <= 0:

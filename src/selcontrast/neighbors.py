@@ -5,8 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_K = 250
-
 PSEUDO = "pseudo"
 NOISY = "noisy"
 
@@ -149,7 +147,7 @@ class PseudoLabelState:
 
 
 def aggregate_pseudo_labels(bank: EmbeddingBank, noisy_labels: np.ndarray,
-                            k: int | None = None, n_classes: int | None = None,
+                            k: int, n_classes: int,
                             count_labels: str = PSEUDO) -> PseudoLabelState:
     """Two-pass neighborhood vote.
 
@@ -159,8 +157,6 @@ def aggregate_pseudo_labels(bank: EmbeddingBank, noisy_labels: np.ndarray,
     only after every y_hat exists, sets q_hat[i, c] to the fraction of i's
     neighbors whose y_hat equals c. count_labels="noisy" is an ablation that
     builds q_hat from the neighbors' raw noisy labels instead.
-
-    k defaults to min(250, n - 1).
     """
     if count_labels not in (PSEUDO, NOISY):
         raise ValueError(f"count_labels must be '{PSEUDO}' or '{NOISY}'")
@@ -168,12 +164,8 @@ def aggregate_pseudo_labels(bank: EmbeddingBank, noisy_labels: np.ndarray,
     n = bank.n
     if len(noisy_labels) != n:
         raise ValueError("labels and bank must have equal length")
-    if k is None:
-        k = min(DEFAULT_K, n - 1)
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} outside [1, {n - 1}]")
-    if n_classes is None:
-        n_classes = int(noisy_labels.max()) + 1
     if noisy_labels.min() < 0 or noisy_labels.max() >= n_classes:
         raise ValueError(f"labels must lie in [0, {n_classes})")
 

@@ -165,6 +165,11 @@ def benchmark_config(**overrides) -> RunConfig:
     return RunConfig(**base).validate()
 
 
+# The RunConfig keys dataset_from_config reads.
+DATASET_KEYS = ("n", "classes", "dim", "cluster_spread", "noise_kind", "noise_rate",
+                "noise_seed", "data_seed")
+
+
 def dataset_from_config(cfg: RunConfig) -> Dataset:
     """Generate the blobs + label noise a config describes."""
     ds = make_blobs(cfg.n, cfg.classes, cfg.dim, cfg.cluster_spread, cfg.data_seed)
@@ -308,6 +313,10 @@ def train_embedding(params: NetworkParams, ds: Dataset) -> np.ndarray:
     return z
 
 
+# The RunConfig keys model_metrics reads.
+PROBE_KEYS = ("k_eval", "knn_vote", "tau_knn")
+
+
 def model_metrics(params: NetworkParams, ds: Dataset, cfg: RunConfig,
                   train_z: np.ndarray) -> tuple[float, float]:
     """(weighted-KNN accuracy, classifier accuracy) on the test split, in
@@ -351,6 +360,10 @@ def _record(params, ds, cfg, epoch, losses, selection, started,
                          precision_pairs=prec[1], knn_accuracy=knn,
                          test_accuracy=test_acc, seconds=time_source() - started)
     return record, train_z
+
+
+# The RunConfig keys compute_selection reads.
+SELECTION_KEYS = ("k", "alpha", "beta", "count_labels")
 
 
 def compute_selection(train_z: np.ndarray, ds: Dataset, cfg: RunConfig,

@@ -376,12 +376,12 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
     benchmark_config().to_json(cfg_path)
     blobs = []
     for name in ("first", "second"):
-        metrics = tmp_path / f"{name}.csv"
-        ckpt = tmp_path / f"{name}.ckpt.json"
-        code = cli_run(["train", "--config", str(cfg_path), "--metrics", str(metrics),
-                        "--checkpoint", str(ckpt), "--fixed-clock"])
+        out_dir = tmp_path / name
+        code = cli_run(["train", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                        "--fixed-clock"])
         assert code == 0
-        blobs.append((metrics.read_bytes(), ckpt.read_bytes()))
+        blobs.append(((out_dir / "metrics.csv").read_bytes(),
+                      (out_dir / "checkpoint.json").read_bytes()))
     same_metrics = blobs[0][0] == blobs[1][0]
     same_ckpt = blobs[0][1] == blobs[1][1]
     ok = same_metrics and same_ckpt
@@ -399,7 +399,7 @@ def _knn_predictions(train_z, train_labels, test_z, k):
     for row in test_z:
         for c in range(int(train_labels.max()) + 1):
             if weighted_knn_eval(train_z, train_labels, row[None, :],
-                                 np.array([c]), k=k) == 100.0:
+                                 np.array([c]), k=k, tau=0.1) == 100.0:
                 preds.append(c)
                 break
     return preds

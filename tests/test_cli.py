@@ -17,13 +17,16 @@ from selcontrast.neighbors import grid_rows
 from selcontrast.selection import SelectionState
 from selcontrast.training import METRICS_COLUMNS
 
-# Small enough that a full train run takes well under a second.
-TINY = [
-    "--n", "80", "--classes", "2", "--dim", "6", "--cluster-spread", "0.4",
-    "--noise-rate", "0.2", "--t-max", "2", "--t-warm", "1", "--t-finetune", "2",
+# Small enough that a full train run takes well under a second: the dataset
+# keys, which `gen` takes and `train --data` refuses, then the rest.
+TINY_DATA = ["--n", "80", "--classes", "2", "--dim", "6", "--cluster-spread", "0.4",
+             "--noise-rate", "0.2"]
+TINY_RUN = [
+    "--t-max", "2", "--t-warm", "1", "--t-finetune", "2",
     "--batch-size", "16", "--k", "10", "--k-eval", "10", "--hidden-dim", "16",
     "--proj-dim", "8", "--lr", "0.05", "--lr-schedule", "[]",
 ]
+TINY = TINY_DATA + TINY_RUN
 TINY_EPOCHS = 2  # keep in sync with --t-max above
 
 
@@ -32,11 +35,9 @@ def trained(tmp_path_factory):
     """One generated dataset plus a completed train run, shared by the module."""
     root = tmp_path_factory.mktemp("cli")
     data = root / "ds.csv"
-    assert cli_run(["gen", "--n", "80", "--classes", "2", "--dim", "6",
-                    "--spread", "0.4", "--seed", "3", "--noise-rate", "0.2",
-                    "--out", str(data)]) == 0
+    assert cli_run(["gen", *TINY_DATA, "--data-seed", "3", "--out", str(data)]) == 0
     out_dir = root / "run"
-    assert cli_run(["train", *TINY, "--data", str(data),
+    assert cli_run(["train", *TINY_RUN, "--data", str(data),
                     "--out-dir", str(out_dir), "--fixed-clock"]) == 0
     return {"data": data, "out_dir": out_dir,
             "checkpoint": out_dir / "checkpoint.json"}
@@ -45,7 +46,7 @@ def trained(tmp_path_factory):
 def test_gen_writes_header_plus_n_rows(tmp_path, capsys):
     out = tmp_path / "ds.csv"
     assert cli_run(["gen", "--n", "60", "--classes", "3", "--dim", "5",
-                    "--seed", "2", "--out", str(out)]) == 0
+                    "--data-seed", "2", "--noise-rate", "0", "--out", str(out)]) == 0
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 1 + 60
     ds = load_features_csv(out)
@@ -118,10 +119,9 @@ def test_eval_prints_json_to_stdout_without_out_flag(trained, capsys):
 
 
 def test_train_without_finetune_leaves_report_field_null(tmp_path, trained):
-    report_path = tmp_path / "report.json"
-    assert cli_run(["train", *TINY, "--data", str(trained["data"]), "--t-finetune", "0",
-                    "--report", str(report_path), "--fixed-clock"]) == 0
-    report = json.loads(report_path.read_text())
+    assert cli_run(["train", *TINY_RUN, "--data", str(trained["data"]), "--t-finetune", "0",
+                    "--out-dir", str(tmp_path), "--fixed-clock"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
     assert report["finetuned_test_accuracy"] is None
     assert 0.0 <= report["pretrain_test_accuracy"] <= 100.0
     assert report["config"]["t_finetune"] == 0  # the report names the run that ran
@@ -130,17 +130,16 @@ def test_train_without_finetune_leaves_report_field_null(tmp_path, trained):
 def test_fixed_clock_runs_are_byte_identical(tmp_path, trained):
     blobs = []
     for name in ("a", "b"):
-        metrics = tmp_path / f"{name}.csv"
-        assert cli_run(["train", *TINY, "--data", str(trained["data"]),
-                        "--metrics", str(metrics), "--t-finetune", "0",
+        assert cli_run(["train", *TINY_RUN, "--data", str(trained["data"]),
+                        "--out-dir", str(tmp_path / name), "--t-finetune", "0",
                         "--fixed-clock"]) == 0
-        blobs.append(metrics.read_bytes())
+        blobs.append((tmp_path / name / "metrics.csv").read_bytes())
     assert blobs[0] == blobs[1]
 
 
 def test_train_dumps_selection_and_pseudo_labels(tmp_path, trained):
     sel, pseudo = tmp_path / "sel.json", tmp_path / "pseudo.csv"
-    assert cli_run(["train", *TINY, "--data", str(trained["data"]), "--t-finetune", "0",
+    assert cli_run(["train", *TINY_RUN, "--data", str(trained["data"]), "--t-finetune", "0",
                     "--dump-selection", str(sel), "--dump-pseudo", str(pseudo),
                     "--fixed-clock"]) == 0
     payload = json.loads(sel.read_text())
@@ -210,7 +209,7 @@ def _assert_dumps_describe(state, sel, pseudo):
 
 def _train_with_dumps(tmp_path, trained, *extra):
     sel, pseudo = tmp_path / "sel.json", tmp_path / "pseudo.csv"
-    assert cli_run(["train", *TINY, *extra, "--data", str(trained["data"]),
+    assert cli_run(["train", *TINY_RUN, *extra, "--data", str(trained["data"]),
                     "--dump-selection", str(sel), "--dump-pseudo", str(pseudo),
                     "--fixed-clock"]) == 0
     return sel, pseudo
@@ -254,11 +253,10 @@ def test_config_file_with_flag_override(tmp_path, trained):
                                     "lr": 0.05, "lr_schedule": [],
                                     "lambda_s": 0.01, "hidden_dim": 16,
                                     "proj_dim": 8}))
-    report_path = tmp_path / "report.json"
     assert cli_run(["train", "--config", str(cfg_path), "--data", str(trained["data"]),
-                    "--lambda-s", "0.05", "--report", str(report_path),
+                    "--lambda-s", "0.05", "--out-dir", str(tmp_path / "run"),
                     "--fixed-clock"]) == 0
-    cfg = json.loads(report_path.read_text())["config"]
+    cfg = json.loads((tmp_path / "run" / "report.json").read_text())["config"]
     assert cfg["lambda_s"] == 0.05  # flag beats file
     assert cfg["t_max"] == 2        # file beats built-in default
 
@@ -314,7 +312,7 @@ def test_dump_proj_train_split(tmp_path, trained, monkeypatch):
             return real(params, x, project=project, backprop=backprop)
         monkeypatch.setattr(module, "forward", counting)
     out = tmp_path / "proj.csv"
-    assert cli_run(["dump-proj", *TINY, "--checkpoint", str(trained["checkpoint"]),
+    assert cli_run(["dump-proj", "--k", "10", "--checkpoint", str(trained["checkpoint"]),
                     "--data", str(trained["data"]), "--out", str(out)]) == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "x,y,true_label,noisy_label,in_T"
@@ -326,7 +324,7 @@ def test_dump_proj_train_split(tmp_path, trained, monkeypatch):
 
 def test_dump_proj_test_split_marks_nothing_confident(tmp_path, trained):
     out = tmp_path / "proj.csv"
-    assert cli_run(["dump-proj", *TINY, "--checkpoint", str(trained["checkpoint"]),
+    assert cli_run(["dump-proj", "--k", "10", "--checkpoint", str(trained["checkpoint"]),
                     "--data", str(trained["data"]), "--out", str(out),
                     "--split", "test"]) == 0
     lines = out.read_text().strip().split("\n")
@@ -365,8 +363,8 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
 
 
 def test_missing_data_file_exits_1(tmp_path, capsys):
-    assert cli_run(["train", *TINY, "--data", str(tmp_path / "nope.csv")]) == 1
-    capsys.readouterr()
+    assert cli_run(["train", *TINY_RUN, "--data", str(tmp_path / "nope.csv")]) == 1
+    assert "bad dataset" in capsys.readouterr().err
 
 
 def test_corrupt_checkpoint_exits_1(tmp_path, trained, capsys):
@@ -388,13 +386,78 @@ def test_checkpoint_with_wrong_projection_shape_exits_1(tmp_path, trained, capsy
     assert "bad checkpoint" in err and "proj_w1" in err
 
 
-def test_train_with_nothing_selected_exits_2_naming_the_quota(capsys):
+def test_train_with_nothing_selected_exits_2_naming_the_quota(tmp_path, capsys):
     # k >= n_train - 1 on balanced clean data: every per-class quota is 0
     # (tests/test_training.py pins the records), so fine-tuning has nothing to fit
     assert cli_run(["train", "--n", "100", "--noise-rate", "0", "--k", "500",
-                    "--t-max", "3", "--t-finetune", "1", "--fixed-clock"]) == 2
+                    "--t-max", "3", "--t-finetune", "1", "--fixed-clock",
+                    "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "ValueError: no confident examples selected: per_class_quota is 0\n" in err
+    # what pretraining produced is on disk; nothing after fine-tuning is
+    rows = (tmp_path / "metrics.csv").read_text().strip().split("\n")
+    n_t = rows[0].split(",").index("n_T")
+    assert [row.split(",")[n_t] for row in rows[1:]] == ["0", "0", "0"]
+    assert json.loads((tmp_path / "config.json").read_text())["k"] == 500
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "metrics.csv"]
+
+
+@pytest.mark.parametrize("command", ["gen", "train"])
+@pytest.mark.parametrize("flags, message", [
+    (["--cluster-spread", "0"], "cluster_spread must be positive"),
+    (["--classes", "1"], "need at least 2 classes"),
+    (["--n", "3"], "need at least one example per class"),
+    (["--noise-rate", "1.5"], "noise_rate must lie in [0, 1]"),
+])
+def test_bad_dataset_key_exits_1(tmp_path, capsys, command, flags, message):
+    out = ["--out", str(tmp_path / "ds.csv")] if command == "gen" else ["--t-max", "1"]
+    assert cli_run([command, *flags, *out]) == 1
+    assert f"bad configuration: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_data_refuses_dataset_flags(tmp_path, trained, capsys):
+    out_dir = tmp_path / "run"
+    assert cli_run(["train", *TINY_RUN, "--data", str(trained["data"]), "--n", "5000",
+                    "--classes", "7", "--noise-rate", "0.9",
+                    "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "--n, --classes, --noise-rate cannot be combined with --data" in err
+    assert not out_dir.exists()
+
+
+def test_train_data_accepts_dataset_keys_from_a_config_file(tmp_path, trained):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 5000, "classes": 7}))
+    assert cli_run(["train", "--config", str(cfg_path), *TINY_RUN,
+                    "--data", str(trained["data"]), "--out-dir", str(tmp_path / "run"),
+                    "--fixed-clock"]) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["n_train"] + report["n_test"] == 80  # the CSV's rows, not n
+
+
+def test_gen_then_train_on_its_csv_matches_train_alone(tmp_path):
+    # gen takes train's dataset keys and defaults, so its CSV is the dataset
+    # train generates for itself, to the bit
+    data = tmp_path / "ds.csv"
+    assert cli_run(["gen", "--out", str(data)]) == 0
+    short = ["--t-max", "2", "--t-finetune", "1", "--fixed-clock"]
+    assert cli_run(["train", *short, "--data", str(data), "--out-dir",
+                    str(tmp_path / "a")]) == 0
+    assert cli_run(["train", *short, "--out-dir", str(tmp_path / "b")]) == 0
+    for name in ("metrics.csv", "config.json", "report.json", "checkpoint.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_each_subcommand_takes_only_the_options_it_reads(capsys):
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if action.dest == "command")
+    counts = {name: sum(1 for action in parser._actions if action.dest != "help")
+              for name, parser in subparsers.choices.items()}
+    assert counts == {"gen": 9, "train": 45, "eval": 7, "sweep": 44, "dump-proj": 9}
+    assert cli_run(["eval", "--checkpoint", "c.json", "--data", "d.csv",
+                    "--hidden-dim", "3"]) == 1
+    assert "--hidden-dim" in capsys.readouterr().err
 
 
 def test_mismatched_checkpoint_is_runtime_error(tmp_path, trained, capsys):

@@ -42,7 +42,7 @@ def test_knn_duplicated_test_points_score_perfectly():
     rng = np.random.default_rng(0)
     train = unit_rows(rng.normal(size=(20, 4)))
     labels = rng.integers(0, 3, size=20)
-    acc = weighted_knn_eval(train, labels, train.copy(), labels, k=1)
+    acc = weighted_knn_eval(train, labels, train.copy(), labels, k=1, tau=0.1)
     assert acc == 100.0
 
 
@@ -53,7 +53,7 @@ def test_knn_separated_clusters_clean_labels():
     train = centers[train_labels] + rng.normal(size=(30, 2))
     test_labels = np.repeat([0, 1], 5)
     test = centers[test_labels] + rng.normal(size=(10, 2))
-    assert weighted_knn_eval(train, train_labels, test, test_labels, k=5) == 100.0
+    assert weighted_knn_eval(train, train_labels, test, test_labels, k=5, tau=0.1) == 100.0
 
 
 def test_knn_hand_computed_weighted_vote():
@@ -89,7 +89,7 @@ def knn_predictions(train, train_labels, test, k):
     for row in test:
         for c in range(int(train_labels.max()) + 1):
             if weighted_knn_eval(train, train_labels, row[None, :],
-                                 np.array([c]), k=k) == 100.0:
+                                 np.array([c]), k=k, tau=0.1) == 100.0:
                 preds.append(c)
                 break
     return preds
@@ -110,18 +110,19 @@ def test_knn_tie_breaks_to_smaller_class():
     # two train points mirror-symmetric around the test point, labels 1 and 0
     train = unit_rows(np.array([[1.0, 0.1], [1.0, -0.1]]))
     test = unit_rows(np.array([[1.0, 0.0]]))
-    acc = weighted_knn_eval(train, np.array([1, 0]), test, np.array([0]), k=2)
+    acc = weighted_knn_eval(train, np.array([1, 0]), test, np.array([0]), k=2, tau=0.1)
     assert acc == 100.0
 
 
 def test_knn_validates_arguments():
     z = unit_rows(np.ones((3, 2)))
     with pytest.raises(ValueError):
-        weighted_knn_eval(z, np.zeros(3, int), z, np.zeros(3, int), k=4)
+        weighted_knn_eval(z, np.zeros(3, int), z, np.zeros(3, int), k=4, tau=0.1)
     with pytest.raises(ValueError):
-        weighted_knn_eval(z, np.zeros(3, int), z, np.zeros(3, int), tau=0.0)
+        weighted_knn_eval(z, np.zeros(3, int), z, np.zeros(3, int), k=1, tau=0.0)
     with pytest.raises(ValueError):
-        weighted_knn_eval(np.zeros((3, 2)), np.zeros(3, int), z, np.zeros(3, int))
+        weighted_knn_eval(np.zeros((3, 2)), np.zeros(3, int), z, np.zeros(3, int), k=1,
+                          tau=0.1)
 
 
 def assert_knn_matches_reference(train, train_labels, test, k, tau, rng):
@@ -181,14 +182,6 @@ def test_knn_spans_several_row_blocks_at_any_width(dim):
     train_labels = rng.integers(0, 4, size=300)
     for k in (1, 37, 300):
         assert_knn_matches_reference(train, train_labels, test, k, 0.1, rng)
-
-
-def test_knn_default_k_clips_to_train_size():
-    rng = np.random.default_rng(3)
-    train = unit_rows(rng.normal(size=(12, 3)))
-    labels = rng.integers(0, 2, size=12)
-    acc = weighted_knn_eval(train, labels, train, labels)  # k -> 12, not 200
-    assert 0.0 <= acc <= 100.0
 
 
 # ---------------------------------------------------------------------------

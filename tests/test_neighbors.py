@@ -365,17 +365,10 @@ def test_clean_separated_clusters_reproduce_labels():
     np.testing.assert_array_equal(state.y_hat, labels)
 
 
-def test_default_k_clips_to_population():
-    rng = np.random.default_rng(5)
-    bank = EmbeddingBank(z=unit_rows(rng.normal(size=(12, 3))))
-    state = aggregate_pseudo_labels(bank, np.zeros(12, dtype=int), n_classes=1)
-    assert state.k == 11
-
-
 def test_length_mismatch_rejected():
     bank = angles_to_bank(np.array([0.0, 0.5, 1.0]))
     with pytest.raises(ValueError):
-        aggregate_pseudo_labels(bank, np.zeros(4, dtype=int), k=2)
+        aggregate_pseudo_labels(bank, np.zeros(4, dtype=int), k=2, n_classes=1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ from selcontrast.evaluation import weighted_knn_eval
 from selcontrast.network import OptState, apply_lr_schedule, forward, init_params
 from selcontrast import neighbors, training
 from selcontrast.selection import run_selection
-from selcontrast.training import (METRICS_COLUMNS, EpochRecord, RunConfig,
-                                  benchmark_config, compute_selection, dataset_from_config,
-                                  finetune, pretrain, pretrain_epoch,
-                                  train_cross_entropy_baseline, train_embedding, warmup,
-                                  write_metrics_csv)
+from selcontrast.training import (DATASET_KEYS, METRICS_COLUMNS, PROBE_KEYS, SELECTION_KEYS,
+                                  EpochRecord, RunConfig, benchmark_config, compute_selection,
+                                  dataset_from_config, finetune, model_metrics, pretrain,
+                                  pretrain_epoch, train_cross_entropy_baseline,
+                                  train_embedding, warmup, write_metrics_csv)
 from selcontrast.training import test_accuracy as model_test_accuracy
 
 
@@ -115,6 +115,57 @@ def test_dataset_from_config_matches_direct_generation():
                                     rng_seed=cfg.noise_seed))
     np.testing.assert_array_equal(ds.instances, direct.instances)
     np.testing.assert_array_equal(ds.noisy_labels, direct.noisy_labels)
+
+
+class ReadLog:
+    """A RunConfig stand-in that records the name of every attribute read."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.read = set()
+
+    def __getattr__(self, name):  # called only for names the log itself lacks
+        self.read.add(name)
+        return getattr(self.cfg, name)
+
+
+def test_each_key_tuple_is_exactly_what_its_function_reads():
+    cfg = tiny_config()
+    assert cfg.noise_rate > 0  # the noise keys are read only then
+    ds = dataset_from_config(cfg)
+    params, _ = fresh_start(cfg, ds)
+    train_z = train_embedding(params, ds)
+    for keys, call in ((DATASET_KEYS, dataset_from_config),
+                       (PROBE_KEYS, lambda c: model_metrics(params, ds, c, train_z)),
+                       (SELECTION_KEYS, lambda c: compute_selection(train_z, ds, c))):
+        log = ReadLog(cfg)
+        call(log)
+        assert len(set(keys)) == len(keys)
+        assert log.read == set(keys)
+
+
+def test_model_metrics_clips_k_eval_to_train_size():
+    cfg = tiny_config(k_eval=500)
+    ds = dataset_from_config(cfg)
+    params, _ = fresh_start(cfg, ds)
+    train_z = train_embedding(params, ds)
+    test_idx = ds.test_indices()
+    test_z = forward(params, ds.instances[test_idx], backprop=False).z
+    assert cfg.k_eval > len(train_z)
+    knn, _ = model_metrics(params, ds, cfg, train_z)
+    assert knn == weighted_knn_eval(train_z, ds.noisy_labels[ds.train_indices()], test_z,
+                                    ds.true_labels[test_idx], k=len(train_z),
+                                    tau=cfg.tau_knn)
+
+
+def test_compute_selection_clips_k_to_population():
+    cfg = tiny_config()
+    ds = dataset_from_config(cfg)
+    params, _ = fresh_start(cfg, ds)
+    train_z = train_embedding(params, ds)
+    for k in (len(train_z), 500):
+        cfg.k = k
+        assert compute_selection(train_z, ds, cfg).pseudo.k == len(train_z) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +398,8 @@ def test_knn_probe_peak_memory():
     train, test = rng.normal(size=(4000, 32)), rng.normal(size=(1000, 32))
     labels = rng.integers(0, 4, size=4000)
     full_matrix = 8 * len(test) * len(train)
-    peak = traced_peak(lambda: weighted_knn_eval(train, labels, test, labels[:1000], k=200))
+    peak = traced_peak(lambda: weighted_knn_eval(train, labels, test, labels[:1000], k=200,
+                                                   tau=0.1))
     assert peak <= full_matrix // 4, f"{peak / full_matrix:.3f} of the (1000, 4000) matrix"
 
 
