@@ -17,9 +17,8 @@ from .data import dump_features_csv, load_features_csv
 from .evaluation import dump_projection_2d
 from .network import forward, load_checkpoint, save_checkpoint
 from .training import (DATASET_KEYS, PROBE_KEYS, SELECTION_KEYS, RunConfig,
-                       benchmark_config, compute_selection, dataset_from_config, finetune,
-                       model_metrics, pretrain, test_accuracy, train_embedding,
-                       write_metrics_csv)
+                       compute_selection, dataset_from_config, finetune, model_metrics,
+                       pretrain, test_accuracy, train_embedding, write_metrics_csv)
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -51,21 +50,15 @@ def _add_config_flags(parser: argparse.ArgumentParser, keys, config_file=True) -
         if key == "lr_schedule":
             parser.add_argument(_flag(key), default=None, metavar="JSON",
                                 help="e.g. '[[126,0.1],[201,0.1]]'")
-        elif isinstance(default, bool):
-            parser.add_argument(_flag(key), action=argparse.BooleanOptionalAction,
-                                default=None)
         else:
             parser.add_argument(_flag(key), type=type(default), default=None)
 
 
 def _resolve_config(args) -> RunConfig:
-    """The --config file (benchmark_config() without one) with every given
-    flag applied, validated."""
+    """RunConfig's defaults, then the --config file's keys, then every given
+    flag, validated."""
     try:
-        if getattr(args, "config", None):
-            cfg = RunConfig.from_json(args.config)
-        else:
-            cfg = benchmark_config()
+        cfg = RunConfig.from_json(args.config) if getattr(args, "config", None) else RunConfig()
         for key in _FIELDS:
             value = getattr(args, key, None)
             if value is None:
@@ -129,13 +122,18 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _refuse_given(args, names, reason: str) -> None:
+    """Fail naming each option of `names` (argparse dests) that was given."""
+    given = [_flag(name) for name in names if getattr(args, name, None) is not None]
+    if given:
+        raise CliError(f"{', '.join(given)} cannot be combined with {reason}")
+
+
 def _load_dataset(args, cfg: RunConfig):
     """The --data CSV when given, which no dataset flag may accompany;
     otherwise the dataset cfg's dataset keys describe."""
     if getattr(args, "data", None):
-        given = [_flag(key) for key in DATASET_KEYS if getattr(args, key, None) is not None]
-        if given:
-            raise CliError(f"{', '.join(given)} cannot be combined with --data")
+        _refuse_given(args, DATASET_KEYS, "--data")
         try:
             return load_features_csv(args.data)
         except (OSError, ValueError) as exc:
@@ -340,6 +338,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_dump_proj(args) -> int:
+    if args.split == "test":  # nothing is selected on the test split
+        _refuse_given(args, ("config", *SELECTION_KEYS), "--split test")
     cfg = _resolve_config(args)
     try:
         params = load_checkpoint(args.checkpoint)

@@ -69,14 +69,11 @@ class NoiseSpec:
     kind "symmetric" redraws the label of a fixed fraction of train examples
     uniformly over all classes (so a share rate/n_classes lands back on the
     original label). kind "asymmetric" flips each train label with probability
-    `rate` through a class map; the default map sends c to (c+1) mod n_classes.
-    An explicit asym_map may cover only some classes; unmapped classes never
-    flip, and mapped entries must change the class.
+    `rate` from class c to class (c+1) mod n_classes.
     """
 
     kind: str
     rate: float
-    asym_map: dict[int, int] | None = None
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -84,10 +81,6 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind: {self.kind!r}")
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError("noise rate must lie in [0, 1]")
-        if self.asym_map is not None:
-            for src, dst in self.asym_map.items():
-                if src == dst:
-                    raise ValueError(f"asym_map must change the class (got {src}->{dst})")
 
 
 @dataclass(frozen=True)
@@ -157,12 +150,8 @@ def inject_noise(ds: Dataset, spec: NoiseSpec) -> Dataset:
 
     Instances, true labels, split and test labels are untouched.
     """
-    if spec.asym_map is not None:
-        for src, dst in spec.asym_map.items():
-            if not (0 <= src < ds.n_classes and 0 <= dst < ds.n_classes):
-                raise ValueError(f"asym_map entry {src}->{dst} outside [0, {ds.n_classes})")
-    if spec.kind == "asymmetric" and spec.asym_map is None and ds.n_classes < 2:
-        raise ValueError("asymmetric noise without a map needs at least 2 classes")
+    if spec.kind == "asymmetric" and ds.n_classes < 2:
+        raise ValueError("asymmetric noise needs at least 2 classes")
 
     rng = np.random.default_rng(spec.rng_seed)
     train = ds.train_indices()
@@ -172,12 +161,8 @@ def inject_noise(ds: Dataset, spec: NoiseSpec) -> Dataset:
         chosen = train[rng.permutation(len(train))[:n_corrupt]]
         noisy[chosen] = rng.integers(0, ds.n_classes, size=n_corrupt)
     else:
-        mapping = spec.asym_map
-        if mapping is None:
-            mapping = {c: (c + 1) % ds.n_classes for c in range(ds.n_classes)}
-        flip = rng.random(len(train)) < spec.rate
-        for i in train[flip]:
-            noisy[i] = mapping.get(int(noisy[i]), int(noisy[i]))
+        flip = train[rng.random(len(train)) < spec.rate]
+        noisy[flip] = (noisy[flip] + 1) % ds.n_classes
     return replace(ds, noisy_labels=noisy)
 
 
@@ -244,12 +229,11 @@ def dump_features_csv(ds: Dataset, path) -> None:
             writer.writerow(row)
 
 
-def load_features_csv(path, n_classes: int | None = None) -> Dataset:
+def load_features_csv(path) -> Dataset:
     """Read a dataset written by dump_features_csv.
 
-    Malformed rows raise ValueError naming the offending line. When n_classes
-    is given, labels are validated against it; otherwise the class count is
-    inferred as max(label) + 1.
+    Malformed rows raise ValueError naming the offending line. The class
+    count is inferred as max(label) + 1.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -276,13 +260,11 @@ def load_features_csv(path, n_classes: int | None = None) -> Dataset:
     noisy_arr = np.asarray(noisy_labels, dtype=np.int64)
     if len(true_arr) == 0:
         raise ValueError(f"{path}: no data rows")
-    if n_classes is None:
-        n_classes = int(max(true_arr.max(), noisy_arr.max())) + 1
+    n_classes = int(max(true_arr.max(), noisy_arr.max())) + 1
     for name, arr in (("true_label", true_arr), ("noisy_label", noisy_arr)):
-        bad = np.flatnonzero((arr < 0) | (arr >= n_classes))
+        bad = np.flatnonzero(arr < 0)
         if bad.size:
-            raise ValueError(
-                f"{path}: line {bad[0] + 2}: {name} {arr[bad[0]]} outside [0, {n_classes})")
+            raise ValueError(f"{path}: line {bad[0] + 2}: {name} {arr[bad[0]]} is negative")
     return Dataset(
         instances=np.asarray(feats, dtype=np.float64),
         true_labels=true_arr,

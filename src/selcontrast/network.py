@@ -312,8 +312,8 @@ class OptState:
     """
 
     lr: float
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
+    momentum: float
+    weight_decay: float
     schedule: list[tuple[int, float]] = field(default_factory=list)
     buffers: dict[str, np.ndarray] = field(default_factory=dict)
     lr_scale: dict[str, float] = field(default_factory=dict)
@@ -321,8 +321,8 @@ class OptState:
     chunk_pair: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
-    def for_params(cls, params: NetworkParams, lr: float, momentum: float = 0.9,
-                   weight_decay: float = 1e-4, schedule=None,
+    def for_params(cls, params: NetworkParams, lr: float, momentum: float,
+                   weight_decay: float, schedule=None,
                    lr_scale: dict[str, float] | None = None) -> "OptState":
         opt = cls(lr=lr, momentum=momentum, weight_decay=weight_decay,
                   schedule=[(int(e), float(m)) for e, m in (schedule or [])],

@@ -1,6 +1,8 @@
 """End-to-end checks of the command-line harness, driven in-process via cli_run."""
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +17,7 @@ from selcontrast.data import load_features_csv
 from selcontrast.network import load_checkpoint
 from selcontrast.neighbors import grid_rows
 from selcontrast.selection import SelectionState
-from selcontrast.training import METRICS_COLUMNS
+from selcontrast.training import METRICS_COLUMNS, RunConfig
 
 # Small enough that a full train run takes well under a second: the dataset
 # keys, which `gen` takes and `train --data` refuses, then the rest.
@@ -324,13 +326,31 @@ def test_dump_proj_train_split(tmp_path, trained, monkeypatch):
 
 def test_dump_proj_test_split_marks_nothing_confident(tmp_path, trained):
     out = tmp_path / "proj.csv"
-    assert cli_run(["dump-proj", "--k", "10", "--checkpoint", str(trained["checkpoint"]),
+    assert cli_run(["dump-proj", "--checkpoint", str(trained["checkpoint"]),
                     "--data", str(trained["data"]), "--out", str(out),
                     "--split", "test"]) == 0
     lines = out.read_text().strip().split("\n")
     ds = load_features_csv(trained["data"])
     assert len(lines) == 1 + len(ds.test_indices())
     assert all(line.endswith(",0") for line in lines[1:])
+
+
+@pytest.mark.parametrize("split, flags, refused", [
+    ("test", ["--k", "3", "--alpha", "0.9"], "--k, --alpha"),
+    ("test", ["--config", "c.json"], "--config"),
+    ("train", ["--k", "3", "--alpha", "0.9"], None),
+])
+def test_dump_proj_test_split_refuses_selection_flags(tmp_path, trained, capsys, split, flags,
+                                                      refused):
+    # the test split selects nothing, so no selection key may be given for it
+    out = tmp_path / "proj.csv"
+    code = cli_run(["dump-proj", *flags, "--checkpoint", str(trained["checkpoint"]),
+                    "--data", str(trained["data"]), "--out", str(out), "--split", split])
+    if refused is None:
+        assert code == 0 and out.exists()
+    else:
+        assert code == 1 and not out.exists()
+        assert f"{refused} cannot be combined with --split test" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_1(capsys):
@@ -416,6 +436,35 @@ def test_bad_dataset_key_exits_1(tmp_path, capsys, command, flags, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--drop-prob", "1.5"], "drop_prob must lie in [0, 1]"),
+    (["--jitter-sigma", "-1"], "jitter_sigma must be >= 0"),
+    (["--scale-low", "0"], "scale_range must satisfy 0 < low <= high"),
+    (["--scale-low", "2"], "scale_range must satisfy 0 < low <= high"),
+    (["--hidden-dim", "0"], "hidden_dim must be >= 1"),
+    (["--proj-dim", "0"], "proj_dim must be >= 1"),
+])
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_bad_augmentation_or_width_key_exits_1(tmp_path, capsys, command, flags, message):
+    out = (["--out-dir", str(tmp_path / "run")] if command == "train" else
+           ["--axis", "alpha", "--values", "0.5", "--seeds", "1",
+            "--out", str(tmp_path / "sweep.csv")])
+    assert cli_run([command, *flags, "--t-max", "1", *out]) == 1
+    assert f"bad configuration: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_file_and_flags_start_from_the_same_defaults(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 1}))
+    short = [*TINY_DATA, "--t-max", "2", "--t-finetune", "1", "--fixed-clock"]
+    assert cli_run(["train", "--config", str(cfg_path), *short,
+                    "--out-dir", str(tmp_path / "a")]) == 0
+    assert cli_run(["train", "--seed", "1", *short, "--out-dir", str(tmp_path / "b")]) == 0
+    for name in ("config.json", "metrics.csv", "report.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_train_data_refuses_dataset_flags(tmp_path, trained, capsys):
     out_dir = tmp_path / "run"
     assert cli_run(["train", *TINY_RUN, "--data", str(trained["data"]), "--n", "5000",
@@ -454,10 +503,21 @@ def test_each_subcommand_takes_only_the_options_it_reads(capsys):
                       if action.dest == "command")
     counts = {name: sum(1 for action in parser._actions if action.dest != "help")
               for name, parser in subparsers.choices.items()}
-    assert counts == {"gen": 9, "train": 45, "eval": 7, "sweep": 44, "dump-proj": 9}
+    assert counts == {"gen": 9, "train": 43, "eval": 6, "sweep": 42, "dump-proj": 9}
     assert cli_run(["eval", "--checkpoint", "c.json", "--data", "d.csv",
                     "--hidden-dim", "3"]) == 1
     assert "--hidden-dim" in capsys.readouterr().err
+
+
+def test_readme_config_table_names_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration keys\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    documented = re.findall(r"`([a-z0-9_]+)`", "\n".join(rows))
+    assert sorted(documented) == sorted(f.name for f in dataclasses.fields(RunConfig))
+    # the section's example config file loads
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    RunConfig.from_dict(json.loads(example))
 
 
 def test_mismatched_checkpoint_is_runtime_error(tmp_path, trained, capsys):

@@ -574,7 +574,8 @@ def test_sgd_step_within_the_bound_runs_one_pass(check_calls):
 def test_optimizer_holds_arrays_only_for_trained_tensors():
     params = small_params(seed=35, projection="mlp")
     frozen = {"proj_w1": 0.0, "proj_b1": 0.0, "proj_w2": 0.0, "proj_b2": 0.0, "enc_w1": 0.0}
-    opt = OptState.for_params(params, lr=0.1, lr_scale={**frozen, "enc_b1": 0.5})
+    opt = OptState.for_params(params, lr=0.1, momentum=0.9, weight_decay=1e-4,
+                              lr_scale={**frozen, "enc_b1": 0.5})
     trained = {name for name, _ in params.named_arrays()} - set(frozen)
     assert set(opt.buffers) == set(opt.grads) == trained
     before = params.copy()

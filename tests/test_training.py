@@ -1,6 +1,7 @@
 """Tests for the training loops: warm-up behavior, per-epoch selection,
 determinism, fallback paths, fine-tuning and the cross-entropy control.
 """
+import dataclasses
 import time
 import tracemalloc
 
@@ -97,6 +98,11 @@ def test_config_validation_messages():
     # 0 freezes the encoder; a negative scale would step it up its gradient
     with pytest.raises(ValueError, match="finetune_encoder_scale"):
         tiny_config(finetune_encoder_scale=-0.1)
+
+
+def test_defaults_are_the_benchmark_config():
+    # one default set: a config file, a flag and benchmark_config all start here
+    assert RunConfig() == benchmark_config()
 
 
 def test_validate_normalizes_the_lr_schedule():
@@ -242,7 +248,7 @@ def test_small_train_split_and_trailing_batch_of_one(monkeypatch, batch_size):
         assert np.all(np.isfinite([record.l_mix, record.l_cls, record.l_sim, record.l_all]))
     assert all(r.n_confident > 0 for r in result.history[1:])  # selective, no fallback
     tuned = finetune(result.params, ds, cfg, selection=result.selection)
-    control = train_cross_entropy_baseline(ds, cfg, epochs=2)
+    control = train_cross_entropy_baseline(ds, dataclasses.replace(cfg, t_max=2, t_finetune=0))
     for trained, start in ((tuned, result.params), (control, initial)):
         for name, arr in trained.named_arrays():
             assert np.all(np.isfinite(arr)), name
@@ -521,7 +527,7 @@ def test_finetune_improves_or_matches_clean_baseline():
     ds = dataset_from_config(cfg)
     result = pretrain(ds, cfg)
     tuned = finetune(result.params, ds, cfg, selection=result.selection)
-    ce = train_cross_entropy_baseline(ds, cfg, epochs=cfg.t_max + cfg.t_finetune)
+    ce = train_cross_entropy_baseline(ds, cfg)
     assert model_test_accuracy(tuned, ds) >= model_test_accuracy(ce, ds) - 1e-9
 
 
@@ -566,14 +572,6 @@ def test_finetune_fresh_head_starts_from_zero():
     result = pretrain(ds, cfg)
     tuned = finetune(result.params, ds, cfg, selection=result.selection)
     np.testing.assert_array_equal(tuned.cls_w, np.zeros_like(tuned.cls_w))
-
-
-def test_finetune_can_keep_pretraining_head():
-    cfg = tiny_config(retrain_classifier=False, t_finetune=0)
-    ds = dataset_from_config(cfg)
-    result = pretrain(ds, cfg)
-    tuned = finetune(result.params, ds, cfg, selection=result.selection)
-    np.testing.assert_array_equal(tuned.cls_w, result.params.cls_w)
 
 
 def test_finetune_head_fits_confident_set_on_frozen_encoder():
@@ -798,17 +796,17 @@ def test_batched_augment_changes_no_bit_of_a_run(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_baseline_learns_clean_separable_data():
-    cfg = tiny_config(noise_rate=0.0)
+    cfg = tiny_config(noise_rate=0.0, t_max=20, t_finetune=0)
     ds = dataset_from_config(cfg)
-    ce = train_cross_entropy_baseline(ds, cfg, epochs=20)
+    ce = train_cross_entropy_baseline(ds, cfg)
     assert model_test_accuracy(ce, ds) >= 90.0
 
 
 def test_baseline_deterministic():
-    cfg = tiny_config()
+    cfg = tiny_config(t_max=3, t_finetune=0)
     ds = dataset_from_config(cfg)
-    a = train_cross_entropy_baseline(ds, cfg, epochs=3)
-    b = train_cross_entropy_baseline(ds, cfg, epochs=3)
+    a = train_cross_entropy_baseline(ds, cfg)
+    b = train_cross_entropy_baseline(ds, cfg)
     np.testing.assert_array_equal(a.cls_w, b.cls_w)
 
 

@@ -4,7 +4,7 @@ them against a recorded digest file.
 Each run is `selcontrast train --fixed-clock --out-dir DIR --dump-selection
 DIR/selection.json --dump-pseudo DIR/pseudo.csv` on one config:
 
-- desk:  benchmark_config() as it stands;
+- desk:  the defaults (RunConfig());
 - wide:  asymmetric noise, dim 64, hidden 512, MLP projection to 128;
 - scale: --n 3000 --t-max 3 --t-finetune 3 --k 250.
 
