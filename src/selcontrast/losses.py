@@ -12,6 +12,9 @@ Conventions: contrastive values are summed over anchors; the classification
 and similarity values are means over their scored items. Gradients come back
 with respect to the quantities the network exposes (normalized embeddings z
 and softmax outputs p_hat), so the network's backward pass composes them.
+Each loss computes in the dtype of its z or p_hat (float32 in training):
+row weights, mixup weights and pair targets are cast to it, so a gradient
+comes back in that dtype; the values are python floats.
 """
 from __future__ import annotations
 
@@ -70,11 +73,11 @@ def _masked_term(z: np.ndarray, anchor_softmax: tuple[np.ndarray, np.ndarray],
         raise ValueError("positive mask shape mismatch")
     if np.any(np.diagonal(pos_mask)):
         raise ValueError("an anchor cannot be its own positive")
-    weights = np.ones(m) if row_weights is None else np.asarray(row_weights, dtype=np.float64)
+    weights = np.ones(m, z.dtype) if row_weights is None else np.asarray(row_weights, z.dtype)
 
-    counts = pos_mask.sum(axis=1)
+    counts = pos_mask.sum(axis=1, dtype=z.dtype)  # small integers, exact in any float
     active = counts > 0
-    per_anchor = np.zeros(m)
+    per_anchor = np.zeros(m, z.dtype)
     per_anchor[active] = -(pos_mask[active] * log_prob[active]).sum(axis=1) / counts[active]
     value = float((weights * per_anchor).sum())
 
@@ -104,7 +107,7 @@ def mixup_contrastive(z: np.ndarray, pair_a: np.ndarray, pair_b: np.ndarray,
     a (b) forms a selected pair with view j's dominant ingredient; the twin
     is added by positive_mask.
     """
-    lam = np.asarray(lam, dtype=np.float64)
+    lam = np.asarray(lam, dtype=z.dtype)
     if np.any(lam < 0.0) or np.any(lam > 1.0):
         raise ValueError("lam must lie in [0, 1]")
     shared = _anchor_softmax(z, tau)  # the masks differ, the similarities do not
@@ -145,7 +148,7 @@ def similarity_loss(p_hat: np.ndarray, targets: np.ndarray) -> tuple[float, np.n
     m = len(p_hat)
     if m < 2:
         return 0.0, np.zeros_like(p_hat)
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = np.asarray(targets, dtype=p_hat.dtype)
 
     raw = p_hat @ p_hat.T
     agree = np.clip(raw, BCE_EPS, 1.0 - BCE_EPS)

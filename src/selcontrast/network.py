@@ -2,6 +2,14 @@
 
 All forward/backward math is explicit numpy; gradients are summed over the
 batch and the caller picks the reduction by scaling upstream gradients.
+
+The network computes in the dtype of its parameters. init_params and
+load_checkpoint make float32 tensors (PARAM_DTYPE), so activations,
+gradients, momentum buffers and the SGD step are float32; forward casts its
+input to the parameters' dtype. The same code runs in float64 when it is
+handed float64 parameters, which is how the finite-difference tests check it.
+Whatever reads an embedding for selection or the kNN probe upcasts it to
+float64 first, exactly.
 """
 from __future__ import annotations
 
@@ -17,14 +25,17 @@ MLP = "mlp"
 # Norms below this floor are treated as zero during normalization.
 _NORM_FLOOR = 1e-30
 
-_CHECKPOINT_VERSION = 1
+# The dtype of the tensors init_params and load_checkpoint make.
+PARAM_DTYPE = np.float32
 
-# Elements per chunk of sgd_step; of 2**12 to 2**16, 2**15 (256 KB of float64)
-# was the fastest at the shapes of the wide benchmark workload.
+# Version 2 holds float32 values; version 1 files held float64 ones.
+_CHECKPOINT_VERSION = 2
+
+# Elements per chunk of sgd_step (and of backward's into= row chunks): 128 KB
+# of float32. At the shapes of the wide benchmark workload (2 cores, OpenBLAS
+# 0.3.31), 2**15 and 2**16 were equally fast in float32 (1.13 and 1.11 ms per
+# step) of 2**13 to 2**17, and 2**15 was the fastest in float64 (2.23 ms).
 _SGD_CHUNK = 1 << 15
-
-# sgd_step's no-overflow bound on |weight_decay|, |momentum| and |lr * scale|.
-_BOUND = 2.0 ** 200
 
 
 @dataclass
@@ -108,28 +119,30 @@ class ForwardCache:
 
 
 def he_init(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
+    """He fan-in Gaussian weights in PARAM_DTYPE, rounded from float64 draws
+    (so the generator's stream is the same whatever the dtype)."""
     w = rng.standard_normal((fan_out, fan_in))
-    w *= np.sqrt(2.0 / fan_in)  # in place: no second (fan_out, fan_in) array
-    return w
+    w *= np.sqrt(2.0 / fan_in)  # in place: no second float64 array
+    return w.astype(PARAM_DTYPE)
 
 
 def init_params(dim: int, n_classes: int, hidden: int = 64, proj_dim: int = 32,
                 projection: str = LINEAR, seed=0) -> NetworkParams:
-    """He fan-in Gaussian weights, zero biases, seeded."""
+    """He fan-in Gaussian weights, zero biases, seeded; float32 tensors."""
     if projection not in (LINEAR, MLP):
         raise ValueError(f"unknown projection kind {projection!r}")
     rng = np.random.default_rng(seed)
     proj_out1 = proj_dim if projection == LINEAR else hidden
     params = NetworkParams(
-        enc_w1=he_init(rng, hidden, dim), enc_b1=np.zeros(hidden),
-        enc_w2=he_init(rng, hidden, hidden), enc_b2=np.zeros(hidden),
-        proj_w1=he_init(rng, proj_out1, hidden), proj_b1=np.zeros(proj_out1),
-        cls_w=he_init(rng, n_classes, hidden), cls_b=np.zeros(n_classes),
+        enc_w1=he_init(rng, hidden, dim), enc_b1=np.zeros(hidden, PARAM_DTYPE),
+        enc_w2=he_init(rng, hidden, hidden), enc_b2=np.zeros(hidden, PARAM_DTYPE),
+        proj_w1=he_init(rng, proj_out1, hidden), proj_b1=np.zeros(proj_out1, PARAM_DTYPE),
+        cls_w=he_init(rng, n_classes, hidden), cls_b=np.zeros(n_classes, PARAM_DTYPE),
         projection=projection,
     )
     if projection == MLP:
         params.proj_w2 = he_init(rng, proj_dim, hidden)
-        params.proj_b2 = np.zeros(proj_dim)
+        params.proj_b2 = np.zeros(proj_dim, PARAM_DTYPE)
     return params
 
 
@@ -148,7 +161,7 @@ def _relu_layer(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def forward(params: NetworkParams, x: np.ndarray, project: bool = True,
             backprop: bool = True) -> ForwardCache:
-    """Run the network on a (batch, dim) matrix.
+    """Run the network on a (batch, dim) matrix, cast to the parameters' dtype.
 
     The projection output is L2-normalized per row; a zero pre-normalization
     row (degenerate parameters) maps to the zero vector rather than erroring.
@@ -159,7 +172,7 @@ def forward(params: NetworkParams, x: np.ndarray, project: bool = True,
     each hidden activation is dropped once the next layer exists, and the
     cache cannot be passed to backward.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = np.atleast_2d(np.asarray(x, dtype=params.enc_w1.dtype))
     if x.shape[1] != params.dim:
         raise ValueError(f"input has dim {x.shape[1]}, params expect {params.dim}")
 
@@ -225,7 +238,8 @@ def backward(params: NetworkParams, cache: ForwardCache,
              into: dict[str, np.ndarray] | None = None,
              out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """Backpropagate upstream gradients on z (normalized projection) and
-    p_hat (softmax output) to all parameters.
+    p_hat (softmax output) to all parameters, in the cache's dtype (the
+    upstream gradients are cast to it).
 
     The gradients are summed over the batch and land in a dict of arrays
     shaped like the parameters (such as an OptState's `grads` workspace),
@@ -259,7 +273,7 @@ def backward(params: NetworkParams, cache: ForwardCache,
 
     g = None  # the gradient on the current layer's output, replaced layer by layer
     if grad_z is not None:
-        gz = np.asarray(grad_z, dtype=np.float64)
+        gz = np.asarray(grad_z, dtype=cache.z.dtype)
         # d/du (u/|u|) applied to gz: remove the component along z, divide by |u|.
         g = ((gz - (gz * cache.z).sum(axis=1, keepdims=True) * cache.z)
              / np.maximum(cache.z_norm, _NORM_FLOOR)[:, None])
@@ -273,7 +287,7 @@ def backward(params: NetworkParams, cache: ForwardCache,
         g = g @ params.proj_w1
 
     if grad_p is not None:
-        gp = np.asarray(grad_p, dtype=np.float64)
+        gp = np.asarray(grad_p, dtype=cache.p_hat.dtype)
         # Softmax Jacobian: g_logits = p * (gp - <gp, p>).
         g_logits = cache.p_hat * (gp - (gp * cache.p_hat).sum(axis=1, keepdims=True))
         _weight_grad(target, "cls_w", g_logits, cache.v, add)
@@ -355,27 +369,44 @@ def _check_update(chunks, wd: float, mom: float, pair) -> None:
             raise FloatingPointError(f"non-finite values in tensor '{name}' after update")
 
 
+def _step_bound(dtype) -> float:
+    """sgd_step's no-overflow bound on |weight_decay|, |momentum| and
+    |lr * scale| for tensors of `dtype`: 2**min(200, maxexp // 4 - 2), where
+    every finite value of the dtype is below 2**maxexp (see sgd_step)."""
+    return 2.0 ** min(200, np.finfo(dtype).maxexp // 4 - 2)
+
+
 def sgd_step(params: NetworkParams, grads: dict[str, np.ndarray], opt: OptState) -> NetworkParams:
     """One in-place momentum-SGD update of every trained tensor, or of none.
 
     Each trained tensor is flattened and cut into chunks of _SGD_CHUNK
     elements, and each chunk is updated in place with one chunk-sized
     scratch: buf <- (wd * p + g) + mom * buf, then p <- p - (lr * scale) *
-    buf, rounded step by step as written. That one pass is the whole step
-    when no new value can overflow, which an exact bound shows: every p.p,
-    g.g and buf.buf is finite, so every entry is below 2**512 in magnitude,
-    and |wd|, |mom| and every |lr * scale| are at most 2**200, so every new
-    buffer entry is below 2**714 and every new value below 2**915. When the
-    bound does not hold, a first pass (_check_update) computes every chunk's
-    new values into opt's chunk pair with the same operations and checks
-    that they are finite, storing nothing; FloatingPointError then names the
-    first non-finite tensor and the parameters and buffers are left as they
-    were. Trained tensors and their buffers must be C-contiguous, as every
-    constructor here makes them; ValueError is raised otherwise, before
-    anything is written.
+    buf, rounded step by step as written in the tensors' dtype (the scalars
+    are rounded to it). That one pass is the whole step when no new value
+    can overflow, which an exact bound shows. Let every finite value of the
+    dtype be below 2**M (M = finfo.maxexp: 128 for float32, 1024 for
+    float64). Every p.p, g.g and buf.buf is finite, so every entry is below
+    2**(M/2) in magnitude. Let |wd|, |mom| and every |lr * scale| be at most
+    2**b. Rounding is monotone and powers of two are representable, so a
+    rounded result never exceeds a power-of-two bound of its exact value:
+    every new buffer entry is at most 2**(b + M/2 + 2) and every new value
+    at most 2**(2b + M/2 + 3) in magnitude, which is finite when
+    2b + M/2 + 3 <= M - 1, that is b <= M/4 - 2 (_step_bound). float32
+    takes b = 30: buffers at most 2**96, values at most 2**127. float64
+    allows 254 and keeps 200: buffers at most 2**714, values at most 2**915.
+    When the bound does not hold, a first pass (_check_update) computes
+    every chunk's new values into opt's chunk pair with the same operations
+    and checks that they are finite, storing nothing; FloatingPointError then
+    names the first non-finite tensor and the parameters and buffers are
+    left as they were. Trained tensors and their buffers must be
+    C-contiguous, as every constructor here makes them; ValueError is raised
+    otherwise, before anything is written.
     """
     wd, mom = opt.weight_decay, opt.momentum
-    bounded = abs(wd) <= _BOUND and abs(mom) <= _BOUND
+    dtype = params.enc_w1.dtype
+    bound = _step_bound(dtype)
+    bounded = abs(wd) <= bound and abs(mom) <= bound
     chunks = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow here only means "check"
         for name, arr in params.named_arrays():
@@ -387,7 +418,7 @@ def sgd_step(params: NetworkParams, grads: dict[str, np.ndarray], opt: OptState)
                 p, buf = arr.reshape(-1), buf.reshape(-1)  # views, as both are contiguous
                 g = np.asarray(grads[name]).reshape(-1)
                 step = opt.lr * scale
-                bounded = (bounded and abs(step) <= _BOUND
+                bounded = (bounded and abs(step) <= bound
                            and math.isfinite(np.dot(p, p)) and math.isfinite(np.dot(g, g))
                            and math.isfinite(np.dot(buf, buf)))
                 chunks += [(name, p[lo:lo + _SGD_CHUNK], buf[lo:lo + _SGD_CHUNK],
@@ -395,7 +426,7 @@ def sgd_step(params: NetworkParams, grads: dict[str, np.ndarray], opt: OptState)
                            for lo in range(0, p.size, _SGD_CHUNK)]
         size = min(_SGD_CHUNK, sum(chunk[1].size for chunk in chunks))
         if opt.chunk_pair is None or opt.chunk_pair[0].size < size:
-            opt.chunk_pair = (np.empty(size), np.empty(size))
+            opt.chunk_pair = (np.empty(size, dtype), np.empty(size, dtype))
         if not bounded:
             _check_update(chunks, wd, mom, opt.chunk_pair)
     scratch = opt.chunk_pair[0]
@@ -410,7 +441,8 @@ def sgd_step(params: NetworkParams, grads: dict[str, np.ndarray], opt: OptState)
 
 
 def save_checkpoint(params: NetworkParams, path) -> None:
-    """Serialize parameters to versioned JSON."""
+    """Serialize parameters to versioned JSON (each float32 value is written
+    as the float64 number equal to it, so loading restores its bits)."""
     tensors = {name: arr.tolist() for name, arr in params.named_arrays()}
     payload = {
         "format_version": _CHECKPOINT_VERSION,
@@ -422,7 +454,8 @@ def save_checkpoint(params: NetworkParams, path) -> None:
 
 
 def load_checkpoint(path) -> NetworkParams:
-    """Load parameters written by save_checkpoint, validating version, names and shapes."""
+    """Load parameters written by save_checkpoint as float32 tensors,
+    validating version, names and shapes."""
     with open(path) as fh:
         payload = json.load(fh)
     version = payload.get("format_version")
@@ -431,7 +464,7 @@ def load_checkpoint(path) -> NetworkParams:
     projection = payload.get("projection", LINEAR)
     if projection not in (LINEAR, MLP):
         raise ValueError(f"unknown projection kind {projection!r}")
-    tensors = {name: np.asarray(data, dtype=np.float64)
+    tensors = {name: np.asarray(data, dtype=PARAM_DTYPE)
                for name, data in payload["tensors"].items()}
     out_w = "proj_w1" if projection == LINEAR else "proj_w2"
     names = {"enc_w1", "enc_b1", "enc_w2", "enc_b2", "proj_w1", "proj_b1", "cls_w", "cls_b"}

@@ -301,13 +301,13 @@ def _cross_entropy_epoch(params, opt, x_train, labels, rows, cfg, rng,
 
 def train_embedding(params: NetworkParams, ds: Dataset) -> np.ndarray:
     """The unit projections z of the train rows under `params`, computed in
-    row blocks of hidden-width activations.
+    row blocks of hidden-width activations and widened (exactly) to float64.
 
     The one way the train split is embedded: every selection and every kNN
     probe reads an embedding made here.
     """
     rows = ds.train_indices()
-    z = np.empty((len(rows), params.proj_dim))
+    z = np.empty((len(rows), params.proj_dim), dtype=np.float64)
     for start, stop in row_blocks(len(rows), params.hidden):
         z[start:stop] = forward(params, ds.instances[rows[start:stop]], backprop=False).z
     return z

@@ -12,11 +12,13 @@ pairs can be fed to them, sliced into the losses' masks and compared with
 the oracle's sets. The network references (forward, backward, the SGD step)
 keep the operations and their order of the straightforward formulas: every
 pre-activation, a fresh dict of gradients per call, so the lean package
-versions compare bit for bit.
+versions compare bit for bit. They compute in the dtype of the parameters
+(float32 or float64), as the package does.
 The reference selective step composes them with the package's mixup and
 loss functions in the joint order the step first had, and reads its three
 pair masks with three pair_block calls rather than slicing one block.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -129,13 +131,21 @@ def reference_knn_predictions(train_z, train_labels, test_z, k, tau):
     return np.array(preds, dtype=np.int64)
 
 
+def cast_params(params, dtype):
+    """A copy of `params` with every tensor cast to `dtype`. Widening float32
+    to float64 is exact: the copy holds the same network, which then
+    computes in float64."""
+    return dataclasses.replace(params, **{name: arr.astype(dtype)
+                                          for name, arr in params.named_arrays()})
+
+
 def reference_forward(params, x, project=True):
     """The network's forward pass in plain numpy formulas that keep every
     intermediate: a dict with x, enc_pre1, enc_act1, enc_pre2, v, logits and
     p_hat, plus proj_pre1, proj_act1 (MLP projection only), z_raw, z_norm
     and z with `project`. The operations and their order are the package's,
     so the outputs compare bit for bit."""
-    r = {"x": np.atleast_2d(np.asarray(x, dtype=np.float64))}
+    r = {"x": np.atleast_2d(np.asarray(x, dtype=params.enc_w1.dtype))}
     r["enc_pre1"] = r["x"] @ params.enc_w1.T + params.enc_b1
     r["enc_act1"] = np.maximum(r["enc_pre1"], 0.0)
     r["enc_pre2"] = r["enc_act1"] @ params.enc_w2.T + params.enc_b2
@@ -165,7 +175,7 @@ def reference_backward(params, ref, grad_z=None, grad_p=None, into=None):
     grads = {}
     gv = None
     if grad_z is not None:
-        gz = np.asarray(grad_z, dtype=np.float64)
+        gz = np.asarray(grad_z, dtype=ref["z"].dtype)
         gu = ((gz - (gz * ref["z"]).sum(axis=1, keepdims=True) * ref["z"])
               / np.maximum(ref["z_norm"], 1e-30)[:, None])
         if params.projection == "mlp":
@@ -178,7 +188,7 @@ def reference_backward(params, ref, grad_z=None, grad_p=None, into=None):
         grads["proj_b1"] = g_pre.sum(axis=0)
         gv = g_pre @ params.proj_w1
     if grad_p is not None:
-        gp = np.asarray(grad_p, dtype=np.float64)
+        gp = np.asarray(grad_p, dtype=ref["p_hat"].dtype)
         g_logits = ref["p_hat"] * (gp - (gp * ref["p_hat"]).sum(axis=1, keepdims=True))
         grads["cls_w"] = g_logits.T @ ref["v"]
         grads["cls_b"] = g_logits.sum(axis=0)

@@ -6,7 +6,8 @@ the captured-output section of a failure). Tolerances, seed counts and wall
 budgets are pinned here and must not be loosened to make a run green.
 
 1. analytic gradients of all five losses, composed through the network, match
-   central finite differences (rel. error < 1e-4, >= 20 random batches, < 30 s)
+   central finite differences (rel. error < 1e-4, >= 20 random batches, < 30 s),
+   on float64 copies of the network's float32 parameters
 2. the selection pipeline equals an independent brute-force reimplementation
    on 50 random instances, exactly (< 10 s)
 3. reduction identities: twin-only supervision == instance discrimination
@@ -30,7 +31,7 @@ budgets are pinned here and must not be loosened to make a run green.
 import time
 
 import numpy as np
-from oracles import MaskPairs, brute_force_selection
+from oracles import MaskPairs, brute_force_selection, cast_params
 
 from selcontrast.cli import cli_run, run_sweep
 from selcontrast.evaluation import pair_precision, weighted_knn_eval
@@ -75,15 +76,18 @@ def _margins_ok(params, x) -> bool:
 
 def _draw_gradient_trial(trial: int):
     """A random small batch (2N <= 12 views, input dim <= 8) plus params whose
-    activation margins make finite differences reliable."""
+    activation margins make finite differences reliable. The params are
+    init_params' float32 tensors widened to float64, where steps of 1e-5 and
+    a tolerance of 1e-4 are meaningful; the code is the one that trains."""
     for attempt in range(64):
         rng = np.random.default_rng([9000, trial, attempt])
         n_pool = int(rng.integers(3, 7))
         dim = int(rng.integers(3, 9))
         classes = int(rng.integers(2, 4))
         projection = "mlp" if trial % 2 else "linear"
-        params = init_params(dim, classes, hidden=5, proj_dim=4,
-                             projection=projection, seed=int(rng.integers(1 << 31)))
+        params = cast_params(init_params(dim, classes, hidden=5, proj_dim=4,
+                                         projection=projection,
+                                         seed=int(rng.integers(1 << 31))), np.float64)
 
         labels_pool = rng.integers(0, classes, size=n_pool)
         pair_mat = np.zeros((n_pool, n_pool), dtype=bool)

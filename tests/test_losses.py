@@ -13,8 +13,9 @@ import pytest
 from oracles import MaskPairs
 
 from selcontrast import training
-from selcontrast.losses import (classification_loss, masked_contrastive, mixup_contrastive,
-                                positive_mask, similarity_loss, total_loss, unsup_contrastive)
+from selcontrast.losses import (BCE_EPS, CE_EPS, classification_loss, masked_contrastive,
+                                mixup_contrastive, positive_mask, similarity_loss, total_loss,
+                                unsup_contrastive)
 from selcontrast.network import OptState, forward, init_params
 
 
@@ -349,6 +350,44 @@ def test_similarity_clamp_zeroes_gradient():
     # agreement = 1 > 1 - eps with target 1 -> flat region, zero gradient
     value, grad = similarity_loss(p, MaskPairs.of({(0, 1)}, 2).pair_block(origins, origins))
     np.testing.assert_array_equal(grad, np.zeros_like(p))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_hot_rows_stay_finite_on_the_eps_guards(dtype):
+    # saturated softmax rows: a label whose probability is exactly 0 scores
+    # -log(CE_EPS) with a finite gradient, and every agreement of two one-hot
+    # rows is exactly 0 or 1, outside [BCE_EPS, 1 - BCE_EPS], where the
+    # clamped similarity loss is finite and flat
+    p = np.eye(3, dtype=dtype)[[0, 1, 2, 0]]
+    value, grad = classification_loss(p, np.array([1, 1, 2, 0]), np.ones(4, bool))
+    assert grad.dtype == dtype and np.all(np.isfinite(grad))
+    assert value == pytest.approx(-math.log(CE_EPS) / 4, rel=np.finfo(dtype).eps)
+    assert grad[0, 1] == pytest.approx(-1.0 / CE_EPS / 4, rel=np.finfo(dtype).eps)
+    origins = np.array([0, 1, 2, 3])
+    targets = MaskPairs.of({(0, 1), (0, 3)}, 4).pair_block(origins, origins)
+    value, grad = similarity_loss(p, targets)
+    assert grad.dtype == dtype and math.isfinite(value)
+    # 2 of the 12 ordered pairs score target 1 at agreement 0; the other 10
+    # each add about BCE_EPS
+    assert value == pytest.approx(-math.log(BCE_EPS) * 2 / 12, rel=1e-6)
+    np.testing.assert_array_equal(grad, np.zeros_like(p))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gradients_follow_the_dtype_of_their_input(dtype):
+    # row weights, mixup weights and pair targets arrive as float64 or bool;
+    # none of them promotes a float32 loss's gradient to float64
+    rng = np.random.default_rng(15)
+    z, p, origins, twin, labels = random_batch(rng)
+    z, p = z.astype(dtype), p.astype(dtype)
+    block = MaskPairs.of({(0, 1)}, 3).pair_block(origins, origins)
+    lam = rng.uniform(0.0, 1.0, size=len(z))
+    grads = [unsup_contrastive(z, twin, 0.1)[1],
+             masked_contrastive(z, positive_mask(block, twin), 0.1, row_weights=lam)[1],
+             mixup_contrastive(z, block, block, twin, lam, 0.1)[1],
+             classification_loss(p, labels, np.ones(len(p), bool))[1],
+             similarity_loss(p, block)[1]]
+    assert [g.dtype for g in grads] == [dtype] * 5
 
 
 def test_empty_scored_set_gives_zero_loss_and_gradient():

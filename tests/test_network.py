@@ -1,6 +1,11 @@
 """Tests for the three-head network: forward oracle, analytic gradients vs
 central finite differences, optimizer arithmetic, and checkpoint round-trips.
+
+The network trains in float32. The bit-for-bit oracle tests run in float32
+and float64; the finite-difference and exact-formula tests run on float64
+casts of the same parameters (cast_params), where their tolerances hold.
 """
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_backward, reference_forward, reference_sgd_step
+from oracles import cast_params, reference_backward, reference_forward, reference_sgd_step
 from selcontrast import network
 from selcontrast.network import (ForwardCache, NetworkParams, OptState,
                                  apply_lr_schedule, backward, forward, he_init,
@@ -16,9 +21,14 @@ from selcontrast.network import (ForwardCache, NetworkParams, OptState,
                                  sgd_step)
 
 
-def small_params(seed=0, dim=3, hidden=4, proj_dim=2, n_classes=3, projection="linear"):
-    return init_params(dim, n_classes, hidden=hidden, proj_dim=proj_dim,
-                       projection=projection, seed=seed)
+# The bit-for-bit tests run in the training dtype and in float64.
+DTYPES = (np.float32, np.float64)
+
+
+def small_params(seed=0, dim=3, hidden=4, proj_dim=2, n_classes=3, projection="linear",
+                 dtype=np.float32):
+    return cast_params(init_params(dim, n_classes, hidden=hidden, proj_dim=proj_dim,
+                                   projection=projection, seed=seed), dtype)
 
 
 def zeroed(params):
@@ -34,7 +44,7 @@ def test_forward_matches_straight_line_reimplementation():
     """Layer-by-layer scalar re-evaluation of one example, no shared code."""
     # seed chosen so every hidden unit is active for this input (the scalar
     # oracle below still applies max(0, .) faithfully)
-    params = small_params(seed=18)
+    params = small_params(seed=18, dtype=np.float64)
     x = np.array([[0.3, -1.2, 0.7]])
     cache = forward(params, x)
 
@@ -62,16 +72,21 @@ def test_forward_zero_params_gives_uniform_predictions():
     for _, arr in params.named_arrays():
         arr[...] = 0.0
     cache = forward(params, np.random.default_rng(0).normal(size=(4, 3)))
-    np.testing.assert_allclose(cache.p_hat, np.full((4, 5), 0.2), rtol=0, atol=1e-15)
+    assert cache.p_hat.dtype == np.float32
+    np.testing.assert_array_equal(cache.p_hat, np.full((4, 5), 1 / 5, dtype=np.float32))
 
 
 def test_forward_unit_norm_and_simplex_invariants():
-    params = small_params(seed=2, projection="mlp")
-    x = np.random.default_rng(3).normal(size=(16, 3))
-    cache = forward(params, x)
-    np.testing.assert_allclose(np.linalg.norm(cache.z, axis=1), 1.0, rtol=0, atol=1e-6)
-    assert np.all(cache.p_hat >= 0)
-    np.testing.assert_allclose(cache.p_hat.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+    # 2 projection entries and 3 softmax entries per row: a few roundings
+    # each, in either dtype
+    for dtype in DTYPES:
+        params = small_params(seed=2, projection="mlp", dtype=dtype)
+        x = np.random.default_rng(3).normal(size=(16, 3))
+        cache = forward(params, x)
+        eps = np.finfo(dtype).eps
+        np.testing.assert_allclose(np.linalg.norm(cache.z, axis=1), 1.0, rtol=0, atol=4 * eps)
+        assert np.all(cache.p_hat >= 0)
+        np.testing.assert_allclose(cache.p_hat.sum(axis=1), 1.0, rtol=0, atol=4 * eps)
 
 
 def test_forward_is_pure():
@@ -88,11 +103,13 @@ def test_forward_rejects_wrong_input_dim():
 
 
 def test_forward_softmax_stable_at_large_logits():
-    params = small_params(seed=6)
-    params.cls_w *= 1e3
-    cache = forward(params, np.random.default_rng(2).normal(size=(3, 3)))
-    assert np.all(np.isfinite(cache.p_hat))
-    np.testing.assert_allclose(cache.p_hat.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+    for dtype in DTYPES:
+        params = small_params(seed=6, dtype=dtype)
+        params.cls_w *= 1e3
+        cache = forward(params, np.random.default_rng(2).normal(size=(3, 3)))
+        assert np.all(np.isfinite(cache.p_hat))
+        np.testing.assert_allclose(cache.p_hat.sum(axis=1), 1.0, rtol=0,
+                                   atol=4 * np.finfo(dtype).eps)
 
 
 @pytest.mark.parametrize("projection", ["linear", "mlp"])
@@ -138,7 +155,7 @@ def test_backward_matches_finite_differences(projection):
     # seed picked so all pre-activations sit well away from the ReLU kink
     # (central differences are only trustworthy off the non-smooth point)
     rng = np.random.default_rng(7)
-    params = small_params(seed=0, projection=projection)
+    params = small_params(seed=0, projection=projection, dtype=np.float64)
     x = rng.normal(size=(8, 3))
     gz = rng.normal(size=(8, 2))
     gp = rng.normal(size=(8, 3))
@@ -177,44 +194,70 @@ def test_backward_grad_z_needs_the_projection(projection):
 def test_backward_into_equals_sum_of_two_full_backwards_bitwise(projection):
     # the selective step: contrastive gradients on the mixed views, then the
     # plain views' classifier gradients added in from a projection-free cache
-    rng = np.random.default_rng(13)
-    params = small_params(seed=14, projection=projection)
-    x_mixed, x_plain = rng.normal(size=(8, 3)), rng.normal(size=(8, 3))
-    gz, gp = rng.normal(size=(8, 2)), rng.normal(size=(8, 3))
-    mixed = backward(params, forward(params, x_mixed), grad_z=gz, out=zeroed(params))
-    plain = backward(params, forward(params, x_plain), grad_p=gp, out=zeroed(params))
-    into = backward(params, forward(params, x_mixed), grad_z=gz, out=zeroed(params))
-    assert backward(params, forward(params, x_plain, project=False), grad_p=gp,
-                    into=into) is into
-    assert set(into) == set(mixed)
-    for name in mixed:
-        np.testing.assert_array_equal(into[name], mixed[name] + plain[name], err_msg=name)
+    for dtype in DTYPES:
+        rng = np.random.default_rng(13)
+        params = small_params(seed=14, projection=projection, dtype=dtype)
+        x_mixed, x_plain = rng.normal(size=(8, 3)), rng.normal(size=(8, 3))
+        gz, gp = rng.normal(size=(8, 2)), rng.normal(size=(8, 3))
+        mixed = backward(params, forward(params, x_mixed), grad_z=gz, out=zeroed(params))
+        plain = backward(params, forward(params, x_plain), grad_p=gp, out=zeroed(params))
+        into = backward(params, forward(params, x_mixed), grad_z=gz, out=zeroed(params))
+        assert backward(params, forward(params, x_plain, project=False), grad_p=gp,
+                        into=into) is into
+        assert set(into) == set(mixed)
+        for name in mixed:
+            assert_bits_equal(into[name], mixed[name] + plain[name], f"{name}, {dtype}")
 
 
 def test_backward_into_adds_in_row_chunks_at_wide_shapes():
-    # hidden 512: enc_w2's 2 MiB gradient is added in 8 row chunks of
-    # _SGD_CHUNK cells, bit-equal to adding the whole product, and the plain
-    # views' backward never holds a product the size of one such matrix
-    params = init_params(64, 4, hidden=512, proj_dim=128, projection="mlp", seed=24)
-    assert params.enc_w2.size // network._SGD_CHUNK == 8
-    rng = np.random.default_rng(24)
-    x_mixed, x_plain = rng.normal(size=(128, 64)), rng.normal(size=(128, 64))
-    start = reference_backward(params, reference_forward(params, x_mixed),
-                               grad_z=rng.normal(size=(128, 128)))
-    gp = rng.normal(size=(128, 4)) * 1e-2
-    into = {name: grad.copy() for name, grad in start.items()}
-    cache = forward(params, x_plain, project=False)
-    tracemalloc.start()
-    try:
-        backward(params, cache, grad_p=gp, into=into)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    expected = reference_backward(params, reference_forward(params, x_plain, project=False),
-                                  grad_p=gp, into=start)
-    for name in expected:
-        assert_bits_equal(into[name], expected[name], name)
-    assert peak < params.enc_w2.nbytes, f"{peak / 2 ** 20:.2f} MiB"
+    # hidden 512: enc_w2's gradient (1 MiB in float32, 2 MiB in float64) is
+    # added in 8 row chunks of _SGD_CHUNK cells, bit-equal to adding the whole
+    # product, and the plain views' backward never holds a product the size
+    # of one such matrix
+    for dtype in DTYPES:
+        params = cast_params(init_params(64, 4, hidden=512, proj_dim=128, projection="mlp",
+                                         seed=24), dtype)
+        assert params.enc_w2.size // network._SGD_CHUNK == 8
+        rng = np.random.default_rng(24)
+        x_mixed, x_plain = rng.normal(size=(128, 64)), rng.normal(size=(128, 64))
+        start = reference_backward(params, reference_forward(params, x_mixed),
+                                   grad_z=rng.normal(size=(128, 128)))
+        gp = rng.normal(size=(128, 4)) * 1e-2
+        into = {name: grad.copy() for name, grad in start.items()}
+        cache = forward(params, x_plain, project=False)
+        tracemalloc.start()
+        try:
+            backward(params, cache, grad_p=gp, into=into)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        expected = reference_backward(params, reference_forward(params, x_plain, project=False),
+                                      grad_p=gp, into=start)
+        for name in expected:
+            assert_bits_equal(into[name], expected[name], f"{name}, {dtype}")
+        assert peak < params.enc_w2.nbytes, f"{peak / 2 ** 20:.2f} MiB, {dtype}"
+
+
+@pytest.mark.parametrize("dim,hidden,proj_dim,projection",
+                         [(16, 64, 32, "linear"), (64, 512, 128, "mlp")])
+def test_float32_backward_is_within_a_few_eps_of_float64(dim, hidden, proj_dim, projection):
+    # the desk and wide shapes at 128 views: each float32 gradient against
+    # the one the same parameters, widened to float64, give. A gradient is a
+    # chain of at most seven rounded products and sums whose error grows
+    # with about the square root of their length; seeds 0-4 of this draw
+    # measured at most 6.4 eps in relative Frobenius norm, and the bound is
+    # 64 eps
+    eps = np.finfo(np.float32).eps
+    rng = np.random.default_rng(36)
+    narrow = init_params(dim, 4, hidden=hidden, proj_dim=proj_dim, projection=projection,
+                         seed=36)
+    wide = cast_params(narrow, np.float64)
+    x, gz, gp = (rng.normal(size=(128, d)) for d in (dim, proj_dim, 4))
+    grads = [backward(p, forward(p, x), gz, gp, out=zeroed(p)) for p in (narrow, wide)]
+    for name, exact in grads[1].items():
+        assert grads[0][name].dtype == np.float32, name
+        error = np.linalg.norm(grads[0][name] - exact) / np.linalg.norm(exact)
+        assert error < 64 * eps, f"{name}: {error / eps:.1f} eps"
 
 
 def assert_bits_equal(actual, expected, what):
@@ -241,14 +284,15 @@ def with_exact_zeros_and_nan(params, x, special, rng):
     return params, x
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), projection=st.sampled_from(["linear", "mlp"]),
-       project=st.booleans(), m=st.sampled_from([1, 3, 8]),
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(dtype=st.sampled_from(DTYPES), seed=st.integers(0, 2**32 - 1),
+       projection=st.sampled_from(["linear", "mlp"]), project=st.booleans(),
+       m=st.sampled_from([1, 3, 8]),
        heads=st.sampled_from(["z", "p", "both", "none"]),
        mode=st.sampled_from(["out", "into"]),
        special=st.sampled_from([None, "zeros", "nan"]))
 def test_forward_and_backward_match_the_pre_activation_oracles_bitwise(
-        seed, projection, project, m, heads, mode, special):
+        dtype, seed, projection, project, m, heads, mode, special):
     # the lean forward keeps activations and takes its ReLU masks from them;
     # the oracle keeps every pre-activation, masks with pre > 0 and builds a
     # fresh dict per backward, where the package writes into (out) or adds
@@ -257,7 +301,7 @@ def test_forward_and_backward_match_the_pre_activation_oracles_bitwise(
     rng = np.random.default_rng(seed)
     dim, hidden, proj_dim, classes = (int(v) for v in rng.integers(2, 7, size=4))
     params = small_params(seed=seed, dim=dim, hidden=hidden, proj_dim=proj_dim,
-                          n_classes=classes, projection=projection)
+                          n_classes=classes, projection=projection, dtype=dtype)
     params, x = with_exact_zeros_and_nan(params, rng.normal(size=(m, dim)), special, rng)
     cache, ref = forward(params, x, project=project), reference_forward(params, x, project)
     for name in ("x", "enc_act1", "v", "p_hat") + (("proj_act1", "z_norm", "z") if project else ()):
@@ -317,7 +361,7 @@ def test_backward_refuses_a_cache_without_activations():
 
 def test_normalization_jacobian_output_is_tangent():
     """The gradient passed through L2 normalization must be orthogonal to z."""
-    params = small_params(seed=10)
+    params = small_params(seed=10, dtype=np.float64)
     x = np.random.default_rng(5).normal(size=(4, 3))
     cache = forward(params, x)
     gz = np.random.default_rng(6).normal(size=(4, 2))
@@ -344,7 +388,7 @@ def test_sgd_step_scalar_arithmetic():
 
 
 def test_sgd_step_momentum_and_weight_decay_formula():
-    params = small_params(seed=12)
+    params = small_params(seed=12, dtype=np.float64)
     reference = params.copy()
     rng = np.random.default_rng(8)
     grads = {name: rng.normal(size=arr.shape) for name, arr in params.named_arrays()}
@@ -492,13 +536,14 @@ def test_sgd_step_matches_in_place_reference_bitwise(monkeypatch):
     # one chunk per tensor, where the whole network fits in the chunk pair and
     # pass 2 copies every chunk, and chunks of 5 and 7, which split every
     # weight matrix with a shorter last chunk and leave most chunks for pass 2
-    # to recompute
-    for chunk in (network._SGD_CHUNK, 5, 7):
+    # to recompute; in both dtypes
+    for dtype, chunk in itertools.product(DTYPES, (network._SGD_CHUNK, 5, 7)):
         monkeypatch.setattr(network, "_SGD_CHUNK", chunk)
-        params = small_params(seed=19)
+        params = small_params(seed=19, dtype=dtype)
         reference = params.copy()
         rng = np.random.default_rng(10)
-        grads = {name: rng.normal(size=arr.shape) for name, arr in params.named_arrays()}
+        grads = {name: rng.normal(size=arr.shape).astype(dtype)
+                 for name, arr in params.named_arrays()}
         opt = OptState.for_params(params, lr=0.05, momentum=0.9, weight_decay=1e-4,
                                   schedule=[], lr_scale={"enc_w1": 0.5})
         ref_buffers = {n: b.copy() for n, b in opt.buffers.items()}
@@ -510,9 +555,9 @@ def test_sgd_step_matches_in_place_reference_bitwise(monkeypatch):
                 buf += grads[name] + 1e-4 * arr
                 arr -= 0.05 * opt.lr_scale.get(name, 1.0) * buf
         for (name, arr), (_, ref) in zip(params.named_arrays(), reference.named_arrays()):
-            np.testing.assert_array_equal(arr, ref, err_msg=f"{name}, chunk {chunk}")
-            np.testing.assert_array_equal(opt.buffers[name], ref_buffers[name],
-                                          err_msg=f"{name}, chunk {chunk}")
+            assert_bits_equal(arr, ref, f"{name}, chunk {chunk}, {dtype}")
+            assert_bits_equal(opt.buffers[name], ref_buffers[name],
+                              f"{name}, chunk {chunk}, {dtype}")
 
 
 @pytest.fixture
@@ -528,47 +573,83 @@ def check_calls(monkeypatch):
     return calls
 
 
+def bound_test_step(dtype, lr, momentum=0.9, weight_decay=1e-4, seed=33, big=None):
+    """Parameters (with one entry set to `big`, if given), random gradients,
+    an OptState with random momentum buffers, all in `dtype`, and the oracle's
+    step from them: (params, grads, opt, new_params, new_buffers)."""
+    params = small_params(seed=seed, projection="mlp", dtype=dtype)
+    if big is not None:
+        params.enc_w2[1, 2] = big
+    rng = np.random.default_rng(seed)
+    grads = {name: rng.normal(size=arr.shape).astype(dtype)
+             for name, arr in params.named_arrays()}
+    opt = OptState.for_params(params, lr=lr, momentum=momentum, weight_decay=weight_decay,
+                              lr_scale={"cls_b": 0.5})
+    for name in opt.buffers:
+        opt.buffers[name][...] = rng.normal(size=opt.buffers[name].shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        new_params, new_buffers = reference_sgd_step(params, grads, opt.buffers, lr, momentum,
+                                                     weight_decay, opt.lr_scale)
+    return params, grads, opt, new_params, new_buffers
+
+
+# sgd_step's bound on |lr * scale|, |momentum| and |weight_decay|, per dtype
+BOUND_EXPONENTS = [(np.float32, 30), (np.float64, 200)]
+
+
 @pytest.mark.parametrize("case", ["self_dot_overflows", "lr_above_bound"])
 def test_sgd_step_outside_the_bound_checks_first_and_stores_the_reference_bits(
         check_calls, case):
-    # an entry of 1e200 makes p.p overflow, and an lr of 2**201 exceeds the
-    # 2**200 bound, though each update is finite: both take the checked path
-    # and store what the in-place formula gives
-    params = small_params(seed=33, projection="mlp")
-    rng = np.random.default_rng(33)
-    grads = {name: rng.normal(size=arr.shape) for name, arr in params.named_arrays()}
-    lr = 0.05
-    if case == "self_dot_overflows":
-        params.enc_w2[1, 2] = 1e200
-    else:
-        lr = 2.0 ** 201
-    opt = OptState.for_params(params, lr=lr, momentum=0.9, weight_decay=1e-4,
-                              lr_scale={"cls_b": 0.5})
-    for name in opt.buffers:
-        opt.buffers[name] = rng.normal(size=opt.buffers[name].shape)
-    new_params, new_buffers = reference_sgd_step(params, grads, opt.buffers, lr, 0.9, 1e-4,
-                                                 opt.lr_scale)
-    sgd_step(params, grads, opt)
+    # in each dtype, an entry of 2**(maxexp/2 + 2) makes p.p overflow, and an
+    # lr of twice the bound exceeds it, though each update is finite: both
+    # take the checked path and store what the in-place formula gives
+    for dtype, exponent in BOUND_EXPONENTS:
+        if case == "self_dot_overflows":
+            big = 2.0 ** (np.finfo(dtype).maxexp // 2 + 2)
+            params, grads, opt, new_params, new_buffers = bound_test_step(dtype, 0.05, big=big)
+        else:
+            params, grads, opt, new_params, new_buffers = bound_test_step(
+                dtype, 2.0 ** (exponent + 1))
+        check_calls.clear()
+        sgd_step(params, grads, opt)
+        assert len(check_calls) == 1, dtype
+        for name, arr in params.named_arrays():
+            assert np.all(np.isfinite(arr)), (name, dtype)
+            assert_bits_equal(arr, new_params[name], f"{name}, {dtype}")
+            assert_bits_equal(opt.buffers[name], new_buffers[name], f"{name}, {dtype}")
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_sgd_step_outside_the_bound_that_overflows_stores_nothing(check_calls, dtype):
+    # an lr of 2**(maxexp - 1) takes some new value past the largest finite
+    # one: the checked path raises and leaves parameters and buffers as they were
+    params, grads, opt, new_params, _ = bound_test_step(dtype,
+                                                        2.0 ** (np.finfo(dtype).maxexp - 1))
+    first = next(name for name, arr in new_params.items() if not np.all(np.isfinite(arr)))
+    params_before = params.copy()
+    buffers_before = {n: b.copy() for n, b in opt.buffers.items()}
+    with pytest.raises(FloatingPointError, match=first):
+        sgd_step(params, grads, opt)
     assert len(check_calls) == 1
-    for name, arr in params.named_arrays():
-        assert np.all(np.isfinite(arr)), name
-        assert_bits_equal(arr, new_params[name], name)
-        assert_bits_equal(opt.buffers[name], new_buffers[name], name)
+    for (name, arr), (_, ref) in zip(params.named_arrays(), params_before.named_arrays()):
+        assert_bits_equal(arr, ref, name)
+        assert_bits_equal(opt.buffers[name], buffers_before[name], name)
 
 
 def test_sgd_step_within_the_bound_runs_one_pass(check_calls):
-    params = small_params(seed=34)
-    rng = np.random.default_rng(34)
-    grads = {name: rng.normal(size=arr.shape) for name, arr in params.named_arrays()}
-    opt = OptState.for_params(params, lr=2.0 ** 200, momentum=-(2.0 ** 200),
-                              weight_decay=2.0 ** 200)
-    new_params, new_buffers = reference_sgd_step(params, grads, opt.buffers, opt.lr,
-                                                 opt.momentum, opt.weight_decay)
-    sgd_step(params, grads, opt)
-    assert check_calls == []
-    for name, arr in params.named_arrays():
-        assert_bits_equal(arr, new_params[name], name)
-        assert_bits_equal(opt.buffers[name], new_buffers[name], name)
+    # in each dtype, lr, momentum and weight decay at the bound: one pass,
+    # the oracle's bits
+    for dtype, exponent in BOUND_EXPONENTS:
+        assert network._step_bound(dtype) == 2.0 ** exponent
+        params, grads, opt, new_params, new_buffers = bound_test_step(
+            dtype, 2.0 ** exponent, momentum=-(2.0 ** exponent), weight_decay=2.0 ** exponent,
+            seed=34)
+        sgd_step(params, grads, opt)
+        assert check_calls == [], dtype
+        for name, arr in params.named_arrays():
+            assert np.all(np.isfinite(arr)), (name, dtype)
+            assert_bits_equal(arr, new_params[name], f"{name}, {dtype}")
+            assert_bits_equal(opt.buffers[name], new_buffers[name], f"{name}, {dtype}")
 
 
 def test_optimizer_holds_arrays_only_for_trained_tensors():
@@ -586,31 +667,35 @@ def test_optimizer_holds_arrays_only_for_trained_tensors():
 
 
 def test_sgd_step_allocates_no_tensor_sized_memory():
-    params = small_params(seed=20, dim=8, hidden=64, proj_dim=16, projection="mlp")
-    rng = np.random.default_rng(11)
-    grads = {name: rng.normal(size=arr.shape) for name, arr in params.named_arrays()}
-    opt = OptState.for_params(params, lr=0.05, momentum=0.9, weight_decay=1e-4,
-                              schedule=[])
-    sgd_step(params, grads, opt)  # the first step allocates the optimizer's arrays
-    largest = max(arr.nbytes for _, arr in params.named_arrays())
-    tracemalloc.start()
-    try:
-        sgd_step(params, grads, opt)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < largest // 2, (peak, largest)
+    for dtype in DTYPES:
+        params = small_params(seed=20, dim=8, hidden=64, proj_dim=16, projection="mlp",
+                              dtype=dtype)
+        rng = np.random.default_rng(11)
+        grads = {name: rng.normal(size=arr.shape).astype(dtype)
+                 for name, arr in params.named_arrays()}
+        opt = OptState.for_params(params, lr=0.05, momentum=0.9, weight_decay=1e-4,
+                                  schedule=[])
+        sgd_step(params, grads, opt)  # the first step allocates the optimizer's arrays
+        largest = max(arr.nbytes for _, arr in params.named_arrays())
+        tracemalloc.start()
+        try:
+            sgd_step(params, grads, opt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < largest // 2, (peak, largest, dtype)
 
 
 def test_sgd_first_step_allocates_one_chunk_pair_at_wide_shapes():
     # hidden 512 with an MLP projection to 128 (626,308 parameters): the
     # optimizer keeps only the momentum buffers, so a fresh OptState's first
-    # step allocates its two chunk-sized arrays (512 KB), not one staging
-    # array per tensor (10.0 MB)
+    # step allocates its two chunk-sized arrays (256 KB of float32), not one
+    # staging array per tensor (5.0 MB)
     params = init_params(64, 4, hidden=512, proj_dim=128, projection="mlp", seed=22)
     assert sum(arr.size for _, arr in params.named_arrays()) == 626_308
     rng = np.random.default_rng(13)
-    grads = {name: rng.normal(size=arr.shape) for name, arr in params.named_arrays()}
+    grads = {name: rng.normal(size=arr.shape).astype(arr.dtype)
+             for name, arr in params.named_arrays()}
     opt = OptState.for_params(params, lr=0.05, momentum=0.9, weight_decay=1e-4,
                               schedule=[])
     tracemalloc.start()
@@ -619,7 +704,9 @@ def test_sgd_first_step_allocates_one_chunk_pair_at_wide_shapes():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 ** 20, peak
+    pair = sum(arr.nbytes for arr in opt.chunk_pair)
+    assert pair == 2 * network._SGD_CHUNK * params.enc_w1.itemsize
+    assert peak < 2 * pair, (peak, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +742,8 @@ def test_checkpoint_round_trip(tmp_path):
     for (name, arr), (name2, arr2) in zip(params.named_arrays(),
                                           loaded.named_arrays()):
         assert name == name2
-        np.testing.assert_array_equal(arr, arr2, err_msg=name)
+        assert arr2.dtype == np.float32, name
+        assert_bits_equal(arr2, arr, name)
     x = np.random.default_rng(9).normal(size=(4, 3))
     np.testing.assert_array_equal(forward(params, x).p_hat, forward(loaded, x).p_hat)
 
@@ -669,6 +757,19 @@ def test_checkpoint_missing_tensor_rejected(tmp_path):
     del blob["tensors"]["cls_w"]
     path.write_text(json.dumps(blob))
     with pytest.raises(ValueError, match="cls_w"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_of_version_1_is_refused(tmp_path):
+    # version 1 files held float64 values; loading one would round them
+    import json
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(small_params(seed=25), path)
+    blob = json.loads(path.read_text())
+    assert blob["format_version"] == 2
+    blob["format_version"] = 1
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
         load_checkpoint(path)
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import MaskPairs, augment_row, reference_selective_step
+from oracles import MaskPairs, augment_row, cast_params, reference_selective_step
 
 from selcontrast.data import Dataset, NoiseSpec, inject_noise, make_blobs
 from selcontrast.evaluation import weighted_knn_eval
@@ -162,6 +162,21 @@ def test_model_metrics_clips_k_eval_to_train_size():
     assert knn == weighted_knn_eval(train_z, ds.noisy_labels[ds.train_indices()], test_z,
                                     ds.true_labels[test_idx], k=len(train_z),
                                     tau=cfg.tau_knn)
+
+
+@pytest.mark.parametrize("hidden,projection", [(64, "linear"), (512, "mlp")])
+def test_train_embedding_blocks_equal_the_whole_split_forward(hidden, projection):
+    # 800 train rows in row blocks (512 rows at hidden 64, 64 at hidden 512):
+    # the float32 network's blocks are bit-equal to one forward over the
+    # split, and the embedding comes back widened to float64, exactly
+    cfg = benchmark_config(n=1000, hidden_dim=hidden, projection=projection)
+    ds = dataset_from_config(cfg)
+    params, _ = fresh_start(cfg, ds)
+    assert len(neighbors.row_blocks(len(ds.train_indices()), hidden)) > 1
+    z = train_embedding(params, ds)
+    whole = forward(params, ds.instances[ds.train_indices()], backprop=False).z
+    assert whole.dtype == np.float32 and z.dtype == np.float64
+    assert z.tobytes() == whole.astype(np.float64).tobytes()
 
 
 def test_compute_selection_clips_k_to_population():
@@ -416,8 +431,9 @@ def test_selective_step_allocates_no_gradient_dict_at_wide_shapes():
     # into the optimizer's workspace, then, with the mixed cache dropped, the
     # plain views' forward, losses and a backward added into the workspace
     # in row chunks, then sgd_step. So one view set's activations and one
-    # backward's temporaries are alive at a time (2.8 MiB), not both caches
-    # with a whole enc_w2 product (5.3 MiB) or a fresh 4.8 MiB gradient dict
+    # backward's temporaries are alive at a time (1.5 MiB in float32), not
+    # both caches with a whole enc_w2 product or a fresh gradient dict
+    # (2.4 MiB in float32)
     cfg = benchmark_config(noise_kind="asymmetric", dim=64, hidden_dim=512, proj_dim=128,
                            projection="mlp")
     rng = np.random.default_rng(5)
@@ -440,19 +456,20 @@ def test_selective_step_allocates_no_gradient_dict_at_wide_shapes():
     peak = traced_peak(lambda: training._selective_step(params, opt, step_batch, selection,
                                                         confident, cfg, rng))
     gradient_dict = sum(arr.nbytes for _, arr in params.named_arrays())
-    assert gradient_dict == 8 * 626_308
+    assert gradient_dict == params.enc_w1.itemsize * 626_308
     assert peak < 0.75 * gradient_dict, f"{peak / 2 ** 20:.2f} MiB"
 
 
 @pytest.mark.parametrize("case", ["linear", "mlp", "no_scored_row", "no_pairs", "wide",
-                                  "selection"])
+                                  "selection", "float64"])
 def test_selective_step_matches_the_joint_reference_bitwise(case):
     # three steps (32, 32, then a trailing 16 rows) against the oracle step,
     # which holds both caches, computes every loss, reads each pair mask with
     # a pair_block call of its own, stores the mixed views' gradients in a
     # fresh dict and adds the plain views' before its SGD step: parameters,
     # momentum buffers and losses agree bit for bit. "selection" reads the
-    # pairs from a SelectionState made by run_selection
+    # pairs from a SelectionState made by run_selection; "float64" runs the
+    # mlp case on the parameters widened to float64
     hidden, dim = (512, 64) if case == "wide" else (16, 6)
     projection = "linear" if case == "linear" else "mlp"
     cfg = benchmark_config(dim=dim, hidden_dim=hidden, proj_dim=8, projection=projection,
@@ -476,6 +493,8 @@ def test_selective_step_matches_the_joint_reference_bitwise(case):
         confident = pairs.is_confident
         assert pairs.n_pairs_confident > 0 and pairs.n_pairs_similar > 0
     params = init_params(dim, 3, hidden=hidden, proj_dim=8, projection=projection, seed=21)
+    if case == "float64":
+        params = cast_params(params, np.float64)
     opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay)
     ref_params = params.copy()
     ref_buffers = {name: buf.copy() for name, buf in opt.buffers.items()}
@@ -489,6 +508,40 @@ def test_selective_step_matches_the_joint_reference_bitwise(case):
     for (name, arr), (_, ref) in zip(params.named_arrays(), ref_params.named_arrays()):
         assert arr.tobytes() == ref.tobytes(), name
         assert opt.buffers[name].tobytes() == ref_buffers[name].tobytes(), name
+
+
+def test_float32_step_computes_in_float32_throughout(monkeypatch):
+    # every array a selective step's forward caches hold, every upstream
+    # gradient its losses hand to backward and every opt.grads entry is
+    # float32: no float64 mixup weight or pair target promotes the step
+    seen = []
+    real_forward, real_backward = training.forward, training.backward
+
+    def forward_spy(params, x, **kwargs):
+        cache = real_forward(params, x, **kwargs)
+        seen.extend((f"cache.{f.name}", getattr(cache, f.name))
+                    for f in dataclasses.fields(cache) if getattr(cache, f.name) is not None)
+        return cache
+
+    def backward_spy(params, cache, grad_z=None, grad_p=None, **kwargs):
+        seen.extend((name, g) for name, g in (("grad_z", grad_z), ("grad_p", grad_p))
+                    if g is not None)
+        return real_backward(params, cache, grad_z, grad_p, **kwargs)
+
+    monkeypatch.setattr(training, "forward", forward_spy)
+    monkeypatch.setattr(training, "backward", backward_spy)
+    cfg = benchmark_config(dim=6, hidden_dim=8, proj_dim=4, projection="mlp", batch_size=8)
+    rng = np.random.default_rng(24)
+    x_train, noisy = rng.normal(size=(16, 6)), rng.integers(0, 2, size=16)
+    pairs = MaskPairs.of([(i, j) for i in range(16) for j in range(i + 1, 16)
+                          if noisy[i] == noisy[j]], 16)
+    params = init_params(6, 2, hidden=8, proj_dim=4, projection="mlp", seed=24)
+    opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay)
+    batch = next(training._view_batches(x_train, noisy, cfg, rng))
+    training._selective_step(params, opt, batch, pairs, np.ones(16, dtype=bool), cfg, rng)
+    seen += [(f"opt.grads[{name}]", g) for name, g in opt.grads.items()]
+    assert {"cache.x", "cache.proj_act1", "grad_z", "grad_p"} <= {name for name, _ in seen}
+    assert [name for name, arr in seen if arr.dtype != np.float32] == []
 
 
 class CountingPairs(MaskPairs):
