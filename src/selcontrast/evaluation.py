@@ -11,8 +11,10 @@ from .selection import SelectionState, same_label_blocks
 
 def _unit_rows(z: np.ndarray, what: str) -> np.ndarray:
     norms = np.linalg.norm(z, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError(f"{what} contains a zero vector; cosine is undefined")
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValueError(f"{what} row {zero[0]} is a zero vector (a zero projection output); "
+                         "cosine is undefined")
     return z / norms[:, None]
 
 

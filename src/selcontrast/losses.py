@@ -8,8 +8,10 @@ selected pair; the selective step slices all of them from one
 SelectionState.pair_block. positive_mask is the one place that adds the
 twin to a view's positives.
 
-Conventions: contrastive values are summed over anchors; the classification
-and similarity values are means over their scored items. Gradients come back
+Conventions: every value is a mean. A contrastive value is the (weighted)
+mean over the 2N anchors, as Sup-CL's reference code averages it, so its
+scale and its gradient's do not grow with the batch; the classification and
+similarity values are means over their scored items. Gradients come back
 with respect to the quantities the network exposes (normalized embeddings z
 and softmax outputs p_hat), so the network's backward pass composes them.
 Each loss computes in the dtype of its z or p_hat (float32 in training):
@@ -41,9 +43,11 @@ def masked_contrastive(z: np.ndarray, pos_mask: np.ndarray, tau: float,
     """Anchor-wise masked log-softmax loss over dot-product similarities.
 
     For each anchor i the loss is the mean over its positives g of
-    -log(exp(z_i . z_g / tau) / sum_{a != i} exp(z_i . z_a / tau)), the total
-    is the row_weights-weighted sum over anchors. Rows without positives
-    contribute nothing. Returns (value, gradient with respect to z).
+    -log(exp(z_i . z_g / tau) / sum_{a != i} exp(z_i . z_a / tau)); the value
+    is the mean over the m anchors of row_weights[i] (default 1) times that
+    loss, i.e. the weighted sum divided by m. Rows without positives
+    contribute nothing but still count in m. Returns (value, gradient with
+    respect to z).
     """
     return _masked_term(z, _anchor_softmax(z, tau), pos_mask, tau, row_weights)
 
@@ -66,7 +70,9 @@ def _anchor_softmax(z: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
 def _masked_term(z: np.ndarray, anchor_softmax: tuple[np.ndarray, np.ndarray],
                  pos_mask: np.ndarray, tau: float,
                  row_weights: np.ndarray | None) -> tuple[float, np.ndarray]:
-    """masked_contrastive for one positive mask, given _anchor_softmax(z, tau)."""
+    """masked_contrastive for one positive mask, given _anchor_softmax(z, tau):
+    the row weights are divided by m, which makes value and gradient means
+    over the anchors."""
     log_prob, softmax = anchor_softmax
     m = len(z)
     if pos_mask.shape != (m, m):
@@ -74,6 +80,7 @@ def _masked_term(z: np.ndarray, anchor_softmax: tuple[np.ndarray, np.ndarray],
     if np.any(np.diagonal(pos_mask)):
         raise ValueError("an anchor cannot be its own positive")
     weights = np.ones(m, z.dtype) if row_weights is None else np.asarray(row_weights, z.dtype)
+    weights = weights / m  # the mean over anchors
 
     counts = pos_mask.sum(axis=1, dtype=z.dtype)  # small integers, exact in any float
     active = counts > 0
@@ -103,9 +110,10 @@ def mixup_contrastive(z: np.ndarray, pair_a: np.ndarray, pair_b: np.ndarray,
     Anchor i contributes lam[i] times the pair-supervised loss under its
     ingredient-a identity plus (1 - lam[i]) times the loss under its
     ingredient b; the other views always take part under their dominant
-    identity. pair_a[i, j] (pair_b[i, j]) says whether anchor i's ingredient
-    a (b) forms a selected pair with view j's dominant ingredient; the twin
-    is added by positive_mask.
+    identity. The two weights sum to one per anchor, so the value is a mean
+    over anchors like masked_contrastive's. pair_a[i, j] (pair_b[i, j])
+    says whether anchor i's ingredient a (b) forms a selected pair with view
+    j's dominant ingredient; the twin is added by positive_mask.
     """
     lam = np.asarray(lam, dtype=z.dtype)
     if np.any(lam < 0.0) or np.any(lam > 1.0):

@@ -41,7 +41,8 @@ class EmbeddingBank:
         norms = np.linalg.norm(self.z, axis=1)
         if not np.all(np.abs(norms - 1.0) <= 1e-6):  # NaN fails the comparison
             worst = int(np.argmax(np.abs(norms - 1.0)))
-            raise ValueError(f"bank row {worst} has norm {norms[worst]:.8f}, expected 1")
+            cause = " (a zero projection output)" if norms[worst] == 0.0 else ""
+            raise ValueError(f"bank row {worst} has norm {norms[worst]:.8f}, expected 1{cause}")
 
     @property
     def n(self) -> int:

@@ -10,6 +10,11 @@ input to the parameters' dtype. The same code runs in float64 when it is
 handed float64 parameters, which is how the finite-difference tests check it.
 Whatever reads an embedding for selection or the kNN probe upcasts it to
 float64 first, exactly.
+
+A projection row whose norm is below _NORM_FLOOR (an all-zero projection
+output, e.g. from dead ReLUs) normalizes to the zero vector in forward and
+gets a zero gradient in backward: no direction is defined there, so nothing
+flows back through that row's normalization.
 """
 from __future__ import annotations
 
@@ -22,7 +27,8 @@ import numpy as np
 LINEAR = "linear"
 MLP = "mlp"
 
-# Norms below this floor are treated as zero during normalization.
+# Norms below this floor are treated as zero during normalization: such a
+# row's z is the zero vector, and backward gives it a zero gradient.
 _NORM_FLOOR = 1e-30
 
 # The dtype of the tensors init_params and load_checkpoint make.
@@ -195,10 +201,10 @@ def forward(params: NetworkParams, x: np.ndarray, project: bool = True,
             z = _affine(proj_act1, params.proj_w2, params.proj_b2)
         else:
             z = _affine(v, params.proj_w1, params.proj_b1)
-        # A zero projection output (possible only for degenerate parameters,
-        # e.g. all-zero weights) normalizes to the zero vector instead of
-        # erroring; the embedding bank still enforces unit norms before any
-        # selection runs.
+        # A zero projection output (degenerate parameters, such as all-zero
+        # weights, or a row whose ReLUs are all dead under zero projection
+        # biases) normalizes to the zero vector instead of erroring; the
+        # embedding bank and the kNN probe refuse it by row.
         z_norm = np.linalg.norm(z, axis=1)
         z /= np.maximum(z_norm, _NORM_FLOOR)[:, None]
     if not backprop:
@@ -274,9 +280,12 @@ def backward(params: NetworkParams, cache: ForwardCache,
     g = None  # the gradient on the current layer's output, replaced layer by layer
     if grad_z is not None:
         gz = np.asarray(grad_z, dtype=cache.z.dtype)
-        # d/du (u/|u|) applied to gz: remove the component along z, divide by |u|.
+        # d/du (u/|u|) applied to gz: remove the component along z, divide by
+        # |u|; a row below the norm floor has no direction and gets zero.
+        dead = cache.z_norm < _NORM_FLOOR
         g = ((gz - (gz * cache.z).sum(axis=1, keepdims=True) * cache.z)
-             / np.maximum(cache.z_norm, _NORM_FLOOR)[:, None])
+             / np.where(dead, 1.0, cache.z_norm)[:, None])
+        g[dead] = 0.0
         if params.projection == MLP:
             _weight_grad(target, "proj_w2", g, cache.proj_act1, add)
             _bias_grad(target, "proj_b2", g, add)

@@ -176,8 +176,11 @@ def reference_backward(params, ref, grad_z=None, grad_p=None, into=None):
     gv = None
     if grad_z is not None:
         gz = np.asarray(grad_z, dtype=ref["z"].dtype)
-        gu = ((gz - (gz * ref["z"]).sum(axis=1, keepdims=True) * ref["z"])
-              / np.maximum(ref["z_norm"], 1e-30)[:, None])
+        tangent = gz - (gz * ref["z"]).sum(axis=1, keepdims=True) * ref["z"]
+        # a row whose norm is below the floor has no direction: zero gradient
+        live = ~(ref["z_norm"] < 1e-30)
+        gu = np.zeros_like(tangent)
+        gu[live] = tangent[live] / ref["z_norm"][live, None]
         if params.projection == "mlp":
             grads["proj_w2"] = gu.T @ ref["proj_act1"]
             grads["proj_b2"] = gu.sum(axis=0)

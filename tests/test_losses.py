@@ -47,7 +47,9 @@ def sup_cl(z, pairs, origins, twin, tau):
 
 
 def scalar_masked_loss(z, mask, tau, weights=None):
-    """Term-by-term python reimplementation of the anchor-wise loss."""
+    """Term-by-term python reimplementation of the anchor-wise loss: the
+    (weighted) per-anchor losses summed and divided by the number of anchors
+    m; an anchor without positives adds nothing but still counts in m."""
     m = len(z)
     total = 0.0
     for i in range(m):
@@ -58,7 +60,7 @@ def scalar_masked_loss(z, mask, tau, weights=None):
         anchor = -sum(math.log(math.exp(np.dot(z[i], z[g]) / tau) / denom)
                       for g in positives) / len(positives)
         total += anchor if weights is None else weights[i] * anchor
-    return total
+    return total / m
 
 
 def fd_grad_z(loss_fn, z, step=1e-6):
@@ -76,15 +78,17 @@ def fd_grad_z(loss_fn, z, step=1e-6):
 # frozen analytic values
 # ---------------------------------------------------------------------------
 
-def test_identical_embeddings_give_four_log_three():
+def test_identical_embeddings_give_log_three():
+    # each of the 4 anchors scores log 3 (one positive among 3 equal
+    # candidates), and the value is their mean
     z = unit_rows(np.ones((4, 3)))
     origins, twin = two_views(2)
     value, _ = unsup_contrastive(z, twin, tau=0.1)
-    assert value == pytest.approx(4 * math.log(3), rel=1e-12)
+    assert value == pytest.approx(math.log(3), rel=1e-12)
     # same with every pair selected: positives change, the value does not,
     # because all candidates are indistinguishable
     value_sup, _ = sup_cl(z, MaskPairs.of({(0, 1)}, 2), origins, twin, tau=0.1)
-    assert value_sup == pytest.approx(4 * math.log(3), rel=1e-12)
+    assert value_sup == pytest.approx(math.log(3), rel=1e-12)
 
 
 def test_uniform_predictions_give_log_c():
@@ -281,6 +285,31 @@ def test_sup_value_matches_scalar_reimplementation():
     expected = scalar_masked_loss(z, mask, tau=0.1)
     value, _ = sup_cl(z, MaskPairs.of(pairs, 3), origins, twin, tau=0.1)
     assert value == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", [16, 17, 18])
+def test_contrastive_values_are_anchor_means_of_the_scalar_reimplementation(seed):
+    # a random positive mask leaves some anchors without positives; those add
+    # nothing but still count among the m anchors the weighted sum is divided
+    # by, in masked_contrastive and in both terms of mixup_contrastive
+    rng = np.random.default_rng(seed)
+    z, _, origins, twin, _ = random_batch(rng, n=4)
+    m = len(z)
+    mask = rng.random((m, m)) < 0.3
+    np.fill_diagonal(mask, False)
+    mask[0] = False
+    weights = rng.random(m)
+    assert masked_contrastive(z, mask, 0.1)[0] == pytest.approx(
+        scalar_masked_loss(z, mask, 0.1), rel=1e-12)
+    assert masked_contrastive(z, mask, 0.1, row_weights=weights)[0] == pytest.approx(
+        scalar_masked_loss(z, mask, 0.1, weights), rel=1e-12)
+    pairs = MaskPairs.of({(0, 1), (2, 3)}, 4)
+    pair_a = pairs.pair_block(origins, origins)
+    pair_b = pairs.pair_block(np.roll(origins, 1), origins)
+    expected = (scalar_masked_loss(z, positive_mask(pair_a, twin), 0.1, weights)
+                + scalar_masked_loss(z, positive_mask(pair_b, twin), 0.1, 1.0 - weights))
+    value, _ = mixup_contrastive(z, pair_a, pair_b, twin, weights, tau=0.1)
+    assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_unsup_gradient_matches_finite_differences():

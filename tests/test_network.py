@@ -369,6 +369,28 @@ def test_normalization_jacobian_output_is_tangent():
     np.testing.assert_allclose((tangent * cache.z).sum(axis=1), 0.0, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("projection", ["linear", "mlp"])
+def test_zero_projection_row_gets_no_gradient(projection):
+    # a zero input row under zero biases leaves v at zero, so its projection
+    # output is zero and z is the zero vector; its normalization gradient is
+    # zero, so backward gives every tensor exactly the gradient it gives
+    # when that row's upstream grad_z is zero
+    for dtype in DTYPES:
+        params = small_params(seed=16, projection=projection, dtype=dtype)
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(6, 3))
+        x[2] = 0.0
+        gz, gp = rng.normal(size=(6, 2)), rng.normal(size=(6, 3))
+        cache = forward(params, x)
+        assert cache.z_norm[2] == 0.0 and not cache.z[2].any()
+        quiet = gz.copy()
+        quiet[2] = 0.0
+        grads = backward(params, cache, gz, gp, out=zeroed(params))
+        expected = backward(params, cache, quiet, gp, out=zeroed(params))
+        for name, g in grads.items():
+            assert_bits_equal(g, expected[name], name)
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------

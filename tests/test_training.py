@@ -1,6 +1,7 @@
 """Tests for the training loops: warm-up behavior, per-epoch selection,
 determinism, fallback paths, fine-tuning and the cross-entropy control.
 """
+import copy
 import dataclasses
 import time
 import tracemalloc
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from oracles import MaskPairs, augment_row, cast_params, reference_selective_step
 
-from selcontrast.data import Dataset, NoiseSpec, inject_noise, make_blobs
+from selcontrast.data import Dataset, NoiseSpec, inject_noise, make_blobs, mixup
 from selcontrast.evaluation import weighted_knn_eval
 from selcontrast.network import OptState, apply_lr_schedule, forward, init_params
 from selcontrast import neighbors, training
@@ -28,6 +29,10 @@ def tiny_config(**overrides):
                 noise_rate=0.2, noise_seed=1, seed=1)
     base.update(overrides)
     return benchmark_config(**base)
+
+
+# The wide benchmark workload's network and noise (perfbench/spec.json).
+WIDE = dict(noise_kind="asymmetric", dim=64, hidden_dim=512, proj_dim=128, projection="mlp")
 
 
 def fresh_start(cfg, ds):
@@ -335,8 +340,30 @@ def test_zero_embedding_row_stops_the_selection(projection):
     for name, array in params.named_arrays():
         if name.startswith("proj"):
             array[...] = 0.0
-    with pytest.raises(ValueError, match=r"bank row 0 has norm 0\.0+, expected 1"):
+    with pytest.raises(ValueError, match=r"bank row 0 has norm 0\.0+, expected 1 "
+                                         r"\(a zero projection output\)"):
         compute_selection(train_embedding(params, ds), ds, cfg)
+
+
+def test_knn_probe_names_a_zero_embedding_row():
+    z = np.eye(3)[[0, 1, 2, 0]]
+    z[2] = 0.0
+    with pytest.raises(ValueError, match=r"train embeddings row 2 is a zero vector "
+                                         r"\(a zero projection output\)"):
+        weighted_knn_eval(z, np.array([0, 1, 2, 0]), np.eye(3), np.arange(3), k=2, tau=0.1)
+
+
+def test_narrow_network_with_dead_projection_rows_trains_to_the_end():
+    # at hidden width 4 some rows of most runs' batches have all-dead ReLUs
+    # and a zero projection output; their zero gradient keeps the projection
+    # finite, so no zero embedding reaches the probe or the bank
+    for seed in range(1, 11):
+        cfg = benchmark_config(hidden_dim=4, seed=seed, t_max=5, t_finetune=1)
+        ds = dataset_from_config(cfg)
+        result = pretrain(ds, cfg)
+        assert len(result.history) == 5, seed
+        tuned = finetune(result.params, ds, cfg, result.selection)
+        assert all(np.all(np.isfinite(arr)) for _, arr in tuned.named_arrays()), seed
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +598,78 @@ def test_selective_step_reads_pairs_once():
         assert pairs.calls == step + 1, step
 
 
+def test_selective_step_with_a_zero_projection_row_stays_finite():
+    # the first step of this hidden-8 run mixes two views whose encoder
+    # output v is zero (every ReLU dead), so their projection output is zero;
+    # their zero normalization gradient keeps proj_b1's update at the scale
+    # of the others, not the 1/_NORM_FLOOR scale
+    cfg = benchmark_config(dim=6, hidden_dim=8, proj_dim=4, batch_size=16)
+    rng = np.random.default_rng(23)
+    n_train = 40
+    x_train, noisy = rng.normal(size=(n_train, 6)), rng.integers(0, 3, size=n_train)
+    pairs = MaskPairs.of([(i, j) for i in range(n_train) for j in range(i + 1, n_train)
+                          if noisy[i] == noisy[j]], n_train)
+    params = init_params(6, 3, hidden=8, proj_dim=4, seed=23)
+    opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay)
+    batch = next(training._view_batches(x_train, noisy, cfg, rng))
+    mixed_x = mixup(batch[0], cfg.alpha_m, copy.deepcopy(rng))[0]  # the step's draw
+    mixed = forward(params, mixed_x)
+    dead = mixed.z_norm == 0.0
+    assert dead.any() and not mixed.v[dead].any()
+    before = params.copy()
+    training._selective_step(params, opt, batch, pairs, np.ones(n_train, dtype=bool), cfg, rng)
+    for name, arr in params.named_arrays():
+        assert np.all(np.isfinite(arr)), name
+    # lr 0.01: a proj_b1 gradient below 100 per entry
+    assert np.abs(params.proj_b1 - before.proj_b1).max() < 1.0
+
+
+# ---------------------------------------------------------------------------
+# loss scale
+# ---------------------------------------------------------------------------
+
+def test_paper_recipe_keeps_the_classifier_off_chance():
+    # n = 2000 at the paper's batch, k and lr: with contrastive values that
+    # are anchor means, L_mix does not outweigh L_cls by the batch's 2N, so
+    # the classifier learns in the selective epochs and leaves chance (25
+    # for 4 classes) far behind
+    cfg = benchmark_config(n=2000, batch_size=128, k=250, lr=0.1, t_max=3, t_finetune=0)
+    last = pretrain(dataset_from_config(cfg), cfg).history[-1]
+    assert last.l_cls < 1.0  # below log 4, the uniform prediction's loss
+    assert last.test_accuracy >= 90.0
+
+
+def test_wide_run_does_not_underflow():
+    # float32 arithmetic is slow on subnormal operands; a saturated softmax
+    # makes them (and zeros) in p_hat and in the gradients behind it. Under
+    # anchor-mean contrastive losses the softmax does not saturate, and no
+    # numpy call of a wide-shaped run underflows
+    cfg = benchmark_config(seed=1, t_max=2, t_finetune=1, **WIDE)
+    ds = dataset_from_config(cfg)
+    with np.errstate(under="raise"):
+        result = pretrain(ds, cfg)
+        finetune(result.params, ds, cfg, result.selection)
+
+
 # ---------------------------------------------------------------------------
 # fine-tuning
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [1, 4, 6, 7])
+def test_finetune_on_wide_is_steady_in_its_epoch_count(seed):
+    # fine-tuning the classifier on the confident set neither loses what the
+    # selective epochs reached nor swings with the number of fine-tune
+    # epochs: at 5, 10 and 20 epochs the fine-tuned test accuracy is within
+    # 2 points (2 test rows) of the last record's
+    cfg = benchmark_config(seed=seed, **WIDE)
+    ds = dataset_from_config(cfg)
+    result = pretrain(ds, cfg)
+    last = result.history[-1].test_accuracy
+    for epochs in (5, 10, 20):
+        tuned = finetune(result.params, ds, dataclasses.replace(cfg, t_finetune=epochs),
+                         result.selection)
+        assert abs(model_test_accuracy(tuned, ds) - last) <= 2.0, (epochs, last)
+
 
 def test_finetune_improves_or_matches_clean_baseline():
     cfg = tiny_config(noise_rate=0.0, t_max=3, t_finetune=3)
