@@ -16,13 +16,11 @@ import numpy as np
 from .data import dump_features_csv, load_features_csv
 from .evaluation import dump_projection_2d
 from .network import forward, load_checkpoint, save_checkpoint
-from .training import (DATASET_KEYS, PROBE_KEYS, SELECTION_KEYS, RunConfig,
+from .training import (DATASET_KEYS, PROBE_KEYS, SELECTION_KEYS, PretrainResult, RunConfig,
                        compute_selection, dataset_from_config, finetune, model_metrics,
                        pretrain, test_accuracy, train_embedding, write_metrics_csv)
 
 REPORT_SCHEMA_VERSION = 1
-
-SWEEP_AXES = ("lambda_s", "alpha", "beta", "noise_rate", "warmup_kind")
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
@@ -40,18 +38,21 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+def _key_parser(key: str):
+    """The one string-to-value conversion of RunConfig key `key`, for its flag
+    and sweep's --values: JSON for lr_schedule, its default's type otherwise."""
+    return json.loads if key == "lr_schedule" else type(_FIELDS[key].default)
+
+
 def _add_config_flags(parser: argparse.ArgumentParser, keys, config_file=True) -> None:
     """One override flag per RunConfig key in `keys`, after --config unless
     config_file is False."""
     if config_file:
         parser.add_argument("--config", help="JSON file of RunConfig keys")
     for key in keys:
-        default = _FIELDS[key].default
-        if key == "lr_schedule":
-            parser.add_argument(_flag(key), default=None, metavar="JSON",
-                                help="e.g. '[[126,0.1],[201,0.1]]'")
-        else:
-            parser.add_argument(_flag(key), type=type(default), default=None)
+        extra = ({"metavar": "JSON", "help": "e.g. '[[126,0.1],[201,0.1]]'"}
+                 if key == "lr_schedule" else {})
+        parser.add_argument(_flag(key), type=_key_parser(key), default=None, **extra)
 
 
 def _resolve_config(args) -> RunConfig:
@@ -61,13 +62,10 @@ def _resolve_config(args) -> RunConfig:
         cfg = RunConfig.from_json(args.config) if getattr(args, "config", None) else RunConfig()
         for key in _FIELDS:
             value = getattr(args, key, None)
-            if value is None:
-                continue
-            if key == "lr_schedule":
-                value = json.loads(value)
-            setattr(cfg, key, value)
+            if value is not None:
+                setattr(cfg, key, value)
         return cfg.validate()
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         raise CliError(f"bad configuration: {exc}") from exc
 
 
@@ -95,11 +93,17 @@ def build_parser() -> _Parser:
     ev.add_argument("--data", required=True)
     ev.add_argument("--out", help="write the JSON report here instead of stdout")
 
-    sweep = sub.add_parser("sweep", help="grid over one config axis x seeds")
+    sweep = sub.add_parser("sweep", help="one train run per (axis value, seed); CSV of "
+                                         "mean/std final test_acc and mean prec_T per value")
     _add_config_flags(sweep, _FIELDS)
-    sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
+    # --seeds sets the seed, and an lr_schedule value holds commas
+    sweep.add_argument("--axis", required=True, metavar="KEY",
+                       choices=[key for key in _FIELDS if key not in ("seed", "lr_schedule")],
+                       help="any config key but seed and lr_schedule; its own flag "
+                            "is refused")
     sweep.add_argument("--values", required=True,
-                       help="comma-separated axis values")
+                       help="comma-separated axis values, each parsed like the "
+                            "key's flag, e.g. --axis count_labels --values pseudo,noisy")
     sweep.add_argument("--seeds", default="1,2,3", help="comma-separated run seeds")
     sweep.add_argument("--out", required=True, help="summary CSV path")
 
@@ -176,6 +180,26 @@ def _dump_selection(state, train_idx, path) -> None:
         fh.write("}\n")
 
 
+def _end_run(result: PretrainResult, ds, cfg: RunConfig):
+    """The end of every run, train's and each of sweep's: fine-tune exactly
+    when t_finetune > 0. Returns (final params, train's report.json fields,
+    final test accuracy): the fine-tuned accuracy, else the last record's."""
+    report = {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "config": cfg.as_dict(),
+        "n_train": int(len(ds.train_indices())),
+        "n_test": int(len(ds.test_indices())),
+        "pretrain_test_accuracy": result.history[-1].test_accuracy,
+        "pretrain_knn_accuracy": result.history[-1].knn_accuracy,
+        "finetuned_test_accuracy": None,
+    }
+    if cfg.t_finetune == 0:
+        return result.params, report, report["pretrain_test_accuracy"]
+    params = finetune(result.params, ds, cfg, selection=result.selection)
+    report["finetuned_test_accuracy"] = test_accuracy(params, ds)
+    return params, report, report["finetuned_test_accuracy"]
+
+
 def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
     ds = _load_dataset(args, cfg)
@@ -202,28 +226,12 @@ def _cmd_train(args) -> int:
             lines.append(f"{int(train_idx[i])},{int(pseudo.y_hat[i])},{qs}")
         Path(args.dump_pseudo).write_text("\n".join(lines) + "\n")
 
-    final_params = result.params
-    report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "config": cfg.as_dict(),
-        "n_train": int(len(train_idx)),
-        "n_test": int(len(ds.test_indices())),
-        "pretrain_test_accuracy": result.history[-1].test_accuracy,
-        "pretrain_knn_accuracy": result.history[-1].knn_accuracy,
-        "finetuned_test_accuracy": None,
-    }
-    if cfg.t_finetune > 0:
-        final_params = finetune(result.params, ds, cfg, selection=result.selection)
-        report["finetuned_test_accuracy"] = test_accuracy(final_params, ds)
+    final_params, report, final_acc = _end_run(result, ds, cfg)
     if out_dir:
         save_checkpoint(final_params, out_dir / "checkpoint.json")
         with open(out_dir / "report.json", "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
-
-    final_acc = report["finetuned_test_accuracy"]
-    if final_acc is None:
-        final_acc = report["pretrain_test_accuracy"]
     print(f"test_acc={final_acc:.4f} knn_acc={report['pretrain_knn_accuracy']:.4f} "
           f"n_T={result.history[-1].n_confident}")
     return 0
@@ -250,18 +258,6 @@ def _cmd_eval(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _parse_axis_values(axis: str, raw: str) -> list:
-    values = [v.strip() for v in raw.split(",") if v.strip()]
-    if not values:
-        raise CliError("--values needs at least one entry")
-    if axis == "warmup_kind":
-        return values
-    try:
-        return [float(v) for v in values]
-    except ValueError as exc:
-        raise CliError(f"non-numeric value for axis {axis}: {exc}") from exc
 
 
 def emit_summary(results: list[dict], path) -> None:
@@ -293,24 +289,18 @@ def emit_summary(results: list[dict], path) -> None:
 
 
 def run_sweep(cfg: RunConfig, axis: str, values: list, seeds: list[int]) -> list[dict]:
-    """One full run per (value, seed), fine-tuned when t_finetune > 0;
-    failures are recorded, not raised."""
+    """One train run of `cfg` per (value, seed), with the key `axis` set to
+    the value. A row's test_acc is the run's final test accuracy, the one
+    train prints; failures are recorded, not raised."""
     results = []
     for value in values:
         for seed in seeds:
-            run_cfg = dataclasses.replace(cfg, seed=seed)
-            setattr(run_cfg, axis, value)
             row = {"value": value, "seed": seed, "error": None}
             try:
-                run_cfg.validate()
+                run_cfg = dataclasses.replace(cfg, seed=seed, **{axis: value}).validate()
                 ds = dataset_from_config(run_cfg)
                 result = pretrain(ds, run_cfg)
-                if run_cfg.t_finetune > 0:
-                    params = finetune(result.params, ds, run_cfg,
-                                      selection=result.selection)
-                    row["test_acc"] = test_accuracy(params, ds)
-                else:
-                    row["test_acc"] = result.history[-1].test_accuracy
+                row["test_acc"] = _end_run(result, ds, run_cfg)[2]
                 row["prec_T"] = result.history[-1].precision_examples
             except Exception as exc:  # noqa: BLE001 - survive and report
                 row["error"] = f"{type(exc).__name__}: {exc}"
@@ -318,15 +308,23 @@ def run_sweep(cfg: RunConfig, axis: str, values: list, seeds: list[int]) -> list
     return results
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _resolve_config(args)
-    values = _parse_axis_values(args.axis, args.values)
+def _parse_list(text: str, parse, option: str) -> list:
+    """The comma-separated entries of `text`, each converted by `parse`."""
     try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+        entries = [parse(entry.strip()) for entry in text.split(",") if entry.strip()]
     except ValueError as exc:
-        raise CliError(f"bad --seeds: {exc}") from exc
-    if not seeds:
-        raise CliError("--seeds needs at least one entry")
+        raise CliError(f"bad {option}: {exc}") from exc
+    if not entries:
+        raise CliError(f"{option} needs at least one entry")
+    return entries
+
+
+def _cmd_sweep(args) -> int:
+    _refuse_given(args, (args.axis, "seed"),
+                  f"--axis {args.axis} and --seeds, which set those keys")
+    cfg = _resolve_config(args)
+    values = _parse_list(args.values, _key_parser(args.axis), "--values")
+    seeds = _parse_list(args.seeds, int, "--seeds")
     results = run_sweep(cfg, args.axis, values, seeds)
     emit_summary(results, args.out)
     failures = [r for r in results if r["error"] is not None]

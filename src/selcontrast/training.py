@@ -329,9 +329,12 @@ def model_metrics(params: NetworkParams, ds: Dataset, cfg: RunConfig,
     test_cache = forward(params, ds.instances[test_idx], backprop=False)
     knn = weighted_knn_eval(train_z, noisy_train, test_cache.z, ds.true_labels[test_idx],
                             k=min(cfg.k_eval, len(train_z)), tau=cfg.tau_knn)
-    preds = np.argmax(test_cache.p_hat, axis=1)
-    test_acc = 100.0 * float(np.mean(preds == ds.true_labels[test_idx]))
-    return knn, test_acc
+    return knn, _test_split_accuracy(test_cache.p_hat, ds)
+
+
+def _test_split_accuracy(p_hat: np.ndarray, ds: Dataset) -> float:
+    """Argmax accuracy (percent) of p_hat, the test split's class posteriors."""
+    return 100.0 * float(np.mean(np.argmax(p_hat, axis=1) == ds.true_labels[ds.test_indices()]))
 
 
 def _record(params, ds, cfg, epoch, losses, selection, started,
@@ -461,6 +464,16 @@ def pretrain_epoch(params: NetworkParams, opt: OptState, ds: Dataset, cfg: RunCo
     return selection, record, train_z
 
 
+def _start_run(ds: Dataset, cfg: RunConfig) -> tuple[NetworkParams, OptState]:
+    """Validate cfg; the initial parameters and optimizer of pretrain and the baseline."""
+    cfg.validate()
+    params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
+                         proj_dim=cfg.proj_dim, projection=cfg.projection,
+                         seed=[cfg.seed, _STREAM_INIT, 0])
+    return params, OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay,
+                                       cfg.lr_schedule)
+
+
 def pretrain(ds: Dataset, cfg: RunConfig, time_source=time.perf_counter) -> PretrainResult:
     """Epochs 1..t_max: warm-up up to t_warm, selective epochs after it.
 
@@ -471,12 +484,7 @@ def pretrain(ds: Dataset, cfg: RunConfig, time_source=time.perf_counter) -> Pret
     records. selection is the last selective epoch's, or, when only warm-up
     ran, one made (epoch_tag 0) from the embedding the last record measured.
     """
-    cfg.validate()
-    params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
-                         proj_dim=cfg.proj_dim, projection=cfg.projection,
-                         seed=[cfg.seed, _STREAM_INIT, 0])
-    opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay,
-                              cfg.lr_schedule)
+    params, opt = _start_run(ds, cfg)
     history: list[EpochRecord] = []
     # nothing is measured before the first epoch: without warm-up, embed the
     # initial parameters for the first selection
@@ -537,12 +545,7 @@ def train_cross_entropy_baseline(ds: Dataset, cfg: RunConfig) -> NetworkParams:
     Trains on the raw instances — augmentation belongs to the contrastive
     method, not to the vanilla control it is compared against.
     """
-    cfg.validate()
-    params = init_params(ds.dim, ds.n_classes, hidden=cfg.hidden_dim,
-                         proj_dim=cfg.proj_dim, projection=cfg.projection,
-                         seed=[cfg.seed, _STREAM_INIT, 0])
-    opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay,
-                              cfg.lr_schedule)
+    params, opt = _start_run(ds, cfg)
     x_train, _, noisy_train = _train_arrays(ds)
     rows = np.arange(len(x_train))
     for epoch in range(1, cfg.t_max + cfg.t_finetune + 1):
@@ -554,7 +557,5 @@ def train_cross_entropy_baseline(ds: Dataset, cfg: RunConfig) -> NetworkParams:
 
 def test_accuracy(params: NetworkParams, ds: Dataset) -> float:
     """Classifier accuracy (percent) on the test split."""
-    test_idx = ds.test_indices()
-    cache = forward(params, ds.instances[test_idx], project=False, backprop=False)
-    preds = np.argmax(cache.p_hat, axis=1)
-    return 100.0 * float(np.mean(preds == ds.true_labels[test_idx]))
+    cache = forward(params, ds.instances[ds.test_indices()], project=False, backprop=False)
+    return _test_split_accuracy(cache.p_hat, ds)

@@ -301,8 +301,68 @@ def test_sweep_failed_runs_leave_empty_cells_and_exit_2(tmp_path, capsys):
 
 
 def test_sweep_rejects_unknown_axis(tmp_path):
-    assert cli_run(["sweep", "--axis", "tau", "--values", "0.1",
-                    "--out", str(tmp_path / "s.csv")]) == 1
+    # seed is set by --seeds, and an lr_schedule value holds commas
+    for axis in ("no_such_key", "seed", "lr_schedule"):
+        assert cli_run(["sweep", "--axis", axis, "--values", "1",
+                        "--out", str(tmp_path / "s.csv")]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)
+                                 if f.name not in ("seed", "lr_schedule")])
+def test_sweep_axis_is_any_config_key_but_seed_and_lr_schedule(key):
+    argv = ["sweep", "--axis", key, "--values", "1", "--out", "s.csv"]
+    assert cli.build_parser().parse_args(argv).axis == key
+
+
+def _without(flags: list[str], flag: str) -> list[str]:
+    """`flags` minus `flag` and the value after it."""
+    at = flags.index(flag)
+    return flags[:at] + flags[at + 2:]
+
+
+def test_sweep_axis_k_runs_integer_values(tmp_path, monkeypatch):
+    seen = []
+
+    def spying(ds, cfg, real=cli.pretrain):
+        seen.append(cfg.k)
+        return real(ds, cfg)
+    monkeypatch.setattr(cli, "pretrain", spying)
+    out = tmp_path / "sweep.csv"
+    assert cli_run(["sweep", *_without(TINY, "--k"), "--axis", "k", "--values", "5,10",
+                    "--seeds", "1", "--out", str(out)]) == 0
+    assert seen == [5, 10] and all(type(k) is int for k in seen)
+    assert [line.split(",")[0] for line in out.read_text().split("\n")[1:3]] == ["5", "10"]
+
+
+def test_sweep_axis_count_labels_runs_the_label_correction_ablation(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert cli_run(["sweep", *TINY, "--axis", "count_labels", "--values", "pseudo,noisy",
+                    "--seeds", "1", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert [row[0] for row in rows] == ["pseudo", "noisy"]
+    assert all(row[1] != "" for row in rows)
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--seed"])
+def test_sweep_refuses_the_flags_of_the_keys_it_sets(tmp_path, capsys, flag):
+    assert cli_run(["sweep", *TINY, "--axis", "alpha", "--values", "0.5", flag, "3",
+                    "--out", str(tmp_path / "sweep.csv")]) == 1
+    assert f"{flag} cannot be combined with --axis alpha" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_row_test_acc_is_trains_final_accuracy(tmp_path, monkeypatch):
+    rows = []
+    monkeypatch.setattr(cli, "emit_summary",
+                        lambda results, path: rows.extend(results))
+    assert cli_run(["sweep", *TINY, "--axis", "alpha", "--values", "0.3", "--seeds", "2",
+                    "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert cli_run(["train", *TINY, "--alpha", "0.3", "--seed", "2",
+                    "--out-dir", str(tmp_path / "run")]) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["finetuned_test_accuracy"] is not None
+    assert [row["test_acc"] for row in rows] == [report["finetuned_test_accuracy"]]
 
 
 def test_dump_proj_train_split(tmp_path, trained, monkeypatch):
