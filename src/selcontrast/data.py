@@ -170,27 +170,17 @@ def augment(x: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator) -> 
     """One stochastic view of each row of `x`: add Gaussian jitter, zero random
     coordinates, multiply the row by a global scale drawn from scale_range.
 
-    The draws come row by row, in the order a per-row view would take them:
-    the row's d standard normals, its d uniforms, then its scale uniform. The
-    arithmetic then runs once over the batch, as numpy's normal(0, sigma) and
-    uniform(low, high) compute it (0 + sigma * g and low + (high - low) * s),
-    so every view is bit-equal to drawing the rows one at a time.
+    Draws three arrays for the whole batch, in this order: standard normals g
+    of x's shape, uniforms u of x's shape, then one uniform s per row. The
+    view is x + sigma * g, zeroed where u < drop_prob, times
+    low + (high - low) * s.
     """
     if x.ndim != 2:
         raise ValueError("augment expects a 2-d batch of rows")
-    gauss = np.empty(x.shape)
-    drops = np.empty(x.shape)
-    scale = np.empty(len(x))
-    for i in range(len(x)):
-        rng.standard_normal(out=gauss[i])
-        rng.random(out=drops[i])
-        scale[i] = rng.random()
-    gauss *= spec.jitter_sigma
-    gauss += 0.0  # as normal(0, sigma) adds its loc: a -0.0 jitter becomes +0.0
-    out = x + gauss
-    out[drops < spec.drop_prob] = 0.0
+    out = x + spec.jitter_sigma * rng.standard_normal(x.shape)
+    out[rng.random(x.shape) < spec.drop_prob] = 0.0
     low, high = spec.scale_range
-    out *= (low + (high - low) * scale)[:, None]
+    out *= (low + (high - low) * rng.random(len(x)))[:, None]
     return out
 
 

@@ -92,8 +92,17 @@ class RunConfig:
     data_seed: int = 1
 
     def validate(self) -> "RunConfig":
-        """Raise ValueError on the first bad field; otherwise normalize
-        lr_schedule to [[int, float], ...] and return self."""
+        """Raise ValueError on the first bad field (each has its default's
+        type, as the flags parse it: a float key also takes an int and stores
+        a float, no key takes a bool); otherwise normalize lr_schedule to
+        [[int, float], ...] and return self."""
+        for f in dataclasses.fields(self):
+            kind = type(f.default_factory() if f.default is dataclasses.MISSING else f.default)
+            value = getattr(self, f.name)
+            accepted = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValueError(f"{f.name} must be {kind.__name__}, got {value!r}")
+            setattr(self, f.name, float(value) if kind is float else value)
         checks = [
             (0.0 <= self.alpha <= 1.0, "alpha must lie in [0, 1]"),
             (0.0 <= self.beta <= 1.0, "beta must lie in [0, 1]"),
@@ -248,19 +257,17 @@ def _view_batches(x_train: np.ndarray, labels: np.ndarray, cfg: RunConfig,
     [first views; second views], with each view's train row, label and the
     position of its twin view.
 
-    Every contrastive epoch draws its batches here; the consumer may draw
-    from `rng` between batches.
+    Draws the permutation, then one `augment` call per batch, on
+    x_train[origins] with origins = [batch; batch]. Every contrastive epoch
+    draws its batches here; the consumer may draw from `rng` between batches.
     """
     aug = cfg.augmentation()
     perm = rng.permutation(len(x_train))
     for start in range(0, len(perm), cfg.batch_size):
         batch_idx = perm[start:start + cfg.batch_size]
-        nb = len(batch_idx)
-        views = np.concatenate([augment(x_train[batch_idx], aug, rng),
-                                augment(x_train[batch_idx], aug, rng)])
-        twin = np.concatenate([np.arange(nb) + nb, np.arange(nb)])
-        yield (views, np.concatenate([batch_idx, batch_idx]),
-               np.concatenate([labels[batch_idx], labels[batch_idx]]), twin)
+        origins = np.concatenate([batch_idx, batch_idx])
+        twin = np.roll(np.arange(len(origins)), len(batch_idx))
+        yield augment(x_train[origins], aug, rng), origins, labels[origins], twin
 
 
 def _label_mask(labels: np.ndarray) -> np.ndarray:

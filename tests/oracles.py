@@ -24,16 +24,6 @@ import math
 import numpy as np
 
 
-def augment_row(x, spec, rng):
-    """Reference augmentation of one vector, drawn as numpy's own samplers
-    draw: normal(0, sigma) jitter, a uniform per coordinate against the drop
-    probability, then a uniform(low, high) scale."""
-    out = x + rng.normal(0.0, spec.jitter_sigma, size=x.shape)
-    out[rng.random(x.shape) < spec.drop_prob] = 0.0
-    out *= rng.uniform(spec.scale_range[0], spec.scale_range[1])
-    return out
-
-
 def brute_force_selection(z, noisy, y_hat, q_hat, alpha, beta):
     """Reference confident-example / confident-pair selection.
 

@@ -22,7 +22,8 @@ budgets are pinned here and must not be loosened to make a run green.
    high-similarity pairs) has pair precision >= the same-label pairs alone,
    on >= 4 of 5 seeds
 7. sweeping the similarity-loss weight over 4 orders of magnitude moves mean
-   test accuracy by <= 5 points
+   test accuracy by <= 5 points, under fine-tune streams 3 (the run's own),
+   5 and 7 alike
 8. identical config + seeds reproduce byte-identical metrics CSVs
 9. structural invariants hold on random (untrained) parameters: unit-norm
    embeddings (1e-6), row-stochastic posteriors (1e-9), class-balanced
@@ -368,6 +369,34 @@ def test_criterion_7_similarity_weight_insensitivity():
     ok = spread <= 5.0
     _report(7, ok, f"mean accuracy spread {spread:.2f} points (tol 5.0) over "
                    f"similarity weights {values}")
+    assert ok
+
+
+def test_criterion_7_holds_under_other_finetune_streams(monkeypatch):
+    # criterion 7's grid with each run pretrained once and fine-tuned under
+    # three fine-tune streams (pretraining does not read that stream): the
+    # weak-view draws are one valid sample of many, so no stream may break it
+    import selcontrast.training as training
+    values = [0.1, 0.05, 0.01, 0.005, 0.001, 0.0001]
+    streams = [3, 5, 7]
+    accs = {stream: {value: [] for value in values} for stream in streams}
+    for value in values:
+        for seed in (1, 2, 3):
+            cfg = benchmark_config(lambda_s=value, seed=seed)
+            ds = dataset_from_config(cfg)
+            result = pretrain(ds, cfg)
+            for stream in streams:
+                monkeypatch.setattr(training, "_STREAM_FINETUNE", stream)
+                tuned = finetune(result.params, ds, cfg, selection=result.selection)
+                accs[stream][value].append(model_test_accuracy(tuned, ds))
+    spreads = {}
+    for stream, by_value in accs.items():
+        means = [float(np.mean(by_value[value])) for value in values]
+        spreads[stream] = max(means) - min(means)
+    ok = max(spreads.values()) <= 5.0
+    _report(7, ok, "mean accuracy spread per fine-tune stream "
+                   + ", ".join(f"{s}: {d:.2f}" for s, d in spreads.items())
+                   + " points (tol 5.0)")
     assert ok
 
 

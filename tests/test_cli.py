@@ -514,6 +514,28 @@ def test_bad_augmentation_or_width_key_exits_1(tmp_path, capsys, command, flags,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("keys, message", [
+    ({"t_max": 3.0}, "t_max must be int, got 3.0"),
+    ({"batch_size": 64.0}, "batch_size must be int, got 64.0"),
+    ({"k": True}, "k must be int, got True"),
+    ({"lr": False}, "lr must be float, got False"),
+    ({"projection": 1}, "projection must be str, got 1"),
+])
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_config_file_value_of_the_wrong_type_exits_1(tmp_path, capsys, command, keys,
+                                                     message):
+    # a JSON number or bool is refused as the flag's parser refuses it, before
+    # any run starts, where it would fail with a raw TypeError
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(keys))
+    out = (["--out-dir", str(tmp_path / "run")] if command == "train" else
+           ["--axis", "alpha", "--values", "0.5", "--seeds", "1",
+            "--out", str(tmp_path / "sweep.csv")])
+    assert cli_run([command, "--config", str(cfg_path), *out]) == 1
+    assert f"bad configuration: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 def test_config_file_and_flags_start_from_the_same_defaults(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"seed": 1}))

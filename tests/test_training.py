@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import MaskPairs, augment_row, cast_params, reference_selective_step
+from oracles import MaskPairs, cast_params, reference_selective_step
 
 from selcontrast.data import Dataset, NoiseSpec, inject_noise, make_blobs, mixup
 from selcontrast.evaluation import weighted_knn_eval
@@ -115,6 +115,18 @@ def test_validate_normalizes_the_lr_schedule():
     cfg = RunConfig(lr_schedule=[(3, 1), ["7", "0.5"]]).validate()
     assert cfg.lr_schedule == [[3, 1.0], [7, 0.5]]
     assert [[type(e), type(m)] for e, m in cfg.lr_schedule] == [[int, float]] * 2
+
+
+def test_validate_holds_each_key_to_its_defaults_type():
+    # the rule the flags parse by: an int key takes an int, a float key an
+    # int or a float and stores a float, and no key takes a bool
+    cfg = RunConfig.from_dict({"lr": 1, "tau": np.float64(0.5)})
+    assert (type(cfg.lr), type(cfg.tau)) == (float, float)
+    assert (cfg.lr, cfg.tau) == (1.0, 0.5)
+    for key, value in [("t_max", 3.0), ("k", True), ("lr", True), ("seed", "1"),
+                       ("warmup_kind", 0), ("lr_schedule", 5)]:
+        with pytest.raises(ValueError, match=f"{key} must be "):
+            RunConfig.from_dict({key: value})
 
 
 def test_dataset_from_config_matches_direct_generation():
@@ -247,6 +259,29 @@ def test_pretrain_history_has_one_record_per_epoch():
     assert result.history[0].precision_examples is None
     assert result.history[0].precision_pairs is None
     assert result.selection is not None
+
+
+@pytest.mark.parametrize("n_train, batch_size", [(37, 16), (36, 36), (36, 64), (37, 2)])
+def test_view_batches_give_every_row_two_twinned_views(n_train, batch_size):
+    # identity augmentation, so each view must equal its origin's row
+    cfg = tiny_config(batch_size=batch_size, jitter_sigma=0.0, drop_prob=0.0,
+                      scale_low=1.0, scale_high=1.0)
+    x = np.random.default_rng(0).normal(size=(n_train, 5))
+    noisy = np.arange(n_train) % 3
+    batches = list(training._view_batches(x, noisy, cfg, np.random.default_rng(1)))
+    full, rest = divmod(n_train, batch_size)
+    assert [len(views) // 2 for views, *_ in batches] == [batch_size] * full + [rest] * (rest > 0)
+    for views, origins, labels, twin in batches:
+        nb = len(views) // 2
+        np.testing.assert_array_equal(origins[nb:], origins[:nb])  # [batch; batch]
+        np.testing.assert_array_equal(views, x[origins])
+        np.testing.assert_array_equal(labels, noisy[origins])
+        positions = np.arange(2 * nb)
+        np.testing.assert_array_equal(twin[twin], positions)  # an involution
+        assert np.all(twin != positions)  # without a fixed point
+        np.testing.assert_array_equal(origins[twin], origins)
+    origins = np.concatenate([origins for _, origins, _, _ in batches])
+    np.testing.assert_array_equal(np.bincount(origins, minlength=n_train), 2)
 
 
 @pytest.mark.parametrize("batch_size", [35, 64])
@@ -917,27 +952,6 @@ def test_reusing_the_record_embedding_changes_nothing():
     assert selection.pairs == result.selection.pairs
     for (name, arr), (_, ref) in zip(params.named_arrays(), result.params.named_arrays()):
         np.testing.assert_array_equal(arr, ref, err_msg=name)
-
-
-def test_batched_augment_changes_no_bit_of_a_run(monkeypatch):
-    # every augmented view, contrastive and fine-tuning alike, must equal the
-    # per-row oracle's, so swapping it in changes no parameter and no record
-    import selcontrast.training as training
-    cfg = tiny_config(t_warm=1, t_max=4, t_finetune=2)
-    ds = dataset_from_config(cfg)
-
-    def run():
-        result = pretrain(ds, cfg, time_source=lambda: 0.0)
-        return result.history, finetune(result.params, ds, cfg, selection=result.selection)
-
-    history, tuned = run()
-    assert all(r.n_confident > 0 for r in history[1:])  # every epoch selective
-    monkeypatch.setattr(training, "augment", lambda x, spec, rng: np.stack(
-        [augment_row(row, spec, rng) for row in x]))
-    ref_history, ref_tuned = run()
-    assert history == ref_history
-    for (name, arr), (_, ref) in zip(tuned.named_arrays(), ref_tuned.named_arrays()):
-        assert arr.tobytes() == ref.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
