@@ -5,8 +5,8 @@ pairs from embedding neighborhoods, composite contrastive + classification +
 pair-similarity training, and classifier fine-tuning on the confident subset.
 """
 
-from .data import (AugmentationSpec, Dataset, NoiseSpec, augment, dump_features_csv,
-                   inject_noise, load_features_csv, make_blobs, mixup)
+from .data import (Dataset, augment, dump_features_csv, inject_noise, load_features_csv,
+                   make_blobs, mixup)
 from .evaluation import (dump_projection_2d, pair_precision, project_2d, selection_precision,
                          weighted_knn_eval)
 from .losses import (classification_loss, masked_contrastive, mixup_contrastive,

@@ -134,14 +134,19 @@ def _refuse_given(args, names, reason: str) -> None:
 
 
 def _load_dataset(args, cfg: RunConfig):
-    """The --data CSV when given, which no dataset flag may accompany;
-    otherwise the dataset cfg's dataset keys describe."""
+    """The --data CSV when given, which no dataset flag may accompany and
+    whose train and test splits may not be empty; otherwise the dataset cfg's
+    dataset keys describe."""
     if getattr(args, "data", None):
         _refuse_given(args, DATASET_KEYS, "--data")
         try:
-            return load_features_csv(args.data)
+            ds = load_features_csv(args.data)
         except (OSError, ValueError) as exc:
             raise CliError(f"bad dataset: {exc}") from exc
+        for split, rows in (("train", ds.train_indices()), ("test", ds.test_indices())):
+            if not len(rows):
+                raise CliError(f"bad dataset: {args.data}: the {split} split is empty")
+        return ds
     try:
         return dataset_from_config(cfg)
     except ValueError as exc:

@@ -62,43 +62,20 @@ class Dataset:
         return np.flatnonzero(self.split == TEST)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """How to corrupt train labels.
-
-    kind "symmetric" redraws the label of a fixed fraction of train examples
-    uniformly over all classes (so a share rate/n_classes lands back on the
-    original label). kind "asymmetric" flips each train label with probability
-    `rate` from class c to class (c+1) mod n_classes.
-    """
-
-    kind: str
-    rate: float
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("symmetric", "asymmetric"):
-            raise ValueError(f"unknown noise kind: {self.kind!r}")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("noise rate must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class AugmentationSpec:
-    """Stochastic feature-space view: jitter, coordinate dropout, global scale."""
-
-    jitter_sigma: float = 0.0
-    drop_prob: float = 0.0
-    scale_range: tuple[float, float] = (1.0, 1.0)
-
-    def __post_init__(self):
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be >= 0")
-        if not 0.0 <= self.drop_prob <= 1.0:
-            raise ValueError("drop_prob must lie in [0, 1]")
-        lo, hi = self.scale_range
-        if not (0 < lo <= hi):
-            raise ValueError("scale_range must satisfy 0 < low <= high")
+def check_blob_args(n: int, n_classes: int, dim: int,
+                    cluster_spread: float) -> list[tuple[int, int]]:
+    """Raise ValueError on the first make_blobs argument it refuses; otherwise
+    return each class's (size, test rows) as make_blobs splits it 80/20."""
+    if n_classes < 2:
+        raise ValueError("need at least 2 classes")
+    if n < n_classes:
+        raise ValueError("need at least one example per class")
+    if dim < 2:
+        raise ValueError("dim must be >= 2")
+    if cluster_spread <= 0:
+        raise ValueError("cluster_spread must be positive")
+    sizes = [n // n_classes + (1 if c < n % n_classes else 0) for c in range(n_classes)]
+    return [(size, int(math.floor(_TEST_FRACTION * size + 0.5))) for size in sizes]
 
 
 def make_blobs(n: int, n_classes: int, dim: int, cluster_spread: float, seed: int) -> Dataset:
@@ -110,14 +87,7 @@ def make_blobs(n: int, n_classes: int, dim: int, cluster_spread: float, seed: in
     example and a stratified 80/20 train/test split is assigned from the same
     seed. Noisy labels start out equal to the clean ones.
     """
-    if n_classes < 2:
-        raise ValueError("need at least 2 classes")
-    if n < n_classes:
-        raise ValueError("need at least one example per class")
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    if cluster_spread <= 0:
-        raise ValueError("cluster_spread must be positive")
+    layout = check_blob_args(n, n_classes, dim, cluster_spread)
     rng = np.random.default_rng(seed)
 
     means = rng.standard_normal((n_classes, dim))
@@ -125,12 +95,10 @@ def make_blobs(n: int, n_classes: int, dim: int, cluster_spread: float, seed: in
     min_gap = gaps[~np.eye(n_classes, dtype=bool)].min()
     means *= _MEAN_SEPARATION * cluster_spread / min_gap
 
-    counts = [n // n_classes + (1 if c < n % n_classes else 0) for c in range(n_classes)]
     blocks, labels, split = [], [], []
-    for c, count in enumerate(counts):
+    for c, (count, n_test) in enumerate(layout):
         blocks.append(means[c] + cluster_spread * rng.standard_normal((count, dim)))
         labels.extend([c] * count)
-        n_test = int(math.floor(_TEST_FRACTION * count + 0.5))
         tags = np.full(count, TRAIN, dtype="<U5")
         tags[rng.permutation(count)[:n_test]] = TEST
         split.append(tags)
@@ -145,42 +113,51 @@ def make_blobs(n: int, n_classes: int, dim: int, cluster_spread: float, seed: in
     )
 
 
-def inject_noise(ds: Dataset, spec: NoiseSpec) -> Dataset:
-    """Return a copy of `ds` with corrupted train labels per `spec`.
+def inject_noise(ds: Dataset, kind: str, rate: float, seed: int = 0) -> Dataset:
+    """Return a copy of `ds` with corrupted train labels; instances, true
+    labels, split and test labels are untouched.
 
-    Instances, true labels, split and test labels are untouched.
+    kind "symmetric" redraws the label of a fixed fraction `rate` of train
+    examples uniformly over all classes (so a share rate/n_classes lands back
+    on the original label). kind "asymmetric" flips each train label with
+    probability `rate` from class c to class (c+1) mod n_classes.
     """
-    if spec.kind == "asymmetric" and ds.n_classes < 2:
+    if kind not in ("symmetric", "asymmetric"):
+        raise ValueError(f"unknown noise kind: {kind!r}")
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError("noise rate must lie in [0, 1]")
+    if kind == "asymmetric" and ds.n_classes < 2:
         raise ValueError("asymmetric noise needs at least 2 classes")
 
-    rng = np.random.default_rng(spec.rng_seed)
+    rng = np.random.default_rng(seed)
     train = ds.train_indices()
     noisy = ds.noisy_labels.copy()
-    if spec.kind == "symmetric":
-        n_corrupt = int(math.floor(spec.rate * len(train) + 0.5))
+    if kind == "symmetric":
+        n_corrupt = int(math.floor(rate * len(train) + 0.5))
         chosen = train[rng.permutation(len(train))[:n_corrupt]]
         noisy[chosen] = rng.integers(0, ds.n_classes, size=n_corrupt)
     else:
-        flip = train[rng.random(len(train)) < spec.rate]
+        flip = train[rng.random(len(train)) < rate]
         noisy[flip] = (noisy[flip] + 1) % ds.n_classes
     return replace(ds, noisy_labels=noisy)
 
 
-def augment(x: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator) -> np.ndarray:
+def augment(x: np.ndarray, rng: np.random.Generator, jitter_sigma: float, drop_prob: float = 0.0,
+            scale_low: float = 1.0, scale_high: float = 1.0) -> np.ndarray:
     """One stochastic view of each row of `x`: add Gaussian jitter, zero random
-    coordinates, multiply the row by a global scale drawn from scale_range.
+    coordinates, multiply the row by a global scale drawn from
+    [scale_low, scale_high].
 
     Draws three arrays for the whole batch, in this order: standard normals g
     of x's shape, uniforms u of x's shape, then one uniform s per row. The
-    view is x + sigma * g, zeroed where u < drop_prob, times
-    low + (high - low) * s.
+    view is x + jitter_sigma * g, zeroed where u < drop_prob, times
+    scale_low + (scale_high - scale_low) * s.
     """
     if x.ndim != 2:
         raise ValueError("augment expects a 2-d batch of rows")
-    out = x + spec.jitter_sigma * rng.standard_normal(x.shape)
-    out[rng.random(x.shape) < spec.drop_prob] = 0.0
-    low, high = spec.scale_range
-    out *= (low + (high - low) * rng.random(len(x)))[:, None]
+    out = x + jitter_sigma * rng.standard_normal(x.shape)
+    out[rng.random(x.shape) < drop_prob] = 0.0
+    out *= (scale_low + (scale_high - scale_low) * rng.random(len(x)))[:, None]
     return out
 
 

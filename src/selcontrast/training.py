@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import AugmentationSpec, Dataset, NoiseSpec, augment, inject_noise, make_blobs, mixup
+from .data import Dataset, augment, check_blob_args, inject_noise, make_blobs, mixup
 from .evaluation import selection_precision, weighted_knn_eval
 from .losses import (classification_loss, masked_contrastive, mixup_contrastive,
                      similarity_loss, total_loss, unsup_contrastive)
@@ -128,15 +128,20 @@ class RunConfig:
             (self.noise_kind in ("symmetric", "asymmetric"),
              "noise_kind must be 'symmetric' or 'asymmetric'"),
             (0.0 <= self.noise_rate <= 1.0, "noise_rate must lie in [0, 1]"),
+            (self.jitter_sigma >= 0, "jitter_sigma must be >= 0"),
+            (0.0 <= self.drop_prob <= 1.0, "drop_prob must lie in [0, 1]"),
+            (0 < self.scale_low <= self.scale_high, "scale_range must satisfy 0 < low <= high"),
+            (any(n_test for _, n_test in check_blob_args(self.n, self.classes, self.dim,
+                                                         self.cluster_spread)),
+             f"n={self.n} leaves the test split of {self.classes} classes empty"),
         ]
         for ok, message in checks:
             if not ok:
                 raise ValueError(message)
-        self.augmentation()  # AugmentationSpec holds the augmentation rules
-        self.weak_augmentation()
         for entry in self.lr_schedule:
-            if len(entry) != 2:
-                raise ValueError("lr_schedule entries must be [epoch, multiplier]")
+            if (len(entry) != 2 or isinstance(entry[0], (bool, float))
+                    or isinstance(entry[1], bool)):
+                raise ValueError(f"bad lr_schedule entry {entry!r}: need [int epoch, multiplier]")
         self.lr_schedule = [[int(e), float(m)] for e, m in self.lr_schedule]
         return self
 
@@ -161,13 +166,6 @@ class RunConfig:
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
 
-    def augmentation(self) -> AugmentationSpec:
-        return AugmentationSpec(jitter_sigma=self.jitter_sigma, drop_prob=self.drop_prob,
-                                scale_range=(self.scale_low, self.scale_high))
-
-    def weak_augmentation(self) -> AugmentationSpec:
-        return AugmentationSpec(jitter_sigma=self.jitter_sigma)
-
 
 def benchmark_config(**overrides) -> RunConfig:
     """The default run with `overrides` applied, validated."""
@@ -183,8 +181,7 @@ def dataset_from_config(cfg: RunConfig) -> Dataset:
     """Generate the blobs + label noise a config describes."""
     ds = make_blobs(cfg.n, cfg.classes, cfg.dim, cfg.cluster_spread, cfg.data_seed)
     if cfg.noise_rate > 0:
-        ds = inject_noise(ds, NoiseSpec(kind=cfg.noise_kind, rate=cfg.noise_rate,
-                                        rng_seed=cfg.noise_seed))
+        ds = inject_noise(ds, cfg.noise_kind, cfg.noise_rate, cfg.noise_seed)
     return ds
 
 
@@ -261,13 +258,13 @@ def _view_batches(x_train: np.ndarray, labels: np.ndarray, cfg: RunConfig,
     x_train[origins] with origins = [batch; batch]. Every contrastive epoch
     draws its batches here; the consumer may draw from `rng` between batches.
     """
-    aug = cfg.augmentation()
     perm = rng.permutation(len(x_train))
     for start in range(0, len(perm), cfg.batch_size):
         batch_idx = perm[start:start + cfg.batch_size]
         origins = np.concatenate([batch_idx, batch_idx])
         twin = np.roll(np.arange(len(origins)), len(batch_idx))
-        yield augment(x_train[origins], aug, rng), origins, labels[origins], twin
+        yield (augment(x_train[origins], rng, cfg.jitter_sigma, cfg.drop_prob, cfg.scale_low,
+                       cfg.scale_high), origins, labels[origins], twin)
 
 
 def _label_mask(labels: np.ndarray) -> np.ndarray:
@@ -293,13 +290,15 @@ def _contrastive_epoch(params, opt, ds, cfg, epoch, kind) -> float:
 
 
 def _cross_entropy_epoch(params, opt, x_train, labels, rows, cfg, rng,
-                         aug: AugmentationSpec | None = None) -> None:
+                         weak_views: bool = False) -> None:
     """One epoch of classifier cross-entropy over the train `rows` in random
-    order, one weak view per row when `aug` is given, raw rows otherwise."""
+    order: one weak view per row (jitter only) when `weak_views`, raw rows
+    otherwise."""
     perm = rows[rng.permutation(len(rows))]
     for start in range(0, len(perm), cfg.batch_size):
         batch_idx = perm[start:start + cfg.batch_size]
-        x = x_train[batch_idx] if aug is None else augment(x_train[batch_idx], aug, rng)
+        x = x_train[batch_idx]
+        x = augment(x, rng, cfg.jitter_sigma) if weak_views else x
         cache = forward(params, x, project=False)
         _, grad_p = classification_loss(cache.p_hat, labels[batch_idx],
                                         np.ones(len(batch_idx), dtype=bool))
@@ -537,10 +536,9 @@ def finetune(params: NetworkParams, ds: Dataset, cfg: RunConfig,
                               schedule=[], lr_scale=lr_scale)
 
     x_train, _, noisy_train = _train_arrays(ds)
-    aug = cfg.weak_augmentation()
     for epoch in range(1, cfg.t_finetune + 1):
         _cross_entropy_epoch(params, opt, x_train, noisy_train, selection.confident, cfg,
-                             _epoch_rng(cfg.seed, _STREAM_FINETUNE, epoch), aug)
+                             _epoch_rng(cfg.seed, _STREAM_FINETUNE, epoch), weak_views=True)
     return params
 
 

@@ -13,7 +13,7 @@ import pytest
 import selcontrast
 import selcontrast.cli as cli
 from selcontrast.cli import cli_run, emit_summary
-from selcontrast.data import load_features_csv
+from selcontrast.data import dump_features_csv, load_features_csv
 from selcontrast.network import load_checkpoint
 from selcontrast.neighbors import grid_rows
 from selcontrast.selection import SelectionState
@@ -482,15 +482,22 @@ def test_train_with_nothing_selected_exits_2_naming_the_quota(tmp_path, capsys):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "metrics.csv"]
 
 
-@pytest.mark.parametrize("command", ["gen", "train"])
+@pytest.mark.parametrize("command", ["gen", "train", "sweep"])
 @pytest.mark.parametrize("flags, message", [
     (["--cluster-spread", "0"], "cluster_spread must be positive"),
     (["--classes", "1"], "need at least 2 classes"),
     (["--n", "3"], "need at least one example per class"),
     (["--noise-rate", "1.5"], "noise_rate must lie in [0, 1]"),
+    (["--dim", "1"], "dim must be >= 2"),
+    # 2 examples per class give no test row under the 80/20 split
+    (["--n", "8", "--classes", "4"], "n=8 leaves the test split of 4 classes empty"),
 ])
 def test_bad_dataset_key_exits_1(tmp_path, capsys, command, flags, message):
-    out = ["--out", str(tmp_path / "ds.csv")] if command == "gen" else ["--t-max", "1"]
+    # refused before any run starts, so sweep records no failed run
+    out = {"gen": ["--out", str(tmp_path / "ds.csv")],
+           "train": ["--t-max", "1"],
+           "sweep": ["--t-max", "1", "--axis", "alpha", "--values", "0.5", "--seeds", "1",
+                     "--out", str(tmp_path / "sweep.csv")]}[command]
     assert cli_run([command, *flags, *out]) == 1
     assert f"bad configuration: {message}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -520,6 +527,7 @@ def test_bad_augmentation_or_width_key_exits_1(tmp_path, capsys, command, flags,
     ({"k": True}, "k must be int, got True"),
     ({"lr": False}, "lr must be float, got False"),
     ({"projection": 1}, "projection must be str, got 1"),
+    ({"lr_schedule": [[1.5, 0.1]]}, "bad lr_schedule entry [1.5, 0.1]"),
 ])
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_config_file_value_of_the_wrong_type_exits_1(tmp_path, capsys, command, keys,
@@ -555,6 +563,24 @@ def test_train_data_refuses_dataset_flags(tmp_path, trained, capsys):
     err = capsys.readouterr().err
     assert "--n, --classes, --noise-rate cannot be combined with --data" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("empty", ["train", "test"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_data_with_an_empty_split_exits_1(tmp_path, trained, capsys, command, empty):
+    # refused before training: with no train row nothing votes, with no test
+    # row the probe divides by zero
+    ds = load_features_csv(trained["data"])
+    data = tmp_path / "ds.csv"
+    split = np.full(ds.n, "test" if empty == "train" else "train")
+    # test labels are clean
+    dump_features_csv(dataclasses.replace(ds, noisy_labels=ds.true_labels, split=split), data)
+    args = (["train", *TINY_RUN, "--out-dir", str(tmp_path / "run")] if command == "train"
+            else ["eval", "--checkpoint", str(trained["checkpoint"]), "--k-eval", "10",
+                  "--out", str(tmp_path / "report.json")])
+    assert cli_run([*args, "--data", str(data)]) == 1
+    assert f"bad dataset: {data}: the {empty} split is empty" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["ds.csv"]
 
 
 def test_train_data_accepts_dataset_keys_from_a_config_file(tmp_path, trained):

@@ -2,9 +2,8 @@
 import numpy as np
 import pytest
 
-from selcontrast.data import (AugmentationSpec, Dataset, NoiseSpec, augment,
-                              dump_features_csv, inject_noise, load_features_csv,
-                              make_blobs, mixup)
+from selcontrast.data import (Dataset, augment, dump_features_csv, inject_noise,
+                              load_features_csv, make_blobs, mixup)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +76,7 @@ def test_blobs_clean_labels_on_test_split():
 def test_symmetric_noise_redraw_count_exact():
     ds = make_blobs(100, 4, 4, 0.5, seed=2)
     n_train = len(ds.train_indices())
-    noisy = inject_noise(ds, NoiseSpec(kind="symmetric", rate=0.3, rng_seed=8))
+    noisy = inject_noise(ds, "symmetric", 0.3, seed=8)
     # 0.3 * 80 = 24 examples redrawn; a redraw may land on the original label,
     # so the mismatch count is at most the redraw count.
     changed = np.sum(noisy.noisy_labels != noisy.true_labels)
@@ -88,7 +87,7 @@ def test_symmetric_noise_redraw_count_exact():
 
 def test_symmetric_noise_only_train_labels_move():
     ds = make_blobs(100, 4, 4, 0.5, seed=2)
-    noisy = inject_noise(ds, NoiseSpec(kind="symmetric", rate=0.5, rng_seed=8))
+    noisy = inject_noise(ds, "symmetric", 0.5, seed=8)
     np.testing.assert_array_equal(noisy.instances, ds.instances)
     np.testing.assert_array_equal(noisy.true_labels, ds.true_labels)
     test = noisy.test_indices()
@@ -101,7 +100,7 @@ def test_symmetric_noise_effective_rate_three_sigma():
     n_train = len(ds.train_indices())
     assert n_train == 10000
     rate = 0.4
-    noisy = inject_noise(ds, NoiseSpec(kind="symmetric", rate=rate, rng_seed=21))
+    noisy = inject_noise(ds, "symmetric", rate, seed=21)
     tr = noisy.train_indices()
     flipped = np.sum(noisy.noisy_labels[tr] != noisy.true_labels[tr])
     p = rate * (5 - 1) / 5
@@ -111,14 +110,14 @@ def test_symmetric_noise_effective_rate_three_sigma():
 
 def test_symmetric_noise_deterministic():
     ds = make_blobs(80, 3, 4, 0.5, seed=6)
-    a = inject_noise(ds, NoiseSpec(kind="symmetric", rate=0.4, rng_seed=3))
-    b = inject_noise(ds, NoiseSpec(kind="symmetric", rate=0.4, rng_seed=3))
+    a = inject_noise(ds, "symmetric", 0.4, seed=3)
+    b = inject_noise(ds, "symmetric", 0.4, seed=3)
     np.testing.assert_array_equal(a.noisy_labels, b.noisy_labels)
 
 
 def test_zero_rate_is_identity():
     ds = make_blobs(40, 2, 3, 0.5, seed=6)
-    noisy = inject_noise(ds, NoiseSpec(kind="symmetric", rate=0.0, rng_seed=3))
+    noisy = inject_noise(ds, "symmetric", 0.0, seed=3)
     np.testing.assert_array_equal(noisy.noisy_labels, ds.noisy_labels)
 
 
@@ -128,7 +127,7 @@ def test_zero_rate_is_identity():
 
 def test_asymmetric_noise_follows_circular_map():
     ds = make_blobs(200, 4, 4, 0.5, seed=10)
-    noisy = inject_noise(ds, NoiseSpec(kind="asymmetric", rate=1.0, rng_seed=5))
+    noisy = inject_noise(ds, "asymmetric", 1.0, seed=5)
     tr = noisy.train_indices()
     np.testing.assert_array_equal(noisy.noisy_labels[tr],
                                   (noisy.true_labels[tr] + 1) % 4)
@@ -136,18 +135,20 @@ def test_asymmetric_noise_follows_circular_map():
 
 def test_asymmetric_noise_rate_controls_flip_probability():
     ds = make_blobs(2500, 2, 4, 0.5, seed=12)
-    noisy = inject_noise(ds, NoiseSpec(kind="asymmetric", rate=0.4, rng_seed=17))
+    noisy = inject_noise(ds, "asymmetric", 0.4, seed=17)
     tr = noisy.train_indices()
     frac = np.mean(noisy.noisy_labels[tr] != noisy.true_labels[tr])
     sigma = np.sqrt(0.4 * 0.6 / len(tr))
     assert abs(frac - 0.4) < 3 * sigma
 
 
-def test_noise_spec_rejects_bad_rate_and_kind():
-    with pytest.raises(ValueError):
-        NoiseSpec(kind="symmetric", rate=1.5)
-    with pytest.raises(ValueError):
-        NoiseSpec(kind="flip", rate=0.1)
+def test_inject_noise_rejects_bad_rate_and_kind():
+    # an unknown kind must not take the asymmetric branch
+    ds = make_blobs(40, 2, 3, 0.5, seed=6)
+    with pytest.raises(ValueError, match="noise rate"):
+        inject_noise(ds, "symmetric", 1.5)
+    with pytest.raises(ValueError, match="unknown noise kind: 'flip'"):
+        inject_noise(ds, "flip", 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -155,71 +156,58 @@ def test_noise_spec_rejects_bad_rate_and_kind():
 # ---------------------------------------------------------------------------
 
 def test_identity_augmentation_is_identity():
-    spec = AugmentationSpec(jitter_sigma=0.0, drop_prob=0.0, scale_range=(1.0, 1.0))
     rng = np.random.default_rng(0)
     x = np.array([[1.0, -2.0, 3.0], [0.5, 0.0, -0.0]])
-    np.testing.assert_array_equal(augment(x, spec, rng), x)
+    np.testing.assert_array_equal(augment(x, rng, 0.0, 0.0, 1.0, 1.0), x)
 
 
 def test_augmentation_deterministic_given_rng_state():
-    spec = AugmentationSpec(jitter_sigma=0.5, drop_prob=0.2, scale_range=(0.9, 1.1))
     x = np.linspace(-1, 1, 24).reshape(3, 8)
-    a = augment(x, spec, np.random.default_rng(42))
-    b = augment(x, spec, np.random.default_rng(42))
+    a = augment(x, np.random.default_rng(42), 0.5, 0.2, 0.9, 1.1)
+    b = augment(x, np.random.default_rng(42), 0.5, 0.2, 0.9, 1.1)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, x)
 
 
 def test_augmentation_drop_zeroes_coordinates():
-    spec = AugmentationSpec(jitter_sigma=0.0, drop_prob=1.0, scale_range=(1.0, 1.0))
     x = np.ones((2, 6))
-    np.testing.assert_array_equal(augment(x, spec, np.random.default_rng(1)),
+    np.testing.assert_array_equal(augment(x, np.random.default_rng(1), 0.0, drop_prob=1.0),
                                   np.zeros((2, 6)))
 
 
 def test_augment_takes_a_batch_of_rows():
-    spec = AugmentationSpec(jitter_sigma=0.5)
     with pytest.raises(ValueError, match="2-d"):
-        augment(np.ones(4), spec, np.random.default_rng(0))
+        augment(np.ones(4), np.random.default_rng(0), 0.5)
     rng = np.random.default_rng(0)
-    assert augment(np.ones((0, 4)), spec, rng).shape == (0, 4)
+    assert augment(np.ones((0, 4)), rng, 0.5).shape == (0, 4)
     assert rng.random() == np.random.default_rng(0).random()  # no draw for no row
 
 
-def three_array_view(x, spec, rng):
+def three_array_view(x, rng, jitter_sigma, drop_prob, low, high):
     """The draw order augment keeps: normals, then uniforms, of x's shape,
     then one scale uniform per row."""
     jitter, drop, scale = (rng.standard_normal(x.shape), rng.random(x.shape),
                            rng.random(len(x)))
-    low, high = spec.scale_range
-    kept = np.where(drop < spec.drop_prob, 0.0, x + spec.jitter_sigma * jitter)
+    kept = np.where(drop < drop_prob, 0.0, x + jitter_sigma * jitter)
     return kept * (low + (high - low) * scale)[:, None]
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 129])
 @pytest.mark.parametrize("d", [2, 16, 64])
 @pytest.mark.parametrize("spec", [
-    AugmentationSpec(jitter_sigma=0.0, drop_prob=0.0, scale_range=(1.0, 1.0)),
-    AugmentationSpec(jitter_sigma=0.0, drop_prob=1.0, scale_range=(1.0, 1.0)),
-    AugmentationSpec(jitter_sigma=0.5, drop_prob=0.0, scale_range=(1.0, 1.0)),
-    AugmentationSpec(jitter_sigma=0.0, drop_prob=0.1, scale_range=(0.9, 1.1)),
-    AugmentationSpec(jitter_sigma=0.5, drop_prob=0.1, scale_range=(0.9, 1.1)),
+    (0.0, 0.0, 1.0, 1.0),
+    (0.0, 1.0, 1.0, 1.0),
+    (0.5, 0.0, 1.0, 1.0),
+    (0.0, 0.1, 0.9, 1.1),
+    (0.5, 0.1, 0.9, 1.1),
 ], ids=["identity", "drop-all", "jitter", "no-jitter", "default"])
 def test_augment_draws_three_arrays_per_batch(m, d, spec):
+    # spec is (jitter_sigma, drop_prob, scale_low, scale_high)
     x = np.random.default_rng(m).normal(size=(m, d))
     got_rng, ref_rng = np.random.default_rng(7 * m + d), np.random.default_rng(7 * m + d)
-    got = augment(x, spec, got_rng)
-    assert got.tobytes() == three_array_view(x, spec, ref_rng).tobytes()
+    got = augment(x, got_rng, *spec)
+    assert got.tobytes() == three_array_view(x, ref_rng, *spec).tobytes()
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-def test_augmentation_spec_validation():
-    with pytest.raises(ValueError):
-        AugmentationSpec(jitter_sigma=-0.1)
-    with pytest.raises(ValueError):
-        AugmentationSpec(drop_prob=1.5)
-    with pytest.raises(ValueError):
-        AugmentationSpec(scale_range=(1.2, 0.8))
 
 
 def test_mixup_is_exact_convex_combination_over_a_permutation():
@@ -267,7 +255,7 @@ def test_mixup_tie_goes_to_the_row_itself():
 
 def test_csv_round_trip(tmp_path):
     ds = make_blobs(30, 3, 5, 0.5, seed=13)
-    ds = inject_noise(ds, NoiseSpec(kind="symmetric", rate=0.3, rng_seed=1))
+    ds = inject_noise(ds, "symmetric", 0.3, seed=1)
     path = tmp_path / "ds.csv"
     dump_features_csv(ds, path)
     loaded = load_features_csv(path)

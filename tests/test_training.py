@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from oracles import MaskPairs, cast_params, reference_selective_step
 
-from selcontrast.data import Dataset, NoiseSpec, inject_noise, make_blobs, mixup
+from selcontrast.data import Dataset, inject_noise, make_blobs, mixup
 from selcontrast.evaluation import weighted_knn_eval
 from selcontrast.network import OptState, apply_lr_schedule, forward, init_params
 from selcontrast import neighbors, training
@@ -103,6 +103,12 @@ def test_config_validation_messages():
     # 0 freezes the encoder; a negative scale would step it up its gradient
     with pytest.raises(ValueError, match="finetune_encoder_scale"):
         tiny_config(finetune_encoder_scale=-0.1)
+    with pytest.raises(ValueError, match="jitter_sigma must be >= 0"):
+        tiny_config(jitter_sigma=-0.1)
+    with pytest.raises(ValueError, match=r"drop_prob must lie in \[0, 1\]"):
+        tiny_config(drop_prob=1.5)
+    with pytest.raises(ValueError, match="scale_range must satisfy 0 < low <= high"):
+        tiny_config(scale_low=1.2, scale_high=0.8)
 
 
 def test_defaults_are_the_benchmark_config():
@@ -115,6 +121,22 @@ def test_validate_normalizes_the_lr_schedule():
     cfg = RunConfig(lr_schedule=[(3, 1), ["7", "0.5"]]).validate()
     assert cfg.lr_schedule == [[3, 1.0], [7, 0.5]]
     assert [[type(e), type(m)] for e, m in cfg.lr_schedule] == [[int, float]] * 2
+
+
+def test_validate_refuses_a_truncating_lr_schedule_entry():
+    # int() would truncate a float or bool epoch and float() take a bool
+    for entry in ([1.5, 0.1], [True, 2], [2, False], [np.float64(3.0), 0.5], [3]):
+        with pytest.raises(ValueError, match="bad lr_schedule entry"):
+            RunConfig.from_dict({"lr_schedule": [entry]})
+
+
+@pytest.mark.parametrize("n, classes", [(8, 4), (10, 5), (4, 2)])
+def test_validate_refuses_sizes_that_leave_the_test_split_empty(n, classes):
+    # under the 80/20 split a class gives a test row only from 3 examples on
+    assert not len(make_blobs(n, classes, 2, 0.5, seed=1).test_indices())
+    with pytest.raises(ValueError, match="leaves the test split of .* classes empty"):
+        benchmark_config(n=n, classes=classes)
+    benchmark_config(n=n + 1, classes=classes)  # one class of 3 gives one test row
 
 
 def test_validate_holds_each_key_to_its_defaults_type():
@@ -134,8 +156,7 @@ def test_dataset_from_config_matches_direct_generation():
     ds = dataset_from_config(cfg)
     direct = inject_noise(make_blobs(cfg.n, cfg.classes, cfg.dim, cfg.cluster_spread,
                                      cfg.data_seed),
-                          NoiseSpec(kind=cfg.noise_kind, rate=cfg.noise_rate,
-                                    rng_seed=cfg.noise_seed))
+                          cfg.noise_kind, cfg.noise_rate, seed=cfg.noise_seed)
     np.testing.assert_array_equal(ds.instances, direct.instances)
     np.testing.assert_array_equal(ds.noisy_labels, direct.noisy_labels)
 
