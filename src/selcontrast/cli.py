@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -15,6 +16,7 @@ import numpy as np
 
 from .data import dump_features_csv, load_features_csv
 from .evaluation import dump_projection_2d
+from .neighbors import GRID_BITS
 from .network import forward, load_checkpoint, save_checkpoint
 from .training import (DATASET_KEYS, PROBE_KEYS, SELECTION_KEYS, PretrainResult, RunConfig,
                        compute_selection, dataset_from_config, finetune, model_metrics,
@@ -153,36 +155,26 @@ def _load_dataset(args, cfg: RunConfig):
         raise CliError(f"bad configuration: {exc}") from exc
 
 
-# Pairs formatted per write of a selection dump's pair lists.
-_PAIR_CHUNK = 1 << 16
-
-
 def _dump_selection(state, train_idx, path) -> None:
-    """Write the selection as one JSON object: its per-example state, then the
-    sorted pair lists "pairs_confident" and "pairs_similar" as [[i, j], ...].
-
-    The pair lists are formatted from sorted index arrays a chunk at a time,
-    with no Python object per pair; the bytes are json.dump's.
-    """
-    head = {
+    """Write the state that defines the selection as one JSON object, no
+    entry of which grows with the pair count. Pair {i, j}, i != j, of train
+    rows train_row_indices[i] and [j] is selected when noisy_labels[i] ==
+    noisy_labels[j] and either both are in confident_by_class or
+    z_grid[i] . z_grid[j] > ldexp(sim_threshold, 48). z_grid holds the bank's
+    rows as the exact integers ldexp(z, 24); sim_threshold is null when there
+    is no confident pair, and then no pair is similar."""
+    payload = {
         "epoch_tag": state.epoch_tag,
         "per_class_quota": state.per_class_quota,
-        "sim_threshold": state.sim_threshold,
         "train_row_indices": train_idx.tolist(),
+        "noisy_labels": state.noisy_labels.tolist(),
         "confident_by_class": [c.tolist() for c in state.confident_by_class],
+        "sim_threshold": None if math.isinf(state.sim_threshold) else state.sim_threshold,
+        "z_grid": np.ldexp(state.z, GRID_BITS).astype(np.int64).tolist(),
     }
     with open(path, "w") as fh:
-        fh.write(json.dumps(head)[:-1])  # the object stays open for the pair lists
-        for key, (first, second) in (("pairs_confident", state.confident_pair_index()),
-                                     ("pairs_similar", state.similar_pair_index())):
-            fh.write(f', "{key}": [')
-            for start in range(0, len(first), _PAIR_CHUNK):
-                stop = start + _PAIR_CHUNK
-                fh.write((", " if start else "") + ", ".join(
-                    map("[{}, {}]".format, first[start:stop].tolist(),
-                        second[start:stop].tolist())))
-            fh.write("]")
-        fh.write("}\n")
+        json.dump(payload, fh, allow_nan=False)
+        fh.write("\n")
 
 
 def _end_run(result: PretrainResult, ds, cfg: RunConfig):
@@ -209,8 +201,11 @@ def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
     ds = _load_dataset(args, cfg)
     out_dir = Path(args.out_dir) if args.out_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    # every output directory exists before training, so no write after it fails
+    directories = [out_dir] if out_dir else []
+    directories += [Path(dump).parent for dump in (args.dump_selection, args.dump_pseudo) if dump]
+    for directory in directories:
+        directory.mkdir(parents=True, exist_ok=True)
     clock = (lambda: 0.0) if args.fixed_clock else time.perf_counter
     result = pretrain(ds, cfg, time_source=clock)
 

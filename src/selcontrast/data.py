@@ -199,8 +199,8 @@ def dump_features_csv(ds: Dataset, path) -> None:
 def load_features_csv(path) -> Dataset:
     """Read a dataset written by dump_features_csv.
 
-    Malformed rows raise ValueError naming the offending line. The class
-    count is inferred as max(label) + 1.
+    Malformed rows, negative labels and non-finite features raise ValueError
+    naming the offending line. The class count is inferred as max(label) + 1.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -232,8 +232,14 @@ def load_features_csv(path) -> Dataset:
         bad = np.flatnonzero(arr < 0)
         if bad.size:
             raise ValueError(f"{path}: line {bad[0] + 2}: {name} {arr[bad[0]]} is negative")
+    instances = np.asarray(feats, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(instances))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"{path}: line {row + 2}: {header[col]} {instances[row, col]} "
+                         "is not finite")
     return Dataset(
-        instances=np.asarray(feats, dtype=np.float64),
+        instances=instances,
         true_labels=true_arr,
         noisy_labels=noisy_arr,
         split=np.asarray(split, dtype="<U5"),

@@ -17,13 +17,14 @@ block, which is exact because a cell depends on its two indices alone.
 gamma is the exact nearest-rank fractile of the confident pairs'
 similarities, found by counting them per bucket of their integer keys in a
 few passes over each class's confident rows, without keeping one value per
-pair. The similar-pair count, the sorted pair index arrays and the read-only
-tuple sets `pairs_confident`, `pairs_similar` and `pairs` come from passes
-over each class's upper triangle. Every pass works in neighbors.row_blocks,
-so nothing of size n x n is allocated.
+pair. The similar-pair count and the read-only tuple sets `pairs_similar`
+and `pairs` come from passes over each class's upper triangle, and
+`pairs_confident` from confident_by_class alone. Every pass works in
+neighbors.row_blocks, so nothing of size n x n is allocated.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -72,14 +73,6 @@ def same_label_blocks(labels: np.ndarray):
             yield members[start:stop], members[start:]
 
 
-def _sorted_pairs(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """The (i, j) index arrays of the pairs in `parts`, sorted by i, then j."""
-    i = np.concatenate([a for a, _ in parts] + [np.empty(0, dtype=np.int64)])
-    j = np.concatenate([b for _, b in parts] + [np.empty(0, dtype=np.int64)])
-    order = np.lexsort((j, i))
-    return i[order], j[order]
-
-
 @dataclass
 class SelectionState:
     """One epoch's selection: class-balanced confident examples plus the
@@ -126,30 +119,18 @@ class SelectionState:
     def n_pairs_similar(self) -> int:
         return sum(int(np.count_nonzero(block)) for _, _, block in self._similar_upper())
 
-    def confident_pair_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """(i, j) index arrays of the confident pairs i < j, sorted by i, then j."""
-        parts = []
-        for members in self.confident_by_class:
-            members = np.sort(members)
-            r, c = np.triu_indices(len(members), 1)
-            parts.append((members[r], members[c]))
-        return _sorted_pairs(parts)
-
-    def similar_pair_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """(i, j) index arrays of the similar pairs i < j, sorted by i, then j."""
-        parts = []
-        for rows, cols, block in self._similar_upper():
-            r, c = np.nonzero(block)
-            parts.append((rows[r], cols[c]))
-        return _sorted_pairs(parts)
-
     @cached_property
     def pairs_confident(self) -> frozenset[Pair]:
-        return frozenset(zip(*(a.tolist() for a in self.confident_pair_index())))
+        return frozenset(pair for members in self.confident_by_class
+                         for pair in itertools.combinations(sorted(members.tolist()), 2))
 
     @cached_property
     def pairs_similar(self) -> frozenset[Pair]:
-        return frozenset(zip(*(a.tolist() for a in self.similar_pair_index())))
+        pairs = set()
+        for rows, cols, block in self._similar_upper():
+            r, c = np.nonzero(block)
+            pairs.update(zip(rows[r].tolist(), cols[c].tolist()))
+        return frozenset(pairs)
 
     @cached_property
     def pairs(self) -> frozenset[Pair]:

@@ -17,6 +17,8 @@ versions compare bit for bit. They compute in the dtype of the parameters
 The reference selective step composes them with the package's mixup and
 loss functions in the joint order the step first had, and reads its three
 pair masks with three pair_block calls rather than slicing one block.
+dump_pairs rebuilds a selection's pairs from its `--dump-selection` JSON
+alone, in Python integers.
 """
 import dataclasses
 import math
@@ -295,3 +297,25 @@ class MaskPairs:
 def full_mask(selection, n):
     """The (n, n) mask a pair_block reader selects, built from one block."""
     return selection.pair_block(np.arange(n), np.arange(n))
+
+
+def dump_pairs(payload):
+    """(confident pairs, similar pairs) as sets of (i, j), i < j, rebuilt from
+    a parsed `train --dump-selection` payload alone, one pair at a time: the
+    same noisy label, and both confident, or an integer dot product of the
+    z_grid rows above the cut scaled by 2**48 (exact: the cut is a multiple
+    of 2**-48 and a null cut selects nothing)."""
+    noisy, z = payload["noisy_labels"], payload["z_grid"]
+    confident = {i for members in payload["confident_by_class"] for i in members}
+    gamma = payload["sim_threshold"]
+    cut = None if gamma is None else math.ldexp(gamma, 48)
+    g_prime, g_second = set(), set()
+    for i in range(len(noisy)):
+        for j in range(i + 1, len(noisy)):
+            if noisy[i] != noisy[j]:
+                continue
+            if i in confident and j in confident:
+                g_prime.add((i, j))
+            if cut is not None and sum(a * b for a, b in zip(z[i], z[j])) > cut:
+                g_second.add((i, j))
+    return g_prime, g_second

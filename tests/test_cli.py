@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import dump_pairs
 
 import selcontrast
 import selcontrast.cli as cli
@@ -139,30 +140,40 @@ def test_fixed_clock_runs_are_byte_identical(tmp_path, trained):
     assert blobs[0] == blobs[1]
 
 
+DUMP_KEYS = {"epoch_tag", "per_class_quota", "train_row_indices", "noisy_labels",
+             "confident_by_class", "sim_threshold", "z_grid"}
+
+
 def test_train_dumps_selection_and_pseudo_labels(tmp_path, trained):
     sel, pseudo = tmp_path / "sel.json", tmp_path / "pseudo.csv"
     assert cli_run(["train", *TINY_RUN, "--data", str(trained["data"]), "--t-finetune", "0",
                     "--dump-selection", str(sel), "--dump-pseudo", str(pseudo),
                     "--fixed-clock"]) == 0
     payload = json.loads(sel.read_text())
-    assert set(payload) >= {"per_class_quota", "sim_threshold", "train_row_indices",
-                            "confident_by_class", "pairs_confident", "pairs_similar"}
-    for i, j in payload["pairs_confident"]:
-        assert i < j
+    assert set(payload) == DUMP_KEYS
+    n_train = len(payload["train_row_indices"])
+    assert len(payload["noisy_labels"]) == len(payload["z_grid"]) == n_train
+    assert all(len(row) == 8 for row in payload["z_grid"])  # --proj-dim 8
     lines = pseudo.read_text().strip().split("\n")
     assert lines[0] == "index,y_hat,q_0,q_1"
-    assert len(lines) == 1 + len(payload["train_row_indices"])
+    assert len(lines) == 1 + n_train
     first = lines[1].split(",")
     assert abs(float(first[2]) + float(first[3]) - 1.0) < 1e-6
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 5, 1 << 16])
+def _leaves(value) -> int:
+    """The number of scalars in a parsed JSON value."""
+    return sum(map(_leaves, value)) if isinstance(value, list) else 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5, 1 << 16])
 @pytest.mark.parametrize("threshold", [0.3, float("inf")])
-def test_selection_dump_is_json_dump_of_the_sorted_pairs(tmp_path, monkeypatch, chunk,
-                                                         threshold):
-    rng = np.random.default_rng(4)
+def test_selection_dump_is_json_dump_of_the_sorted_pairs(tmp_path, seed, threshold):
+    # the file is one strict json.dump of the selection's state, from which
+    # the plain-loop oracle rebuilds exactly the state's pairs, in sorted order
+    rng = np.random.default_rng(seed)
     noisy = rng.integers(0, 3, size=30)
-    confident = np.flatnonzero(rng.random(30) < 0.4)
+    confident = np.flatnonzero(rng.random(30) < 0.5)
     z = rng.normal(size=(30, 3))
     state = SelectionState(noisy_labels=noisy,
                            confident_by_class=[confident[noisy[confident] == c]
@@ -171,16 +182,22 @@ def test_selection_dump_is_json_dump_of_the_sorted_pairs(tmp_path, monkeypatch, 
                            z=grid_rows(z / np.linalg.norm(z, axis=1, keepdims=True)),
                            per_class_quota=4, epoch_tag=7)
     train_idx = np.arange(100, 130)
-    monkeypatch.setattr(cli, "_PAIR_CHUNK", chunk)
     cli._dump_selection(state, train_idx, tmp_path / "sel.json")
-    payload = {"epoch_tag": 7, "per_class_quota": 4, "sim_threshold": threshold,
+    payload = {"epoch_tag": 7, "per_class_quota": 4,
                "train_row_indices": train_idx.tolist(),
+               "noisy_labels": noisy.tolist(),
                "confident_by_class": [c.tolist() for c in state.confident_by_class],
-               "pairs_confident": sorted(state.pairs_confident),
-               "pairs_similar": sorted(state.pairs_similar)}
-    assert len(payload["pairs_confident"]) > 5
-    assert (len(payload["pairs_similar"]) > 5) == (threshold < 1)
-    assert (tmp_path / "sel.json").read_text() == json.dumps(payload) + "\n"
+               "sim_threshold": None if threshold == float("inf") else threshold,
+               "z_grid": np.ldexp(state.z, 24).astype(np.int64).tolist()}
+    assert (tmp_path / "sel.json").read_text() == json.dumps(payload, allow_nan=False) + "\n"
+    g_prime, g_second = dump_pairs(payload)
+    assert sorted(g_prime) == sorted(state.pairs_confident) and len(g_prime) > 5
+    assert sorted(g_second) == sorted(state.pairs_similar)
+    assert (len(g_second) > 5) == (threshold < 1)
+    # O(n d): no entry holds one scalar per pair, whatever the pair count
+    assert {key: _leaves(value) for key, value in payload.items()} == {
+        "epoch_tag": 1, "per_class_quota": 1, "sim_threshold": 1, "train_row_indices": 30,
+        "noisy_labels": 30, "confident_by_class": len(confident), "z_grid": 30 * 3}
 
 
 def _record_calls(monkeypatch, name):
@@ -198,8 +215,7 @@ def _record_calls(monkeypatch, name):
 
 def _assert_dumps_describe(state, sel, pseudo):
     payload = json.loads(sel.read_text())
-    assert payload["pairs_confident"] == [list(p) for p in sorted(state.pairs_confident)]
-    assert payload["pairs_similar"] == [list(p) for p in sorted(state.pairs_similar)]
+    assert dump_pairs(payload) == (state.pairs_confident, state.pairs_similar)
     assert payload["confident_by_class"] == [c.tolist() for c in state.confident_by_class]
     assert payload["sim_threshold"] == state.sim_threshold
     assert payload["epoch_tag"] == state.epoch_tag
@@ -466,20 +482,39 @@ def test_checkpoint_with_wrong_projection_shape_exits_1(tmp_path, trained, capsy
     assert "bad checkpoint" in err and "proj_w1" in err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def test_train_with_nothing_selected_exits_2_naming_the_quota(tmp_path, capsys):
     # k >= n_train - 1 on balanced clean data: every per-class quota is 0
     # (tests/test_training.py pins the records), so fine-tuning has nothing to fit
+    out_dir, sel = tmp_path / "run", tmp_path / "sel.json"
     assert cli_run(["train", "--n", "100", "--noise-rate", "0", "--k", "500",
                     "--t-max", "3", "--t-finetune", "1", "--fixed-clock",
-                    "--out-dir", str(tmp_path)]) == 2
+                    "--out-dir", str(out_dir), "--dump-selection", str(sel)]) == 2
     err = capsys.readouterr().err
     assert "ValueError: no confident examples selected: per_class_quota is 0\n" in err
     # what pretraining produced is on disk; nothing after fine-tuning is
-    rows = (tmp_path / "metrics.csv").read_text().strip().split("\n")
+    rows = (out_dir / "metrics.csv").read_text().strip().split("\n")
     n_t = rows[0].split(",").index("n_T")
     assert [row.split(",")[n_t] for row in rows[1:]] == ["0", "0", "0"]
-    assert json.loads((tmp_path / "config.json").read_text())["k"] == 500
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "metrics.csv"]
+    assert json.loads((out_dir / "config.json").read_text())["k"] == 500
+    assert sorted(path.name for path in out_dir.iterdir()) == ["config.json", "metrics.csv"]
+    # the selection dump is strict JSON: no cut is null, not Infinity
+    payload = json.loads(sel.read_text(), parse_constant=_refuse_constant)
+    assert payload["sim_threshold"] is None
+    assert payload["per_class_quota"] == 0
+    assert payload["confident_by_class"] == [[], [], [], []]  # 4 classes by default
+
+
+def test_train_creates_the_dump_directories(tmp_path, trained):
+    sel, pseudo = tmp_path / "a" / "b" / "sel.json", tmp_path / "c" / "pseudo.csv"
+    assert cli_run(["train", *TINY_RUN, "--data", str(trained["data"]), "--t-finetune", "0",
+                    "--dump-selection", str(sel), "--dump-pseudo", str(pseudo),
+                    "--fixed-clock"]) == 0
+    assert set(json.loads(sel.read_text())) == DUMP_KEYS
+    assert pseudo.read_text().startswith("index,y_hat,")
 
 
 @pytest.mark.parametrize("command", ["gen", "train", "sweep"])
@@ -580,6 +615,26 @@ def test_data_with_an_empty_split_exits_1(tmp_path, trained, capsys, command, em
                   "--out", str(tmp_path / "report.json")])
     assert cli_run([*args, "--data", str(data)]) == 1
     assert f"bad dataset: {data}: the {empty} split is empty" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["ds.csv"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "dump-proj"])
+def test_data_with_a_non_finite_feature_exits_1_naming_the_line(tmp_path, trained, capsys,
+                                                                command):
+    # refused before training, which would otherwise fail on a non-finite update
+    rows = trained["data"].read_text().split("\n")
+    cells = rows[3].split(",")
+    cells[1] = "nan"
+    rows[3] = ",".join(cells)
+    data = tmp_path / "ds.csv"
+    data.write_text("\n".join(rows))
+    extra = {"train": ["--out-dir", str(tmp_path / "run")],
+             "eval": ["--checkpoint", str(trained["checkpoint"])],
+             "dump-proj": ["--checkpoint", str(trained["checkpoint"]),
+                           "--out", str(tmp_path / "proj.csv")]}[command]
+    assert cli_run([command, "--data", str(data), *extra]) == 1
+    assert f"bad dataset: {data}: line 4: feature_1 nan is not finite" in (
+        capsys.readouterr().err)
     assert sorted(path.name for path in tmp_path.iterdir()) == ["ds.csv"]
 
 

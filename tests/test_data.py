@@ -284,6 +284,16 @@ def test_csv_label_out_of_range_names_row(tmp_path):
         load_features_csv(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_non_finite_feature_names_row(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text("f0,f1,true_label,noisy_label,split\n"
+                    "0.5,1.5,0,0,train\n"
+                    f"1.0,{value},1,1,test\n")
+    with pytest.raises(ValueError, match=f"line 3: f1 {float(value)} is not finite"):
+        load_features_csv(path)
+
+
 def test_csv_bad_header_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
