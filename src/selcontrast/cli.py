@@ -346,8 +346,9 @@ def _cmd_dump_proj(args) -> int:
     ds = _load_dataset(args, cfg)
     if args.split == "train":
         idx = ds.train_indices()
-        z = train_embedding(params, ds)
-        mask = compute_selection(z, ds, cfg).is_confident
+        bank = train_embedding(params, ds)
+        z = bank.z
+        mask = compute_selection(bank, ds, cfg).is_confident
     else:
         idx = ds.test_indices()
         z = forward(params, ds.instances[idx], backprop=False).z

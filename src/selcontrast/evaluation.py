@@ -5,7 +5,7 @@ import csv
 
 import numpy as np
 
-from .neighbors import grid_rows, topk_blocks
+from .neighbors import EmbeddingBank, grid_rows, topk_blocks
 from .selection import SelectionState, same_label_blocks
 
 
@@ -26,27 +26,31 @@ def ranked_neighbors(sims: np.ndarray, hood: np.ndarray) -> np.ndarray:
     return np.take_along_axis(hood, np.argsort(-values, axis=1, kind="stable"), axis=1)
 
 
-def weighted_knn_eval(train_z: np.ndarray, train_labels: np.ndarray,
+def weighted_knn_eval(train_z: EmbeddingBank | np.ndarray, train_labels: np.ndarray,
                       test_z: np.ndarray, test_labels: np.ndarray,
                       k: int, tau: float) -> float:
     """Accuracy (percent) of a soft nearest-neighbor vote in embedding space.
 
     Each test point's k nearest train points by cosine similarity vote for
     their label with weight exp(similarity / tau); ties in the vote go to the
-    smaller class index. Inputs are normalized internally, so any common
-    rescaling of the embeddings leaves the predictions unchanged. Both sides
-    are rounded to the bank's grid (neighbors.grid_rows), which makes every
-    similarity exact, and the test rows vote one row block at a time.
+    smaller class index. Array inputs are normalized internally, so any
+    common rescaling of the embeddings leaves the predictions unchanged, and
+    rounded to the bank's grid (neighbors.grid_rows), which makes every
+    similarity exact. train_z may instead be an EmbeddingBank, whose rows are
+    unit and on the grid already: they are read as they are, with no copy.
+    The test rows vote one row block at a time.
     """
     train_labels = np.asarray(train_labels)
     test_labels = np.asarray(test_labels)
-    n_train = len(train_z)
+    is_bank = isinstance(train_z, EmbeddingBank)
+    n_train = train_z.n if is_bank else len(train_z)
     if not 1 <= k <= n_train:
         raise ValueError(f"k={k} outside [1, {n_train}]")
     if tau <= 0:
         raise ValueError("tau must be positive")
 
-    tz = grid_rows(_unit_rows(np.asarray(train_z, dtype=np.float64), "train embeddings"))
+    tz = train_z.z if is_bank else grid_rows(
+        _unit_rows(np.asarray(train_z, dtype=np.float64), "train embeddings"))
     qz = grid_rows(_unit_rows(np.asarray(test_z, dtype=np.float64), "test embeddings"))
     n_classes = int(train_labels.max()) + 1
     vote_labels = train_labels.astype(np.int64)

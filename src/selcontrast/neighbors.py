@@ -38,7 +38,7 @@ class EmbeddingBank:
 
     def __post_init__(self):
         self.z = grid_rows(np.array(self.z, dtype=np.float64))
-        norms = np.linalg.norm(self.z, axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", self.z, self.z))  # no (n, d) squares
         if not np.all(np.abs(norms - 1.0) <= 1e-6):  # NaN fails the comparison
             worst = int(np.argmax(np.abs(norms - 1.0)))
             cause = " (a zero projection output)" if norms[worst] == 0.0 else ""
@@ -89,7 +89,9 @@ def topk_blocks(query: np.ndarray, keys: np.ndarray, k: int, exclude_self: bool 
     row's k largest similarities, in no particular order; where the k-th
     largest value is tied, the smaller key indices are the ones taken. With
     exclude_self the query rows are the key rows and row i never selects key
-    i (its sims cell reads -inf). No (m, n) array is allocated.
+    i (its sims cell reads -inf). No (m, n) array is allocated: every block
+    of a pass is computed into one buffer, so a yielded sims is valid only
+    until the next block is drawn, and hood is a (b, k) array of its own.
 
     Within a block, argpartition finds each row's k candidates. Only a row
     whose k-th value is tied with an entry outside the candidates is ranked
@@ -112,12 +114,15 @@ def topk_blocks(query: np.ndarray, keys: np.ndarray, k: int, exclude_self: bool 
 def _neighbor_blocks(query, keys, k, exclude_self):
     """The generator behind topk_blocks, which checks the arguments first."""
     n = len(keys)
-    for start, stop in row_blocks(len(query), n):
-        block = query[start:stop] @ keys.T
+    blocks = row_blocks(len(query), n)
+    buffer = np.empty((max((stop - start for start, stop in blocks), default=0), n))
+    for start, stop in blocks:
+        block = np.matmul(query[start:stop], keys.T, out=buffer[:stop - start])
         if exclude_self:
             rows = np.arange(len(block))
             block[rows, start + rows] = -np.inf  # the query is never its own neighbor
-        hood = np.argpartition(block, n - k, axis=1)[:, n - k:]
+        # a copy, so the (b, n) partition indices are freed at once
+        hood = np.argpartition(block, n - k, axis=1)[:, n - k:].copy()
         values = np.take_along_axis(block, hood, axis=1)
         if np.isnan(values).any():  # partition ranks NaN above every number
             raise ValueError("similarities contain NaN")

@@ -242,9 +242,10 @@ def _epoch_rng(seed: int, stream: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream, epoch])
 
 
-def _train_arrays(ds: Dataset):
+def _train_arrays(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The train split's instances and noisy labels."""
     idx = ds.train_indices()
-    return (ds.instances[idx], ds.true_labels[idx], ds.noisy_labels[idx])
+    return ds.instances[idx], ds.noisy_labels[idx]
 
 
 def _view_batches(x_train: np.ndarray, labels: np.ndarray, cfg: RunConfig,
@@ -275,7 +276,7 @@ def _label_mask(labels: np.ndarray) -> np.ndarray:
 
 def _contrastive_epoch(params, opt, ds, cfg, epoch, kind) -> float:
     """Selection-free epoch (warm-up or empty-selection fallback)."""
-    x_train, _, noisy = _train_arrays(ds)
+    x_train, noisy = _train_arrays(ds)
     rng = _epoch_rng(cfg.seed, _STREAM_TRAIN, epoch)
     values = []
     for views, _, labels, twin in _view_batches(x_train, noisy, cfg, rng):
@@ -305,18 +306,20 @@ def _cross_entropy_epoch(params, opt, x_train, labels, rows, cfg, rng,
         sgd_step(params, backward(params, cache, grad_p=grad_p, out=opt.grads), opt)
 
 
-def train_embedding(params: NetworkParams, ds: Dataset) -> np.ndarray:
-    """The unit projections z of the train rows under `params`, computed in
-    row blocks of hidden-width activations and widened (exactly) to float64.
+def train_embedding(params: NetworkParams, ds: Dataset) -> EmbeddingBank:
+    """The bank of the train rows under `params`: their unit projections z,
+    computed in row blocks of hidden-width activations in the network's
+    dtype, then widened (exactly) to float64 and rounded to the bank's grid.
 
-    The one way the train split is embedded: every selection and every kNN
-    probe reads an embedding made here.
+    The one way the train split is embedded: each epoch's record makes one
+    bank here, which its kNN probe reads, the record hands on and the next
+    selection votes on.
     """
     rows = ds.train_indices()
-    z = np.empty((len(rows), params.proj_dim), dtype=np.float64)
+    z = np.empty((len(rows), params.proj_dim), dtype=params.enc_w1.dtype)
     for start, stop in row_blocks(len(rows), params.hidden):
         z[start:stop] = forward(params, ds.instances[rows[start:stop]], backprop=False).z
-    return z
+    return EmbeddingBank(z)
 
 
 # The RunConfig keys model_metrics reads.
@@ -324,17 +327,17 @@ PROBE_KEYS = ("k_eval", "tau_knn")
 
 
 def model_metrics(params: NetworkParams, ds: Dataset, cfg: RunConfig,
-                  train_z: np.ndarray) -> tuple[float, float]:
+                  bank: EmbeddingBank) -> tuple[float, float]:
     """(weighted-KNN accuracy, classifier accuracy) on the test split, in
     percent; the probe votes with the noisy train labels.
 
-    train_z is train_embedding(params, ds).
+    bank is train_embedding(params, ds); the probe reads its rows as they are.
     """
-    _, _, noisy_train = _train_arrays(ds)
+    noisy_train = ds.noisy_labels[ds.train_indices()]
     test_idx = ds.test_indices()
     test_cache = forward(params, ds.instances[test_idx], backprop=False)
-    knn = weighted_knn_eval(train_z, noisy_train, test_cache.z, ds.true_labels[test_idx],
-                            k=min(cfg.k_eval, len(train_z)), tau=cfg.tau_knn)
+    knn = weighted_knn_eval(bank, noisy_train, test_cache.z, ds.true_labels[test_idx],
+                            k=min(cfg.k_eval, bank.n), tau=cfg.tau_knn)
     return knn, _test_split_accuracy(test_cache.p_hat, ds)
 
 
@@ -344,12 +347,12 @@ def _test_split_accuracy(p_hat: np.ndarray, ds: Dataset) -> float:
 
 
 def _record(params, ds, cfg, epoch, losses, selection, started,
-            time_source) -> tuple[EpochRecord, np.ndarray]:
+            time_source) -> tuple[EpochRecord, EmbeddingBank]:
     """The tail of every epoch: embed the train split under the epoch's
     trained `params` once, measure the selection's precision (none after
-    warm-up, selection None) and the probe on it, and return the record with
-    that embedding."""
-    train_z = train_embedding(params, ds)
+    warm-up, selection None) and the probe on that bank, and return the
+    record with the bank."""
+    bank = train_embedding(params, ds)
     l_mix, l_cls, l_sim, l_all = losses
     if selection is None:
         n_conf = n_gp = n_gpp = 0
@@ -361,42 +364,41 @@ def _record(params, ds, cfg, epoch, losses, selection, started,
         n_gpp = selection.n_pairs_similar
         threshold = selection.sim_threshold
         prec = selection_precision(selection, ds.true_labels[ds.train_indices()])
-    knn, test_acc = model_metrics(params, ds, cfg, train_z)
+    knn, test_acc = model_metrics(params, ds, cfg, bank)
     record = EpochRecord(epoch=epoch, l_mix=l_mix, l_cls=l_cls, l_sim=l_sim, l_all=l_all,
                          n_confident=n_conf, n_pairs_confident=n_gp, n_pairs_similar=n_gpp,
                          sim_threshold=threshold, precision_examples=prec[0],
                          precision_pairs=prec[1], knn_accuracy=knn,
                          test_accuracy=test_acc, seconds=time_source() - started)
-    return record, train_z
+    return record, bank
 
 
 # The RunConfig keys compute_selection reads.
 SELECTION_KEYS = ("k", "alpha", "beta", "count_labels")
 
 
-def compute_selection(train_z: np.ndarray, ds: Dataset, cfg: RunConfig,
+def compute_selection(bank: EmbeddingBank, ds: Dataset, cfg: RunConfig,
                       epoch_tag: int = 0) -> SelectionState:
     """Vote pseudo-labels among each train example's k nearest neighbors in
-    the embedding train_z (train_embedding of some parameters) and select
-    confident examples and pairs.
+    the bank (train_embedding of some parameters) and select confident
+    examples and pairs; the selection's z is bank.z.
 
     The one way a selection is made: each selective epoch, the end of a
     warm-up-only run, and dump-proj.
     """
-    _, _, noisy_train = _train_arrays(ds)
-    bank = EmbeddingBank(train_z)
-    pseudo = aggregate_pseudo_labels(bank, noisy_train, k=min(cfg.k, len(train_z) - 1),
+    noisy_train = ds.noisy_labels[ds.train_indices()]
+    pseudo = aggregate_pseudo_labels(bank, noisy_train, k=min(cfg.k, bank.n - 1),
                                      n_classes=ds.n_classes, count_labels=cfg.count_labels)
     return run_selection(bank, noisy_train, pseudo, cfg.alpha, cfg.beta,
                          epoch_tag=epoch_tag)
 
 
 def warmup(params: NetworkParams, opt: OptState, ds: Dataset, cfg: RunConfig, epoch: int,
-           time_source) -> tuple[EpochRecord, np.ndarray]:
+           time_source) -> tuple[EpochRecord, EmbeddingBank]:
     """One warm-up epoch of selection-free contrastive training (in place).
 
-    Returns (record, train_z): train_z is train_embedding(params, ds) of the
-    trained params, which the record was measured on.
+    Returns (record, bank): bank is train_embedding(params, ds) of the
+    trained params, which the record's probe read.
     """
     started = time_source()
     value = _contrastive_epoch(params, opt, ds, cfg, epoch, cfg.warmup_kind)
@@ -439,17 +441,17 @@ def _selective_step(params, opt, batch, selection, confident, cfg,
 
 
 def pretrain_epoch(params: NetworkParams, opt: OptState, ds: Dataset, cfg: RunConfig,
-                   epoch: int, train_z: np.ndarray, time_source):
-    """One selective epoch (in place): select from train_z, then composite-loss
+                   epoch: int, bank: EmbeddingBank, time_source):
+    """One selective epoch (in place): select from bank, then composite-loss
     minibatches.
 
-    train_z is train_embedding(params, ds) of the params the epoch starts
-    from. Returns (SelectionState, EpochRecord, train_z), where the returned
-    train_z embeds the trained params and the record was measured on it.
+    bank is train_embedding(params, ds) of the params the epoch starts from.
+    Returns (SelectionState, EpochRecord, bank), where the returned bank
+    embeds the trained params and the record's probe read it.
     """
     started = time_source()
-    x_train, _, noisy_train = _train_arrays(ds)
-    selection = compute_selection(train_z, ds, cfg, epoch_tag=epoch)
+    x_train, noisy_train = _train_arrays(ds)
+    selection = compute_selection(bank, ds, cfg, epoch_tag=epoch)
 
     if selection.confident.size == 0:
         logger.warning("epoch %d: empty confident set; training unsupervised", epoch)
@@ -465,9 +467,8 @@ def pretrain_epoch(params: NetworkParams, opt: OptState, ds: Dataset, cfg: RunCo
             steps += 1
         losses = tuple(sums / steps)
 
-    record, train_z = _record(params, ds, cfg, epoch, losses, selection, started,
-                              time_source)
-    return selection, record, train_z
+    record, bank = _record(params, ds, cfg, epoch, losses, selection, started, time_source)
+    return selection, record, bank
 
 
 def _start_run(ds: Dataset, cfg: RunConfig) -> tuple[NetworkParams, OptState]:
@@ -484,27 +485,27 @@ def pretrain(ds: Dataset, cfg: RunConfig, time_source=time.perf_counter) -> Pret
     """Epochs 1..t_max: warm-up up to t_warm, selective epochs after it.
 
     Owns the optimizer and its learning-rate schedule. Each selective epoch
-    selects from the embedding the previous epoch's record was measured on
-    (nothing trains in between); with no warm-up, the first one selects from
-    the initial parameters' embedding. The returned history has exactly t_max
-    records. selection is the last selective epoch's, or, when only warm-up
-    ran, one made (epoch_tag 0) from the embedding the last record measured.
+    selects from the bank the previous epoch's record probed (nothing trains
+    in between); with no warm-up, the first one selects from the initial
+    parameters' bank. The returned history has exactly t_max records.
+    selection is the last selective epoch's, or, when only warm-up ran, one
+    made (epoch_tag 0) from the bank the last record probed.
     """
     params, opt = _start_run(ds, cfg)
     history: list[EpochRecord] = []
     # nothing is measured before the first epoch: without warm-up, embed the
     # initial parameters for the first selection
-    train_z = train_embedding(params, ds) if cfg.t_warm == 0 else None
+    bank = train_embedding(params, ds) if cfg.t_warm == 0 else None
     for epoch in range(1, cfg.t_max + 1):
         apply_lr_schedule(opt, epoch)
         if epoch <= cfg.t_warm:
-            record, train_z = warmup(params, opt, ds, cfg, epoch, time_source)
+            record, bank = warmup(params, opt, ds, cfg, epoch, time_source)
         else:
-            selection, record, train_z = pretrain_epoch(params, opt, ds, cfg, epoch,
-                                                        train_z, time_source)
+            selection, record, bank = pretrain_epoch(params, opt, ds, cfg, epoch, bank,
+                                                     time_source)
         history.append(record)
     if cfg.t_warm == cfg.t_max:  # no selective epoch ran
-        selection = compute_selection(train_z, ds, cfg)
+        selection = compute_selection(bank, ds, cfg)
     return PretrainResult(params, history, selection)
 
 
@@ -535,7 +536,7 @@ def finetune(params: NetworkParams, ds: Dataset, cfg: RunConfig,
     opt = OptState.for_params(params, cfg.finetune_lr, cfg.momentum, cfg.weight_decay,
                               schedule=[], lr_scale=lr_scale)
 
-    x_train, _, noisy_train = _train_arrays(ds)
+    x_train, noisy_train = _train_arrays(ds)
     for epoch in range(1, cfg.t_finetune + 1):
         _cross_entropy_epoch(params, opt, x_train, noisy_train, selection.confident, cfg,
                              _epoch_rng(cfg.seed, _STREAM_FINETUNE, epoch), weak_views=True)
@@ -551,7 +552,7 @@ def train_cross_entropy_baseline(ds: Dataset, cfg: RunConfig) -> NetworkParams:
     method, not to the vanilla control it is compared against.
     """
     params, opt = _start_run(ds, cfg)
-    x_train, _, noisy_train = _train_arrays(ds)
+    x_train, noisy_train = _train_arrays(ds)
     rows = np.arange(len(x_train))
     for epoch in range(1, cfg.t_max + cfg.t_finetune + 1):
         apply_lr_schedule(opt, epoch)

@@ -297,7 +297,10 @@ def test_forward_and_backward_match_the_pre_activation_oracles_bitwise(
     # the oracle keeps every pre-activation, masks with pre > 0 and builds a
     # fresh dict per backward, where the package writes into (out) or adds
     # into (into) a workspace; outputs and gradients agree bit for bit,
-    # including at exact +-0 and NaN pre-activations
+    # including at exact +-0 and NaN pre-activations. Every failure names the
+    # drawn example, so that one hypothesis cannot reproduce can be replayed
+    example = (f"dtype={np.dtype(dtype).name}, seed={seed}, projection={projection!r}, "
+               f"project={project}, m={m}, heads={heads!r}, mode={mode!r}, special={special!r}")
     rng = np.random.default_rng(seed)
     dim, hidden, proj_dim, classes = (int(v) for v in rng.integers(2, 7, size=4))
     params = small_params(seed=seed, dim=dim, hidden=hidden, proj_dim=proj_dim,
@@ -306,20 +309,20 @@ def test_forward_and_backward_match_the_pre_activation_oracles_bitwise(
     cache, ref = forward(params, x, project=project), reference_forward(params, x, project)
     for name in ("x", "enc_act1", "v", "p_hat") + (("proj_act1", "z_norm", "z") if project else ()):
         if name == "proj_act1" and projection == "linear":
-            assert cache.proj_act1 is None
+            assert cache.proj_act1 is None, example
         else:
-            assert_bits_equal(getattr(cache, name), ref[name], name)
+            assert_bits_equal(getattr(cache, name), ref[name], f"{name}; {example}")
     lean = forward(params, x, project=project, backprop=False)
-    assert lean.enc_act1 is None and lean.v is None and lean.proj_act1 is None
+    assert lean.enc_act1 is None and lean.v is None and lean.proj_act1 is None, example
     for name in ("p_hat",) + (("z_norm", "z") if project else ()):
-        assert_bits_equal(getattr(lean, name), ref[name], f"{name}, backprop=False")
+        assert_bits_equal(getattr(lean, name), ref[name], f"{name}, backprop=False; {example}")
 
     gz = rng.normal(size=(m, proj_dim)) if heads in ("z", "both") and project else None
     gp = rng.normal(size=(m, classes)) if heads in ("p", "both") else None
     if mode == "out":
         workspace = {name: np.full_like(arr, 7.0) for name, arr in params.named_arrays()}
         grads = backward(params, cache, gz, gp, out=workspace)
-        assert grads is workspace
+        assert grads is workspace, example
         expected = reference_backward(params, ref, gz, gp)
     else:
         # the selective step: a mixed batch's gradients, then these added in
@@ -328,9 +331,9 @@ def test_forward_and_backward_match_the_pre_activation_oracles_bitwise(
         start = reference_backward(params, reference_forward(params, x_mixed), gz_mixed)
         grads = backward(params, cache, gz, gp, into={n: g.copy() for n, g in start.items()})
         expected = reference_backward(params, ref, gz, gp, into=start)
-    assert set(grads) == set(expected)
+    assert set(grads) == set(expected), example
     for name in expected:
-        assert_bits_equal(grads[name], expected[name], f"{name}, {mode}")
+        assert_bits_equal(grads[name], expected[name], f"{name}; {example}")
 
 
 def test_backward_out_skips_tensors_it_has_no_array_for():

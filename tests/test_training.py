@@ -178,10 +178,10 @@ def test_each_key_tuple_is_exactly_what_its_function_reads():
     assert cfg.noise_rate > 0  # the noise keys are read only then
     ds = dataset_from_config(cfg)
     params, _ = fresh_start(cfg, ds)
-    train_z = train_embedding(params, ds)
+    bank = train_embedding(params, ds)
     for keys, call in ((DATASET_KEYS, dataset_from_config),
-                       (PROBE_KEYS, lambda c: model_metrics(params, ds, c, train_z)),
-                       (SELECTION_KEYS, lambda c: compute_selection(train_z, ds, c))):
+                       (PROBE_KEYS, lambda c: model_metrics(params, ds, c, bank)),
+                       (SELECTION_KEYS, lambda c: compute_selection(bank, ds, c))):
         log = ReadLog(cfg)
         call(log)
         assert len(set(keys)) == len(keys)
@@ -192,39 +192,48 @@ def test_model_metrics_clips_k_eval_to_train_size():
     cfg = tiny_config(k_eval=500)
     ds = dataset_from_config(cfg)
     params, _ = fresh_start(cfg, ds)
-    train_z = train_embedding(params, ds)
+    bank = train_embedding(params, ds)
     test_idx = ds.test_indices()
     test_z = forward(params, ds.instances[test_idx], backprop=False).z
-    assert cfg.k_eval > len(train_z)
-    knn, _ = model_metrics(params, ds, cfg, train_z)
-    assert knn == weighted_knn_eval(train_z, ds.noisy_labels[ds.train_indices()], test_z,
-                                    ds.true_labels[test_idx], k=len(train_z),
-                                    tau=cfg.tau_knn)
+    assert cfg.k_eval > bank.n
+    knn, _ = model_metrics(params, ds, cfg, bank)
+    assert knn == weighted_knn_eval(bank, ds.noisy_labels[ds.train_indices()], test_z,
+                                    ds.true_labels[test_idx], k=bank.n, tau=cfg.tau_knn)
 
 
 @pytest.mark.parametrize("hidden,projection", [(64, "linear"), (512, "mlp")])
-def test_train_embedding_blocks_equal_the_whole_split_forward(hidden, projection):
+def test_train_embedding_blocks_equal_the_whole_split_forward(monkeypatch, hidden, projection):
     # 800 train rows in row blocks (512 rows at hidden 64, 64 at hidden 512):
     # the float32 network's blocks are bit-equal to one forward over the
-    # split, and the embedding comes back widened to float64, exactly
+    # split, and the bank holds them widened to float64, exactly, and
+    # rounded to its grid
     cfg = benchmark_config(n=1000, hidden_dim=hidden, projection=projection)
     ds = dataset_from_config(cfg)
     params, _ = fresh_start(cfg, ds)
     assert len(neighbors.row_blocks(len(ds.train_indices()), hidden)) > 1
-    z = train_embedding(params, ds)
+    handed = []  # the array train_embedding builds the bank from
+
+    def capturing(z, real=training.EmbeddingBank):
+        handed.append(z.copy())
+        return real(z)
+    monkeypatch.setattr(training, "EmbeddingBank", capturing)
+    bank = train_embedding(params, ds)
     whole = forward(params, ds.instances[ds.train_indices()], backprop=False).z
-    assert whole.dtype == np.float32 and z.dtype == np.float64
-    assert z.tobytes() == whole.astype(np.float64).tobytes()
+    (z,) = handed
+    assert whole.dtype == np.float32 and z.dtype == np.float32
+    assert z.tobytes() == whole.tobytes()
+    assert bank.z.dtype == np.float64
+    assert bank.z.tobytes() == neighbors.grid_rows(whole.astype(np.float64)).tobytes()
 
 
 def test_compute_selection_clips_k_to_population():
     cfg = tiny_config()
     ds = dataset_from_config(cfg)
     params, _ = fresh_start(cfg, ds)
-    train_z = train_embedding(params, ds)
-    for k in (len(train_z), 500):
+    bank = train_embedding(params, ds)
+    for k in (bank.n, 500):
         cfg.k = k
-        assert compute_selection(train_z, ds, cfg).pseudo.k == len(train_z) - 1
+        assert compute_selection(bank, ds, cfg).pseudo.k == bank.n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +514,40 @@ def test_knn_probe_peak_memory():
     peak = traced_peak(lambda: weighted_knn_eval(train, labels, test, labels[:1000], k=200,
                                                    tau=0.1))
     assert peak <= full_matrix // 4, f"{peak / full_matrix:.3f} of the (1000, 4000) matrix"
+
+
+def test_knn_probe_on_a_bank_has_no_train_split_term():
+    """model_metrics reads the bank's rows as they are, so its traced peak
+    holds nothing of size (n_train, proj_dim): no unit copy of the train
+    rows and no squares for their norms (1 MB each at 4000 train rows and
+    proj_dim 32). The bound adds up, in bytes:
+
+    - the test split's forward: its own traced peak, which covers the cache
+      it returns and the activations it drops;
+    - the test rows widened to float64, unit and on the grid: 8 n_test d;
+    - one row block of cells = max(_BLOCK_ELEMENTS, _MIN_BLOCK_ROWS n_train):
+      the float64 similarities, their int64 argpartition indices and a bool
+      tie mask, 17 bytes per cell; and its rows' rank order, weights and
+      vote slots, at most six 8-byte (b, k) arrays for b = cells // n_train;
+    - the labels: the noisy train labels and their int64 vote copy
+      (16 n_train) and the float64 (n_test, n_classes) scores.
+
+    At memory_config that is about 2.2 MB; the same probe on a train array
+    adds its unit copy and norm squares, 2 MB more."""
+    cfg = memory_config()
+    ds = dataset_from_config(cfg)
+    params, _ = fresh_start(cfg, ds)
+    bank = train_embedding(params, ds)
+    n_train, n_test = len(ds.train_indices()), len(ds.test_indices())
+    forward_peak = traced_peak(
+        lambda: forward(params, ds.instances[ds.test_indices()], backprop=False))
+    cells = max(neighbors._BLOCK_ELEMENTS, neighbors._MIN_BLOCK_ROWS * n_train)
+    block = 17 * cells + 6 * 8 * (cells // n_train) * min(cfg.k_eval, n_train)
+    bound = (forward_peak + 8 * n_test * cfg.proj_dim + block
+             + 16 * n_train + 8 * n_test * ds.n_classes)
+    peak = traced_peak(lambda: model_metrics(params, ds, cfg, bank))
+    assert peak <= bound, f"{peak / 2 ** 20:.2f} MiB over {bound / 2 ** 20:.2f} MiB"
+    assert bound < 8 * n_train * cfg.proj_dim + peak  # one train-split copy would not fit
 
 
 def test_selective_step_allocates_no_gradient_dict_at_wide_shapes():
@@ -899,27 +942,54 @@ def test_pretrain_without_warmup_selects_from_the_initial_embedding(monkeypatch)
     assert first.sim_threshold == expected.sim_threshold
 
 
+def record_probed_banks(monkeypatch):
+    """Wrap the kNN probe as model_metrics calls it; returns the list that
+    gets the train side each call reads."""
+    probed = []
+
+    def recording(train_z, *args, real=training.weighted_knn_eval, **kwargs):
+        probed.append(train_z)
+        return real(train_z, *args, **kwargs)
+    monkeypatch.setattr(training, "weighted_knn_eval", recording)
+    return probed
+
+
+def assert_bank_embeds(bank, params, ds):
+    """bank holds the train split's projections under params, bit for bit,
+    widened to float64 and rounded to the bank's grid."""
+    z = forward(params, ds.instances[ds.train_indices()], backprop=False).z
+    assert bank.z.tobytes() == neighbors.grid_rows(z.astype(np.float64)).tobytes()
+
+
 def test_bank_is_embedded_afresh_after_parameters_change(monkeypatch):
-    # each epoch embeds the parameters it trained once, for its record, and
-    # hands that embedding on; the next epoch selects from it as it is
-    cfg = tiny_config(t_warm=1, t_max=2)
+    # each epoch embeds the parameters it trained once, into the bank its
+    # record's probe reads, and hands that bank on; the next epoch votes on
+    # it as it is, so its selection holds the probed bank's very rows
+    cfg = tiny_config(t_warm=1, t_max=3)
     ds = dataset_from_config(cfg)
     params, opt = fresh_start(cfg, ds)
     log = ForwardLog(monkeypatch, ds)
-    _, train_z = warmup(params, opt, ds, cfg, 1, time.perf_counter)
+    probed = record_probed_banks(monkeypatch)
+    _, bank = warmup(params, opt, ds, cfg, 1, time.perf_counter)
     assert log.count("train", True) == 1
-    np.testing.assert_array_equal(train_z, forward(params, ds.instances[ds.train_indices()]).z)
-    start = len(log.calls)
-    selection, _, train_z = pretrain_epoch(params, opt, ds, cfg, 2, train_z, time.perf_counter)
-    assert log.count("train", True, since=start) == 1  # the record's; the bank was handed on
-    assert selection.confident.size > 0
-    np.testing.assert_array_equal(train_z, forward(params, ds.instances[ds.train_indices()]).z)
+    assert len(probed) == 1 and probed[0] is bank
+    assert_bank_embeds(bank, params, ds)
+    for epoch in (2, 3):
+        start = len(log.calls)
+        selection, _, next_bank = pretrain_epoch(params, opt, ds, cfg, epoch, bank,
+                                                 time.perf_counter)
+        assert log.count("train", True, since=start) == 1  # the record's; the bank was handed on
+        assert selection.confident.size > 0
+        assert selection.z is bank.z
+        assert len(probed) == epoch and probed[-1] is next_bank and next_bank is not bank
+        assert_bank_embeds(next_bank, params, ds)
+        bank = next_bank
 
 
 def test_warmup_only_pretrain_selects_from_the_last_record_embedding(monkeypatch):
     # with no selective epoch, pretrain still returns the selection that
-    # fine-tuning and the dumps use, made from the embedding the last record
-    # measured: the train split is embedded once per record and never again
+    # fine-tuning and the dumps use, made from the bank the last record's
+    # probe read: the train split is embedded once per record and never again
     cfg = tiny_config(t_warm=2, t_max=2)
     ds = dataset_from_config(cfg)
     embeddings, made = [], []
@@ -928,21 +998,25 @@ def test_warmup_only_pretrain_selects_from_the_last_record_embedding(monkeypatch
         embeddings.append(real(params, ds))
         return embeddings[-1]
 
-    def recording_selection(train_z, *args, real=training.compute_selection, **kwargs):
-        made.append(train_z)
-        return real(train_z, *args, **kwargs)
+    def recording_selection(bank, *args, real=training.compute_selection, **kwargs):
+        made.append(bank)
+        return real(bank, *args, **kwargs)
     monkeypatch.setattr(training, "train_embedding", recording_embedding)
     monkeypatch.setattr(training, "compute_selection", recording_selection)
+    probed = record_probed_banks(monkeypatch)
     log = ForwardLog(monkeypatch, ds)
     result = pretrain(ds, cfg)
     assert log.count("train", True) == cfg.t_max
-    assert len(made) == 1 and made[0] is embeddings[-1]
+    assert len(made) == 1 and made[0] is embeddings[-1] and probed[-1] is embeddings[-1]
+    assert result.selection.z is probed[-1].z
 
     monkeypatch.undo()
+    assert_bank_embeds(probed[-1], result.params, ds)
     expected = compute_selection(train_embedding(result.params, ds), ds, cfg)
     state = result.selection
     assert state.epoch_tag == 0
     assert state.confident.size > 0
+    assert state.z.tobytes() == expected.z.tobytes()
     np.testing.assert_array_equal(state.confident, expected.confident)
     assert state.per_class_quota == expected.per_class_quota
     assert state.sim_threshold == expected.sim_threshold
