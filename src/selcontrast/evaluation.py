@@ -42,21 +42,19 @@ def weighted_knn_eval(train_z: EmbeddingBank | np.ndarray, train_labels: np.ndar
     """
     train_labels = np.asarray(train_labels)
     test_labels = np.asarray(test_labels)
-    is_bank = isinstance(train_z, EmbeddingBank)
-    n_train = train_z.n if is_bank else len(train_z)
-    if not 1 <= k <= n_train:
-        raise ValueError(f"k={k} outside [1, {n_train}]")
+    bank = train_z if isinstance(train_z, EmbeddingBank) else EmbeddingBank(
+        _unit_rows(np.asarray(train_z, dtype=np.float64), "train embeddings"))
+    if not 1 <= k <= bank.n:
+        raise ValueError(f"k={k} outside [1, {bank.n}]")
     if tau <= 0:
         raise ValueError("tau must be positive")
 
-    tz = train_z.z if is_bank else grid_rows(
-        _unit_rows(np.asarray(train_z, dtype=np.float64), "train embeddings"))
     qz = grid_rows(_unit_rows(np.asarray(test_z, dtype=np.float64), "test embeddings"))
     n_classes = int(train_labels.max()) + 1
     vote_labels = train_labels.astype(np.int64)
 
     scores = np.zeros((len(qz), n_classes))
-    for start, sims, hood in topk_blocks(qz, tz, k):
+    for start, sims, hood in topk_blocks(qz, bank.z, k):
         order = ranked_neighbors(sims, hood)
         weights = np.take_along_axis(sims, order, axis=1)
         weights /= tau

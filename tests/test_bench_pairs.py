@@ -101,3 +101,10 @@ def test_unequal_pair_counts_are_refused(tmp_path):
                            str(change)], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert "2 parent runs but 1 change runs" in proc.stderr
+
+
+def test_one_pair_is_refused(tmp_path):
+    tool = _tool()
+    runs = tool.read_runs(write_side(tmp_path / "one.txt", [(46.0, 2.0, 1)]))
+    with pytest.raises(ValueError, match="at least 2 pairs"):
+        tool.summarize(runs, runs, tool.directions(ROOT / "BENCHMARK.json"))

@@ -66,10 +66,7 @@ def directions(benchmark_path) -> dict[str, str]:
 
 
 def spread(values: list[float]) -> dict:
-    if len(values) == 1:
-        q1 = q3 = values[0]
-    else:
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
@@ -89,6 +86,8 @@ def summarize(parent_runs: list[dict], change_runs: list[dict], better: dict) ->
     """The workload entry of a BENCH file for runs paired in order."""
     if len(parent_runs) != len(change_runs):
         raise ValueError(f"{len(parent_runs)} parent runs but {len(change_runs)} change runs")
+    if len(parent_runs) < 2:
+        raise ValueError("quartiles need at least 2 pairs")
     runs = dict(zip(SIDES, (parent_runs, change_runs)))
     names = [name for name in parent_runs[0]["metrics"] if name in better]
     values = {name: {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
@@ -128,11 +127,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", nargs=3, action="append", required=True,
                         metavar=("NAME", "PARENT_FILE", "CHANGE_FILE"))
     parser.add_argument("--claim", nargs=2, metavar=("WORKLOAD", "METRIC"))
-    parser.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json")
     parser.add_argument("--describe", type=Path, metavar="FILE",
                         help="JSON object of descriptive keys written first")
     args = parser.parse_args(argv)
-    better = directions(args.benchmark)
+    better = directions(ROOT / "BENCHMARK.json")
     out = json.loads(args.describe.read_text()) if args.describe else {}
     try:
         workloads = {name: summarize(read_runs(parent), read_runs(change), better)
