@@ -17,10 +17,10 @@ import numpy as np
 from .data import dump_features_csv, load_features_csv
 from .evaluation import dump_projection_2d
 from .neighbors import GRID_BITS
-from .network import forward, load_checkpoint, save_checkpoint
+from .network import load_checkpoint, save_checkpoint
 from .training import (DATASET_KEYS, PROBE_KEYS, SELECTION_KEYS, PretrainResult, RunConfig,
-                       compute_selection, dataset_from_config, finetune, model_metrics,
-                       pretrain, test_accuracy, train_embedding, write_metrics_csv)
+                       compute_selection, dataset_from_config, embed_rows, finetune,
+                       model_metrics, pretrain, test_accuracy, train_embedding, write_metrics_csv)
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -233,7 +233,7 @@ def _cmd_train(args) -> int:
             json.dump(report, fh, indent=2)
             fh.write("\n")
     print(f"test_acc={final_acc:.4f} knn_acc={report['pretrain_knn_accuracy']:.4f} "
-          f"n_T={result.history[-1].n_confident}")
+          f"n_T={result.selection.confident.size}")
     return 0
 
 
@@ -241,7 +241,7 @@ def _cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     try:
         params = load_checkpoint(args.checkpoint)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"bad checkpoint: {exc}") from exc
     ds = _load_dataset(args, cfg)
     knn_accuracy, accuracy = model_metrics(params, ds, cfg, train_embedding(params, ds))
@@ -341,7 +341,7 @@ def _cmd_dump_proj(args) -> int:
     cfg = _resolve_config(args)
     try:
         params = load_checkpoint(args.checkpoint)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"bad checkpoint: {exc}") from exc
     ds = _load_dataset(args, cfg)
     if args.split == "train":
@@ -351,7 +351,7 @@ def _cmd_dump_proj(args) -> int:
         mask = compute_selection(bank, ds, cfg).is_confident
     else:
         idx = ds.test_indices()
-        z = forward(params, ds.instances[idx], backprop=False).z
+        z = embed_rows(params, ds.instances, idx)[0]
         mask = np.zeros(len(idx), dtype=bool)
     dump_projection_2d(z, ds.true_labels[idx], ds.noisy_labels[idx], mask, args.out)
     print(f"wrote {args.out}: {len(idx)} points")

@@ -50,7 +50,7 @@ class EmbeddingBank:
 
 
 # Row blocks of every pass over similarities or pairs (row_blocks): the vote
-# and the kNN probe (topk_blocks), the train embedding, the similarity cut,
+# and the kNN probe (topk_blocks), the whole-split reads, the similarity cut,
 # the similar-pair count and index and the pair precision. A block holds at
 # most _BLOCK_ELEMENTS cells, 256 KB of float64, or _MIN_BLOCK_ROWS rows where
 # that budget gives fewer.
@@ -72,8 +72,7 @@ def row_blocks(n_rows: int, n_cols: int | None = None) -> list[tuple[int, int]]:
     array, square when n_cols is None: the fewest blocks of at most
     max(_MIN_BLOCK_ROWS, _BLOCK_ELEMENTS // n_cols) rows each, in index order.
     Their lengths differ by at most one row, so no block is a short remainder:
-    BLAS may sum a product of a few rows in another order than a longer one,
-    and the train embedding's blocks must equal the whole split's product."""
+    BLAS may sum a product of a few rows in another order than a longer one."""
     width = n_rows if n_cols is None else n_cols
     step = max(_MIN_BLOCK_ROWS, _BLOCK_ELEMENTS // max(width, 1))
     count = -(-n_rows // step)

@@ -9,7 +9,8 @@ gradients, momentum buffers and the SGD step are float32; forward casts its
 input to the parameters' dtype. The same code runs in float64 when it is
 handed float64 parameters, which is how the finite-difference tests check it.
 Whatever reads an embedding for selection or the kNN probe upcasts it to
-float64 first, exactly.
+float64 first, exactly. A whole split is read one row block at a time
+(training.embed_rows), so that read's activations stay bounded.
 
 A projection row whose norm is below _NORM_FLOOR (an all-zero projection
 output, e.g. from dead ReLUs) normalizes to the zero vector in forward and
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -92,15 +93,7 @@ class NetworkParams:
         return self.cls_w.shape[0]
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            enc_w1=self.enc_w1.copy(), enc_b1=self.enc_b1.copy(),
-            enc_w2=self.enc_w2.copy(), enc_b2=self.enc_b2.copy(),
-            proj_w1=self.proj_w1.copy(), proj_b1=self.proj_b1.copy(),
-            cls_w=self.cls_w.copy(), cls_b=self.cls_b.copy(),
-            projection=self.projection,
-            proj_w2=None if self.proj_w2 is None else self.proj_w2.copy(),
-            proj_b2=None if self.proj_b2 is None else self.proj_b2.copy(),
-        )
+        return replace(self, **{name: arr.copy() for name, arr in self.named_arrays()})
 
 
 @dataclass
@@ -110,14 +103,14 @@ class ForwardCache:
     backward takes each ReLU mask from the layer's output, `act > 0`, which
     equals `pre > 0` for every float (±0 and NaN included), so no
     pre-activation is kept. The projection fields are None when forward ran
-    with project=False; enc_act1, v and proj_act1 are None when it ran with
-    backprop=False. A selective step holds one cache at a time: the mixed
-    views' until their backward, then the plain views' projection-free one.
+    with project=False, and proj_act1 is None for a linear projection. A
+    selective step holds one cache at a time: the mixed views' until their
+    backward, then the plain views' projection-free one.
     """
 
     x: np.ndarray
-    enc_act1: np.ndarray | None   # first encoder layer's ReLU output
-    v: np.ndarray | None          # encoder output, (batch, hidden)
+    enc_act1: np.ndarray          # first encoder layer's ReLU output
+    v: np.ndarray                 # encoder output, (batch, hidden)
     proj_act1: np.ndarray | None  # mlp only: the projection's ReLU output
     z_norm: np.ndarray | None     # (batch,) euclidean norms of z before normalization
     z: np.ndarray | None          # unit rows, (batch, proj_dim)
@@ -165,8 +158,7 @@ def _relu_layer(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def forward(params: NetworkParams, x: np.ndarray, project: bool = True,
-            backprop: bool = True) -> ForwardCache:
+def forward(params: NetworkParams, x: np.ndarray, project: bool = True) -> ForwardCache:
     """Run the network on a (batch, dim) matrix, cast to the parameters' dtype.
 
     The projection output is L2-normalized per row; a zero pre-normalization
@@ -174,9 +166,7 @@ def forward(params: NetworkParams, x: np.ndarray, project: bool = True,
     With project=False the projection head is skipped and the cache's
     projection fields are None; v and p_hat are the same either way. Biases,
     ReLUs, the normalization and the softmax run in place in each layer's
-    product. With backprop=False, for callers that only read z and p_hat,
-    each hidden activation is dropped once the next layer exists, and the
-    cache cannot be passed to backward.
+    product. The cache keeps every activation backward reads.
     """
     x = np.atleast_2d(np.asarray(x, dtype=params.enc_w1.dtype))
     if x.shape[1] != params.dim:
@@ -184,8 +174,6 @@ def forward(params: NetworkParams, x: np.ndarray, project: bool = True,
 
     enc_act1 = _relu_layer(x, params.enc_w1, params.enc_b1)
     v = _relu_layer(enc_act1, params.enc_w2, params.enc_b2)
-    if not backprop:
-        enc_act1 = None
 
     p_hat = _affine(v, params.cls_w, params.cls_b)  # the logits, then their softmax
     p_hat -= p_hat.max(axis=1, keepdims=True)
@@ -196,8 +184,6 @@ def forward(params: NetworkParams, x: np.ndarray, project: bool = True,
     if project:
         if params.projection == MLP:
             proj_act1 = _relu_layer(v, params.proj_w1, params.proj_b1)
-            if not backprop:
-                v = None
             z = _affine(proj_act1, params.proj_w2, params.proj_b2)
         else:
             z = _affine(v, params.proj_w1, params.proj_b1)
@@ -207,8 +193,6 @@ def forward(params: NetworkParams, x: np.ndarray, project: bool = True,
         # embedding bank and the kNN probe refuse it by row.
         z_norm = np.linalg.norm(z, axis=1)
         z /= np.maximum(z_norm, _NORM_FLOOR)[:, None]
-    if not backprop:
-        v = proj_act1 = None
 
     return ForwardCache(x=x, enc_act1=enc_act1, v=v, proj_act1=proj_act1,
                         z_norm=z_norm, z=z, p_hat=p_hat)
@@ -259,11 +243,8 @@ def backward(params: NetworkParams, cache: ForwardCache,
     views' cache, then `into` with the plain views'. Each upstream gradient
     is released once the next layer's exists, so at most two (batch, hidden)
     gradients are alive at once. The ReLU masks are read from the cached
-    activations. grad_z needs a cache built with the projection head, and
-    every cache one built with backprop=True.
+    activations. grad_z needs a cache built with the projection head.
     """
-    if cache.v is None:
-        raise ValueError("the cache has no activations (forward ran with backprop=False)")
     if grad_z is not None and cache.z is None:
         raise ValueError("grad_z given, but the cache has no projection "
                          "(forward ran with project=False)")
@@ -467,14 +448,16 @@ def load_checkpoint(path) -> NetworkParams:
     validating version, names and shapes."""
     with open(path) as fh:
         payload = json.load(fh)
+    tensors = payload.get("tensors") if isinstance(payload, dict) else None
+    if not isinstance(tensors, dict):
+        raise ValueError("checkpoint is not a JSON object with a 'tensors' object")
     version = payload.get("format_version")
     if version != _CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
     projection = payload.get("projection", LINEAR)
     if projection not in (LINEAR, MLP):
         raise ValueError(f"unknown projection kind {projection!r}")
-    tensors = {name: np.asarray(data, dtype=PARAM_DTYPE)
-               for name, data in payload["tensors"].items()}
+    tensors = {name: np.asarray(data, dtype=PARAM_DTYPE) for name, data in tensors.items()}
     out_w = "proj_w1" if projection == LINEAR else "proj_w2"
     names = {"enc_w1", "enc_b1", "enc_w2", "enc_b2", "proj_w1", "proj_b1", "cls_w", "cls_b"}
     if projection == MLP:

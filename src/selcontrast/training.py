@@ -306,20 +306,38 @@ def _cross_entropy_epoch(params, opt, x_train, labels, rows, cfg, rng,
         sgd_step(params, backward(params, cache, grad_p=grad_p, out=opt.grads), opt)
 
 
-def train_embedding(params: NetworkParams, ds: Dataset) -> EmbeddingBank:
-    """The bank of the train rows under `params`: their unit projections z,
-    computed in row blocks of hidden-width activations in the network's
-    dtype, then widened (exactly) to float64 and rounded to the bank's grid.
+def embed_rows(params: NetworkParams, x: np.ndarray, rows: np.ndarray,
+               project: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+    """(z, p_hat) of the rows x[rows] under `params`, in the network's
+    dtype (z is None with project=False): the one read of a whole split.
 
+    forward runs once per block of row_blocks(len(rows), params.hidden), so
+    one block's activations are alive at a time. A block is bit-equal to the
+    same rows of one forward over x[rows] when BLAS sums its products as it
+    sums the whole's. None is a short remainder (their lengths differ by at
+    most one row), but OpenBLAS 0.3.31 sums a product of at most about 1200
+    cells in another order, e.g. 300 rows of 4 logits, so p_hat, n_classes
+    wide, may differ from the whole's in its last bits.
+    """
+    z = np.empty((len(rows), params.proj_dim), params.enc_w1.dtype) if project else None
+    p_hat = np.empty((len(rows), params.n_classes), params.enc_w1.dtype)
+    for start, stop in row_blocks(len(rows), params.hidden):
+        cache = forward(params, x[rows[start:stop]], project=project)
+        p_hat[start:stop] = cache.p_hat
+        if project:
+            z[start:stop] = cache.z
+        del cache  # this block's activations go before the next block's come
+    return z, p_hat
+
+
+def train_embedding(params: NetworkParams, ds: Dataset) -> EmbeddingBank:
+    """The bank of the train rows under `params`: their unit projections z
+    (embed_rows), widened (exactly) to float64 and rounded to the bank's grid.
     The one way the train split is embedded: each epoch's record makes one
     bank here, which its kNN probe reads, the record hands on and the next
     selection votes on.
     """
-    rows = ds.train_indices()
-    z = np.empty((len(rows), params.proj_dim), dtype=params.enc_w1.dtype)
-    for start, stop in row_blocks(len(rows), params.hidden):
-        z[start:stop] = forward(params, ds.instances[rows[start:stop]], backprop=False).z
-    return EmbeddingBank(z)
+    return EmbeddingBank(embed_rows(params, ds.instances, ds.train_indices())[0])
 
 
 # The RunConfig keys model_metrics reads.
@@ -335,10 +353,10 @@ def model_metrics(params: NetworkParams, ds: Dataset, cfg: RunConfig,
     """
     noisy_train = ds.noisy_labels[ds.train_indices()]
     test_idx = ds.test_indices()
-    test_cache = forward(params, ds.instances[test_idx], backprop=False)
-    knn = weighted_knn_eval(bank, noisy_train, test_cache.z, ds.true_labels[test_idx],
+    test_z, test_p_hat = embed_rows(params, ds.instances, test_idx)
+    knn = weighted_knn_eval(bank, noisy_train, test_z, ds.true_labels[test_idx],
                             k=min(cfg.k_eval, bank.n), tau=cfg.tau_knn)
-    return knn, _test_split_accuracy(test_cache.p_hat, ds)
+    return knn, _test_split_accuracy(test_p_hat, ds)
 
 
 def _test_split_accuracy(p_hat: np.ndarray, ds: Dataset) -> float:
@@ -351,9 +369,8 @@ def _record(params, ds, cfg, epoch, losses, selection, started,
     """The tail of every epoch: embed the train split under the epoch's
     trained `params` once, measure the selection's precision (none after
     warm-up, selection None) and the probe on that bank, and return the
-    record with the bank."""
+    record, whose losses are (l_mix, l_cls, l_sim, l_all), with the bank."""
     bank = train_embedding(params, ds)
-    l_mix, l_cls, l_sim, l_all = losses
     if selection is None:
         n_conf = n_gp = n_gpp = 0
         threshold = float("inf")
@@ -365,11 +382,11 @@ def _record(params, ds, cfg, epoch, losses, selection, started,
         threshold = selection.sim_threshold
         prec = selection_precision(selection, ds.true_labels[ds.train_indices()])
     knn, test_acc = model_metrics(params, ds, cfg, bank)
-    record = EpochRecord(epoch=epoch, l_mix=l_mix, l_cls=l_cls, l_sim=l_sim, l_all=l_all,
-                         n_confident=n_conf, n_pairs_confident=n_gp, n_pairs_similar=n_gpp,
-                         sim_threshold=threshold, precision_examples=prec[0],
-                         precision_pairs=prec[1], knn_accuracy=knn,
-                         test_accuracy=test_acc, seconds=time_source() - started)
+    record = EpochRecord(epoch, *losses, n_confident=n_conf, n_pairs_confident=n_gp,
+                         n_pairs_similar=n_gpp, sim_threshold=threshold,
+                         precision_examples=prec[0], precision_pairs=prec[1],
+                         knn_accuracy=knn, test_accuracy=test_acc,
+                         seconds=time_source() - started)
     return record, bank
 
 
@@ -563,5 +580,5 @@ def train_cross_entropy_baseline(ds: Dataset, cfg: RunConfig) -> NetworkParams:
 
 def test_accuracy(params: NetworkParams, ds: Dataset) -> float:
     """Classifier accuracy (percent) on the test split."""
-    cache = forward(params, ds.instances[ds.test_indices()], project=False, backprop=False)
-    return _test_split_accuracy(cache.p_hat, ds)
+    p_hat = embed_rows(params, ds.instances, ds.test_indices(), project=False)[1]
+    return _test_split_accuracy(p_hat, ds)

@@ -16,7 +16,7 @@ import selcontrast.cli as cli
 from selcontrast.cli import cli_run, emit_summary
 from selcontrast.data import dump_features_csv, load_features_csv
 from selcontrast.network import load_checkpoint
-from selcontrast.neighbors import grid_rows
+from selcontrast.neighbors import grid_rows, row_blocks
 from selcontrast.selection import SelectionState
 from selcontrast.training import METRICS_COLUMNS, RunConfig
 
@@ -101,9 +101,23 @@ def test_train_report_fields(trained):
     assert saved == report["config"]
 
 
-def test_train_checkpoint_feeds_eval(trained, tmp_path):
+def log_reads(monkeypatch):
+    """Wrap embed_rows wherever the CLI looks it up; returns the list that
+    gets (rows, project) of each whole-split read."""
+    from selcontrast import training
+    reads = []
+    for module in (cli, training):
+        def reading(params, x, rows, project=True, real=module.embed_rows):
+            reads.append((len(rows), project))
+            return real(params, x, rows, project=project)
+        monkeypatch.setattr(module, "embed_rows", reading)
+    return reads
+
+
+def test_train_checkpoint_feeds_eval(trained, tmp_path, monkeypatch):
     params = load_checkpoint(trained["checkpoint"])
     assert np.all(np.isfinite(params.enc_w1))
+    reads = log_reads(monkeypatch)
     out = tmp_path / "eval.json"
     assert cli_run(["eval", "--checkpoint", str(trained["checkpoint"]),
                     "--data", str(trained["data"]), "--k-eval", "10",
@@ -112,6 +126,8 @@ def test_train_checkpoint_feeds_eval(trained, tmp_path):
     assert 0.0 <= report["test_accuracy"] <= 100.0
     assert 0.0 <= report["knn_accuracy"] <= 100.0
     assert report["n_train"] + report["n_test"] == 80
+    # the train bank, then the test split the probe and the classifier both read
+    assert reads == [(report["n_train"], True), (report["n_test"], True)]
 
 
 def test_eval_prints_json_to_stdout_without_out_flag(trained, capsys):
@@ -383,12 +399,12 @@ def test_sweep_row_test_acc_is_trains_final_accuracy(tmp_path, monkeypatch):
 
 def test_dump_proj_train_split(tmp_path, trained, monkeypatch):
     from selcontrast import training
-    rows = []
-    for module in (cli, training):  # forward is looked up in both modules
-        def counting(params, x, project=True, backprop=True, real=module.forward):
-            rows.append(len(x))
-            return real(params, x, project=project, backprop=backprop)
-        monkeypatch.setattr(module, "forward", counting)
+    reads, rows = log_reads(monkeypatch), []
+
+    def counting(params, x, project=True, real=training.forward):
+        rows.append(len(x))
+        return real(params, x, project=project)
+    monkeypatch.setattr(training, "forward", counting)
     out = tmp_path / "proj.csv"
     assert cli_run(["dump-proj", "--k", "10", "--checkpoint", str(trained["checkpoint"]),
                     "--data", str(trained["data"]), "--out", str(out)]) == 0
@@ -397,10 +413,15 @@ def test_dump_proj_train_split(tmp_path, trained, monkeypatch):
     ds = load_features_csv(trained["data"])
     assert len(lines) == 1 + len(ds.train_indices())
     assert any(line.endswith(",1") for line in lines[1:])  # confident points marked
-    assert rows == [len(ds.train_indices())]  # one embedding serves the plot and the selection
+    # one embedding serves the plot and the selection: one read, one forward per block
+    n_train = len(ds.train_indices())
+    assert reads == [(n_train, True)]
+    hidden = load_checkpoint(trained["checkpoint"]).hidden
+    assert rows == [stop - start for start, stop in row_blocks(n_train, hidden)]
 
 
-def test_dump_proj_test_split_marks_nothing_confident(tmp_path, trained):
+def test_dump_proj_test_split_marks_nothing_confident(tmp_path, trained, monkeypatch):
+    reads = log_reads(monkeypatch)
     out = tmp_path / "proj.csv"
     assert cli_run(["dump-proj", "--checkpoint", str(trained["checkpoint"]),
                     "--data", str(trained["data"]), "--out", str(out),
@@ -409,6 +430,7 @@ def test_dump_proj_test_split_marks_nothing_confident(tmp_path, trained):
     ds = load_features_csv(trained["data"])
     assert len(lines) == 1 + len(ds.test_indices())
     assert all(line.endswith(",0") for line in lines[1:])
+    assert reads == [(len(ds.test_indices()), True)]
 
 
 @pytest.mark.parametrize("split, flags, refused", [
@@ -464,11 +486,14 @@ def test_missing_data_file_exits_1(tmp_path, capsys):
 
 
 def test_corrupt_checkpoint_exits_1(tmp_path, trained, capsys):
+    # JSON that is no checkpoint object, or whose tensors are no object
     bad = tmp_path / "ckpt.json"
-    bad.write_text("{}")
-    assert cli_run(["eval", "--checkpoint", str(bad),
-                    "--data", str(trained["data"])]) == 1
-    assert "checkpoint" in capsys.readouterr().err
+    for text in ("{}", "[]", '{"format_version": 2, "tensors": 5}'):
+        bad.write_text(text)
+        for command in (["eval"], ["dump-proj", "--out", str(tmp_path / "proj.csv")]):
+            assert cli_run([*command, "--checkpoint", str(bad),
+                            "--data", str(trained["data"])]) == 1, (text, command)
+            assert "bad checkpoint" in capsys.readouterr().err, (text, command)
 
 
 def test_checkpoint_with_wrong_projection_shape_exits_1(tmp_path, trained, capsys):
@@ -506,6 +531,18 @@ def test_train_with_nothing_selected_exits_2_naming_the_quota(tmp_path, capsys):
     assert payload["sim_threshold"] is None
     assert payload["per_class_quota"] == 0
     assert payload["confident_by_class"] == [[], [], [], []]  # 4 classes by default
+
+
+def test_warmup_only_train_prints_the_confident_count_of_its_selection(tmp_path, trained,
+                                                                        capsys):
+    # the last record of a warm-up-only run selected nothing; the n_T that
+    # train prints is that of the selection fine-tuning and the dump use
+    sel = tmp_path / "sel.json"
+    assert cli_run(["train", *TINY_RUN, "--data", str(trained["data"]), "--t-warm", "2",
+                    "--warmup-kind", "supervised", "--dump-selection", str(sel),
+                    "--fixed-clock"]) == 0
+    n_t = int(re.search(r"\bn_T=(\d+)$", capsys.readouterr().out.strip()).group(1))
+    assert n_t == sum(map(len, json.loads(sel.read_text())["confident_by_class"])) > 0
 
 
 def test_train_creates_the_dump_directories(tmp_path, trained):

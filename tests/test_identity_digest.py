@@ -1,9 +1,12 @@
 """tools/identity_digest.py: the committed digests of three fixed-clock runs,
 and what --check reports when a digest differs."""
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "identity_digest.py"
@@ -17,11 +20,14 @@ def _tool():
     return module
 
 
-def test_artifacts_match_the_recorded_identity_digests():
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_artifacts_match_the_recorded_identity_digests(blas_threads):
     # every artifact of the desk, wide and scale runs is bit for bit the
-    # recorded one; an intended change updates tools/identity_digests.txt
+    # recorded one, under one BLAS thread and under two; an intended change
+    # updates tools/identity_digests.txt
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads}
     proc = subprocess.run([sys.executable, str(TOOL), "--check", str(RECORDED)],
-                          capture_output=True, text=True, timeout=600)
+                          capture_output=True, text=True, timeout=600, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

@@ -194,7 +194,7 @@ def test_model_metrics_clips_k_eval_to_train_size():
     params, _ = fresh_start(cfg, ds)
     bank = train_embedding(params, ds)
     test_idx = ds.test_indices()
-    test_z = forward(params, ds.instances[test_idx], backprop=False).z
+    test_z = training.embed_rows(params, ds.instances, test_idx)[0]
     assert cfg.k_eval > bank.n
     knn, _ = model_metrics(params, ds, cfg, bank)
     assert knn == weighted_knn_eval(bank, ds.noisy_labels[ds.train_indices()], test_z,
@@ -203,14 +203,30 @@ def test_model_metrics_clips_k_eval_to_train_size():
 
 @pytest.mark.parametrize("hidden,projection", [(64, "linear"), (512, "mlp")])
 def test_train_embedding_blocks_equal_the_whole_split_forward(monkeypatch, hidden, projection):
-    # 800 train rows in row blocks (512 rows at hidden 64, 64 at hidden 512):
-    # the float32 network's blocks are bit-equal to one forward over the
-    # split, and the bank holds them widened to float64, exactly, and
-    # rounded to its grid
-    cfg = benchmark_config(n=1000, hidden_dim=hidden, projection=projection)
+    # both splits in several row blocks (2400 train and 600 test rows in
+    # blocks of at most 512 at hidden 64; 400 and 100 rows in blocks of at
+    # most 64 at hidden 512). embed_rows's z of the float32 network is
+    # bit-equal to one forward over the same rows; its p_hat is each block's
+    # forward bit for bit, and within a few float32 ulps of the whole's, as
+    # BLAS may take another kernel for a block's 4-class logits than for the
+    # whole's. The bank holds the train rows' z widened to float64, exactly,
+    # and rounded to its grid
+    cfg = benchmark_config(n={64: 3000, 512: 500}[hidden], hidden_dim=hidden,
+                           projection=projection)
     ds = dataset_from_config(cfg)
     params, _ = fresh_start(cfg, ds)
-    assert len(neighbors.row_blocks(len(ds.train_indices()), hidden)) > 1
+    for rows in (ds.train_indices(), ds.test_indices()):
+        blocks = neighbors.row_blocks(len(rows), hidden)
+        assert len(blocks) > 1
+        whole = forward(params, ds.instances[rows])
+        each = np.concatenate([forward(params, ds.instances[rows[start:stop]]).p_hat
+                               for start, stop in blocks])
+        for project in (True, False):
+            z, p_hat = training.embed_rows(params, ds.instances, rows, project=project)
+            assert (z is None) if not project else z.tobytes() == whole.z.tobytes()
+            assert p_hat.dtype == np.float32 and p_hat.tobytes() == each.tobytes()
+            np.testing.assert_allclose(p_hat, whole.p_hat, rtol=1e-5, atol=1e-7)
+            np.testing.assert_array_equal(p_hat.argmax(axis=1), whole.p_hat.argmax(axis=1))
     handed = []  # the array train_embedding builds the bank from
 
     def capturing(z, real=training.EmbeddingBank):
@@ -218,7 +234,7 @@ def test_train_embedding_blocks_equal_the_whole_split_forward(monkeypatch, hidde
         return real(z)
     monkeypatch.setattr(training, "EmbeddingBank", capturing)
     bank = train_embedding(params, ds)
-    whole = forward(params, ds.instances[ds.train_indices()], backprop=False).z
+    whole = forward(params, ds.instances[ds.train_indices()]).z
     (z,) = handed
     assert whole.dtype == np.float32 and z.dtype == np.float32
     assert z.tobytes() == whole.tobytes()
@@ -522,8 +538,8 @@ def test_knn_probe_on_a_bank_has_no_train_split_term():
     rows and no squares for their norms (1 MB each at 4000 train rows and
     proj_dim 32). The bound adds up, in bytes:
 
-    - the test split's forward: its own traced peak, which covers the cache
-      it returns and the activations it drops;
+    - the test split's read: its own traced peak, which covers the z and
+      p_hat it returns and one row block's forward cache;
     - the test rows widened to float64, unit and on the grid: 8 n_test d;
     - one row block of cells = max(_BLOCK_ELEMENTS, _MIN_BLOCK_ROWS n_train):
       the float64 similarities, their int64 argpartition indices and a bool
@@ -539,11 +555,11 @@ def test_knn_probe_on_a_bank_has_no_train_split_term():
     params, _ = fresh_start(cfg, ds)
     bank = train_embedding(params, ds)
     n_train, n_test = len(ds.train_indices()), len(ds.test_indices())
-    forward_peak = traced_peak(
-        lambda: forward(params, ds.instances[ds.test_indices()], backprop=False))
+    read_peak = traced_peak(
+        lambda: training.embed_rows(params, ds.instances, ds.test_indices()))
     cells = max(neighbors._BLOCK_ELEMENTS, neighbors._MIN_BLOCK_ROWS * n_train)
     block = 17 * cells + 6 * 8 * (cells // n_train) * min(cfg.k_eval, n_train)
-    bound = (forward_peak + 8 * n_test * cfg.proj_dim + block
+    bound = (read_peak + 8 * n_test * cfg.proj_dim + block
              + 16 * n_train + 8 * n_test * ds.n_classes)
     peak = traced_peak(lambda: model_metrics(params, ds, cfg, bank))
     assert peak <= bound, f"{peak / 2 ** 20:.2f} MiB over {bound / 2 ** 20:.2f} MiB"
@@ -863,25 +879,36 @@ def test_neighbourhood_of_the_whole_split_selects_nothing():
 # ---------------------------------------------------------------------------
 
 class ForwardLog:
-    """Replaces training.forward with a wrapper that logs each call as
-    (whole, rows, project): whole is "train" or "test" when the input is
-    exactly that split, in dataset order, and None for a minibatch."""
+    """Wraps training.embed_rows and training.forward to log each network
+    pass as (whole, rows, project): a whole-split read (embed_rows) has
+    whole "train" or "test" when it reads exactly that split's rows of the
+    dataset, in order, and "other" otherwise; a minibatch forward has whole
+    None. blocks gets, per read, the row count of each forward it ran."""
 
     def __init__(self, monkeypatch, ds):
-        import selcontrast.training as training
-        real = training.forward
-        splits = {"train": ds.instances[ds.train_indices()],
-                  "test": ds.instances[ds.test_indices()]}
-        self.calls = []
-        self.whole_backprop = []  # backprop of each whole-split forward
+        real_read, real_forward = training.embed_rows, training.forward
+        splits = {"train": ds.train_indices(), "test": ds.test_indices()}
+        self.calls, self.blocks = [], []
+        self.reading = False
 
-        def logged(params, x, project=True, backprop=True):
-            whole = next((name for name, rows in splits.items()
-                          if np.shape(x) == rows.shape and np.array_equal(x, rows)), None)
-            self.calls.append((whole, len(x), project))
-            if whole is not None:
-                self.whole_backprop.append(backprop)
-            return real(params, x, project=project, backprop=backprop)
+        def read(params, x, rows, project=True):
+            whole = next((name for name, idx in splits.items()
+                          if x is ds.instances and np.array_equal(rows, idx)), "other")
+            self.calls.append((whole, len(rows), project))
+            self.blocks.append([])
+            self.reading = True
+            try:
+                return real_read(params, x, rows, project=project)
+            finally:
+                self.reading = False
+
+        def logged(params, x, project=True):
+            if self.reading:
+                self.blocks[-1].append(len(x))
+            else:
+                self.calls.append((None, len(x), project))
+            return real_forward(params, x, project=project)
+        monkeypatch.setattr(training, "embed_rows", read)
         monkeypatch.setattr(training, "forward", logged)
 
     def count(self, whole, project, since=0):
@@ -913,8 +940,11 @@ def test_each_forward_computes_only_what_is_read(monkeypatch):
     assert len(tail) == cfg.t_finetune * n_ft_batches + 1
     assert all(whole is None and not project for whole, _, project in tail[:-1])
     assert tail[-1] == ("test", len(ds.test_indices()), False)  # test_accuracy
-    # the whole-split embeddings are never backpropagated, so they keep no activations
-    assert len(log.whole_backprop) == 2 * cfg.t_max + 1 and not any(log.whole_backprop)
+    # every whole-split read is one of the above and runs one forward per row block
+    reads = [call for call in log.calls if call[0] is not None]
+    assert len(reads) == len(log.blocks) == 2 * cfg.t_max + 1
+    for (_, n_rows, _), sizes in zip(reads, log.blocks):
+        assert sizes == [stop - start for start, stop in neighbors.row_blocks(n_rows, cfg.hidden_dim)]
 
 
 def test_pretrain_without_warmup_selects_from_the_initial_embedding(monkeypatch):
@@ -957,7 +987,7 @@ def record_probed_banks(monkeypatch):
 def assert_bank_embeds(bank, params, ds):
     """bank holds the train split's projections under params, bit for bit,
     widened to float64 and rounded to the bank's grid."""
-    z = forward(params, ds.instances[ds.train_indices()], backprop=False).z
+    z = forward(params, ds.instances[ds.train_indices()]).z
     assert bank.z.tobytes() == neighbors.grid_rows(z.astype(np.float64)).tobytes()
 
 
