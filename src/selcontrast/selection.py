@@ -66,8 +66,16 @@ def same_label_blocks(labels: np.ndarray):
     """Yield (rows, cols) blocks that cover every pair i < j of equal label:
     for each label's members, in index order, rows is one of
     row_blocks(len(members)) and cols runs from its first row to the end, so
-    np.triu(mask, 1) of a (rows, cols) mask keeps exactly the cells i < j."""
-    for c in np.unique(labels):
+    np.triu(mask, 1) of a (rows, cols) mask keeps exactly the cells i < j.
+
+    The distinct labels come from a sort and a neighbour comparison, which is
+    np.unique's result for integer labels: numpy 2.4's np.unique imports
+    numpy.ma on its first call, about 1.5 MB of resident memory that nothing
+    else on the train path loads."""
+    ordered = np.sort(labels)
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    for c in ordered[first]:
         members = np.flatnonzero(labels == c)
         for start, stop in row_blocks(len(members)):
             yield members[start:stop], members[start:]

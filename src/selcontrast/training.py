@@ -242,30 +242,26 @@ def _epoch_rng(seed: int, stream: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream, epoch])
 
 
-def _train_arrays(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """The train split's instances and noisy labels."""
-    idx = ds.train_indices()
-    return ds.instances[idx], ds.noisy_labels[idx]
-
-
-def _view_batches(x_train: np.ndarray, labels: np.ndarray, cfg: RunConfig,
-                  rng: np.random.Generator):
+def _view_batches(ds: Dataset, cfg: RunConfig, rng: np.random.Generator):
     """Shuffle the train rows and yield one minibatch at a time as
     (views, origins, labels, twin): two augmented views per example, stacked
-    [first views; second views], with each view's train row, label and the
-    position of its twin view.
+    [first views; second views], with each view's train row, noisy label and
+    the position of its twin view.
 
-    Draws the permutation, then one `augment` call per batch, on
-    x_train[origins] with origins = [batch; batch]. Every contrastive epoch
-    draws its batches here; the consumer may draw from `rng` between batches.
+    Draws the permutation, then one `augment` call per batch, on the rows
+    origins = [batch; batch] of the train split, gathered from ds.instances
+    per batch (no copy of the split is made). Every contrastive epoch draws
+    its batches here; the consumer may draw from `rng` between batches.
     """
-    perm = rng.permutation(len(x_train))
+    train = ds.train_indices()
+    perm = rng.permutation(len(train))
     for start in range(0, len(perm), cfg.batch_size):
         batch_idx = perm[start:start + cfg.batch_size]
         origins = np.concatenate([batch_idx, batch_idx])
         twin = np.roll(np.arange(len(origins)), len(batch_idx))
-        yield (augment(x_train[origins], rng, cfg.jitter_sigma, cfg.drop_prob, cfg.scale_low,
-                       cfg.scale_high), origins, labels[origins], twin)
+        rows = train[origins]
+        yield (augment(ds.instances[rows], rng, cfg.jitter_sigma, cfg.drop_prob, cfg.scale_low,
+                       cfg.scale_high), origins, ds.noisy_labels[rows], twin)
 
 
 def _label_mask(labels: np.ndarray) -> np.ndarray:
@@ -276,10 +272,9 @@ def _label_mask(labels: np.ndarray) -> np.ndarray:
 
 def _contrastive_epoch(params, opt, ds, cfg, epoch, kind) -> float:
     """Selection-free epoch (warm-up or empty-selection fallback)."""
-    x_train, noisy = _train_arrays(ds)
     rng = _epoch_rng(cfg.seed, _STREAM_TRAIN, epoch)
     values = []
-    for views, _, labels, twin in _view_batches(x_train, noisy, cfg, rng):
+    for views, _, labels, twin in _view_batches(ds, cfg, rng):
         cache = forward(params, views)
         if kind == SUPERVISED:
             value, grad_z = masked_contrastive(cache.z, _label_mask(labels), cfg.tau)
@@ -290,18 +285,18 @@ def _contrastive_epoch(params, opt, ds, cfg, epoch, kind) -> float:
     return float(np.mean(values))
 
 
-def _cross_entropy_epoch(params, opt, x_train, labels, rows, cfg, rng,
-                         weak_views: bool = False) -> None:
-    """One epoch of classifier cross-entropy over the train `rows` in random
-    order: one weak view per row (jitter only) when `weak_views`, raw rows
+def _cross_entropy_epoch(params, opt, ds, rows, cfg, rng, weak_views: bool = False) -> None:
+    """One epoch of classifier cross-entropy on the noisy labels of the
+    dataset `rows` in random order, each batch gathered from ds.instances:
+    one weak view per row (jitter only) when `weak_views`, raw rows
     otherwise."""
     perm = rows[rng.permutation(len(rows))]
     for start in range(0, len(perm), cfg.batch_size):
         batch_idx = perm[start:start + cfg.batch_size]
-        x = x_train[batch_idx]
+        x = ds.instances[batch_idx]
         x = augment(x, rng, cfg.jitter_sigma) if weak_views else x
         cache = forward(params, x, project=False)
-        _, grad_p = classification_loss(cache.p_hat, labels[batch_idx],
+        _, grad_p = classification_loss(cache.p_hat, ds.noisy_labels[batch_idx],
                                         np.ones(len(batch_idx), dtype=bool))
         sgd_step(params, backward(params, cache, grad_p=grad_p, out=opt.grads), opt)
 
@@ -467,7 +462,6 @@ def pretrain_epoch(params: NetworkParams, opt: OptState, ds: Dataset, cfg: RunCo
     embeds the trained params and the record's probe read it.
     """
     started = time_source()
-    x_train, noisy_train = _train_arrays(ds)
     selection = compute_selection(bank, ds, cfg, epoch_tag=epoch)
 
     if selection.confident.size == 0:
@@ -478,7 +472,7 @@ def pretrain_epoch(params: NetworkParams, opt: OptState, ds: Dataset, cfg: RunCo
         rng = _epoch_rng(cfg.seed, _STREAM_TRAIN, epoch)
         sums = np.zeros(4)
         steps = 0
-        for batch in _view_batches(x_train, noisy_train, cfg, rng):
+        for batch in _view_batches(ds, cfg, rng):
             sums += _selective_step(params, opt, batch, selection, selection.is_confident,
                                     cfg, rng)
             steps += 1
@@ -518,6 +512,7 @@ def pretrain(ds: Dataset, cfg: RunConfig, time_source=time.perf_counter) -> Pret
         if epoch <= cfg.t_warm:
             record, bank = warmup(params, opt, ds, cfg, epoch, time_source)
         else:
+            selection = None  # the last epoch's selection is dead once this one votes
             selection, record, bank = pretrain_epoch(params, opt, ds, cfg, epoch, bank,
                                                      time_source)
         history.append(record)
@@ -553,9 +548,9 @@ def finetune(params: NetworkParams, ds: Dataset, cfg: RunConfig,
     opt = OptState.for_params(params, cfg.finetune_lr, cfg.momentum, cfg.weight_decay,
                               schedule=[], lr_scale=lr_scale)
 
-    x_train, noisy_train = _train_arrays(ds)
+    rows = ds.train_indices()[selection.confident]
     for epoch in range(1, cfg.t_finetune + 1):
-        _cross_entropy_epoch(params, opt, x_train, noisy_train, selection.confident, cfg,
+        _cross_entropy_epoch(params, opt, ds, rows, cfg,
                              _epoch_rng(cfg.seed, _STREAM_FINETUNE, epoch), weak_views=True)
     return params
 
@@ -569,11 +564,10 @@ def train_cross_entropy_baseline(ds: Dataset, cfg: RunConfig) -> NetworkParams:
     method, not to the vanilla control it is compared against.
     """
     params, opt = _start_run(ds, cfg)
-    x_train, noisy_train = _train_arrays(ds)
-    rows = np.arange(len(x_train))
+    rows = ds.train_indices()
     for epoch in range(1, cfg.t_max + cfg.t_finetune + 1):
         apply_lr_schedule(opt, epoch)
-        _cross_entropy_epoch(params, opt, x_train, noisy_train, rows, cfg,
+        _cross_entropy_epoch(params, opt, ds, rows, cfg,
                              _epoch_rng(cfg.seed, _STREAM_BASELINE, epoch))
     return params
 

@@ -151,6 +151,34 @@ def test_confident_budget_monotone_in_alpha():
 # pairs
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("labels", [
+    [0, 2, 2, 0, 2, 0, 0, 2, 2],
+    [3] * 7,
+    [3, -1, 2, -1, 3, 0, 2, 2, -1, 3, 0, 2],
+], ids=["empty_class_between", "single_class", "unsorted"])
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+def test_same_label_blocks_cover_each_equal_label_pair_once(monkeypatch, labels,
+                                                            one_row_blocks):
+    # the upper triangle of every (rows, cols) block, pooled, is exactly the
+    # brute-force list of equal-label pairs i < j, each once; blocks come
+    # label by label in np.unique's order, whole or one row at a time
+    if one_row_blocks:
+        monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(neighbors, "_MIN_BLOCK_ROWS", 1)
+    labels = np.array(labels)
+    covered, block_labels = [], []
+    for rows, cols in selection.same_label_blocks(labels):
+        label, = set(labels[rows].tolist()) | set(labels[cols].tolist())
+        block_labels.append(label)
+        a, b = np.nonzero(np.triu(np.ones((len(rows), len(cols)), dtype=bool), 1))
+        covered += zip(rows[a].tolist(), cols[b].tolist())
+    n = len(labels)
+    assert sorted(covered) == [(i, j) for i in range(n) for j in range(i + 1, n)
+                               if labels[i] == labels[j]]
+    assert list(dict.fromkeys(block_labels)) == np.unique(labels).tolist()
+    assert len(block_labels) == (n if one_row_blocks else len(np.unique(labels)))
+
+
 def select(noisy, y_hat, q_hat, alpha=1.0, beta=0.25, z=None):
     noisy = np.asarray(noisy)
     if z is None:

@@ -3,14 +3,21 @@ determinism, fallback paths, fine-tuning and the cross-entropy control.
 """
 import copy
 import dataclasses
+import gc
+import os
+import subprocess
+import sys
+import textwrap
 import time
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import MaskPairs, cast_params, reference_selective_step
 
-from selcontrast.data import Dataset, inject_noise, make_blobs, mixup
+from selcontrast.data import TEST, TRAIN, Dataset, inject_noise, make_blobs, mixup
 from selcontrast.evaluation import weighted_knn_eval
 from selcontrast.network import OptState, apply_lr_schedule, forward, init_params
 from selcontrast import neighbors, training
@@ -55,6 +62,12 @@ def record_step_losses(monkeypatch):
             return value, grad
         monkeypatch.setattr(training, name, recording)
     return values
+
+
+def train_only(x_train, noisy):
+    """A Dataset whose every row is a train row: x_train under labels noisy."""
+    return Dataset(instances=x_train, true_labels=noisy, noisy_labels=noisy,
+                   split=np.full(len(noisy), TRAIN), n_classes=int(noisy.max()) + 1)
 
 
 def minority_swamped_dataset():
@@ -309,12 +322,19 @@ def test_pretrain_history_has_one_record_per_epoch():
 
 @pytest.mark.parametrize("n_train, batch_size", [(37, 16), (36, 36), (36, 64), (37, 2)])
 def test_view_batches_give_every_row_two_twinned_views(n_train, batch_size):
-    # identity augmentation, so each view must equal its origin's row
+    # identity augmentation, so each view must equal its origin's train row;
+    # 9 test rows lie between the train rows, which are gathered through the
+    # train indices, and the train rows' noisy labels differ from their true ones
     cfg = tiny_config(batch_size=batch_size, jitter_sigma=0.0, drop_prob=0.0,
                       scale_low=1.0, scale_high=1.0)
-    x = np.random.default_rng(0).normal(size=(n_train, 5))
-    noisy = np.arange(n_train) % 3
-    batches = list(training._view_batches(x, noisy, cfg, np.random.default_rng(1)))
+    rng = np.random.default_rng(0)
+    split = rng.permutation(np.r_[np.full(n_train, TRAIN), np.full(9, TEST)])
+    true = np.arange(len(split)) % 3
+    ds = Dataset(instances=rng.normal(size=(len(split), 5)), true_labels=true,
+                 noisy_labels=np.where(split == TRAIN, (true + 1) % 3, true), split=split,
+                 n_classes=3)
+    x, noisy = ds.instances[ds.train_indices()], ds.noisy_labels[ds.train_indices()]
+    batches = list(training._view_batches(ds, cfg, np.random.default_rng(1)))
     full, rest = divmod(n_train, batch_size)
     assert [len(views) // 2 for views, *_ in batches] == [batch_size] * full + [rest] * (rest > 0)
     for views, origins, labels, twin in batches:
@@ -522,6 +542,53 @@ def test_pretrain_never_holds_two_selections():
         f"{peak / n_train ** 2:.2f} n^2 bytes"
 
 
+def test_pretrain_holds_one_selection_at_a_time(monkeypatch):
+    # each selective epoch makes a selection of its own, so the last epoch's
+    # (with its bank, pseudo-labels and masks) is dead before this one starts
+    cfg = tiny_config(t_warm=1, t_max=4)
+    ds = dataset_from_config(cfg)
+    made = []
+
+    def tracking(*args, real=training.pretrain_epoch):
+        gc.collect()
+        assert [ref() for ref in made] == [None] * len(made), len(made)
+        selection, record, bank = real(*args)
+        made.append(weakref.ref(selection))
+        return selection, record, bank
+
+    monkeypatch.setattr(training, "pretrain_epoch", tracking)
+    result = pretrain(ds, cfg)
+    assert len(made) == cfg.t_max - cfg.t_warm
+    assert made[-1]() is result.selection
+    assert result.selection.epoch_tag == cfg.t_max
+
+
+def test_pipeline_loads_no_numpy_module_beyond_numpy_random():
+    # a fresh interpreter: numpy.ma and the like cost resident memory on
+    # first import (numpy 2.4's np.unique imports numpy.ma), so a smoke-size
+    # run loads nothing of numpy that numpy.random does not bring
+    script = textwrap.dedent("""
+        import sys
+        import numpy, numpy.random
+        loaded = {name for name in sys.modules if name.startswith("numpy")}
+        from selcontrast import training
+        cfg = training.benchmark_config(n=80, classes=2, dim=6, t_max=3, t_finetune=2,
+                                        batch_size=16, k=10, k_eval=10)
+        ds = training.dataset_from_config(cfg)
+        result = training.pretrain(ds, cfg)
+        training.test_accuracy(training.finetune(result.params, ds, cfg, result.selection), ds)
+        print(sorted(name for name in sys.modules
+                     if name.startswith("numpy") and name not in loaded))
+    """)
+    src = str(Path(training.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_knn_probe_peak_memory():
     rng = np.random.default_rng(11)
     train, test = rng.normal(size=(4000, 32)), rng.normal(size=(1000, 32))
@@ -619,7 +686,7 @@ def test_selective_step_matches_the_joint_reference_bitwise(case):
     rng = np.random.default_rng(21)
     n_train = 80
     x_train, noisy = rng.normal(size=(n_train, dim)), rng.integers(0, 3, size=n_train)
-    batches = list(training._view_batches(x_train, noisy, cfg, rng))
+    batches = list(training._view_batches(train_only(x_train, noisy), cfg, rng))
     assert [len(b[1]) for b in batches] == [64, 64, 32]
     confident = rng.random(n_train) < 0.6
     if case == "no_scored_row":
@@ -679,7 +746,7 @@ def test_float32_step_computes_in_float32_throughout(monkeypatch):
                           if noisy[i] == noisy[j]], 16)
     params = init_params(6, 2, hidden=8, proj_dim=4, projection="mlp", seed=24)
     opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay)
-    batch = next(training._view_batches(x_train, noisy, cfg, rng))
+    batch = next(training._view_batches(train_only(x_train, noisy), cfg, rng))
     training._selective_step(params, opt, batch, pairs, np.ones(16, dtype=bool), cfg, rng)
     seen += [(f"opt.grads[{name}]", g) for name, g in opt.grads.items()]
     assert {"cache.x", "cache.proj_act1", "grad_z", "grad_p"} <= {name for name, _ in seen}
@@ -708,7 +775,7 @@ def test_selective_step_reads_pairs_once():
     params = init_params(6, 3, hidden=8, proj_dim=4, seed=23)
     opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay)
     confident = np.ones(n_train, dtype=bool)
-    for step, batch in enumerate(training._view_batches(x_train, noisy, cfg, rng)):
+    for step, batch in enumerate(training._view_batches(train_only(x_train, noisy), cfg, rng)):
         training._selective_step(params, opt, batch, pairs, confident, cfg, rng)
         assert pairs.calls == step + 1, step
 
@@ -726,7 +793,7 @@ def test_selective_step_with_a_zero_projection_row_stays_finite():
                           if noisy[i] == noisy[j]], n_train)
     params = init_params(6, 3, hidden=8, proj_dim=4, seed=23)
     opt = OptState.for_params(params, cfg.lr, cfg.momentum, cfg.weight_decay)
-    batch = next(training._view_batches(x_train, noisy, cfg, rng))
+    batch = next(training._view_batches(train_only(x_train, noisy), cfg, rng))
     mixed_x = mixup(batch[0], cfg.alpha_m, copy.deepcopy(rng))[0]  # the step's draw
     mixed = forward(params, mixed_x)
     dead = mixed.z_norm == 0.0
